@@ -1,97 +1,7 @@
-"""Exact Scarf-complex toolkit for t-connected and t-path ideals of small graphs."""
+"""Exact Scarf-complex toolkit for t-connected and t-path ideals of small graphs.
 
-from .analysis import (
-    AnalysisError,
-    LeafPipelineReport,
-    ObstructionCatalog,
-    PathsCyclesReport,
-    RestrictionReport,
-    ScarfReport,
-    SweepRecord,
-    SweepResult,
-    TwoGeneratorReport,
-    check_paths_cycles,
-    check_two_generator_lemma,
-    classify_theorem_A,
-    classify_theorem_B,
-    derive_obstructions,
-    is_scarf,
-    is_scarf_bruteforce,
-    leaf_lemma_pipeline,
-    matches_special_tree_family,
-    sweep,
-    verify_restriction_lemma,
-)
-from .complexes import (
-    ComplexError,
-    LabeledComplex,
-    LcmLattice,
-    cone,
-    evaluate_bar,
-    generator_index_map,
-    glue_leaf_ideal,
-    lcm_lattice,
-    leaf_split,
-    restrict_complex,
-    scarf_complex,
-    scarf_complex_bruteforce,
-    star,
-    taylor_complex,
-)
-from .graphs import (
-    FamilyTag,
-    GraphError,
-    SimpleGraph,
-    are_isomorphic,
-    broom3_graph,
-    broom4_graph,
-    canonical_form,
-    complete_graph,
-    connected_induced_subsets,
-    contains_induced,
-    contains_subgraph,
-    cycle_graph,
-    diameter,
-    enumerate_connected_graphs,
-    enumerate_trees,
-    family_catalog,
-    induced_subgraph,
-    is_connected,
-    make_family,
-    parse_adjacency_text,
-    parse_graph6,
-    path_graph,
-    path_vertex_sets,
-    recognize_family,
-    removable_vertices,
-    spider5_graph,
-    spider6_graph,
-    star_graph,
-    to_graph6,
-    triangle_with_leaves,
-)
-from .homology import (
-    DEFAULT_FIELDS,
-    GF2,
-    GF32003,
-    RATIONALS,
-    FieldSpec,
-    HomologyError,
-    HomologyProfile,
-    boundary_matrix,
-    is_acyclic,
-    matrix_rank,
-    reduced_betti,
-)
-from .ideals import IdealSpec, IdealSpecError, build_ideal, generator_count
-from .monomials import (
-    MonomialError,
-    MonomialIdeal,
-    SquarefreeMonomial,
-    VariableUniverse,
-    divides,
-    lcm_of,
-    minimalize,
-)
+The Python API lives in the submodules: monomials, graphs, ideals, complexes,
+homology, analysis and cli.
+"""
 
 __version__ = "0.1.0"

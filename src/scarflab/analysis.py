@@ -1,7 +1,7 @@
 """Scarf-property analysis, classification sweeps and obstruction derivation.
 
 An ideal is recorded as Scarf when the restriction of its Scarf complex to
-every lcm-lattice point is acyclic (or empty) over every coefficient field in
+every lcm-lattice point is acyclic over every coefficient field in
 the battery.  Restricting attention to lattice points is sound because the
 restriction of the complex to a monomial m only depends on the set of
 generators dividing m, and that set determines a lattice point with the same
@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
+from typing import Iterable
 
 from .complexes import (
     LabeledComplex,
@@ -30,7 +32,7 @@ from .complexes import (
     scarf_complex,
 )
 from .graphs import (
-    FamilyTag,
+    DEFAULT_ENUMERATION_CAP,
     GraphError,
     SimpleGraph,
     canonical_form,
@@ -59,6 +61,10 @@ VERDICT_TRIVIALLY_SCARF = "trivially_scarf"
 THEOREM_B_FAMILY_KINDS = ("star", "triangle", "broom3", "broom4", "spider5", "spider6")
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
 
+# Trees are enumerated by leaf extension, which stays cheap past the labelled
+# scan behind DEFAULT_ENUMERATION_CAP.
+DERIVE_TREE_CAP = 9
+
 
 class AnalysisError(ValueError):
     pass
@@ -67,7 +73,6 @@ class AnalysisError(ValueError):
 @dataclass(frozen=True)
 class ScarfReport:
     ideal: MonomialIdeal
-    fields: tuple[FieldSpec, ...]
     verdicts: tuple[tuple[FieldSpec, str], ...]
     witnesses: tuple[tuple[FieldSpec, SquarefreeMonomial, HomologyProfile], ...]
     num_generators: int
@@ -79,9 +84,6 @@ class ScarfReport:
             if f == field:
                 return v
         raise AnalysisError(f"field {field} was not part of this report")
-
-    def scarf_over(self, field: FieldSpec) -> bool:
-        return self.verdict(field) != VERDICT_NOT_SCARF
 
     @property
     def all_scarf(self) -> bool:
@@ -121,45 +123,62 @@ def _normalize_fields(fields) -> tuple[FieldSpec, ...]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _is_scarf_cached(ideal: MonomialIdeal, fields: tuple[FieldSpec, ...]) -> ScarfReport:
+def _scarf_scan(
+    ideal: MonomialIdeal,
+    fields: tuple[FieldSpec, ...],
+    points: Iterable[SquarefreeMonomial],
+    num_lattice_points: int,
+) -> ScarfReport:
+    """Restrict the Scarf complex to each point, which callers pass in
+    ascending mask order, and record per field the first point whose
+    restriction is not acyclic.  Ideals with at most one generator are
+    trivially Scarf and scan nothing.
+
+    Both callers pick the same witness.  If m is the first failing monomial in
+    ascending mask order among all monomials some generator divides, let m' be
+    the lcm of the generators dividing m.  Then m' is a lattice point and a
+    submask of m, so m' <= m, and every face label dividing m is an lcm of
+    generators dividing m and so divides m': the restrictions at m and m' are
+    equal.  Hence m' fails too, so m' = m and m is a lattice point.  Lattice
+    points are among those monomials in the same order, so the lattice scan
+    meets the same first failure.  Every point either scan visits is divided
+    by a generator, whose singleton face is in the Scarf complex, so every
+    restriction has a vertex and reduced_betti applies.
+    """
     complex_ = scarf_complex(ideal)
-    lattice = lcm_lattice(ideal)
-    num_faces = len(complex_.faces)
     if ideal.num_generators <= 1:
-        return ScarfReport(
-            ideal=ideal,
-            fields=fields,
-            verdicts=tuple((f, VERDICT_TRIVIALLY_SCARF) for f in fields),
-            witnesses=(),
-            num_generators=ideal.num_generators,
-            num_scarf_faces=num_faces,
-            num_lattice_points=len(lattice),
-        )
-    alive = list(fields)
-    verdicts: dict[FieldSpec, str] = {}
-    witnesses: list[tuple[FieldSpec, SquarefreeMonomial, HomologyProfile]] = []
-    for point in lattice:
-        if not alive:
-            break
-        restricted = complex_.restrict(point)
-        for field in list(alive):
-            profile = reduced_betti(restricted, field)
-            if not profile.is_acyclic:
-                verdicts[field] = VERDICT_NOT_SCARF
-                witnesses.append((field, point, profile))
-                alive.remove(field)
-    for field in alive:
-        verdicts[field] = VERDICT_SCARF
+        verdicts = {f: VERDICT_TRIVIALLY_SCARF for f in fields}
+        witnesses = []
+    else:
+        alive = list(fields)
+        verdicts = {}
+        witnesses = []
+        for point in points:
+            if not alive:
+                break
+            restricted = complex_.restrict(point)
+            for field in list(alive):
+                profile = reduced_betti(restricted, field)
+                if not profile.is_acyclic:
+                    verdicts[field] = VERDICT_NOT_SCARF
+                    witnesses.append((field, point, profile))
+                    alive.remove(field)
+        for field in alive:
+            verdicts[field] = VERDICT_SCARF
     return ScarfReport(
         ideal=ideal,
-        fields=fields,
         verdicts=tuple((f, verdicts[f]) for f in fields),
         witnesses=tuple(witnesses),
         num_generators=ideal.num_generators,
-        num_scarf_faces=num_faces,
-        num_lattice_points=len(lattice),
+        num_scarf_faces=len(complex_.faces),
+        num_lattice_points=num_lattice_points,
     )
+
+
+@lru_cache(maxsize=None)
+def _is_scarf_cached(ideal: MonomialIdeal, fields: tuple[FieldSpec, ...]) -> ScarfReport:
+    lattice = lcm_lattice(ideal)
+    return _scarf_scan(ideal, fields, lattice, len(lattice))
 
 
 def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
@@ -170,50 +189,18 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
 def is_scarf_bruteforce(
     ideal: MonomialIdeal, fields=DEFAULT_FIELDS, max_variables: int = 16
 ) -> ScarfReport:
-    """Oracle variant of is_scarf checking the restriction at all 2^d monomials."""
+    """Oracle variant of is_scarf scanning every monomial some generator divides."""
     fields = _normalize_fields(fields)
     universe = ideal.universe
     if universe.size > max_variables:
         raise AnalysisError(f"brute-force acyclicity check capped at {max_variables} variables")
-    complex_ = scarf_complex(ideal)
-    lattice = lcm_lattice(ideal)
-    if ideal.num_generators <= 1:
-        return ScarfReport(
-            ideal=ideal,
-            fields=fields,
-            verdicts=tuple((f, VERDICT_TRIVIALLY_SCARF) for f in fields),
-            witnesses=(),
-            num_generators=ideal.num_generators,
-            num_scarf_faces=len(complex_.faces),
-            num_lattice_points=len(lattice),
-        )
-    alive = list(fields)
-    verdicts: dict[FieldSpec, str] = {}
-    witnesses: list[tuple[FieldSpec, SquarefreeMonomial, HomologyProfile]] = []
-    for mask in range(1 << universe.size):
-        if not alive:
-            break
-        point = SquarefreeMonomial(universe, mask)
-        restricted = complex_.restrict(point)
-        if not restricted.has_vertices:
-            continue
-        for field in list(alive):
-            profile = reduced_betti(restricted, field)
-            if not profile.is_acyclic:
-                verdicts[field] = VERDICT_NOT_SCARF
-                witnesses.append((field, point, profile))
-                alive.remove(field)
-    for field in alive:
-        verdicts[field] = VERDICT_SCARF
-    return ScarfReport(
-        ideal=ideal,
-        fields=fields,
-        verdicts=tuple((f, verdicts[f]) for f in fields),
-        witnesses=tuple(witnesses),
-        num_generators=ideal.num_generators,
-        num_scarf_faces=len(complex_.faces),
-        num_lattice_points=len(lattice),
+    masks = ideal.generator_masks
+    points = (
+        SquarefreeMonomial(universe, m)
+        for m in range(1 << universe.size)
+        if any(g & ~m == 0 for g in masks)
     )
+    return _scarf_scan(ideal, fields, points, len(lcm_lattice(ideal)))
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +676,12 @@ def _sweep_one(args: tuple[SimpleGraph, IdealSpec, tuple[FieldSpec, ...]]) -> Sw
 
 def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS, jobs: int = 1) -> SweepResult:
     """Exhaustive comparison of the classification predicate against the
-    computed Scarf property over all connected graphs on up to n_max vertices."""
+    computed Scarf property over all connected graphs on up to n_max vertices;
+    jobs worker processes, at most one per CPU, share the graphs."""
     fields = _normalize_fields(fields)
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise AnalysisError(f"jobs must be within 1..{cpus}")
     _sweep_predictor(spec)
     graphs = [
         graph
@@ -750,7 +741,7 @@ def derive_obstructions(
     if mode not in ("induced", "subgraph"):
         raise AnalysisError("mode must be 'induced' or 'subgraph'")
     fields = _normalize_fields(fields)
-    limit = 9 if trees_only else 7
+    limit = DERIVE_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
     if not 1 <= n_max <= limit:
         raise GraphError(f"obstruction derivation capped at {limit} vertices here")
     universe = [

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
 from . import analysis
 from .analysis import (
-    AnalysisError,
+    DERIVE_TREE_CAP,
     derive_obstructions,
     is_scarf,
     leaf_lemma_pipeline,
@@ -30,8 +29,8 @@ from .analysis import (
 )
 from .complexes import scarf_complex, taylor_complex
 from .graphs import (
+    DEFAULT_ENUMERATION_CAP,
     FamilyTag,
-    GraphError,
     SimpleGraph,
     canonical_form,
     graph_from_json_dict,
@@ -40,13 +39,9 @@ from .graphs import (
     parse_graph6,
     recognize_family,
 )
-from .homology import DEFAULT_FIELDS, FieldSpec, HomologyError
-from .ideals import IdealSpec, IdealSpecError, build_ideal
-from .monomials import MonomialError, MonomialIdeal
-
-DEFAULT_SWEEP_CAP = 7
-DEFAULT_DERIVE_CAP = 7
-DEFAULT_DERIVE_TREE_CAP = 9
+from .homology import FieldSpec
+from .ideals import IdealSpec, build_ideal
+from .monomials import MonomialIdeal
 
 _FAMILY_SHORTHAND = re.compile(
     r"^([PCST])(\d+)(?:\(([\d,\s]*)\))?$"
@@ -55,19 +50,6 @@ _FAMILY_SHORTHAND = re.compile(
 
 class CliError(ValueError):
     pass
-
-
-def _vertex_cap(default: int) -> int:
-    raw = os.environ.get("SCARF_LAB_MAX_VERTICES")
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"SCARF_LAB_MAX_VERTICES must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise CliError("SCARF_LAB_MAX_VERTICES must be positive")
-    return cap
 
 
 def parse_family_token(token: str) -> FamilyTag:
@@ -196,6 +178,11 @@ def _json_block(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
+def _check_n_max(n_max: int, cap: int) -> None:
+    if not 1 <= n_max <= cap:
+        raise CliError(f"--n-max must be within 1..{cap}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -287,9 +274,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cap = _vertex_cap(DEFAULT_SWEEP_CAP)
-    if not 1 <= args.n_max <= cap:
-        raise CliError(f"--n-max must be within 1..{cap}")
+    _check_n_max(args.n_max, DEFAULT_ENUMERATION_CAP)
     result = sweep(
         IdealSpec.parse(args.spec),
         args.n_max,
@@ -316,9 +301,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
-    cap = _vertex_cap(DEFAULT_DERIVE_TREE_CAP if args.trees_only else DEFAULT_DERIVE_CAP)
-    if not 1 <= args.n_max <= cap:
-        raise CliError(f"--n-max must be within 1..{cap}")
+    _check_n_max(args.n_max, DERIVE_TREE_CAP if args.trees_only else DEFAULT_ENUMERATION_CAP)
     catalog = derive_obstructions(
         IdealSpec.parse(args.spec),
         args.n_max,
@@ -433,23 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ERRORS = (
-    CliError,
-    AnalysisError,
-    GraphError,
-    MonomialError,
-    HomologyError,
-    IdealSpecError,
-    ValueError,
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _ERRORS as exc:
+    except ValueError as exc:  # every scarflab error class subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

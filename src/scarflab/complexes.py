@@ -97,10 +97,7 @@ class LabeledComplex:
         key = tuple(sorted(set(face)))
         if key not in self.face_set:
             raise ComplexError(f"{key} is not a face")
-        gen_masks = self.ideal.generator_masks
-        mask = 0
-        for i in key:
-            mask |= gen_masks[i]
+        mask = self.label_masks[self.faces.index(key)]
         return SquarefreeMonomial(self.ideal.universe, mask)
 
     def contains(self, face: Iterable[int]) -> bool:
@@ -160,19 +157,14 @@ class LabeledComplex:
         return LabeledComplex(self.ideal, tuple(keep))
 
     def to_json_dict(self) -> dict:
-        labels = {}
-        gen_masks = self.ideal.generator_masks
-        for face in self.faces:
-            mask = 0
-            for i in face:
-                mask |= gen_masks[i]
-            labels[",".join(str(i) for i in face)] = SquarefreeMonomial(
-                self.ideal.universe, mask
-            ).render()
+        universe = self.ideal.universe
         return {
             "vertices": [g.render() for g in self.ideal.mingens],
             "faces": [list(face) for face in self.faces],
-            "labels": labels,
+            "labels": {
+                ",".join(str(i) for i in face): SquarefreeMonomial(universe, mask).render()
+                for face, mask in zip(self.faces, self.label_masks)
+            },
         }
 
     def to_json(self) -> str:
@@ -252,14 +244,6 @@ def scarf_complex_bruteforce(
             by_label.setdefault(mask, []).append(combo)
     unique = [group[0] for group in by_label.values() if len(group) == 1]
     return LabeledComplex(ideal, tuple(sorted(unique, key=_face_key)))
-
-
-def restrict_complex(delta: LabeledComplex, m: SquarefreeMonomial) -> LabeledComplex:
-    return delta.restrict(m)
-
-
-def star(delta: LabeledComplex, face: Iterable[int]) -> LabeledComplex:
-    return delta.star(face)
 
 
 def cone(apex: int, delta: LabeledComplex) -> LabeledComplex:

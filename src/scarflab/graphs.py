@@ -224,7 +224,7 @@ def family_catalog(n: int) -> tuple[tuple[FamilyTag, SimpleGraph], ...]:
         elif kind == "triangle" and n >= 3:
             out.append((FamilyTag("triangle", (n - 3,)), triangle_with_leaves(n - 3)))
         elif kind in ("broom3", "broom4", "spider5", "spider6"):
-            spine = int(kind[-1]) if kind.startswith("broom") else int(kind[-1])
+            spine = int(kind[-1])
             free = n - spine
             if free < 0:
                 continue
@@ -467,10 +467,6 @@ def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> byte
         for order in itertools.permutations(range(graph.n))
     )
     return _pack_graph6(graph.n, best)
-
-
-def canonical_graph(graph: SimpleGraph, max_vertices: int = DEFAULT_CANONICAL_CAP) -> SimpleGraph:
-    return parse_graph6(canonical_form(graph, max_vertices).decode("ascii"))
 
 
 def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
@@ -717,4 +713,14 @@ def to_json_dict(graph: SimpleGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> SimpleGraph:
-    return SimpleGraph.from_edges(int(data["n"]), data["edges"])
+    """Graph from {"n": count, "edges": [[u, v], ...]}; the schema is checked."""
+    if not (
+        isinstance(data, dict)
+        and type(data.get("n")) is int
+        and isinstance(data.get("edges"), list)
+    ):
+        raise GraphError("a JSON graph is an object with an integer 'n' and an 'edges' list")
+    for edge in data["edges"]:
+        if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
+            raise GraphError(f"edge {edge!r} is not a pair of vertex indices")
+    return SimpleGraph.from_edges(data["n"], data["edges"])

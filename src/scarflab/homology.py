@@ -6,9 +6,10 @@ so Betti numbers here are reduced.  All arithmetic is exact: bit-set
 elimination over GF(2), modular elimination for odd primes, and fraction-free
 (Bareiss) elimination over the integers for the rational ranks.
 
-A complex whose only face is the empty face, or the void complex, has no
-vertex to hang homology on; such inputs report the verdict "empty", which
-every acyclicity consumer treats as passing.
+`reduced_betti` needs a complex with at least one vertex and raises
+HomologyError on the void complex or on one whose only face is the empty
+face.  The Scarf scans in `analysis` never meet such a complex: every
+monomial they restrict to is divided by a generator, whose vertex survives.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import LabeledComplex
-
-VERDICT_EMPTY = "empty"
-VERDICT_ACYCLIC = "acyclic"
-VERDICT_NOT_ACYCLIC = "not_acyclic"
-
 
 class HomologyError(ValueError):
     pass
@@ -139,7 +135,7 @@ def _rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
             col += 1
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p) if p > 2 else rows[rank][col]
+        inv = pow(rows[rank][col], p - 2, p)
         norm = [(entry * inv) % p for entry in rows[rank]]
         rows[rank] = norm
         for r in range(len(rows)):
@@ -201,23 +197,3 @@ def reduced_betti(delta: LabeledComplex, field: FieldSpec) -> HomologyProfile:
         face_counts[i] - ranks[i] - ranks[i + 1] for i in range(top + 1)
     )
     return HomologyProfile(field=field, betti_minus_one=1 - ranks[0], betti=betti)
-
-
-def is_acyclic(
-    delta: LabeledComplex, fields: Sequence[FieldSpec] = DEFAULT_FIELDS
-) -> dict[FieldSpec, str]:
-    """Verdict per field: 'empty' when there is no vertex, else 'acyclic' or
-    'not_acyclic'.  Empty counts as passing everywhere downstream."""
-    out: dict[FieldSpec, str] = {}
-    if not delta.has_vertices:
-        for field in fields:
-            out[field] = VERDICT_EMPTY
-        return out
-    for field in fields:
-        profile = reduced_betti(delta, field)
-        out[field] = VERDICT_ACYCLIC if profile.is_acyclic else VERDICT_NOT_ACYCLIC
-    return out
-
-
-def verdict_passes(verdict: str) -> bool:
-    return verdict in (VERDICT_EMPTY, VERDICT_ACYCLIC)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import GraphError, SimpleGraph, connected_induced_subsets, path_vertex_sets
+from .graphs import SimpleGraph, connected_induced_subsets, path_vertex_sets
 from .monomials import MonomialIdeal, VariableUniverse, minimalize
 
 IDEAL_KINDS = ("connected", "path")
@@ -66,7 +66,3 @@ def build_ideal(graph: SimpleGraph, spec: IdealSpec) -> MonomialIdeal:
     else:
         subsets = path_vertex_sets(graph, spec.t)
     return minimalize([universe.monomial(s) for s in subsets], universe)
-
-
-def generator_count(graph: SimpleGraph, spec: IdealSpec) -> int:
-    return build_ideal(graph, spec).num_generators

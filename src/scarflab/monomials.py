@@ -131,10 +131,6 @@ def _require_same_universe(a: SquarefreeMonomial, b: SquarefreeMonomial) -> None
         raise MonomialError("monomials live in different variable universes")
 
 
-def divides(a: SquarefreeMonomial, b: SquarefreeMonomial) -> bool:
-    return a.divides(b)
-
-
 def lcm_of(
     monomials: Iterable[SquarefreeMonomial],
     universe: VariableUniverse | None = None,
@@ -216,6 +212,19 @@ class MonomialIdeal:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonomialIdeal":
+        """Ideal from {"variables": [names], "mingens": [[indices], ...]}; the
+        schema is checked and the generators are minimalized."""
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("variables"), list)
+            and isinstance(data.get("mingens"), list)
+        ):
+            raise MonomialError("an ideal is a JSON object with 'variables' and 'mingens' lists")
+        if not all(isinstance(name, str) for name in data["variables"]):
+            raise MonomialError("variable names must be strings")
+        for gen in data["mingens"]:
+            if not (isinstance(gen, list) and all(type(i) is int for i in gen)):
+                raise MonomialError(f"generator {gen!r} is not a list of variable indices")
         universe = VariableUniverse(tuple(data["variables"]))
         gens = [universe.monomial(ix) for ix in data["mingens"]]
         return minimalize(gens, universe)
@@ -254,7 +263,3 @@ def minimalize(
             kept.append(m)
     kept.sort()
     return MonomialIdeal(universe, tuple(SquarefreeMonomial(universe, m) for m in kept))
-
-
-def restrict(ideal: MonomialIdeal, m: SquarefreeMonomial) -> MonomialIdeal:
-    return ideal.restrict(m)

@@ -89,6 +89,7 @@ class TestIsScarf:
             slow = is_scarf_bruteforce(ideal)
             assert fast.verdicts == slow.verdicts, ideal.render()
             assert fast.witnesses == slow.witnesses, ideal.render()
+            assert fast == slow, ideal.render()
 
     def test_bruteforce_cap(self):
         universe = VariableUniverse.of_size(17)

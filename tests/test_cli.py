@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 
@@ -207,22 +208,42 @@ class TestSubcommands:
         assert "error:" in capsys.readouterr().err
 
 
-class TestEnvironmentCap:
-    def test_sweep_cap_from_environment(self, monkeypatch, capsys):
-        monkeypatch.setenv("SCARF_LAB_MAX_VERTICES", "3")
-        assert main(["sweep", "--spec", "connected:3", "--n-max", "4"]) == 2
-        assert "--n-max must be within 1..3" in capsys.readouterr().err
+class TestLimits:
+    def test_n_max_above_cap_rejected(self, capsys):
+        for argv, cap in (
+            (["sweep", "--spec", "connected:3", "--n-max", "8"], 7),
+            (["derive", "--spec", "path:4", "--n-max", "8", "--mode", "subgraph"], 7),
+            (["derive", "--spec", "path:4", "--n-max", "10", "--mode", "induced",
+              "--trees-only"], 9),
+        ):
+            assert main(argv) == 2
+            assert f"--n-max must be within 1..{cap}" in capsys.readouterr().err
 
-    def test_env_cap_must_be_numeric(self, monkeypatch, capsys):
-        monkeypatch.setenv("SCARF_LAB_MAX_VERTICES", "many")
-        assert main(["sweep", "--spec", "connected:3", "--n-max", "2"]) == 2
-        assert "SCARF_LAB_MAX_VERTICES" in capsys.readouterr().err
+    def test_jobs_outside_cpu_count_rejected(self, capsys):
+        for jobs in (0, (os.cpu_count() or 1) + 1):
+            assert main(["sweep", "--spec", "path:4", "--n-max", "3",
+                         "--jobs", str(jobs)]) == 2
+            assert "jobs must be within 1.." in capsys.readouterr().err
 
-    def test_env_cap_raises_limit(self, monkeypatch, capsys):
-        monkeypatch.setenv("SCARF_LAB_MAX_VERTICES", "5")
-        assert main(["derive", "--spec", "path:4", "--n-max", "5",
-                     "--mode", "subgraph", "--format", "json"]) == 0
-        capsys.readouterr()
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "name, content, argv",
+        [
+            ("ideal.json", [[0, 1]], ["scarf", "--ideal"]),
+            ("ideal.json", {"variables": ["a", "b"]}, ["scarf", "--ideal"]),
+            ("ideal.json", {"variables": ["a", "b"], "mingens": [0]}, ["scarf", "--ideal"]),
+            ("g.json", {"n": 3}, ["scarf", "--spec", "connected:3", "--graph"]),
+        ],
+        ids=["top-level-array", "missing-mingens", "bare-index-generator", "graph-without-edges"],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, name, content, argv):
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        target = f"@{path}" if argv[-1] == "--graph" else str(path)
+        assert main(argv + [target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestDeterminism:

@@ -14,10 +14,8 @@ from scarflab.complexes import (
     ideals_isomorphic,
     lcm_lattice,
     leaf_split,
-    restrict_complex,
     scarf_complex,
     scarf_complex_bruteforce,
-    star,
     taylor_complex,
 )
 from scarflab.graphs import cycle_graph, path_graph, spider5_graph, spider6_graph
@@ -160,17 +158,17 @@ class TestRestrictComplex:
         ideal = build_ideal(path_graph(6), C3)
         delta = scarf_complex(ideal)
         top = SquarefreeMonomial(ideal.universe, (1 << 6) - 1)
-        assert restrict_complex(delta, top).faces == delta.faces
+        assert delta.restrict(top).faces == delta.faces
 
     def test_unit_keeps_only_empty_face(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
-        assert restrict_complex(delta, delta.ideal.universe.one()).faces == ((),)
+        assert delta.restrict(delta.ideal.universe.one()).faces == ((),)
 
     def test_prefix_window(self):
         ideal = build_ideal(path_graph(6), C3)
         delta = scarf_complex(ideal)
         bound = ideal.universe.parse("x1*x2*x3*x4")
-        got = restrict_complex(delta, bound)
+        got = delta.restrict(bound)
         expected = [
             f for f, mask in zip(delta.faces, delta.label_masks)
             if mask & ~bound.mask == 0
@@ -229,20 +227,20 @@ class TestLcmLattice:
 class TestStarAndCone:
     def test_star_of_empty_face_is_whole(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
-        assert star(delta, ()).faces == delta.faces
+        assert delta.star(()).faces == delta.faces
 
     def test_star_in_full_simplex(self):
         delta = taylor_complex(ideal_of("x1", "x2", "x3", size=3))
-        assert star(delta, (1,)).faces == delta.faces
+        assert delta.star((1,)).faces == delta.faces
 
     def test_star_of_middle_vertex_in_path(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
-        assert star(delta, (1,)).face_set == {(), (0,), (1,), (2,), (0, 1), (1, 2)}
+        assert delta.star((1,)).face_set == {(), (0,), (1,), (2,), (0, 1), (1, 2)}
 
     def test_star_requires_a_face(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
         with pytest.raises(ComplexError):
-            star(delta, (0, 2))
+            delta.star((0, 2))
 
     def test_cone_over_empty_face_complex(self):
         ideal = ideal_of("x1", "x2", size=2)

@@ -18,10 +18,8 @@ from scarflab.homology import (
     FieldSpec,
     HomologyError,
     boundary_matrix,
-    is_acyclic,
     matrix_rank,
     reduced_betti,
-    verdict_passes,
 )
 from scarflab.ideals import IdealSpec, build_ideal
 from scarflab.monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse, minimalize
@@ -253,29 +251,9 @@ class TestFieldDependence:
         assert reduced_betti(delta, GF32003).betti == (0, 0, 0)
         assert reduced_betti(delta, RATIONALS).betti == (0, 0, 0)
 
-    def test_verdicts_split_per_field(self):
-        verdicts = is_acyclic(projective_plane(), ALL_FIELDS)
-        assert verdicts[GF2] == "not_acyclic"
-        assert verdicts[GF32003] == "acyclic"
-        assert verdicts[RATIONALS] == "acyclic"
-
 
 class TestVerdicts:
-    def test_empty_conventions(self):
-        ideal = singleton_ideal(2)
-        only_empty_face = LabeledComplex(ideal, ((),))
-        void = LabeledComplex(ideal, ())
-        for delta in (only_empty_face, void):
-            verdicts = is_acyclic(delta, ALL_FIELDS)
-            assert set(verdicts.values()) == {"empty"}
-
-    def test_passing(self):
-        assert verdict_passes("empty")
-        assert verdict_passes("acyclic")
-        assert not verdict_passes("not_acyclic")
-
     def test_default_battery(self):
+        assert DEFAULT_FIELDS == (GF2, GF32003)
         delta = taylor_complex(singleton_ideal(2))
-        verdicts = is_acyclic(delta)
-        assert set(verdicts) == set(DEFAULT_FIELDS)
-        assert all(v == "acyclic" for v in verdicts.values())
+        assert all(reduced_betti(delta, field).is_acyclic for field in DEFAULT_FIELDS)
