@@ -49,6 +49,7 @@ from .homology import (
     DEFAULT_FIELDS,
     FieldSpec,
     HomologyProfile,
+    collapses_to_point,
     reduced_betti,
 )
 from .ideals import IdealSpec, build_ideal
@@ -134,6 +135,13 @@ def _scarf_scan(
     restriction is not acyclic.  Ideals with at most one generator are
     trivially Scarf and scan nothing.
 
+    Each restriction first goes through `collapses_to_point`.  A restriction
+    that collapses to a vertex is contractible, hence acyclic over every
+    field, so it can be no field's witness and the scan moves on.  Ranks are
+    computed, field by field, only for restrictions the collapse pass leaves
+    standing, so verdicts, witnesses and their Betti profiles are those of a
+    scan that ranks every point.
+
     Both callers pick the same witness.  If m is the first failing monomial in
     ascending mask order among all monomials some generator divides, let m' be
     the lcm of the generators dividing m.  Then m' is a lattice point and a
@@ -157,6 +165,8 @@ def _scarf_scan(
             if not alive:
                 break
             restricted = complex_.restrict(point)
+            if collapses_to_point(restricted):
+                continue
             for field in list(alive):
                 profile = reduced_betti(restricted, field)
                 if not profile.is_acyclic:

@@ -136,13 +136,24 @@ class LabeledComplex:
         return tuple(counts)
 
     def restrict(self, m: SquarefreeMonomial) -> "LabeledComplex":
-        """Subcomplex of faces whose label divides m; contains at least the empty face."""
+        """Subcomplex of faces whose label divides m; contains at least the empty face.
+
+        The result skips the validation in __post_init__, which would cost
+        O(F*d) per call.  Its faces are a subsequence of this complex's
+        validated faces, so they stay sorted, duplicate-free and in range.
+        They include () whenever this complex is nonempty, since the empty
+        face's label 1 divides every m.  They are downward closed, since a
+        subface's label is a submask of its face's label and so divides m too.
+        """
         keep = [
             face
             for face, mask in zip(self.faces, self.label_masks)
             if mask & ~m.mask == 0
         ]
-        return LabeledComplex(self.ideal, tuple(keep))
+        restricted = object.__new__(LabeledComplex)
+        object.__setattr__(restricted, "ideal", self.ideal)
+        object.__setattr__(restricted, "faces", tuple(keep))
+        return restricted
 
     def star(self, face: Iterable[int]) -> "LabeledComplex":
         """Faces tau with tau union face still a face; contains face itself and ()."""

@@ -1,10 +1,17 @@
-"""Reduced simplicial homology ranks over prime fields and the rationals.
+"""Reduced simplicial homology: a collapse test, and exact ranks over GF(p) and Q.
+
+`collapses_to_point` runs greedy elementary collapses.  When they leave a
+single vertex the complex is contractible, so it is acyclic over every field
+at once and no rank is needed.  The Scarf scans in `analysis` run it first on
+every restriction and compute ranks only where it fails.  On the path:4
+ideals of the spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4) it settles every
+lattice point.
 
 Boundary matrices carry the usual alternating signs over the sorted vertex
 order and include the augmentation map sending every vertex to the empty face,
 so Betti numbers here are reduced.  All arithmetic is exact: bit-set
-elimination over GF(2), modular elimination for odd primes, and fraction-free
-(Bareiss) elimination over the integers for the rational ranks.
+elimination over GF(2), modular elimination for odd primes p < 2^31, and
+fraction-free (Bareiss) elimination over the integers for the rational ranks.
 
 `reduced_betti` needs a complex with at least one vertex and raises
 HomologyError on the void complex or on one whose only face is the empty
@@ -14,10 +21,16 @@ monomial they restrict to is divided by a generator, whose vertex survives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import LabeledComplex
+
+# Primality is checked by trial division up to sqrt(p), about 46k divisions
+# below this bound; larger moduli would stall validation for minutes.
+PRIME_FIELD_LIMIT = 2**31
+
 
 class HomologyError(ValueError):
     pass
@@ -34,7 +47,9 @@ class FieldSpec:
         if self.kind == "prime":
             if self.p is None or self.p < 2:
                 raise HomologyError("prime field needs p >= 2")
-            if any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+            if self.p >= PRIME_FIELD_LIMIT:
+                raise HomologyError(f"prime field needs p < 2^31, got {self.p}")
+            if any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
                 raise HomologyError(f"{self.p} is not prime")
         elif self.kind == "rationals":
             if self.p is not None:
@@ -183,6 +198,56 @@ def matrix_rank(matrix: Sequence[Sequence[int]], field: FieldSpec) -> int:
     if field.p == 2:
         return _rank_gf2(matrix)
     return _rank_mod_p(matrix, field.p)
+
+
+def collapses_to_point(delta: LabeledComplex) -> bool:
+    """True when greedy elementary collapses reduce the complex to one vertex.
+
+    A nonempty face with exactly one live coface is free.  Removing it
+    together with that coface is an elementary collapse: the coface is a
+    maximal face (a face above it would give the free face a second coface),
+    what is left is again a complex, and the space deformation retracts onto
+    it by pushing the coface in from the free face.  So a chain of collapses
+    ending at a single vertex proves the complex contractible, and its reduced
+    homology vanishes over every field.  False proves nothing: greedy collapses
+    can get stuck on contractible complexes too, and callers fall back to ranks.
+
+    Each face keeps the count of its live cofaces and the xor of their
+    indices, which names the coface once the count is 1.  A work stack holds
+    the faces whose count dropped to 1; the pass does O(F*d) work for F faces
+    of dimension at most d.
+    """
+    faces = [face for face in delta.faces if face]
+    position = {face: i for i, face in enumerate(faces)}
+    facets = [
+        [position[face[:j] + face[j + 1:]] for j in range(len(face))]
+        if len(face) > 1 else []
+        for face in faces
+    ]
+    cofaces = [0] * len(faces)
+    coface_xor = [0] * len(faces)
+    for i, below in enumerate(facets):
+        for f in below:
+            cofaces[f] += 1
+            coface_xor[f] ^= i
+    live = [True] * len(faces)
+    remaining = len(faces)
+    stack = [i for i, count in enumerate(cofaces) if count == 1]
+    while stack:
+        free = stack.pop()
+        if not live[free] or cofaces[free] != 1:
+            continue
+        coface = coface_xor[free]
+        live[free] = live[coface] = False
+        remaining -= 2
+        for gone in (free, coface):
+            for f in facets[gone]:
+                if live[f]:
+                    cofaces[f] -= 1
+                    coface_xor[f] ^= gone
+                    if cofaces[f] == 1:
+                        stack.append(f)
+    return remaining == 1
 
 
 def reduced_betti(delta: LabeledComplex, field: FieldSpec) -> HomologyProfile:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from scarflab import analysis
 from scarflab.analysis import (
     AnalysisError,
     THEOREM_B_FAMILY_KINDS,
@@ -17,7 +18,7 @@ from scarflab.analysis import (
     sweep,
     verify_restriction_lemma,
 )
-from scarflab.complexes import glue_leaf_ideal
+from scarflab.complexes import glue_leaf_ideal, lcm_lattice
 from scarflab.graphs import (
     GraphError,
     SimpleGraph,
@@ -90,6 +91,19 @@ class TestIsScarf:
             assert fast.verdicts == slow.verdicts, ideal.render()
             assert fast.witnesses == slow.witnesses, ideal.render()
             assert fast == slow, ideal.render()
+
+    def test_collapse_shortcut_changes_no_report(self, oracle_corpus, monkeypatch):
+        fields = (GF2, GF32003, RATIONALS)
+        ideals = oracle_corpus + [build_ideal(spider5_graph(2, 1, 1), P4)]
+        lattices = [lcm_lattice(ideal) for ideal in ideals]
+        with_collapse = [
+            analysis._scarf_scan(ideal, fields, lattice, len(lattice))
+            for ideal, lattice in zip(ideals, lattices)
+        ]
+        monkeypatch.setattr(analysis, "collapses_to_point", lambda delta: False)
+        for ideal, lattice, report in zip(ideals, lattices, with_collapse):
+            assert analysis._scarf_scan(ideal, fields, lattice, len(lattice)) == report
+        assert any(not report.all_scarf for report in with_collapse)
 
     def test_bruteforce_cap(self):
         universe = VariableUniverse.of_size(17)

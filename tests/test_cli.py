@@ -219,6 +219,16 @@ class TestLimits:
             assert main(argv) == 2
             assert f"--n-max must be within 1..{cap}" in capsys.readouterr().err
 
+    def test_prime_field_at_or_above_2_31_rejected(self, capsys):
+        argv = ["scarf", "--graph", "path:5", "--spec", "connected:3", "--fields"]
+        assert main(argv + ["gf2147483647"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["gf2147483659"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "2^31" in captured.err
+
     def test_jobs_outside_cpu_count_rejected(self, capsys):
         for jobs in (0, (os.cpu_count() or 1) + 1):
             assert main(["sweep", "--spec", "path:4", "--n-max", "3",

@@ -176,6 +176,22 @@ class TestRestrictComplex:
         assert got.faces == tuple(expected)
         assert got.f_vector() == (2, 1)
 
+    def test_skipped_validation_would_pass(self):
+        rng = random.Random(37)
+        checked = 0
+        for _ in range(30):
+            ideal = random_ideal(rng)
+            if ideal.num_generators > 8:
+                continue
+            size = ideal.universe.size
+            masks = [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(6)]
+            for delta in (taylor_complex(ideal), scarf_complex(ideal), LabeledComplex(ideal, ())):
+                for mask in masks:
+                    got = delta.restrict(SquarefreeMonomial(ideal.universe, mask))
+                    assert LabeledComplex(got.ideal, got.faces) == got
+                    checked += 1
+        assert checked > 300
+
 
 class TestLcmLattice:
     def test_single_generator(self):

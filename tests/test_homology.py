@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from scarflab.complexes import LabeledComplex, cone, scarf_complex, taylor_complex
+from scarflab.complexes import LabeledComplex, cone, lcm_lattice, scarf_complex, taylor_complex
 from scarflab.graphs import path_graph
 from scarflab.homology import (
     DEFAULT_FIELDS,
@@ -18,6 +18,7 @@ from scarflab.homology import (
     FieldSpec,
     HomologyError,
     boundary_matrix,
+    collapses_to_point,
     matrix_rank,
     reduced_betti,
 )
@@ -81,6 +82,13 @@ class TestFieldSpec:
         assert FieldSpec.parse("gf2") == GF2
         assert FieldSpec.parse("Q") == RATIONALS
         assert FieldSpec.parse("gf5") == FieldSpec("prime", 5)
+
+    def test_prime_limit(self):
+        assert FieldSpec.parse("gf2147483647") == FieldSpec("prime", 2**31 - 1)
+        with pytest.raises(HomologyError, match="2\\^31"):
+            FieldSpec("prime", 2**31 + 11)
+        with pytest.raises(HomologyError, match="2\\^31"):
+            FieldSpec.parse("gf1000000000000000003")
 
     def test_rejections(self):
         with pytest.raises(HomologyError):
@@ -257,3 +265,81 @@ class TestVerdicts:
         assert DEFAULT_FIELDS == (GF2, GF32003)
         delta = taylor_complex(singleton_ideal(2))
         assert all(reduced_betti(delta, field).is_acyclic for field in DEFAULT_FIELDS)
+
+
+def assert_collapse_sound(delta: LabeledComplex) -> bool:
+    collapsed = collapses_to_point(delta)
+    if collapsed:
+        for field in ALL_FIELDS:
+            assert reduced_betti(delta, field).is_acyclic, delta.faces
+    return collapsed
+
+
+class TestCollapse:
+    def test_simplex_and_single_vertex_collapse(self):
+        assert collapses_to_point(taylor_complex(singleton_ideal(4)))
+        assert collapses_to_point(complex_from_top_faces(3, [(1,)]))
+        assert collapses_to_point(complex_from_top_faces(4, [(0, 1), (1, 2), (1, 3)]))
+
+    def test_non_acyclic_complexes_stay(self):
+        assert not collapses_to_point(projective_plane())
+        assert not collapses_to_point(complex_from_top_faces(3, [(0, 1), (1, 2), (0, 2)]))
+        assert not collapses_to_point(complex_from_top_faces(3, [(0,), (1,), (2,)]))
+
+    def test_faceless_complexes_stay(self):
+        ideal = singleton_ideal(2)
+        assert not collapses_to_point(LabeledComplex(ideal, ((),)))
+        assert not collapses_to_point(LabeledComplex(ideal, ()))
+
+    def test_sound_on_random_restrictions(self):
+        rng = random.Random(41)
+        done = 0
+        while done < 120:
+            ideal = random_ideal(rng)
+            if not 0 < ideal.num_generators <= 7:
+                continue
+            delta = taylor_complex(ideal) if rng.random() < 0.5 else scarf_complex(ideal)
+            bound = SquarefreeMonomial(ideal.universe, rng.getrandbits(ideal.universe.size))
+            delta = delta.restrict(bound)
+            if delta.has_vertices:
+                done += 1
+                assert_collapse_sound(delta)
+
+    def test_sound_on_random_top_faces(self):
+        rng = random.Random(47)
+        collapsed = stuck = 0
+        for _ in range(150):
+            count = rng.randint(3, 7)
+            tops = [
+                tuple(sorted(rng.sample(range(count), rng.randint(1, min(4, count)))))
+                for _ in range(rng.randint(1, 6))
+            ]
+            if assert_collapse_sound(complex_from_top_faces(count, tops)):
+                collapsed += 1
+            else:
+                stuck += 1
+        assert collapsed and stuck
+
+    def test_sound_on_cones(self):
+        rng = random.Random(43)
+        done = collapsed = 0
+        while done < 15:
+            ideal = random_ideal(rng)
+            q = ideal.num_generators
+            if not 1 < q <= 7:
+                continue
+            done += 1
+            delta = LabeledComplex(singleton_ideal(q + 1), scarf_complex(ideal).faces)
+            collapsed += assert_collapse_sound(cone(q, delta))
+        assert collapsed
+
+    def test_sound_on_scarf_restrictions_of_corpus(self, oracle_corpus):
+        collapsed = stuck = 0
+        for ideal in oracle_corpus:
+            delta = scarf_complex(ideal)
+            for point in lcm_lattice(ideal):
+                if assert_collapse_sound(delta.restrict(point)):
+                    collapsed += 1
+                else:
+                    stuck += 1
+        assert collapsed and stuck
