@@ -62,8 +62,9 @@ VERDICT_TRIVIALLY_SCARF = "trivially_scarf"
 THEOREM_B_FAMILY_KINDS = ("star", "triangle", "broom3", "broom4", "spider5", "spider6")
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
 
-# Trees are enumerated by leaf extension, which stays cheap past the labelled
-# scan behind DEFAULT_ENUMERATION_CAP.
+# Both enumerations add one vertex to each smaller representative, but a tree
+# gets n-1 candidate leaves where a connected graph gets 2^(n-1)-1 candidate
+# neighbourhoods, so trees stay cheap past DEFAULT_ENUMERATION_CAP.
 DERIVE_TREE_CAP = 9
 
 

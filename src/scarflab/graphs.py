@@ -8,9 +8,11 @@ pendant leaves, double brooms, spiders), subgraph containment and graph6 /
 adjacency-list / JSON input and output.
 
 Canonical forms are exact: colour refinement first, then minimisation of the
-graph6 bit string over the colour-respecting orderings, branching through
-individualisation when a colour class is too symmetric to enumerate directly.
-The brute-force all-permutations form is kept alongside as a test oracle.
+graph6 bit string over the colour-respecting orderings by a pruned depth-first
+search, branching through individualisation when the colour classes allow too
+many orderings.  The brute-force all-permutations form is kept alongside as a
+test oracle.  Connected graphs and trees are enumerated by adding one vertex
+at a time and deduplicating by canonical form.
 """
 
 from __future__ import annotations
@@ -396,14 +398,70 @@ def _color_classes(colors: Sequence[int]) -> list[list[int]]:
 
 
 def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -> bytes:
-    best: bytes | None = None
-    for combo in itertools.product(*(itertools.permutations(c) for c in classes)):
-        order = tuple(itertools.chain.from_iterable(combo))
-        bits = _order_bits(adjacency, order)
-        if best is None or bits < best:
-            best = bits
-    assert best is not None
-    return best
+    """Smallest `_order_bits` over the orderings that list the classes in turn,
+    each class in any order; a depth-first search that returns the same
+    minimum as trying every such ordering.
+
+    The bit string is row 1, row 2, ..., where row j holds the adjacencies of
+    `order[j]` to `order[0..j-1]`, so row j depends only on `order[:j+1]` and
+    strings compare row by row.  The search therefore drops three kinds of
+    subtree, none of which holds an ordering smaller than one it keeps:
+
+    - *Smallest row.*  At depth j every completion of `prefix + [v]` starts
+      with the same rows, so among the unused vertices of slot j's class only
+      those whose row j is smallest can lead to the minimum.
+    - *Prefix cut.*  While the prefix equals the best string's prefix, a
+      vertex whose row j exceeds the best's row j only has larger
+      completions.  Once a prefix is strictly smaller, no later row of it is
+      compared.
+    - *Twins.*  Unused v and w of one class with
+      `adj[v] & ~(1<<w) == adj[w] & ~(1<<v)` are swapped by an automorphism
+      that fixes every other vertex, so it fixes the prefix and maps the
+      colour-respecting completions of `prefix + [v]` onto those of
+      `prefix + [w]` with equal bits; exploring one of them is enough.
+    """
+    n = len(adjacency)
+    slot_class = [c for c in classes for _ in c]
+    order: list[int] = []
+    rows: list[int] = []
+    best_order: list[int] = []
+    best_rows: list[int] = []
+
+    def search(depth: int, row_of: list[int], unused: int, less: bool) -> bool:
+        """Explore below `order`; `row_of[v]` is v's row against `order` read
+        as a binary number, and `less` says the prefix is strictly smaller
+        than the best one (or no best exists).  True if the best changed."""
+        if depth == n:
+            if less:
+                best_order[:], best_rows[:] = order, rows
+            return less
+        candidates = [v for v in slot_class[depth] if unused >> v & 1]
+        low = min(row_of[v] for v in candidates)
+        if not less:
+            if low > best_rows[depth]:
+                return False
+            less = low < best_rows[depth]
+        replaced = False
+        explored: list[int] = []
+        for v in candidates:
+            if row_of[v] != low:
+                continue
+            row_v = adjacency[v]
+            if any(row_v & ~(1 << u) == adjacency[u] & ~(1 << v) for u in explored):
+                continue
+            explored.append(v)
+            order.append(v)
+            rows.append(low)
+            child_rows = [(r << 1) | (a >> v & 1) for r, a in zip(row_of, adjacency)]
+            if search(depth + 1, child_rows, unused & ~(1 << v), less):
+                # The new best runs through this prefix, so it is no longer smaller.
+                replaced, less = True, False
+            order.pop()
+            rows.pop()
+        return replaced
+
+    search(0, [0] * n, (1 << n) - 1, True)
+    return _order_bits(adjacency, best_order)
 
 
 def _canonical_bits(adjacency: Sequence[int], colors: list[int]) -> bytes:
@@ -479,6 +537,20 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
 # exhaustive enumeration
 
 
+def _extend_by_vertex(
+    reps: tuple[SimpleGraph, ...], neighbour_masks: Sequence[int]
+) -> tuple[SimpleGraph, ...]:
+    """Join a new last vertex to each representative once per neighbour mask
+    and keep one canonically labelled graph per class, sorted by form."""
+    seen: dict[bytes, None] = {}
+    for graph in reps:
+        new = graph.n
+        for mask in neighbour_masks:
+            grown = SimpleGraph(new + 1, graph.edges | {(u, new) for u in _bits(mask)})
+            seen.setdefault(canonical_form(grown), None)
+    return tuple(parse_graph6(form.decode("ascii")) for form in sorted(seen))
+
+
 _CONNECTED_CACHE: dict[int, tuple[SimpleGraph, ...]] = {}
 
 
@@ -487,66 +559,39 @@ def enumerate_connected_graphs(
 ) -> tuple[SimpleGraph, ...]:
     """One canonically labelled representative per connected isomorphism class.
 
-    Generates all 2^C(n,2) labelled graphs, keeps the connected ones whose
-    identity labelling already sorts degrees (every class has one), and
-    deduplicates by canonical form.
+    Extends each (n-1)-vertex representative by a vertex joined to every
+    nonempty set of its vertices and deduplicates by canonical form.  This
+    reaches every class: a connected graph on n >= 2 vertices has a vertex
+    whose removal leaves it connected (a leaf of a spanning tree), so it is
+    isomorphic to some connected (n-1)-vertex representative plus one vertex
+    with a nonempty neighbourhood, which is one of the candidates.
     """
     if not 1 <= n <= max_vertices:
         raise GraphError(f"enumeration supports 1..{max_vertices} vertices")
-    if n in _CONNECTED_CACHE:
-        return _CONNECTED_CACHE[n]
-    if n == 1:
-        reps = (SimpleGraph(1, frozenset()),)
-        _CONNECTED_CACHE[n] = reps
-        return reps
-    pairs = list(itertools.combinations(range(n), 2))
-    full = (1 << n) - 1
-    seen: dict[bytes, None] = {}
-    for mask in range(1 << len(pairs)):
-        adjacency = [0] * n
-        degrees = [0] * n
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            u, v = pairs[low.bit_length() - 1]
-            adjacency[u] |= 1 << v
-            adjacency[v] |= 1 << u
-            degrees[u] += 1
-            degrees[v] += 1
-            remaining ^= low
-        if any(degrees[i] < degrees[i + 1] for i in range(n - 1)):
-            continue
-        if not _connected_within(adjacency, full):
-            continue
-        graph = SimpleGraph.from_edges(n, (pairs[i] for i in _bits(mask)))
-        seen.setdefault(canonical_form(graph), None)
-    reps = tuple(parse_graph6(form.decode("ascii")) for form in sorted(seen))
-    _CONNECTED_CACHE[n] = reps
-    return reps
+    if n not in _CONNECTED_CACHE:
+        _CONNECTED_CACHE[n] = (
+            (SimpleGraph(1, frozenset()),) if n == 1 else _extend_by_vertex(
+                enumerate_connected_graphs(n - 1, max_vertices), range(1, 1 << (n - 1))
+            )
+        )
+    return _CONNECTED_CACHE[n]
 
 
 _TREE_CACHE: dict[int, tuple[SimpleGraph, ...]] = {}
 
 
 def enumerate_trees(n: int, max_vertices: int = 10) -> tuple[SimpleGraph, ...]:
-    """One representative per tree isomorphism class, by leaf extension."""
+    """One representative per tree isomorphism class, by leaf extension: every
+    tree on n >= 2 vertices is a smaller tree plus a leaf joined to one vertex."""
     if not 1 <= n <= max_vertices:
         raise GraphError(f"tree enumeration supports 1..{max_vertices} vertices")
-    if n in _TREE_CACHE:
-        return _TREE_CACHE[n]
-    if n == 1:
-        reps = (SimpleGraph(1, frozenset()),)
-    else:
-        seen: dict[bytes, None] = {}
-        for smaller in enumerate_trees(n - 1, max_vertices):
-            for attach in range(smaller.n):
-                grown = SimpleGraph(
-                    n, smaller.edges | {(attach, n - 1)}
-                )
-                seen.setdefault(canonical_form(grown), None)
-        reps = tuple(parse_graph6(form.decode("ascii")) for form in sorted(seen))
-    _TREE_CACHE[n] = reps
-    return reps
+    if n not in _TREE_CACHE:
+        _TREE_CACHE[n] = (
+            (SimpleGraph(1, frozenset()),) if n == 1 else _extend_by_vertex(
+                enumerate_trees(n - 1, max_vertices), [1 << v for v in range(n - 1)]
+            )
+        )
+    return _TREE_CACHE[n]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,6 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running exhaustive checks")
-
-
 # Filled in by tests/test_acceptance.py: number -> (title, passed, detail).
 ACCEPTANCE_RESULTS = {}
 

@@ -164,23 +164,23 @@ def test_criterion_02_path_and_cycle_sweeps():
 
 
 def test_criterion_03_theorem_a_cross_validation():
-    with criterion(3, "theorem A vs computed verdicts, n <= 6", budget_seconds=300.0) as notes:
+    with criterion(3, "theorem A vs computed verdicts, n <= 7", budget_seconds=300.0) as notes:
         checked = 0
         for t in (3, 4):
             spec = IdealSpec("connected", t)
-            for n in range(1, 7):
+            for n in range(1, 8):
                 for graph in enumerate_connected_graphs(n):
                     predicted = classify_theorem_A(graph, t)
                     report = is_scarf(build_ideal(graph, spec))
                     assert not report.fields_disagree
                     assert predicted == report.all_scarf, (t, n, graph.edges)
                     checked += 1
-        assert checked == 2 * (1 + 1 + 2 + 6 + 21 + 112)
+        assert checked == 2 * (1 + 1 + 2 + 6 + 21 + 112 + 853)
         notes.append(f"{checked} graph/t pairs, zero disagreements")
 
 
 def test_criterion_04_theorem_b_cross_validation():
-    with criterion(4, "theorem B vs computed verdicts, n <= 6", budget_seconds=600.0) as notes:
+    with criterion(4, "theorem B vs computed verdicts, n <= 7", budget_seconds=600.0) as notes:
         five = enumerate_connected_graphs(5)
         non_trees = [g for g in five if g.num_edges > 4]
         assert len(five) == 21
@@ -198,14 +198,14 @@ def test_criterion_04_theorem_b_cross_validation():
         assert canonical_form(scarf_non_trees[0]) == canonical_form(triangle_with_leaves(2))
 
         checked = 0
-        for n in range(1, 7):
+        for n in range(1, 8):
             for graph in enumerate_connected_graphs(n):
                 predicted = classify_theorem_B(graph)
                 report = is_scarf(build_ideal(graph, P4))
                 assert not report.fields_disagree
                 assert predicted == report.all_scarf, (n, graph.edges)
                 checked += 1
-        assert checked == 1 + 1 + 2 + 6 + 21 + 112
+        assert checked == 1 + 1 + 2 + 6 + 21 + 112 + 853
         notes.append(f"{checked} graphs, unique Scarf non-tree is T_2")
 
 
@@ -332,13 +332,20 @@ def test_criterion_09_obstruction_derivation():
         assert len(small.graphs) == 4
         shapes = sorted(canonical_form(g).decode("ascii") for g in small.graphs)
 
-        larger = derive_obstructions(P5, 6, "subgraph")
+        larger = derive_obstructions(P5, 7, "subgraph")
         catalog = sorted(canonical_form(g).decode("ascii") for g in larger.graphs)
-        assert catalog == ["E?]o", "E@UW", "EBj?", "EHQW", "EOSw", "E`HW", "EgCw"]
-        for graph in larger.graphs:
+        assert catalog == [
+            "E?]o", "E@UW", "EBj?", "EHQW", "EOSw", "E`HW", "EgCw", "F??}O", "F@Q?w", "F@Ue?",
+        ]
+        trees = derive_obstructions(P5, 9, "induced", trees_only=True)
+        tree_catalog = sorted(canonical_form(g).decode("ascii") for g in trees.graphs)
+        assert tree_catalog == ["F??}O", "F@Q?w"]
+        for graph in (*larger.graphs, *trees.graphs):
             confirm = is_scarf_bruteforce(build_ideal(graph, P5))
             assert not confirm.all_scarf, canonical_form(graph)
-        notes.append(f"path:4 shapes {shapes}; path:5 catalog {catalog}")
+        notes.append(
+            f"path:4 shapes {shapes}; path:5 catalog {catalog}; path:5 trees {tree_catalog}"
+        )
 
 
 def test_criterion_10_determinism(tmp_path):

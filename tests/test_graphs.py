@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from scarflab import graphs
 from scarflab.graphs import (
     FamilyTag,
     GraphError,
@@ -64,6 +65,21 @@ graph_strategy = st.builds(
     st.integers(min_value=0, max_value=10**9),
     st.floats(min_value=0.1, max_value=0.9),
 )
+
+
+def relabeled(graph: SimpleGraph, rng: random.Random) -> SimpleGraph:
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return SimpleGraph.from_edges(graph.n, [(perm[u], perm[v]) for u, v in graph.sorted_edges()])
+
+
+def min_bits_reference(adjacency, classes) -> bytes:
+    """Reference for `_min_bits_over_classes`: the minimum over every ordering
+    that lists the colour classes in turn, each class in any order."""
+    return min(
+        graphs._order_bits(adjacency, tuple(itertools.chain.from_iterable(combo)))
+        for combo in itertools.product(*(itertools.permutations(c) for c in classes))
+    )
 
 
 class TestConstruction:
@@ -235,12 +251,7 @@ class TestCanonicalForms:
 
     @given(graph_strategy, st.randoms(use_true_random=False))
     def test_relabeling_invariance_random(self, graph, rng):
-        perm = list(range(graph.n))
-        rng.shuffle(perm)
-        relabeled = SimpleGraph.from_edges(
-            graph.n, [(perm[u], perm[v]) for u, v in graph.sorted_edges()]
-        )
-        assert canonical_form(relabeled) == canonical_form(graph)
+        assert canonical_form(relabeled(graph, rng)) == canonical_form(graph)
 
     def test_cap(self):
         with pytest.raises(GraphError):
@@ -273,6 +284,75 @@ class TestCanonicalForms:
         ours = canonical_form(graph) == canonical_form(other)
         theirs = GraphMatcher(to_nx(graph), to_nx(other)).is_isomorphic()
         assert ours == theirs
+
+
+class TestPrunedSearch:
+    """`_min_bits_over_classes` against `min_bits_reference`, call by call, and
+    the canonical forms each of them yields."""
+
+    @staticmethod
+    def searches(graph: SimpleGraph, search, monkeypatch) -> tuple[bytes, list]:
+        """Canonical form of graph, from a cold cache, with `search` in place of
+        `_min_bits_over_classes`, and the (adjacency, classes) of every call."""
+        calls = []
+
+        def recording(adjacency, classes):
+            calls.append((adjacency, classes))
+            return search(adjacency, classes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "_min_bits_over_classes", recording)
+            graphs._canonical_form_cached.cache_clear()
+            form = canonical_form(graph)
+        graphs._canonical_form_cached.cache_clear()
+        return form, calls
+
+    def assert_matches_reference(self, graph: SimpleGraph, monkeypatch) -> int:
+        """Check every search canonical_form runs on graph; return their number."""
+        production = graphs._min_bits_over_classes
+        form, calls = self.searches(graph, production, monkeypatch)
+
+        def checked(adjacency, classes):
+            bits = min_bits_reference(adjacency, classes)
+            assert production(adjacency, classes) == bits, graph.edges
+            return bits
+
+        assert self.searches(graph, checked, monkeypatch)[0] == form, graph.edges
+        return len(calls)
+
+    def test_random_graphs(self, monkeypatch):
+        rng = random.Random(11)
+        for n in range(1, 10):
+            for p in (0.2, 0.5, 0.8):
+                for _ in range(6):
+                    self.assert_matches_reference(random_graph(rng, n, p), monkeypatch)
+
+    def test_relabeled_trees(self, monkeypatch):
+        # trees are rich in twins: the leaves on one vertex are pairwise twins
+        rng = random.Random(12)
+        for n in range(1, 10):
+            for tree in enumerate_trees(n):
+                self.assert_matches_reference(relabeled(tree, rng), monkeypatch)
+
+    def test_individualized_graphs(self, monkeypatch):
+        # broom4(3, 3) is one search over 6! * 2 * 2 orderings; the others
+        # individualise each vertex in turn
+        assert self.assert_matches_reference(broom4_graph(3, 3), monkeypatch) == 1
+        petersen = SimpleGraph.from_edges(10, nx.petersen_graph().edges())
+        for graph in (petersen, *map(cycle_graph, (8, 9, 10))):
+            assert self.assert_matches_reference(graph, monkeypatch) == graph.n
+
+    def test_individualized_graphs_too_symmetric_to_replay(self, monkeypatch):
+        # 72 and 720 searches of 5040 orderings each: the reference checks the
+        # first and last search, and the forms are the ones the exhaustive
+        # search produced
+        for graph, expected in ((star_graph(9), b"I??????~w"), (complete_graph(10), b"I~~~~~~~w")):
+            form, calls = self.searches(graph, graphs._min_bits_over_classes, monkeypatch)
+            assert form == expected
+            for adjacency, classes in (calls[0], calls[-1]):
+                assert graphs._min_bits_over_classes(adjacency, classes) == (
+                    min_bits_reference(adjacency, classes)
+                )
 
 
 class TestRecognition:
@@ -315,20 +395,18 @@ class TestEnumeration:
         with pytest.raises(GraphError):
             enumerate_connected_graphs(8)
 
-    @pytest.mark.slow
     def test_seven_vertex_count(self):
         assert len(enumerate_connected_graphs(7)) == 853
 
     def test_matches_graph_atlas(self):
-        # independent census of connected isomorphism classes
-        atlas = nx.graph_atlas_g()
-        for n in range(1, 7):
-            expected = sum(
-                1
-                for g in atlas
-                if g.number_of_nodes() == n and n > 0 and nx.is_connected(g)
-            )
-            assert len(enumerate_connected_graphs(n)) == expected
+        # independent census of connected isomorphism classes, class by class
+        atlas: dict[int, set[bytes]] = {n: set() for n in range(1, 8)}
+        for g in nx.graph_atlas_g():
+            n = g.number_of_nodes()
+            if n > 0 and nx.is_connected(g):
+                atlas[n].add(canonical_form(SimpleGraph.from_edges(n, g.edges())))
+        for n in range(1, 8):
+            assert {canonical_form(g) for g in enumerate_connected_graphs(n)} == atlas[n]
 
     def test_all_reps_connected_and_distinct(self):
         reps = enumerate_connected_graphs(5)
