@@ -20,7 +20,6 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 from typing import Iterable
 
 from .complexes import (
@@ -137,8 +136,10 @@ def _scarf_scan(
     trivially Scarf and scan nothing.
 
     Each restriction first goes through `collapses_to_point`.  A restriction
-    that collapses to a vertex is contractible, hence acyclic over every
-    field, so it can be no field's witness and the scan moves on.  Ranks are
+    that is a simplex or collapses to a vertex is contractible, hence acyclic
+    over every field, so it can be no field's witness and the scan moves on.
+    Restrictions are cut from the complex's incidence index, built once on
+    the first point, and the collapse runs in that index too.  Ranks are
     computed, field by field, only for restrictions the collapse pass leaves
     standing, so verdicts, witnesses and their Betti profiles are those of a
     scan that ranks every point.
@@ -701,6 +702,8 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS, jobs: int = 1) -> 
     ]
     tasks = [(graph, spec, fields) for graph in graphs]
     if jobs > 1:
+        from multiprocessing import Pool  # only here: the import slows every CLI start
+
         with Pool(jobs) as pool:
             records = pool.map(_sweep_one, tasks)
     else:

@@ -130,7 +130,11 @@ def _load_graph_file(path: str) -> SimpleGraph:
     if path.endswith(".adj"):
         return parse_adjacency_text(text)
     if path.endswith(".json"):
-        return graph_from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise CliError(f"{path}: JSON nested too deeply") from None
+        return graph_from_json_dict(data)
     raise CliError(f"{path}: unknown graph file extension (use .g6, .adj or .json)")
 
 
@@ -142,6 +146,8 @@ def _load_ideal_file(path: str) -> MonomialIdeal:
         raise CliError(f"cannot read ideal file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply") from None
     return MonomialIdeal.from_json_dict(data)
 
 

@@ -20,7 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .monomials import (
     MonomialError,
@@ -135,24 +135,35 @@ class LabeledComplex:
                 counts[len(face) - 1] += 1
         return tuple(counts)
 
+    @cached_property
+    def incidence(self) -> "Incidence":
+        """Where this complex's faces sit in an incidence index: the complex's
+        own, built on first use, or the one of the complex a restriction was
+        cut from, which that complex and all its restrictions share."""
+        index = IncidenceIndex(self.faces, self.ideal.generator_masks)
+        return Incidence(index, -1, range(len(self.faces)))
+
     def restrict(self, m: SquarefreeMonomial) -> "LabeledComplex":
         """Subcomplex of faces whose label divides m; contains at least the empty face.
 
-        The result skips the validation in __post_init__, which would cost
-        O(F*d) per call.  Its faces are a subsequence of this complex's
-        validated faces, so they stay sorted, duplicate-free and in range.
-        They include () whenever this complex is nonempty, since the empty
-        face's label 1 divides every m.  They are downward closed, since a
-        subface's label is a submask of its face's label and so divides m too.
+        The faces are found by `IncidenceIndex.kept` and the result shares
+        this complex's index.  A restriction of a restriction keeps the faces
+        whose label divides both monomials, so it walks the shared index with
+        the intersection of their masks.  The result skips the validation in
+        __post_init__, which would cost O(F*d) per call.  Its faces are a
+        subsequence of this complex's validated faces, so they stay sorted,
+        duplicate-free and in range.  They include () whenever this complex is
+        nonempty, since the empty face's label 1 divides every m.  They are
+        downward closed, since a subface's label is a submask of its face's
+        label and so divides m too.
         """
-        keep = [
-            face
-            for face, mask in zip(self.faces, self.label_masks)
-            if mask & ~m.mask == 0
-        ]
+        index, mask, _ = self.incidence
+        mask &= m.mask
+        members = index.kept(mask)
         restricted = object.__new__(LabeledComplex)
         object.__setattr__(restricted, "ideal", self.ideal)
-        object.__setattr__(restricted, "faces", tuple(keep))
+        object.__setattr__(restricted, "faces", tuple(map(index.faces.__getitem__, members)))
+        object.__setattr__(restricted, "incidence", Incidence(index, mask, members))
         return restricted
 
     def star(self, face: Iterable[int]) -> "LabeledComplex":
@@ -180,6 +191,88 @@ class LabeledComplex:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+class IncidenceIndex:
+    """Incidences of a complex's faces, each face named by its index in `faces`.
+
+    - `children[i]` is the range of indices of the children of faces[i] in
+      the lexicographic generation tree that `scarf_complex` grows, the faces
+      faces[i] + (v,) with v > max(faces[i]).  Every face f != ()
+      hangs below its parent f[:-1], a face because the complex is downward
+      closed.  In (size, lexicographic) order the faces of size k+1 with one
+      prefix are consecutive, and their prefixes ascend, so taking the faces
+      of size k in order and listing their children gives the block of faces
+      of size k+1 in order.  The blocks follow one another, so each face's
+      children start where those of the face before it end, and the
+      children of () start at 1.
+    - `last[j]` is the mask of the generator that faces[j] adds to its parent.
+    - `facets[i]` lists the codimension-one faces of a face of size at least
+      2.  Vertices get none: collapses never remove the empty face.  Only
+      `homology.collapses_to_point` reads them, so they are built on its
+      first call that gets past the simplex check, not with the tree.
+    """
+
+    def __init__(self, faces: tuple[Face, ...], gen_masks: Sequence[int]) -> None:
+        self.faces = faces
+        counts = [0] * len(faces)
+        parent = 0
+        for face in itertools.islice(faces, 1, None):
+            # parents ascend with their children, so the pointer only moves on
+            prefix = face[:-1]
+            while faces[parent] != prefix:
+                parent += 1
+            counts[parent] += 1
+        first = list(itertools.accumulate(counts, initial=1))
+        self.children = [range(a, b) for a, b in zip(first, first[1:])]
+        self.last = [0]
+        self.last += (gen_masks[face[-1]] for face in itertools.islice(faces, 1, None))
+
+    @cached_property
+    def facets(self) -> list[list[int]]:
+        position = {face: i for i, face in enumerate(self.faces)}
+        return [
+            [position[face[:k] + face[k + 1:]] for k in range(len(face))]
+            if len(face) > 1 else []
+            for face in self.faces
+        ]
+
+    def kept(self, mask: int) -> list[int]:
+        """Indices, ascending, of the faces whose label divides the monomial
+        with this mask: the same list as filtering `label_masks` by mask.
+
+        The walk goes down the generation tree level by level, keeping a child
+        when its new generator divides the monomial.  A face is kept exactly
+        when its parent is kept and its new generator divides, because its
+        label is the parent's label times that generator; so by induction on
+        size each level holds the kept faces of one size, each once.  Level
+        k+1 lists the kept children of level k's faces parent by parent, in
+        ascending last generator.  Tuples compare by prefix first, so if level
+        k is in lexicographic order, so is level k+1.  The levels in turn are
+        the faces in (size, lexicographic) order, the order of `faces`, so the
+        indices ascend.  The walk visits the kept faces and the children it
+        rejects, not all faces.
+        """
+        if not self.faces:
+            return []
+        children, last = self.children, self.last
+        outside = ~mask
+        kept = [0]
+        level = [0]
+        while level:
+            level = [j for i in level for j in children[i] if not last[j] & outside]
+            kept += level
+        return kept
+
+
+class Incidence(NamedTuple):
+    """A complex's place in an incidence index: the faces at `members`,
+    ascending, which are those whose label mask lies inside `mask` (-1 for
+    the complex the index was built from)."""
+
+    index: IncidenceIndex
+    mask: int
+    members: Sequence[int]
 
 
 def taylor_complex(ideal: MonomialIdeal, max_generators: int = DEFAULT_TAYLOR_CAP) -> LabeledComplex:

@@ -27,6 +27,11 @@ DEFAULT_CANONICAL_CAP = 10
 DEFAULT_ENUMERATION_CAP = 7
 DEFAULT_EMBEDDING_CAP = 12
 _ORDERING_ENUM_LIMIT = 20000
+# Vertex sets are bit masks and graph6 here has only the one-byte size
+# header, so a graph has at most 62 vertices.  Every graph goes through
+# SimpleGraph, which checks this before it reads an edge, and the family
+# builders hand it their edges lazily, so no input can ask for a huge graph.
+MAX_VERTICES = 62
 
 
 class GraphError(ValueError):
@@ -48,14 +53,14 @@ class SimpleGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError("vertex count must be nonnegative")
+        _check_vertex_count(self.n)
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise GraphError(f"bad edge ({u}, {v}) for {self.n} vertices")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
+        _check_vertex_count(n)
         norm = set()
         for u, v in edges:
             if u == v:
@@ -89,47 +94,54 @@ class SimpleGraph:
         return tuple(_bits(self.adjacency[v]))
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"a graph has 0 to {MAX_VERTICES} vertices, not {n}")
+
+
 def path_graph(r: int) -> SimpleGraph:
     if r < 1:
         raise GraphError("a path needs at least one vertex")
-    return SimpleGraph.from_edges(r, [(i, i + 1) for i in range(r - 1)])
+    return SimpleGraph.from_edges(r, ((i, i + 1) for i in range(r - 1)))
 
 
 def cycle_graph(r: int) -> SimpleGraph:
     if r < 3:
         raise GraphError("a cycle needs at least three vertices")
-    return SimpleGraph.from_edges(r, [(i, (i + 1) % r) for i in range(r)])
+    return SimpleGraph.from_edges(r, ((i, (i + 1) % r) for i in range(r)))
 
 
 def star_graph(k: int) -> SimpleGraph:
     """Star with k leaves attached to the centre vertex 0; k = 0 is a single vertex."""
     if k < 0:
         raise GraphError("leaf count must be nonnegative")
-    return SimpleGraph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+    return SimpleGraph.from_edges(k + 1, ((0, i) for i in range(1, k + 1)))
 
 
 def complete_graph(n: int) -> SimpleGraph:
     if n < 1:
         raise GraphError("need at least one vertex")
-    return SimpleGraph.from_edges(n, itertools.combinations(range(n), 2))
+    return SimpleGraph.from_edges(n, ((u, v) for v in range(n) for u in range(v)))
 
 
 def triangle_with_leaves(k: int) -> SimpleGraph:
     """Triangle 0-1-2 with k pendant leaves, all attached to vertex 0."""
     if k < 0:
         raise GraphError("leaf count must be nonnegative")
-    edges = [(0, 1), (0, 2), (1, 2)] + [(0, 3 + i) for i in range(k)]
-    return SimpleGraph.from_edges(3 + k, edges)
+    leaves = ((0, 3 + i) for i in range(k))
+    return SimpleGraph.from_edges(3 + k, itertools.chain([(0, 1), (0, 2), (1, 2)], leaves))
 
 
 def _spine_with_leaves(spine_len: int, attach: dict[int, int]) -> SimpleGraph:
-    edges = [(i, i + 1) for i in range(spine_len - 1)]
-    next_vertex = spine_len
-    for spine_vertex in sorted(attach):
-        for _ in range(attach[spine_vertex]):
-            edges.append((spine_vertex, next_vertex))
-            next_vertex += 1
-    return SimpleGraph.from_edges(next_vertex, edges)
+    """Leaves get the vertices after the spine, those of the lowest spine vertex first."""
+    spine = ((i, i + 1) for i in range(spine_len - 1))
+    hubs = itertools.chain.from_iterable(
+        itertools.repeat(v, attach[v]) for v in sorted(attach)
+    )
+    leaves = zip(hubs, itertools.count(spine_len))
+    return SimpleGraph.from_edges(
+        spine_len + sum(attach.values()), itertools.chain(spine, leaves)
+    )
 
 
 def broom3_graph(m: int, n: int) -> SimpleGraph:

@@ -1,11 +1,15 @@
 """Reduced simplicial homology: a collapse test, and exact ranks over GF(p) and Q.
 
-`collapses_to_point` runs greedy elementary collapses.  When they leave a
+`collapses_to_point` answers True at once when the complex is a full
+simplex, and otherwise runs greedy elementary collapses.  When they leave a
 single vertex the complex is contractible, so it is acyclic over every field
-at once and no rank is needed.  The Scarf scans in `analysis` run it first on
-every restriction and compute ranks only where it fails.  On the path:4
-ideals of the spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4) it settles every
-lattice point.
+at once and no rank is needed.  It reads the faces off an incidence index
+(`LabeledComplex.incidence`): a restriction shares the index of the complex
+it was cut from, so the Scarf scans in `analysis`, which restrict one
+complex to every lattice point, build one index per complex.  They run the
+collapse first on every restriction and compute ranks only where it gets
+stuck.  On the path:4 ideals of the spiders S5(3,3,3), S5(4,3,3) and
+S5(4,4,4) it settles every lattice point.
 
 Boundary matrices carry the usual alternating signs over the sorted vertex
 order and include the augmentation map sending every vertex to the empty face,
@@ -22,6 +26,7 @@ monomial they restrict to is divided by a generator, whose vertex survives.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -201,52 +206,68 @@ def matrix_rank(matrix: Sequence[Sequence[int]], field: FieldSpec) -> int:
 
 
 def collapses_to_point(delta: LabeledComplex) -> bool:
-    """True when greedy elementary collapses reduce the complex to one vertex.
+    """True when the complex is a simplex or greedy elementary collapses
+    reduce it to one vertex.
 
-    A nonempty face with exactly one live coface is free.  Removing it
-    together with that coface is an elementary collapse: the coface is a
-    maximal face (a face above it would give the free face a second coface),
-    what is left is again a complex, and the space deformation retracts onto
-    it by pushing the coface in from the free face.  So a chain of collapses
-    ending at a single vertex proves the complex contractible, and its reduced
-    homology vanishes over every field.  False proves nothing: greedy collapses
-    can get stuck on contractible complexes too, and callers fall back to ranks.
+    The faces are read off `delta.incidence`, so a restriction is decided in
+    the index of the complex it was cut from, which is built once and shared
+    by all its restrictions.  If the faces span k >= 1 vertices and number
+    2^k - 1 besides the empty face, every nonempty subset of those vertices
+    is a face (a face's vertices are vertices of the complex, and there are
+    2^k - 1 such subsets), so the complex is the full (k-1)-simplex and
+    contractible.  In a Scarf scan this catches every point that is the
+    label of a Scarf face: by the closed half of the Scarf test only that
+    face's generators divide the label, and the face's subsets are all Scarf
+    faces.
+
+    Otherwise the collapse runs.  A nonempty face with exactly one live
+    coface is free.  Removing it together with that coface is an elementary
+    collapse: the coface is a maximal face (a face above it would give the
+    free face a second coface), what is left is again a complex, and the space
+    deformation retracts onto it by pushing the coface in from the free face.
+    So a chain of collapses ending at a single vertex proves the complex
+    contractible, and its reduced homology vanishes over every field.  False
+    proves nothing: greedy collapses can get stuck on contractible complexes
+    too, and callers fall back to ranks.
 
     Each face keeps the count of its live cofaces and the xor of their
-    indices, which names the coface once the count is 1.  A work stack holds
-    the faces whose count dropped to 1; the pass does O(F*d) work for F faces
-    of dimension at most d.
+    indices, which names the coface once the count is 1.  A collapse removes
+    the coface, which leaves the free face maximal, then the free face.  A
+    removed face then has count 0 for good, since its cofaces are all gone
+    (the coface was maximal, the free face's only coface was the coface), so
+    the count alone tells live free faces from stale stack entries.  A work
+    stack holds the faces whose count dropped to 1; the pass does O(F*d) work
+    for F faces of dimension at most d, plus one fill of two arrays as long
+    as the index.
     """
-    faces = [face for face in delta.faces if face]
-    position = {face: i for i, face in enumerate(faces)}
-    facets = [
-        [position[face[:j] + face[j + 1:]] for j in range(len(face))]
-        if len(face) > 1 else []
-        for face in faces
-    ]
-    cofaces = [0] * len(faces)
-    coface_xor = [0] * len(faces)
-    for i, below in enumerate(facets):
-        for f in below:
+    index, _, members = delta.incidence
+    kept = members[1:]  # the empty face is never collapsed
+    if not kept:
+        return False
+    # the vertices of the indexed complex are faces 1..n, the children of ()
+    if len(kept) == (1 << bisect_right(kept, len(index.children[0]))) - 1:
+        return True
+    facets = index.facets
+    cofaces = [0] * len(facets)
+    coface_xor = [0] * len(facets)
+    for i in kept:
+        for f in facets[i]:
             cofaces[f] += 1
             coface_xor[f] ^= i
-    live = [True] * len(faces)
-    remaining = len(faces)
-    stack = [i for i, count in enumerate(cofaces) if count == 1]
+    remaining = len(kept)
+    stack = [i for i in kept if cofaces[i] == 1]
     while stack:
         free = stack.pop()
-        if not live[free] or cofaces[free] != 1:
+        if cofaces[free] != 1:
             continue
         coface = coface_xor[free]
-        live[free] = live[coface] = False
         remaining -= 2
-        for gone in (free, coface):
+        for gone in (coface, free):
             for f in facets[gone]:
-                if live[f]:
-                    cofaces[f] -= 1
-                    coface_xor[f] ^= gone
-                    if cofaces[f] == 1:
-                        stack.append(f)
+                cofaces[f] -= 1
+                coface_xor[f] ^= gone
+                if cofaces[f] == 1:
+                    stack.append(f)
     return remaining == 1
 
 
@@ -255,7 +276,7 @@ def reduced_betti(delta: LabeledComplex, field: FieldSpec) -> HomologyProfile:
     if not delta.has_vertices:
         raise HomologyError("reduced homology here needs a complex with a vertex")
     top = delta.dim
-    face_counts = [len(delta.faces_of_size(size)) for size in range(1, top + 2)]
+    face_counts = delta.f_vector()
     ranks = [matrix_rank(boundary_matrix(delta, i), field) for i in range(top + 1)]
     ranks.append(0)
     betti = tuple(

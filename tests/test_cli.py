@@ -1,10 +1,14 @@
+import hashlib
 import json
 import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scarflab
 from scarflab.cli import (
     CliError,
     main,
@@ -237,6 +241,20 @@ class TestLimits:
 
 
 class TestInputErrors:
+    def test_oversized_graphs_rejected(self, tmp_path, capsys):
+        """Graphs past the 62-vertex graph cap are refused before they are
+        built; those within it but past the 32-variable cap, by the ideal."""
+        huge = tmp_path / "huge.adj"
+        huge.write_text("n=1000000000000; edges: 0-1")
+        for graph, cap in (("path:33", "32"), ("star:32", "32"),
+                           ("family:S5(20,20,20)", "62"),
+                           ("path:99999999999999", "62"), (f"@{huge}", "62")):
+            assert main(["ideal", "--graph", graph, "--spec", "connected:2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert cap in err, err
+        assert main(["ideal", "--graph", "path:32", "--spec", "connected:2"]) == 0
+
     @pytest.mark.parametrize(
         "name, content, argv",
         [
@@ -272,6 +290,33 @@ class TestDeterminism:
             assert main(["derive", "--spec", "path:4", "--n-max", "5",
                          "--mode", "subgraph", "--output", str(target)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestPinnedReports:
+    def test_largest_scarf_spider(self, capsys):
+        """S5(4,4,4) under path:4 (18 generators, 5118 lattice points), the
+        largest Scarf case here; the benchmark runs only smaller spiders."""
+        argv = ["scarf", "--graph", "family:S5(4,4,4)", "--spec", "path:4",
+                "--fields", "gf2,gf32003,q"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == (
+            "abe54859519cd98fdc4fe49b1a780869e83100ffde3575cc50248439f4860cbb"
+        )
+
+
+class TestImports:
+    def test_cli_import_leaves_multiprocessing_out(self):
+        src = Path(scarflab.__file__).resolve().parent.parent
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import scarflab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestConsoleScript:

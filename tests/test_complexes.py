@@ -193,6 +193,108 @@ class TestRestrictComplex:
         assert checked > 300
 
 
+def label_filter(delta: LabeledComplex, mask: int) -> list[int]:
+    """Reference for IncidenceIndex.kept: indices of the faces whose label divides mask."""
+    return [i for i, label in enumerate(delta.label_masks) if label & ~mask == 0]
+
+
+class TestIncidenceIndex:
+    def complexes(self, ideal):
+        q = ideal.num_generators
+        yield taylor_complex(ideal)
+        yield scarf_complex(ideal)
+        yield LabeledComplex(ideal, ((),))
+        yield LabeledComplex(ideal, ())
+        if q > 1:
+            # a cone over the Scarf complex of the first q-1 generators
+            base = scarf_complex(MonomialIdeal(ideal.universe, ideal.mingens[:-1]))
+            yield cone(q - 1, LabeledComplex(ideal, base.faces))
+
+    def test_walk_matches_label_filter(self):
+        rng = random.Random(53)
+        checked = 0
+        for _ in range(40):
+            ideal = random_ideal(rng)
+            if not 0 < ideal.num_generators <= 8:
+                continue
+            size = ideal.universe.size
+            masks = [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(8)]
+            for delta in self.complexes(ideal):
+                index = delta.incidence.index
+                for mask in masks:
+                    kept = index.kept(mask)
+                    assert kept == label_filter(delta, mask), (delta.faces, mask)
+                    got = delta.restrict(SquarefreeMonomial(ideal.universe, mask))
+                    assert got.faces == tuple(delta.faces[i] for i in kept)
+                    assert got.incidence == (index, mask, kept)
+                    checked += 1
+        assert checked > 1000
+
+    def test_restriction_of_restriction(self):
+        """A restriction cut from a restriction has the faces of one cut from
+        a fresh copy, and shares the first complex's index."""
+        rng = random.Random(59)
+        checked = 0
+        for _ in range(40):
+            ideal = random_ideal(rng)
+            if not 0 < ideal.num_generators <= 8:
+                continue
+            size = ideal.universe.size
+            for delta in self.complexes(ideal):
+                for _ in range(4):
+                    outer, inner = (
+                        SquarefreeMonomial(ideal.universe, rng.getrandbits(size))
+                        for _ in range(2)
+                    )
+                    first = delta.restrict(outer)
+                    fresh = LabeledComplex(ideal, first.faces)
+                    got = first.restrict(inner)
+                    assert got.faces == fresh.restrict(inner).faces
+                    assert got.incidence.index is delta.incidence.index
+                    checked += 1
+        assert checked > 300
+
+    def test_walk_matches_label_filter_on_corpus_lattices(self, oracle_corpus):
+        for ideal in oracle_corpus:
+            delta = scarf_complex(ideal)
+            for point in lcm_lattice(ideal):
+                kept = delta.incidence.index.kept(point.mask)
+                assert kept == label_filter(delta, point.mask)
+
+    def test_incidences(self):
+        delta = taylor_complex(ideal_of("x1", "x2", "x3", size=3))
+        index = delta.incidence.index
+        assert delta.incidence.index is index
+        assert delta.incidence.members == range(len(delta.faces))
+        position = {face: i for i, face in enumerate(delta.faces)}
+        for i, face in enumerate(delta.faces):
+            children = [delta.faces[j] for j in index.children[i]]
+            assert children == [
+                face + (v,) for v in range(face[-1] + 1 if face else 0, 3)
+            ]
+            expected = (
+                [position[face[:k] + face[k + 1:]] for k in range(len(face))]
+                if len(face) > 1 else []
+            )
+            assert index.facets[i] == expected
+
+    def test_tree_of_a_scarf_complex(self):
+        ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
+        delta = scarf_complex(ideal)
+        assert len(delta.faces) < 1 << ideal.num_generators
+        index = delta.incidence.index
+        for i, face in enumerate(delta.faces):
+            children = [delta.faces[j] for j in index.children[i]]
+            assert children == [g for g in delta.faces if g[:-1] == face and g != face]
+            if face:
+                assert index.last[i] == ideal.generator_masks[face[-1]]
+
+    def test_restrict_leaves_facets_unbuilt(self):
+        delta = taylor_complex(ideal_of("x1*x2", "x2*x3", "x3*x4", size=4))
+        delta.restrict(delta.ideal.universe.parse("x1*x2*x3"))
+        assert "facets" not in vars(delta.incidence.index)
+
+
 class TestLcmLattice:
     def test_single_generator(self):
         ideal = ideal_of("x1*x2", size=2)

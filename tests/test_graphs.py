@@ -12,6 +12,7 @@ from scarflab import graphs
 from scarflab.graphs import (
     FamilyTag,
     GraphError,
+    MAX_VERTICES,
     SimpleGraph,
     are_isomorphic,
     broom3_graph,
@@ -124,6 +125,22 @@ class TestConstruction:
                 and canonical_form(member) == canonical_form(mirrored)
             }
             assert tags, (m, n, p)
+
+    def test_vertex_cap_checked_before_any_edge(self):
+        assert path_graph(MAX_VERTICES).n == MAX_VERTICES
+        with pytest.raises(GraphError):
+            SimpleGraph(MAX_VERTICES + 1, frozenset())
+        with pytest.raises(GraphError):
+            SimpleGraph.from_edges(10**12, itertools.repeat((0, 1)))
+        with pytest.raises(GraphError):
+            parse_adjacency_text("n=1000000000000; edges: 0-1")
+        huge = 10**14
+        for kind, arity in (("path", 1), ("cycle", 1), ("star", 1), ("triangle", 1),
+                            ("broom3", 2), ("broom4", 2), ("spider5", 3), ("spider6", 3)):
+            with pytest.raises(GraphError):
+                make_family(FamilyTag(kind, (huge,) * arity))
+        with pytest.raises(GraphError):
+            complete_graph(huge)
 
     def test_make_family_arity(self):
         with pytest.raises(GraphError):

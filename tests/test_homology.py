@@ -268,7 +268,13 @@ class TestVerdicts:
 
 
 def assert_collapse_sound(delta: LabeledComplex) -> bool:
+    """collapses_to_point proves delta acyclic, and it answers as it does on a
+    fresh copy of delta with an index of its own (a restriction shares the
+    index of the complex it was cut from)."""
     collapsed = collapses_to_point(delta)
+    fresh = LabeledComplex(delta.ideal, delta.faces)
+    assert fresh.incidence.index is not delta.incidence.index
+    assert collapses_to_point(fresh) == collapsed
     if collapsed:
         for field in ALL_FIELDS:
             assert reduced_betti(delta, field).is_acyclic, delta.faces
@@ -290,6 +296,45 @@ class TestCollapse:
         ideal = singleton_ideal(2)
         assert not collapses_to_point(LabeledComplex(ideal, ((),)))
         assert not collapses_to_point(LabeledComplex(ideal, ()))
+        for faces in (((),), ()):
+            delta = LabeledComplex(ideal, faces)
+            for mask in range(4):
+                restricted = delta.restrict(SquarefreeMonomial(ideal.universe, mask))
+                assert not collapses_to_point(restricted)
+
+    def test_points_without_vertices_stay(self):
+        delta = taylor_complex(singleton_ideal(3))
+        assert not collapses_to_point(delta.restrict(delta.ideal.universe.one()))
+
+    def test_simplex_check_needs_no_collapse(self):
+        # With every facet list emptied, the collapse pass can remove nothing,
+        # so only the simplex check can answer True.
+        ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
+        delta = LabeledComplex(ideal, scarf_complex(ideal).faces)
+        delta.incidence.index.facets = [[] for _ in delta.faces]
+        for face, mask in zip(delta.faces, delta.label_masks):
+            if face:
+                point = SquarefreeMonomial(ideal.universe, mask)
+                assert collapses_to_point(delta.restrict(point))
+        assert not collapses_to_point(delta)
+
+    def test_scarf_face_labels_restrict_to_simplices(self, oracle_corpus):
+        checked = 0
+        for ideal in oracle_corpus:
+            delta = scarf_complex(ideal)
+            for face, mask in zip(delta.faces, delta.label_masks):
+                if not face:
+                    continue
+                point = SquarefreeMonomial(ideal.universe, mask)
+                expected = tuple(
+                    sub for size in range(len(face) + 1)
+                    for sub in itertools.combinations(face, size)
+                )
+                restricted = delta.restrict(point)
+                assert restricted.faces == expected
+                assert collapses_to_point(restricted)
+                checked += 1
+        assert checked > 1000
 
     def test_sound_on_random_restrictions(self):
         rng = random.Random(41)
