@@ -11,6 +11,12 @@ Witness policy: the scan walks lattice points in ascending support-bit-pattern
 order, so a reported failure is the smallest failing point in that order.
 Fields are never merged: a graph counts as Scarf only when every field in the
 battery agrees, and cross-field disagreements are surfaced, not resolved.
+
+Sweeps and obstruction catalogs need verdicts, not witnesses, for every
+connected graph (or tree) up to some size.  They read them from one table per
+spec and field battery, `hereditary_verdicts`, filled level by level: a graph
+fails a field exactly when one of its connected one-vertex deletions fails it
+or its whole Scarf complex is not acyclic over it, so no lattice is scanned.
 """
 
 from __future__ import annotations
@@ -32,11 +38,12 @@ from .complexes import (
 )
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
+    FamilyTag,
     GraphError,
     SimpleGraph,
     canonical_form,
-    contains_induced,
     contains_subgraph,
+    deletion_parents,
     enumerate_connected_graphs,
     enumerate_trees,
     family_catalog,
@@ -59,7 +66,6 @@ VERDICT_NOT_SCARF = "not_scarf"
 VERDICT_TRIVIALLY_SCARF = "trivially_scarf"
 
 THEOREM_B_FAMILY_KINDS = ("star", "triangle", "broom3", "broom4", "spider5", "spider6")
-SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
 
 # Both enumerations add one vertex to each smaller representative, but a tree
 # gets n-1 candidate leaves where a connected graph gets 2^(n-1)-1 candidate
@@ -124,6 +130,24 @@ def _normalize_fields(fields) -> tuple[FieldSpec, ...]:
     return out
 
 
+def _failing_fields(
+    delta: LabeledComplex, fields: Iterable[FieldSpec]
+) -> list[tuple[FieldSpec, HomologyProfile]]:
+    """The fields over which delta, which has a vertex, is not acyclic, each
+    with its reduced Betti profile, in the order given.
+
+    A complex that `collapses_to_point` is contractible, hence acyclic over
+    every field, so it is ranked over no field."""
+    if collapses_to_point(delta):
+        return []
+    failures = []
+    for field in fields:
+        profile = reduced_betti(delta, field)
+        if not profile.is_acyclic:
+            failures.append((field, profile))
+    return failures
+
+
 def _scarf_scan(
     ideal: MonomialIdeal,
     fields: tuple[FieldSpec, ...],
@@ -135,14 +159,13 @@ def _scarf_scan(
     restriction is not acyclic.  Ideals with at most one generator are
     trivially Scarf and scan nothing.
 
-    Each restriction first goes through `collapses_to_point`.  A restriction
-    that is a simplex or collapses to a vertex is contractible, hence acyclic
-    over every field, so it can be no field's witness and the scan moves on.
-    Restrictions are cut from the complex's incidence index, built once on
-    the first point, and the collapse runs in that index too.  Ranks are
-    computed, field by field, only for restrictions the collapse pass leaves
-    standing, so verdicts, witnesses and their Betti profiles are those of a
-    scan that ranks every point.
+    Each restriction goes through `_failing_fields` over the fields still
+    undecided.  A restriction that is a simplex or collapses to a vertex can
+    be no field's witness, so ranks are computed only for restrictions the
+    collapse pass leaves standing, and verdicts, witnesses and their Betti
+    profiles are those of a scan that ranks every point.  Restrictions are
+    cut from the complex's incidence index, built once on the first point,
+    and the collapse runs in that index too.
 
     Both callers pick the same witness.  If m is the first failing monomial in
     ascending mask order among all monomials some generator divides, let m' be
@@ -166,15 +189,10 @@ def _scarf_scan(
         for point in points:
             if not alive:
                 break
-            restricted = complex_.restrict(point)
-            if collapses_to_point(restricted):
-                continue
-            for field in list(alive):
-                profile = reduced_betti(restricted, field)
-                if not profile.is_acyclic:
-                    verdicts[field] = VERDICT_NOT_SCARF
-                    witnesses.append((field, point, profile))
-                    alive.remove(field)
+            for field, profile in _failing_fields(complex_.restrict(point), alive):
+                verdicts[field] = VERDICT_NOT_SCARF
+                witnesses.append((field, point, profile))
+                alive.remove(field)
         for field in alive:
             verdicts[field] = VERDICT_SCARF
     return ScarfReport(
@@ -224,24 +242,28 @@ def _require_connected(graph: SimpleGraph) -> None:
         raise AnalysisError("classification predicates expect a connected graph")
 
 
+def _theorem_A_prediction(n: int, tag: FamilyTag | None, t: int) -> bool:
+    """Theorem A's answer for a connected graph on n vertices with family tag
+    `tag`; the tag is read only when n > t."""
+    return n <= t or (tag is not None and tag.kind == "path" and tag.params[0] <= 2 * t)
+
+
 def classify_theorem_A(graph: SimpleGraph, t: int) -> bool:
     """Predicted Scarf property of the connected ideal of degree t >= 3: true
     exactly for graphs with at most t vertices and for paths on at most 2t."""
     if t < 3:
         raise AnalysisError("the connected-ideal classification needs t >= 3")
     _require_connected(graph)
-    if graph.n <= t:
-        return True
-    tag = recognize_family(graph)
-    return tag is not None and tag.kind == "path" and tag.params[0] <= 2 * t
+    tag = recognize_family(graph) if graph.n > t else None
+    return _theorem_A_prediction(graph.n, tag, t)
 
 
 @lru_cache(maxsize=None)
-def _family_forms(n: int, kinds: tuple[str, ...]) -> frozenset[bytes]:
+def _theorem_B_forms(n: int) -> frozenset[bytes]:
     return frozenset(
         canonical_form(member)
         for tag, member in family_catalog(n)
-        if tag.kind in kinds
+        if tag.kind in THEOREM_B_FAMILY_KINDS
     )
 
 
@@ -254,12 +276,7 @@ def classify_theorem_B(graph: SimpleGraph) -> bool:
     _require_connected(graph)
     if graph.n <= 4:
         return True
-    return canonical_form(graph) in _family_forms(graph.n, THEOREM_B_FAMILY_KINDS)
-
-
-def matches_special_tree_family(graph: SimpleGraph) -> bool:
-    """Tree families of the degree-4 path classification (no triangle member)."""
-    return canonical_form(graph) in _family_forms(graph.n, SPECIAL_TREE_FAMILY_KINDS)
+    return canonical_form(graph) in _theorem_B_forms(graph.n)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +626,90 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
 
 
 # ---------------------------------------------------------------------------
+# hereditary verdicts
+
+
+def _graph_verdicts(
+    graph: SimpleGraph,
+    spec: IdealSpec,
+    fields: tuple[FieldSpec, ...],
+    parent_verdicts: Iterable[tuple[str, ...]],
+) -> tuple[str, ...]:
+    failed = {
+        field
+        for verdicts in parent_verdicts
+        for field, verdict in zip(fields, verdicts)
+        if verdict == VERDICT_NOT_SCARF
+    }
+    if len(failed) < len(fields):
+        ideal = build_ideal(graph, spec)
+        # A failing parent has two generators, and they are generators of G,
+        # so here no field has failed yet.
+        if ideal.num_generators <= 1:
+            return (VERDICT_TRIVIALLY_SCARF,) * len(fields)
+        covered = 0
+        for mask in ideal.generator_masks:
+            covered |= mask
+        if covered == (1 << graph.n) - 1:
+            alive = [field for field in fields if field not in failed]
+            failed.update(field for field, _ in _failing_fields(scarf_complex(ideal), alive))
+    return tuple(VERDICT_NOT_SCARF if f in failed else VERDICT_SCARF for f in fields)
+
+
+@lru_cache(maxsize=None)
+def _level_verdicts(
+    spec: IdealSpec, fields: tuple[FieldSpec, ...], n: int, trees_only: bool
+) -> tuple[tuple[str, ...], ...]:
+    graphs = enumerate_trees(n) if trees_only else enumerate_connected_graphs(n)
+    below = _level_verdicts(spec, fields, n - 1, trees_only) if n > 1 else ()
+    return tuple(
+        _graph_verdicts(graph, spec, fields, (below[p] for p in parents))
+        for graph, parents in zip(graphs, deletion_parents(n, trees_only))
+    )
+
+
+def hereditary_verdicts(
+    spec: IdealSpec, n: int, fields=DEFAULT_FIELDS, trees_only: bool = False
+) -> tuple[tuple[str, ...], ...]:
+    """Per representative of `enumerate_connected_graphs(n)` (with
+    trees_only, of `enumerate_trees(n)`), its verdict per field, as
+    `is_scarf(build_ideal(graph, spec), fields).verdicts` gives it.
+
+    The table is filled in increasing n from each graph's parents, the
+    classes of G - u over its non-cut vertices u (`deletion_parents`).  G is
+    not Scarf over a field F exactly when
+
+    (a) some parent is not Scarf over F, or
+    (b) x_V is an lcm-lattice point (the generator supports cover V) and
+        Scarf(I(G)) is not acyclic over F.
+
+    Both specs send induced subgraphs to restrictions: the generators of
+    I(G) dividing x_W are those of I(G[W]), as every generator is a
+    connected vertex set (a path in G inside W is a path in G[W]).  The
+    Scarf complex commutes with restriction: a face with label dividing m is
+    uniquely labelled among all generator sets exactly when it is among
+    those dividing m.  So if G - u fails F at a lattice point, G fails at the
+    same point with the same restriction, which gives (a); the whole complex
+    is the restriction at x_V, which gives (b).  Conversely, let G fail F at
+    a lattice point m != x_V with support W, a proper subset of V.  Each
+    generator dividing m lies in one component of G[W], so the restriction
+    at m is the join of the components' restrictions, and over a field a
+    join is acyclic as soon as one factor is (Kunneth).  So every component
+    C with a generator fails F at a lattice point of I(C).  C is a proper
+    connected induced subgraph: extend a spanning tree of C to one of G a
+    vertex at a time; the last vertex added is a leaf u outside C, so u is a
+    non-cut vertex of G, and C lies in G - u, which then fails F by the
+    first argument: (a) holds.
+
+    A graph whose parents fail every field needs no ideal.  Otherwise
+    `trivially_scarf` is read off at most one generator, which leaves every
+    parent with at most one, and (b) is checked by `_failing_fields` on the
+    whole complex over the fields its parents pass.
+    """
+    return _level_verdicts(spec, _normalize_fields(fields), n, trees_only)
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 
 
@@ -662,17 +763,16 @@ class SweepResult:
 
 
 def _sweep_predictor(spec: IdealSpec):
+    """The classification's answer for a connected graph and its family tag."""
     if spec.kind == "connected" and spec.t >= 3:
-        return lambda graph: classify_theorem_A(graph, spec.t)
+        return lambda graph, tag: _theorem_A_prediction(graph.n, tag, spec.t)
     if spec.kind == "path" and spec.t == 4:
-        return classify_theorem_B
+        return lambda graph, tag: classify_theorem_B(graph)
     raise AnalysisError(f"no classification is wired up for spec {spec}")
 
 
-def _sweep_one(args: tuple[SimpleGraph, IdealSpec, tuple[FieldSpec, ...]]) -> SweepRecord:
-    graph, spec, fields = args
-    predictor = _sweep_predictor(spec)
-    report = is_scarf(build_ideal(graph, spec), fields)
+def _sweep_one(args: tuple[SimpleGraph, IdealSpec, tuple[tuple[str, str], ...]]) -> SweepRecord:
+    graph, spec, verdicts = args
     tag = recognize_family(graph)
     return SweepRecord(
         graph6=canonical_form(graph).decode("ascii"),
@@ -680,27 +780,31 @@ def _sweep_one(args: tuple[SimpleGraph, IdealSpec, tuple[FieldSpec, ...]]) -> Sw
         num_edges=graph.num_edges,
         edges=to_adjacency_text(graph),
         family=tag.render() if tag else None,
-        predicted=predictor(graph),
-        computed=report.all_scarf,
-        verdicts=tuple((f.render(), v) for f, v in report.verdicts),
+        predicted=_sweep_predictor(spec)(graph, tag),
+        computed=all(v != VERDICT_NOT_SCARF for _, v in verdicts),
+        verdicts=verdicts,
     )
 
 
 def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS, jobs: int = 1) -> SweepResult:
     """Exhaustive comparison of the classification predicate against the
-    computed Scarf property over all connected graphs on up to n_max vertices;
-    jobs worker processes, at most one per CPU, share the graphs."""
+    computed Scarf property over all connected graphs on up to n_max vertices.
+
+    The verdicts come from `hereditary_verdicts`, in this process; jobs
+    worker processes, at most one per CPU, share building the records."""
     fields = _normalize_fields(fields)
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise AnalysisError(f"jobs must be within 1..{cpus}")
     _sweep_predictor(spec)
-    graphs = [
-        graph
+    names = [f.render() for f in fields]
+    tasks = [
+        (graph, spec, tuple(zip(names, verdicts)))
         for n in range(1, n_max + 1)
-        for graph in enumerate_connected_graphs(n)
+        for graph, verdicts in zip(
+            enumerate_connected_graphs(n), hereditary_verdicts(spec, n, fields)
+        )
     ]
-    tasks = [(graph, spec, fields) for graph in graphs]
     if jobs > 1:
         from multiprocessing import Pool  # only here: the import slows every CLI start
 
@@ -751,39 +855,44 @@ def derive_obstructions(
 ) -> ObstructionCatalog:
     """Minimal non-Scarf connected graphs on up to n_max vertices under the
     chosen containment order ('induced' or 'subgraph'); with trees_only the
-    search universe is the set of trees."""
+    search universe is the set of trees.
+
+    Verdicts come from `hereditary_verdicts`.  Under 'induced', a non-Scarf
+    graph is minimal exactly when all its parents are Scarf: a smaller
+    non-Scarf connected induced subgraph lies in some G - u with u non-cut
+    (see `hereditary_verdicts`), which is then non-Scarf too, and G - u is
+    one itself.  Connected induced subgraphs of trees are trees, so this
+    holds within the trees as well.  Deleting an edge is no restriction, so
+    'subgraph' still searches for a smaller non-Scarf subgraph pairwise."""
     if mode not in ("induced", "subgraph"):
         raise AnalysisError("mode must be 'induced' or 'subgraph'")
     fields = _normalize_fields(fields)
     limit = DERIVE_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
     if not 1 <= n_max <= limit:
         raise GraphError(f"obstruction derivation capped at {limit} vertices here")
-    universe = [
-        graph
-        for n in range(1, n_max + 1)
-        for graph in (enumerate_trees(n) if trees_only else enumerate_connected_graphs(n))
-    ]
-    bad = [
-        graph
-        for graph in universe
-        if not is_scarf(build_ideal(graph, spec), fields).all_scarf
-    ]
-    forms = {id(g): canonical_form(g) for g in bad}
-    contains = contains_induced if mode == "induced" else contains_subgraph
+    bad = []
     minimal = []
-    for graph in bad:
-        dominated = False
-        for other in bad:
-            if forms[id(other)] == forms[id(graph)]:
-                continue
+    below: tuple[tuple[str, ...], ...] = ()
+    for n in range(1, n_max + 1):
+        level = hereditary_verdicts(spec, n, fields, trees_only)
+        graphs = enumerate_trees(n) if trees_only else enumerate_connected_graphs(n)
+        for graph, verdicts, parents in zip(graphs, level, deletion_parents(n, trees_only)):
+            if VERDICT_NOT_SCARF in verdicts:
+                bad.append(graph)
+                if mode == "induced" and all(VERDICT_NOT_SCARF not in below[p] for p in parents):
+                    minimal.append(graph)
+        below = level
+    if mode == "subgraph":
+        minimal = [
+            graph
+            for graph in bad
             # only strictly smaller candidates can witness non-minimality
-            if other.n > graph.n or (other.n == graph.n and other.num_edges >= graph.num_edges):
-                continue
-            if contains(graph, other):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(graph)
+            if not any(
+                (other.n, other.num_edges) < (graph.n, graph.num_edges)
+                and contains_subgraph(graph, other)
+                for other in bad
+            )
+        ]
     minimal.sort(key=lambda g: (g.n, canonical_form(g)))
     return ObstructionCatalog(
         spec=spec,

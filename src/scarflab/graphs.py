@@ -1,18 +1,19 @@
 """Finite simple graphs at desk scale.
 
 Vertices are 0..n-1.  The module covers exactly what the ideal constructions
-and the classification sweeps need: induced subgraphs, connected vertex
-subsets, path vertex sets, canonical forms with exhaustive-enumeration
-backing, the named graph families (paths, cycles, stars, triangles with
-pendant leaves, double brooms, spiders), subgraph containment and graph6 /
-adjacency-list / JSON input and output.
+and the classification sweeps need: connected vertex subsets, path vertex
+sets, canonical forms with exhaustive-enumeration backing, the named graph
+families (paths, cycles, stars, triangles with pendant leaves, double
+brooms, spiders), subgraph containment and graph6 / adjacency-list / JSON
+input and output.
 
 Canonical forms are exact: colour refinement first, then minimisation of the
 graph6 bit string over the colour-respecting orderings by a pruned depth-first
 search, branching through individualisation when the colour classes allow too
 many orderings.  The brute-force all-permutations form is kept alongside as a
 test oracle.  Connected graphs and trees are enumerated by adding one vertex
-at a time and deduplicating by canonical form.
+at a time and deduplicating by canonical form; the enumeration also records,
+for each class, the classes of its one-vertex deletions that stay connected.
 """
 
 from __future__ import annotations
@@ -248,34 +249,20 @@ def family_catalog(n: int) -> tuple[tuple[FamilyTag, SimpleGraph], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _family_index(n: int) -> dict[bytes, FamilyTag]:
+    """Canonical form -> the first tag in `family_catalog(n)` order with that form."""
+    index: dict[bytes, FamilyTag] = {}
+    for tag, member in family_catalog(n):
+        index.setdefault(canonical_form(member), tag)
+    return index
+
+
 def recognize_family(graph: SimpleGraph) -> FamilyTag | None:
-    """Most specific family tag whose member is isomorphic to the graph, or None."""
+    """Most specific family tag whose member is isomorphic to the graph, or
+    None; one lookup in a per-size index of the catalog's canonical forms."""
     form = canonical_form(graph)
-    for tag, member in family_catalog(graph.n):
-        if canonical_form(member) == form:
-            return tag
-    return None
-
-
-def induced_subgraph(
-    graph: SimpleGraph, vertices: Iterable[int]
-) -> tuple[SimpleGraph, tuple[int, ...]]:
-    """Induced subgraph on the given vertex set, relabelled to 0..k-1.
-
-    Returns the subgraph together with the relabelling map: entry i is the
-    original vertex that became vertex i.
-    """
-    chosen = sorted(set(vertices))
-    for v in chosen:
-        if not 0 <= v < graph.n:
-            raise GraphError(f"vertex {v} out of range")
-    position = {v: i for i, v in enumerate(chosen)}
-    edges = [
-        (position[u], position[v])
-        for u, v in graph.edges
-        if u in position and v in position
-    ]
-    return SimpleGraph.from_edges(len(chosen), edges), tuple(chosen)
+    return _family_index(graph.n).get(form)
 
 
 def _connected_within(adjacency: Sequence[int], subset_mask: int) -> bool:
@@ -340,25 +327,6 @@ def path_vertex_sets(graph: SimpleGraph, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def diameter(graph: SimpleGraph) -> int:
-    if not is_connected(graph):
-        raise GraphError("diameter needs a connected graph")
-    best = 0
-    for source in range(graph.n):
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in _bits(graph.adjacency[v]):
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        best = max(best, max(dist.values()))
-    return best
-
-
 def removable_vertices(graph: SimpleGraph) -> tuple[int, ...]:
     """Vertices whose removal keeps the graph connected; empty for a single vertex."""
     if not is_connected(graph):
@@ -379,6 +347,18 @@ def removable_vertices(graph: SimpleGraph) -> tuple[int, ...]:
 
 
 def _refine_colors(adjacency: Sequence[int], colors: list[int]) -> list[int]:
+    """Split colour classes by the multiset of neighbour colours until stable;
+    the result numbers the classes by the rank of their signatures.
+
+    The result is a fixed point: `_refine_colors(adj, c) == c` when c is a
+    returned colouring.  The last round kept the number of classes, and every
+    signature starts with the vertex's old colour, so its classes are the old
+    classes, each with one neighbour-colour multiset.  c renames those
+    classes, so a further round again finds one signature per class and keeps
+    the count.  Its signatures start with c[v], which is distinct per class,
+    so ranking them sorts the classes by c and gives each class the rank
+    c[v] back.
+    """
     n = len(adjacency)
     num = len(set(colors))
     while True:
@@ -514,10 +494,11 @@ def _pack_graph6(n: int, bits: bytes) -> bytes:
 
 @lru_cache(maxsize=None)
 def _canonical_form_cached(graph: SimpleGraph) -> bytes:
+    # `_canonical_bits` refines the degree colouring itself; refining it here
+    # first would change nothing, since refined colourings are fixed points.
     if graph.n == 0:
         raise GraphError("canonical form needs at least one vertex")
-    colors = _refine_colors(graph.adjacency, list(graph.degrees))
-    bits = _canonical_bits(graph.adjacency, colors)
+    bits = _canonical_bits(graph.adjacency, list(graph.degrees))
     return _pack_graph6(graph.n, bits)
 
 
@@ -539,31 +520,43 @@ def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> byte
     return _pack_graph6(graph.n, best)
 
 
-def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
-    if a.n != b.n or a.num_edges != b.num_edges:
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
 
 def _extend_by_vertex(
     reps: tuple[SimpleGraph, ...], neighbour_masks: Sequence[int]
-) -> tuple[SimpleGraph, ...]:
+) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
     """Join a new last vertex to each representative once per neighbour mask
-    and keep one canonically labelled graph per class, sorted by form."""
-    seen: dict[bytes, None] = {}
-    for graph in reps:
+    and keep one canonically labelled graph per class, sorted by form.
+
+    Also returns, per class, the sorted indices into `reps` of the
+    representatives whose candidates landed in it: its *parents*.  When
+    `reps` are all connected classes on n-1 vertices and the masks are every
+    nonempty mask (trees: every one-bit mask), the parents of a class G are
+    exactly the classes of G - u over the non-cut vertices u of G (for a
+    tree, its leaves).  A candidate P + v is connected and v has a nonempty
+    neighbourhood, so v is a non-cut vertex and P = G - v.  Conversely, if u
+    is non-cut, G - u is isomorphic to some representative P by a map phi,
+    the mask of phi(N(u)) is nonempty (one bit when u is a leaf), and that
+    candidate of P is isomorphic to G.
+    """
+    seen: dict[bytes, set[int]] = {}
+    for index, graph in enumerate(reps):
         new = graph.n
         for mask in neighbour_masks:
             grown = SimpleGraph(new + 1, graph.edges | {(u, new) for u in _bits(mask)})
-            seen.setdefault(canonical_form(grown), None)
-    return tuple(parse_graph6(form.decode("ascii")) for form in sorted(seen))
+            seen.setdefault(canonical_form(grown), set()).add(index)
+    forms = sorted(seen)
+    return (
+        tuple(parse_graph6(form.decode("ascii")) for form in forms),
+        tuple(tuple(sorted(seen[form])) for form in forms),
+    )
 
 
-_CONNECTED_CACHE: dict[int, tuple[SimpleGraph, ...]] = {}
+_SINGLE_VERTEX = ((SimpleGraph(1, frozenset()),), ((),))
+# n -> (representatives, parents), as `_extend_by_vertex` returns them.
+_CONNECTED_CACHE: dict[int, tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]] = {}
 
 
 def enumerate_connected_graphs(
@@ -581,15 +574,13 @@ def enumerate_connected_graphs(
     if not 1 <= n <= max_vertices:
         raise GraphError(f"enumeration supports 1..{max_vertices} vertices")
     if n not in _CONNECTED_CACHE:
-        _CONNECTED_CACHE[n] = (
-            (SimpleGraph(1, frozenset()),) if n == 1 else _extend_by_vertex(
-                enumerate_connected_graphs(n - 1, max_vertices), range(1, 1 << (n - 1))
-            )
+        _CONNECTED_CACHE[n] = _SINGLE_VERTEX if n == 1 else _extend_by_vertex(
+            enumerate_connected_graphs(n - 1, max_vertices), range(1, 1 << (n - 1))
         )
-    return _CONNECTED_CACHE[n]
+    return _CONNECTED_CACHE[n][0]
 
 
-_TREE_CACHE: dict[int, tuple[SimpleGraph, ...]] = {}
+_TREE_CACHE: dict[int, tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]] = {}
 
 
 def enumerate_trees(n: int, max_vertices: int = 10) -> tuple[SimpleGraph, ...]:
@@ -598,12 +589,22 @@ def enumerate_trees(n: int, max_vertices: int = 10) -> tuple[SimpleGraph, ...]:
     if not 1 <= n <= max_vertices:
         raise GraphError(f"tree enumeration supports 1..{max_vertices} vertices")
     if n not in _TREE_CACHE:
-        _TREE_CACHE[n] = (
-            (SimpleGraph(1, frozenset()),) if n == 1 else _extend_by_vertex(
-                enumerate_trees(n - 1, max_vertices), [1 << v for v in range(n - 1)]
-            )
+        _TREE_CACHE[n] = _SINGLE_VERTEX if n == 1 else _extend_by_vertex(
+            enumerate_trees(n - 1, max_vertices), [1 << v for v in range(n - 1)]
         )
-    return _TREE_CACHE[n]
+    return _TREE_CACHE[n][0]
+
+
+def deletion_parents(n: int, trees_only: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Per representative of `enumerate_connected_graphs(n)` (or of
+    `enumerate_trees(n)`), the sorted indices of the (n-1)-representatives
+    isomorphic to G - u for a non-cut vertex u of G; empty for n = 1.  They
+    are recorded while the enumeration extends those representatives (see
+    `_extend_by_vertex`), which this call runs first if it has not run."""
+    cache = _TREE_CACHE if trees_only else _CONNECTED_CACHE
+    if n not in cache:
+        (enumerate_trees if trees_only else enumerate_connected_graphs)(n)
+    return cache[n][1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,94 @@
+"""Reference implementations that only the tests use.
+
+Each is the plain, slow form of something the package decides faster, or a
+small graph utility no production code needs.  Tests import them from here
+(`from reference import ...`).
+"""
+
+from typing import Iterable
+
+from scarflab.graphs import (
+    GraphError,
+    SimpleGraph,
+    canonical_form,
+    contains_induced,
+    family_catalog,
+    is_connected,
+)
+
+SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
+
+
+def induced_subgraph(
+    graph: SimpleGraph, vertices: Iterable[int]
+) -> tuple[SimpleGraph, tuple[int, ...]]:
+    """Induced subgraph on the given vertex set, relabelled to 0..k-1.
+
+    Returns the subgraph together with the relabelling map: entry i is the
+    original vertex that became vertex i.
+    """
+    chosen = sorted(set(vertices))
+    for v in chosen:
+        if not 0 <= v < graph.n:
+            raise GraphError(f"vertex {v} out of range")
+    position = {v: i for i, v in enumerate(chosen)}
+    edges = [
+        (position[u], position[v])
+        for u, v in graph.edges
+        if u in position and v in position
+    ]
+    return SimpleGraph.from_edges(len(chosen), edges), tuple(chosen)
+
+
+def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
+    if a.n != b.n or a.num_edges != b.num_edges:
+        return False
+    return canonical_form(a) == canonical_form(b)
+
+
+def diameter(graph: SimpleGraph) -> int:
+    if not is_connected(graph):
+        raise GraphError("diameter needs a connected graph")
+    best = 0
+    for source in range(graph.n):
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in graph.neighbors(v):
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        best = max(best, max(dist.values()))
+    return best
+
+
+def matches_special_tree_family(graph: SimpleGraph) -> bool:
+    """Tree families of the degree-4 path classification (no triangle member)."""
+    form = canonical_form(graph)
+    return any(
+        tag.kind in SPECIAL_TREE_FAMILY_KINDS and canonical_form(member) == form
+        for tag, member in family_catalog(graph.n)
+    )
+
+
+def recognize_family_linear(graph: SimpleGraph):
+    """`recognize_family` by scanning `family_catalog` in order."""
+    form = canonical_form(graph)
+    for tag, member in family_catalog(graph.n):
+        if canonical_form(member) == form:
+            return tag
+    return None
+
+
+def minimal_induced(bad: list[SimpleGraph]) -> list[SimpleGraph]:
+    """The graphs of `bad` (distinct classes) that contain no other one of
+    them as an induced subgraph, by pairwise containment search.  Only a
+    graph on fewer vertices can be a proper induced subgraph."""
+    return [
+        graph
+        for graph in bad
+        if not any(other.n < graph.n and contains_induced(graph, other) for other in bad)
+    ]

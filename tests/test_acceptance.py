@@ -26,7 +26,6 @@ from scarflab.analysis import (
     is_scarf,
     is_scarf_bruteforce,
     leaf_lemma_pipeline,
-    matches_special_tree_family,
 )
 from scarflab.cli import main as cli_main
 from scarflab.complexes import (
@@ -53,6 +52,8 @@ from scarflab.graphs import (
 )
 from scarflab.homology import GF2, GF32003, RATIONALS, reduced_betti
 from scarflab.ideals import IdealSpec, build_ideal
+
+from reference import matches_special_tree_family
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

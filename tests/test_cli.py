@@ -18,13 +18,14 @@ from scarflab.cli import (
 )
 from scarflab.graphs import (
     FamilyTag,
-    are_isomorphic,
     canonical_form,
     path_graph,
     spider5_graph,
     to_graph6,
 )
 from scarflab.homology import GF2, RATIONALS
+
+from reference import are_isomorphic
 
 
 class TestFamilyTokens:
@@ -303,6 +304,22 @@ class TestPinnedReports:
         assert hashlib.sha256(out).hexdigest() == (
             "abe54859519cd98fdc4fe49b1a780869e83100ffde3575cc50248439f4860cbb"
         )
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["sweep", "--spec", "connected:3", "--n-max", "7", "--jobs", "1", "--format", "json"],
+         "e0166f79c95c740f8a47b236be62a22300ed99397063f270b67d2e6163323a6a"),
+        (["sweep", "--spec", "path:4", "--n-max", "7", "--jobs", "1", "--format", "json"],
+         "f2f3758e3167a150285b2e80d15bfd1c2b5696c65c261f9a10fe521dbc27086a"),
+        (["derive", "--spec", "path:5", "--n-max", "7", "--mode", "induced"],
+         "24cb70b9f838806889ee9227115311fa7bf2104a4a4415726cb4ef76f46a1452"),
+    ], ids=["sweep-connected3-n7", "sweep-path4-n7", "derive-path5-induced-n7"])
+    def test_seven_vertex_reports(self, argv, digest, capsys):
+        """Reports on all 853 seven-vertex classes, which the benchmark does
+        not reach; the digests were taken from a full lattice scan of every
+        graph and a pairwise induced-containment search."""
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestImports:

@@ -14,7 +14,6 @@ from scarflab.graphs import (
     GraphError,
     MAX_VERTICES,
     SimpleGraph,
-    are_isomorphic,
     broom3_graph,
     broom4_graph,
     canonical_form,
@@ -24,11 +23,10 @@ from scarflab.graphs import (
     contains_induced,
     contains_subgraph,
     cycle_graph,
-    diameter,
+    deletion_parents,
     enumerate_connected_graphs,
     enumerate_trees,
     family_catalog,
-    induced_subgraph,
     is_connected,
     make_family,
     parse_adjacency_text,
@@ -46,6 +44,8 @@ from scarflab.graphs import (
     graph_from_json_dict,
     triangle_with_leaves,
 )
+
+from reference import are_isomorphic, diameter, induced_subgraph, recognize_family_linear
 
 
 def to_nx(graph: SimpleGraph) -> nx.Graph:
@@ -302,6 +302,11 @@ class TestCanonicalForms:
         theirs = GraphMatcher(to_nx(graph), to_nx(other)).is_isomorphic()
         assert ours == theirs
 
+    @given(graph_strategy)
+    def test_refined_colouring_is_a_fixed_point(self, graph):
+        colors = graphs._refine_colors(graph.adjacency, list(graph.degrees))
+        assert graphs._refine_colors(graph.adjacency, colors) == colors
+
 
 class TestPrunedSearch:
     """`_min_bits_over_classes` against `min_bits_reference`, call by call, and
@@ -373,6 +378,12 @@ class TestPrunedSearch:
 
 
 class TestRecognition:
+    def test_matches_linear_scan(self):
+        graphs_to_check = [member for n in range(1, 11) for _, member in family_catalog(n)]
+        graphs_to_check += [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+        for graph in graphs_to_check:
+            assert recognize_family(graph) == recognize_family_linear(graph), graph.edges
+
     def test_paths_and_cycles_first(self):
         assert recognize_family(path_graph(7)) == FamilyTag("path", (7,))
         assert recognize_family(cycle_graph(5)) == FamilyTag("cycle", (5,))
@@ -411,6 +422,22 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(GraphError):
             enumerate_connected_graphs(8)
+
+    @staticmethod
+    def deletion_classes(graph: SimpleGraph, index: dict[bytes, int]) -> tuple[int, ...]:
+        return tuple(sorted({
+            index[canonical_form(induced_subgraph(graph, set(range(graph.n)) - {u})[0])]
+            for u in removable_vertices(graph)
+        }))
+
+    @pytest.mark.parametrize("trees_only", [False, True])
+    def test_parents_are_the_non_cut_deletions(self, trees_only):
+        enumerate_ = enumerate_trees if trees_only else enumerate_connected_graphs
+        assert deletion_parents(1, trees_only) == ((),)
+        for n in range(2, 10 if trees_only else 8):
+            index = {canonical_form(g): i for i, g in enumerate(enumerate_(n - 1))}
+            expected = tuple(self.deletion_classes(g, index) for g in enumerate_(n))
+            assert deletion_parents(n, trees_only) == expected, n
 
     def test_seven_vertex_count(self):
         assert len(enumerate_connected_graphs(7)) == 853

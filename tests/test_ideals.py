@@ -9,7 +9,6 @@ from scarflab.graphs import (
     SimpleGraph,
     cycle_graph,
     enumerate_connected_graphs,
-    induced_subgraph,
     path_graph,
     star_graph,
     triangle_with_leaves,
@@ -21,6 +20,8 @@ from scarflab.ideals import (
     vertex_universe,
 )
 from scarflab.monomials import SquarefreeMonomial
+
+from reference import induced_subgraph
 
 
 def mask_of(vertices) -> int:
