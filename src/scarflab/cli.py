@@ -174,8 +174,11 @@ def _emit(text: str, output: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output file {output}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -10,10 +10,18 @@ input and output.
 Canonical forms are exact: colour refinement first, then minimisation of the
 graph6 bit string over the colour-respecting orderings by a pruned depth-first
 search, branching through individualisation when the colour classes allow too
-many orderings.  The brute-force all-permutations form is kept alongside as a
-test oracle.  Connected graphs and trees are enumerated by adding one vertex
-at a time and deduplicating by canonical form; the enumeration also records,
-for each class, the classes of its one-vertex deletions that stay connected.
+many orderings.  Colour refinement splits classes by neighbour counts per
+class, read off as bit counts.  The brute-force all-permutations form is kept
+alongside as a test oracle.
+
+Connected graphs and trees are enumerated by adding one vertex at a time and
+deduplicating by canonical form.  Each representative gets one new vertex per
+orbit of neighbour masks under the permutations of its twin classes, which
+are automorphisms, so no class and no parent is lost.  The enumeration also
+records, for each class, the classes of its one-vertex deletions that stay
+connected.  Only the representatives' canonical forms are kept, in a table
+that `canonical_form` reads first; a candidate's form is computed, compared
+and dropped.
 """
 
 from __future__ import annotations
@@ -347,30 +355,56 @@ def removable_vertices(graph: SimpleGraph) -> tuple[int, ...]:
 
 
 def _refine_colors(adjacency: Sequence[int], colors: list[int]) -> list[int]:
-    """Split colour classes by the multiset of neighbour colours until stable;
-    the result numbers the classes by the rank of their signatures.
+    """Split colour classes by how many neighbours each vertex has in each
+    class until stable; the result numbers the classes by the rank of their
+    signatures.
+
+    Vertex v's signature is `(colour, (-|N(v) & C| for each class C in colour
+    order))`.  *Precondition:* all vertices of one colour have the same
+    degree.  The degree colouring has this property, so does every
+    refinement of a colouring that has it, and so does an individualised
+    branch of one (`_canonical_bits` splits a class in two), which covers
+    every call.  Under it the ranking is the one of the plain signature
+    `(colour, sorted neighbour colours)`, so every colouring, and every
+    canonical form, is the same as with that signature.  Signatures of
+    different colours compare by colour either way.  Two vertices of one
+    colour have neighbour-colour multisets A and B of the same size d; they
+    are equal exactly when the counts are.  Otherwise let c be the smallest
+    colour whose counts differ, say A has more c's.  The sorted tuples agree
+    on their first p entries, the colours below c and B's c's; A's entry p
+    is c, and B's is larger (B has only p entries up to c, and p < d).  So
+    sorted(A) < sorted(B), and the negated counts first differ at c with A's
+    the smaller.  (Without the precondition this fails: (0,) < (0, 0), while
+    one 0 negated exceeds two.)
 
     The result is a fixed point: `_refine_colors(adj, c) == c` when c is a
     returned colouring.  The last round kept the number of classes, and every
     signature starts with the vertex's old colour, so its classes are the old
-    classes, each with one neighbour-colour multiset.  c renames those
-    classes, so a further round again finds one signature per class and keeps
-    the count.  Its signatures start with c[v], which is distinct per class,
-    so ranking them sorts the classes by c and gives each class the rank
-    c[v] back.
+    classes, each with one vector of neighbour counts.  c renames those
+    classes, keeping their order, so a further round again finds one
+    signature per class and keeps the count.  Its signatures start with
+    c[v], which is distinct per class, so ranking them sorts the classes by c
+    and gives each class the rank c[v] back.
     """
-    n = len(adjacency)
-    num = len(set(colors))
     while True:
-        signatures = []
-        for v in range(n):
-            neighbor_colors = sorted(colors[u] for u in _bits(adjacency[v]))
-            signatures.append((colors[v], tuple(neighbor_colors)))
+        members: dict[int, int] = {}
+        for v, c in enumerate(colors):
+            members[c] = members.get(c, 0) | 1 << v
+        class_masks = [members[c] for c in sorted(members)]
+        signatures = [
+            (colors[v], tuple([-(row & mask).bit_count() for mask in class_masks]))
+            for v, row in enumerate(adjacency)
+        ]
         ranking = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         new_colors = [ranking[sig] for sig in signatures]
-        if len(ranking) == num:
+        if len(ranking) == len(class_masks):
             return new_colors
-        colors, num = new_colors, len(ranking)
+        colors = new_colors
+
+
+def _are_twins(adjacency: Sequence[int], v: int, w: int) -> bool:
+    """True when v and w have the same neighbours apart from each other."""
+    return adjacency[v] & ~(1 << w) == adjacency[w] & ~(1 << v)
 
 
 def _order_bits(adjacency: Sequence[int], order: Sequence[int]) -> bytes:
@@ -406,11 +440,11 @@ def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -
       vertex whose row j exceeds the best's row j only has larger
       completions.  Once a prefix is strictly smaller, no later row of it is
       compared.
-    - *Twins.*  Unused v and w of one class with
-      `adj[v] & ~(1<<w) == adj[w] & ~(1<<v)` are swapped by an automorphism
-      that fixes every other vertex, so it fixes the prefix and maps the
-      colour-respecting completions of `prefix + [v]` onto those of
-      `prefix + [w]` with equal bits; exploring one of them is enough.
+    - *Twins.*  Unused twins v and w of one class (`_are_twins`) are
+      swapped by an automorphism that fixes every other vertex, so it fixes
+      the prefix and maps the colour-respecting completions of
+      `prefix + [v]` onto those of `prefix + [w]` with equal bits;
+      exploring one of them is enough.
     """
     n = len(adjacency)
     slot_class = [c for c in classes for _ in c]
@@ -438,8 +472,7 @@ def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -
         for v in candidates:
             if row_of[v] != low:
                 continue
-            row_v = adjacency[v]
-            if any(row_v & ~(1 << u) == adjacency[u] & ~(1 << v) for u in explored):
+            if any(_are_twins(adjacency, u, v) for u in explored):
                 continue
             explored.append(v)
             order.append(v)
@@ -492,21 +525,26 @@ def _pack_graph6(n: int, bits: bytes) -> bytes:
     return bytes(out)
 
 
-@lru_cache(maxsize=None)
-def _canonical_form_cached(graph: SimpleGraph) -> bytes:
-    # `_canonical_bits` refines the degree colouring itself; refining it here
-    # first would change nothing, since refined colourings are fixed points.
-    if graph.n == 0:
-        raise GraphError("canonical form needs at least one vertex")
-    bits = _canonical_bits(graph.adjacency, list(graph.degrees))
-    return _pack_graph6(graph.n, bits)
+# Representative -> its canonical form, for every representative an
+# enumeration has returned (`_extend_by_vertex` records them).  Candidates,
+# which are only deduplicated, are not kept.
+_REPRESENTATIVE_FORMS: dict[SimpleGraph, bytes] = {}
 
 
 def canonical_form(graph: SimpleGraph, max_vertices: int = DEFAULT_CANONICAL_CAP) -> bytes:
-    """Canonical graph6 bytes; equal exactly for isomorphic graphs."""
+    """Canonical graph6 bytes; equal exactly for isomorphic graphs.  The forms
+    of enumerated representatives are looked up, all others computed."""
     if graph.n > max_vertices:
         raise GraphError(f"canonical form capped at {max_vertices} vertices")
-    return _canonical_form_cached(graph)
+    form = _REPRESENTATIVE_FORMS.get(graph)
+    if form is None:
+        if graph.n == 0:
+            raise GraphError("canonical form needs at least one vertex")
+        # `_canonical_bits` refines the degree colouring itself; refining it
+        # here first would change nothing, since refined colourings are fixed
+        # points.
+        form = _pack_graph6(graph.n, _canonical_bits(graph.adjacency, list(graph.degrees)))
+    return form
 
 
 def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> bytes:
@@ -524,11 +562,58 @@ def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> byte
 # exhaustive enumeration
 
 
+def _twin_classes(adjacency: Sequence[int]) -> list[list[int]]:
+    """The classes of the twin relation `_are_twins`, each in increasing order.
+
+    Twinness is an equivalence relation.  Write v ~ w when they are twins.
+    If v ~ w and w ~ x (v, w, x distinct), the two pairs are both edges or
+    both non-edges.  Were v-w an edge and w-x not, x would not be a
+    neighbour of w, so not of v (v ~ w); yet v is a neighbour of w, so of x
+    (w ~ x).  Adjacent twins have N[v] = N[w] and non-adjacent ones
+    N(v) = N(w), and each of those is transitive.  So a class is a clique or
+    an independent set whose members have the same neighbours outside it,
+    and every permutation of a class that fixes the other vertices is an
+    automorphism.  Testing against a class's first member suffices.
+    """
+    classes: list[list[int]] = []
+    for v in range(len(adjacency)):
+        for members in classes:
+            if _are_twins(adjacency, members[0], v):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _prefix_masks(adjacency: Sequence[int], masks: Iterable[int]) -> list[int]:
+    """The masks that pick, in every twin class, its lowest-numbered vertices."""
+    checks = []
+    for members in _twin_classes(adjacency):
+        if len(members) > 1:
+            bits = [1 << v for v in members]
+            checks.append((sum(bits), set(itertools.accumulate(bits, initial=0))))
+    return [m for m in masks if all(m & whole in prefixes for whole, prefixes in checks)]
+
+
 def _extend_by_vertex(
     reps: tuple[SimpleGraph, ...], neighbour_masks: Sequence[int]
 ) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
-    """Join a new last vertex to each representative once per neighbour mask
-    and keep one canonically labelled graph per class, sorted by form.
+    """Join a new last vertex to each representative once per twin orbit of
+    `neighbour_masks` and keep one canonically labelled graph per class,
+    sorted by form; record each class's form in `_REPRESENTATIVE_FORMS`.
+
+    *Twin orbits.*  Of the masks, a representative P gets only those that
+    pick, in every twin class of P (`_twin_classes`), the lowest-numbered
+    members (`_prefix_masks`).  Every permutation sigma inside the twin
+    classes is an automorphism of P, so P + M and P + sigma(M) are
+    isomorphic: sigma, fixing the new vertex, maps one onto the other.  The
+    orbit of M under these permutations is fixed by how many vertices M
+    picks in each class, so it holds exactly one such prefix mask.  The
+    masks used here (all nonempty masks, or all one-bit masks) are closed
+    under these permutations, so every orbit of them keeps its prefix mask,
+    and each P still reaches every class it reached with all the masks.
+    The classes found and the parents below are therefore unchanged.
 
     Also returns, per class, the sorted indices into `reps` of the
     representatives whose candidates landed in it: its *parents*.  When
@@ -540,18 +625,20 @@ def _extend_by_vertex(
     is non-cut, G - u is isomorphic to some representative P by a map phi,
     the mask of phi(N(u)) is nonempty (one bit when u is a leaf), and that
     candidate of P is isomorphic to G.
+
+    A representative parsed from a form F is isomorphic to the candidates
+    with form F, so its own canonical form is F; that is what is recorded.
     """
     seen: dict[bytes, set[int]] = {}
     for index, graph in enumerate(reps):
         new = graph.n
-        for mask in neighbour_masks:
+        for mask in _prefix_masks(graph.adjacency, neighbour_masks):
             grown = SimpleGraph(new + 1, graph.edges | {(u, new) for u in _bits(mask)})
             seen.setdefault(canonical_form(grown), set()).add(index)
     forms = sorted(seen)
-    return (
-        tuple(parse_graph6(form.decode("ascii")) for form in forms),
-        tuple(tuple(sorted(seen[form])) for form in forms),
-    )
+    classes = tuple(parse_graph6(form.decode("ascii")) for form in forms)
+    _REPRESENTATIVE_FORMS.update(zip(classes, forms))
+    return classes, tuple(tuple(sorted(seen[form])) for form in forms)
 
 
 _SINGLE_VERTEX = ((SimpleGraph(1, frozenset()),), ((),))

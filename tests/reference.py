@@ -5,15 +5,18 @@ small graph utility no production code needs.  Tests import them from here
 (`from reference import ...`).
 """
 
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from scarflab.graphs import (
     GraphError,
     SimpleGraph,
+    _bits,
     canonical_form,
     contains_induced,
     family_catalog,
     is_connected,
+    parse_graph6,
 )
 
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
@@ -65,20 +68,26 @@ def diameter(graph: SimpleGraph) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
+def catalog_forms(n: int) -> tuple:
+    """(tag, canonical form) of each member of `family_catalog(n)`, in order."""
+    return tuple((tag, canonical_form(member)) for tag, member in family_catalog(n))
+
+
 def matches_special_tree_family(graph: SimpleGraph) -> bool:
     """Tree families of the degree-4 path classification (no triangle member)."""
     form = canonical_form(graph)
     return any(
-        tag.kind in SPECIAL_TREE_FAMILY_KINDS and canonical_form(member) == form
-        for tag, member in family_catalog(graph.n)
+        tag.kind in SPECIAL_TREE_FAMILY_KINDS and member_form == form
+        for tag, member_form in catalog_forms(graph.n)
     )
 
 
 def recognize_family_linear(graph: SimpleGraph):
     """`recognize_family` by scanning `family_catalog` in order."""
     form = canonical_form(graph)
-    for tag, member in family_catalog(graph.n):
-        if canonical_form(member) == form:
+    for tag, member_form in catalog_forms(graph.n):
+        if member_form == form:
             return tag
     return None
 
@@ -92,3 +101,38 @@ def minimal_induced(bad: list[SimpleGraph]) -> list[SimpleGraph]:
         for graph in bad
         if not any(other.n < graph.n and contains_induced(graph, other) for other in bad)
     ]
+
+
+def refine_colors_multiset(adjacency: Sequence[int], colors: list[int]) -> list[int]:
+    """`graphs._refine_colors` with the signature (colour, sorted neighbour
+    colours), which needs no precondition on the colouring."""
+    n = len(adjacency)
+    num = len(set(colors))
+    while True:
+        signatures = []
+        for v in range(n):
+            neighbor_colors = sorted(colors[u] for u in _bits(adjacency[v]))
+            signatures.append((colors[v], tuple(neighbor_colors)))
+        ranking = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        new_colors = [ranking[sig] for sig in signatures]
+        if len(ranking) == num:
+            return new_colors
+        colors, num = new_colors, len(ranking)
+
+
+def extend_by_vertex_all_masks(
+    reps: tuple[SimpleGraph, ...], neighbour_masks: Sequence[int]
+) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
+    """`graphs._extend_by_vertex` with every mask for every representative,
+    no twin-orbit pruning."""
+    seen: dict[bytes, set[int]] = {}
+    for index, graph in enumerate(reps):
+        new = graph.n
+        for mask in neighbour_masks:
+            grown = SimpleGraph(new + 1, graph.edges | {(u, new) for u in _bits(mask)})
+            seen.setdefault(canonical_form(grown), set()).add(index)
+    forms = sorted(seen)
+    return (
+        tuple(parse_graph6(form.decode("ascii")) for form in forms),
+        tuple(tuple(sorted(seen[form])) for form in forms),
+    )

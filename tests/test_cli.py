@@ -274,6 +274,22 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["scarf", "--graph", "path:5", "--spec", "connected:3"],
+         ["sweep", "--spec", "path:4", "--n-max", "4"]],
+        ids=["scarf", "sweep"],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv, target):
+        # exit 1 would read as "not Scarf"
+        output = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
+        assert main(argv + ["--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert str(output) in captured.err
+        assert captured.out == ""
+
 
 class TestDeterminism:
     def test_sweep_output_is_stable(self, tmp_path):

@@ -45,7 +45,14 @@ from scarflab.graphs import (
     triangle_with_leaves,
 )
 
-from reference import are_isomorphic, diameter, induced_subgraph, recognize_family_linear
+from reference import (
+    are_isomorphic,
+    diameter,
+    extend_by_vertex_all_masks,
+    induced_subgraph,
+    recognize_family_linear,
+    refine_colors_multiset,
+)
 
 
 def to_nx(graph: SimpleGraph) -> nx.Graph:
@@ -307,6 +314,25 @@ class TestCanonicalForms:
         colors = graphs._refine_colors(graph.adjacency, list(graph.degrees))
         assert graphs._refine_colors(graph.adjacency, colors) == colors
 
+    @given(st.builds(
+        lambda n, seed, p: random_graph(random.Random(seed), n, p),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=0, max_value=10**9),
+        st.floats(min_value=0.1, max_value=0.9),
+    ))
+    def test_bit_count_refinement_matches_multiset_reference(self, graph):
+        # the colourings `_canonical_bits` refines: the degree colouring and
+        # each individualised branch of its refinement
+        adjacency = graph.adjacency
+        degrees = list(graph.degrees)
+        refined = graphs._refine_colors(adjacency, degrees)
+        assert refined == refine_colors_multiset(adjacency, degrees)
+        for v in range(graph.n):
+            branched = [c * 2 + (0 if u == v else 1) for u, c in enumerate(refined)]
+            assert graphs._refine_colors(adjacency, branched) == (
+                refine_colors_multiset(adjacency, branched)
+            )
+
 
 class TestPrunedSearch:
     """`_min_bits_over_classes` against `min_bits_reference`, call by call, and
@@ -314,8 +340,9 @@ class TestPrunedSearch:
 
     @staticmethod
     def searches(graph: SimpleGraph, search, monkeypatch) -> tuple[bytes, list]:
-        """Canonical form of graph, from a cold cache, with `search` in place of
-        `_min_bits_over_classes`, and the (adjacency, classes) of every call."""
+        """Canonical form of graph, with no recorded form to look up and with
+        `search` in place of `_min_bits_over_classes`, and the (adjacency,
+        classes) of every call."""
         calls = []
 
         def recording(adjacency, classes):
@@ -324,9 +351,8 @@ class TestPrunedSearch:
 
         with monkeypatch.context() as patch:
             patch.setattr(graphs, "_min_bits_over_classes", recording)
-            graphs._canonical_form_cached.cache_clear()
+            patch.setattr(graphs, "_REPRESENTATIVE_FORMS", {})
             form = canonical_form(graph)
-        graphs._canonical_form_cached.cache_clear()
         return form, calls
 
     def assert_matches_reference(self, graph: SimpleGraph, monkeypatch) -> int:
@@ -438,6 +464,46 @@ class TestEnumeration:
             index = {canonical_form(g): i for i, g in enumerate(enumerate_(n - 1))}
             expected = tuple(self.deletion_classes(g, index) for g in enumerate_(n))
             assert deletion_parents(n, trees_only) == expected, n
+
+    @staticmethod
+    def cold_caches(monkeypatch) -> None:
+        """Empty enumeration caches and form table for this test only."""
+        for name in ("_CONNECTED_CACHE", "_TREE_CACHE", "_REPRESENTATIVE_FORMS"):
+            monkeypatch.setattr(graphs, name, {})
+
+    @pytest.mark.parametrize("trees_only", [False, True])
+    def test_twin_orbits_match_all_masks(self, trees_only):
+        enumerate_ = enumerate_trees if trees_only else enumerate_connected_graphs
+        for n in range(2, 10 if trees_only else 8):
+            masks = [1 << v for v in range(n - 1)] if trees_only else range(1, 1 << (n - 1))
+            reps, parents = extend_by_vertex_all_masks(enumerate_(n - 1), masks)
+            assert [to_graph6(g) for g in enumerate_(n)] == [to_graph6(g) for g in reps], n
+            assert deletion_parents(n, trees_only) == parents, n
+
+    def test_candidate_counts(self, monkeypatch):
+        # one candidate per twin orbit of neighbour masks, level by level
+        self.cold_caches(monkeypatch)
+        calls = []
+        production = graphs.canonical_form
+
+        def counting(graph, *args):
+            calls.append(graph.n)
+            return production(graph, *args)
+
+        monkeypatch.setattr(graphs, "canonical_form", counting)
+        enumerate_connected_graphs(7)
+        assert [calls.count(n) for n in range(2, 8)] == [1, 2, 8, 53, 417, 4818]
+        calls.clear()
+        enumerate_trees(9)
+        assert [calls.count(n) for n in range(2, 10)] == [1, 1, 2, 6, 11, 27, 59, 143]
+
+    def test_form_table_holds_only_representatives(self, monkeypatch):
+        self.cold_caches(monkeypatch)
+        enumerate_connected_graphs(7)
+        reps = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+        assert graphs._REPRESENTATIVE_FORMS == {
+            g: to_graph6(g).encode("ascii") for g in reps
+        }
 
     def test_seven_vertex_count(self):
         assert len(enumerate_connected_graphs(7)) == 853
