@@ -205,15 +205,10 @@ def _scarf_scan(
     )
 
 
-@lru_cache(maxsize=None)
-def _is_scarf_cached(ideal: MonomialIdeal, fields: tuple[FieldSpec, ...]) -> ScarfReport:
-    lattice = lcm_lattice(ideal)
-    return _scarf_scan(ideal, fields, lattice, len(lattice))
-
-
 def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     """Scarf verdict per field, with the smallest failing lattice point as witness."""
-    return _is_scarf_cached(ideal, _normalize_fields(fields))
+    lattice = lcm_lattice(ideal)
+    return _scarf_scan(ideal, _normalize_fields(fields), lattice, len(lattice))
 
 
 def is_scarf_bruteforce(

@@ -12,16 +12,18 @@ graph6 bit string over the colour-respecting orderings by a pruned depth-first
 search, branching through individualisation when the colour classes allow too
 many orderings.  Colour refinement splits classes by neighbour counts per
 class, read off as bit counts.  The brute-force all-permutations form is kept
-alongside as a test oracle.
+alongside as a test oracle.  A bit string is one integer, first bit highest;
+all strings of one n have the same length, so integers compare as strings.
 
 Connected graphs and trees are enumerated by adding one vertex at a time and
-deduplicating by canonical form.  Each representative gets one new vertex per
-orbit of neighbour masks under the permutations of its twin classes, which
-are automorphisms, so no class and no parent is lost.  The enumeration also
-records, for each class, the classes of its one-vertex deletions that stay
-connected.  Only the representatives' canonical forms are kept, in a table
-that `canonical_form` reads first; a candidate's form is computed, compared
-and dropped.
+deduplicating by canonical form, one cached level per n.  Each
+representative gets one new vertex per orbit of neighbour masks under the
+permutations of its twin classes, which are automorphisms, so no class and
+no parent is lost; the search prunes by the same twin classes.  The
+enumeration also records, for each class, the classes of its one-vertex
+deletions that stay connected.  Only the representatives' canonical forms
+are kept, in a table that `canonical_form` reads first; a candidate's form
+is computed, compared and dropped.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class SimpleGraph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(bin(m).count("1") for m in self.adjacency)
+        return tuple(m.bit_count() for m in self.adjacency)
 
     @property
     def num_edges(self) -> int:
@@ -402,18 +404,42 @@ def _refine_colors(adjacency: Sequence[int], colors: list[int]) -> list[int]:
         colors = new_colors
 
 
-def _are_twins(adjacency: Sequence[int], v: int, w: int) -> bool:
-    """True when v and w have the same neighbours apart from each other."""
-    return adjacency[v] & ~(1 << w) == adjacency[w] & ~(1 << v)
+def _twin_classes(adjacency: Sequence[int]) -> list[list[int]]:
+    """The classes of the twin relation, each in increasing order: v and w
+    are twins when they have the same neighbours apart from each other.
+
+    Twinness is an equivalence relation.  Write v ~ w when they are twins.
+    If v ~ w and w ~ x (v, w, x distinct), the two pairs are both edges or
+    both non-edges.  Were v-w an edge and w-x not, x would not be a
+    neighbour of w, so not of v (v ~ w); yet v is a neighbour of w, so of x
+    (w ~ x).  Adjacent twins have N[v] = N[w] and non-adjacent ones
+    N(v) = N(w), and each of those is transitive.  So a class is a clique or
+    an independent set whose members have the same neighbours outside it,
+    and every permutation of a class that fixes the other vertices is an
+    automorphism.  Testing against a class's first member suffices.
+    """
+    classes: list[list[int]] = []
+    for v, row in enumerate(adjacency):
+        for members in classes:
+            first = members[0]
+            if adjacency[first] & ~(1 << v) == row & ~(1 << first):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
 
 
-def _order_bits(adjacency: Sequence[int], order: Sequence[int]) -> bytes:
-    bits = bytearray()
+def _order_bits(adjacency: Sequence[int], order: Sequence[int]) -> int:
+    """The graph6 bit string of the graph relabelled so that `order[k]`
+    becomes k, first bit highest: for j = 1, 2, ..., the adjacencies of
+    `order[j]` to `order[0..j-1]`."""
+    bits = 0
     for j in range(1, len(order)):
         row = adjacency[order[j]]
         for i in range(j):
-            bits.append((row >> order[i]) & 1)
-    return bytes(bits)
+            bits = (bits << 1) | (row >> order[i] & 1)
+    return bits
 
 
 def _color_classes(colors: Sequence[int]) -> list[list[int]]:
@@ -423,7 +449,7 @@ def _color_classes(colors: Sequence[int]) -> list[list[int]]:
     return [classes[c] for c in sorted(classes)]
 
 
-def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -> bytes:
+def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -> int:
     """Smallest `_order_bits` over the orderings that list the classes in turn,
     each class in any order; a depth-first search that returns the same
     minimum as trying every such ordering.
@@ -440,26 +466,29 @@ def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -
       vertex whose row j exceeds the best's row j only has larger
       completions.  Once a prefix is strictly smaller, no later row of it is
       compared.
-    - *Twins.*  Unused twins v and w of one class (`_are_twins`) are
-      swapped by an automorphism that fixes every other vertex, so it fixes
-      the prefix and maps the colour-respecting completions of
-      `prefix + [v]` onto those of `prefix + [w]` with equal bits;
-      exploring one of them is enough.
+    - *Twins.*  Unused twins v and w of one class (one class of
+      `_twin_classes`) are swapped by an automorphism that fixes every other
+      vertex, so it fixes the prefix and maps the colour-respecting
+      completions of `prefix + [v]` onto those of `prefix + [w]` with equal
+      bits; exploring one vertex per twin class is enough.
+
+    Row j, read as a j-bit number, is the string's next j bits, so the best
+    rows concatenate to the result.
     """
     n = len(adjacency)
     slot_class = [c for c in classes for _ in c]
-    order: list[int] = []
+    twin_class = {v: members[0] for members in _twin_classes(adjacency) for v in members}
     rows: list[int] = []
-    best_order: list[int] = []
     best_rows: list[int] = []
 
     def search(depth: int, row_of: list[int], unused: int, less: bool) -> bool:
-        """Explore below `order`; `row_of[v]` is v's row against `order` read
-        as a binary number, and `less` says the prefix is strictly smaller
-        than the best one (or no best exists).  True if the best changed."""
+        """Explore below the prefix whose rows are `rows`; `row_of[v]` is v's
+        row against the prefix read as a binary number, and `less` says the
+        prefix is strictly smaller than the best one (or no best exists).
+        True if the best changed."""
         if depth == n:
             if less:
-                best_order[:], best_rows[:] = order, rows
+                best_rows[:] = rows
             return less
         candidates = [v for v in slot_class[depth] if unused >> v & 1]
         low = min(row_of[v] for v in candidates)
@@ -468,28 +497,27 @@ def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -
                 return False
             less = low < best_rows[depth]
         replaced = False
-        explored: list[int] = []
+        explored: set[int] = set()
         for v in candidates:
-            if row_of[v] != low:
+            if row_of[v] != low or twin_class[v] in explored:
                 continue
-            if any(_are_twins(adjacency, u, v) for u in explored):
-                continue
-            explored.append(v)
-            order.append(v)
+            explored.add(twin_class[v])
             rows.append(low)
             child_rows = [(r << 1) | (a >> v & 1) for r, a in zip(row_of, adjacency)]
             if search(depth + 1, child_rows, unused & ~(1 << v), less):
                 # The new best runs through this prefix, so it is no longer smaller.
                 replaced, less = True, False
-            order.pop()
             rows.pop()
         return replaced
 
     search(0, [0] * n, (1 << n) - 1, True)
-    return _order_bits(adjacency, best_order)
+    bits = 0
+    for j, row in enumerate(best_rows):
+        bits = (bits << j) | row
+    return bits
 
 
-def _canonical_bits(adjacency: Sequence[int], colors: list[int]) -> bytes:
+def _canonical_bits(adjacency: Sequence[int], colors: list[int]) -> int:
     colors = _refine_colors(adjacency, colors)
     classes = _color_classes(colors)
     total = 1
@@ -500,29 +528,21 @@ def _canonical_bits(adjacency: Sequence[int], colors: list[int]) -> bytes:
     if total <= _ORDERING_ENUM_LIMIT:
         return _min_bits_over_classes(adjacency, classes)
     target = next(c for c in classes if len(c) > 1)
-    best: bytes | None = None
-    for v in target:
-        branched = [colors[u] * 2 + (0 if u == v else 1) for u in range(len(colors))]
-        bits = _canonical_bits(adjacency, branched)
-        if best is None or bits < best:
-            best = bits
-    assert best is not None
-    return best
+    return min(
+        _canonical_bits(adjacency, [c * 2 + (0 if u == v else 1) for u, c in enumerate(colors)])
+        for v in target
+    )
 
 
-def _pack_graph6(n: int, bits: bytes) -> bytes:
+def _pack_graph6(n: int, bits: int) -> bytes:
+    """graph6 bytes of the n(n-1)/2-bit string `bits`: the size byte, then
+    the string padded with zeros to whole groups of six, a byte per group."""
     if n > 62:
         raise GraphError("graph6 support here stops at 62 vertices")
-    out = bytearray([n + 63])
-    for start in range(0, len(bits), 6):
-        chunk = bits[start:start + 6]
-        value = 0
-        for pos in range(6):
-            value <<= 1
-            if pos < len(chunk) and chunk[pos]:
-                value |= 1
-        out.append(value + 63)
-    return bytes(out)
+    length = n * (n - 1) // 2
+    groups = (length + 5) // 6
+    padded = bits << (6 * groups - length)
+    return bytes([n + 63, *((padded >> (6 * k) & 63) + 63 for k in reversed(range(groups)))])
 
 
 # Representative -> its canonical form, for every representative an
@@ -560,30 +580,6 @@ def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> byte
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
-
-
-def _twin_classes(adjacency: Sequence[int]) -> list[list[int]]:
-    """The classes of the twin relation `_are_twins`, each in increasing order.
-
-    Twinness is an equivalence relation.  Write v ~ w when they are twins.
-    If v ~ w and w ~ x (v, w, x distinct), the two pairs are both edges or
-    both non-edges.  Were v-w an edge and w-x not, x would not be a
-    neighbour of w, so not of v (v ~ w); yet v is a neighbour of w, so of x
-    (w ~ x).  Adjacent twins have N[v] = N[w] and non-adjacent ones
-    N(v) = N(w), and each of those is transitive.  So a class is a clique or
-    an independent set whose members have the same neighbours outside it,
-    and every permutation of a class that fixes the other vertices is an
-    automorphism.  Testing against a class's first member suffices.
-    """
-    classes: list[list[int]] = []
-    for v in range(len(adjacency)):
-        for members in classes:
-            if _are_twins(adjacency, members[0], v):
-                members.append(v)
-                break
-        else:
-            classes.append([v])
-    return classes
 
 
 def _prefix_masks(adjacency: Sequence[int], masks: Iterable[int]) -> list[int]:
@@ -641,9 +637,20 @@ def _extend_by_vertex(
     return classes, tuple(tuple(sorted(seen[form])) for form in forms)
 
 
-_SINGLE_VERTEX = ((SimpleGraph(1, frozenset()),), ((),))
-# n -> (representatives, parents), as `_extend_by_vertex` returns them.
-_CONNECTED_CACHE: dict[int, tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]] = {}
+@lru_cache(maxsize=None)
+def _level(
+    n: int, trees_only: bool
+) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
+    """(representatives, parents) of the connected graphs on n vertices, or
+    with trees_only of the trees, as `_extend_by_vertex` returns them.  The
+    level below comes through the public enumerators, so a wrapper around
+    them (perfbench/spans.py) sees one call per level and credits each
+    level's canonical forms to it."""
+    if n == 1:
+        return (SimpleGraph(1, frozenset()),), ((),)
+    if trees_only:
+        return _extend_by_vertex(enumerate_trees(n - 1, n - 1), [1 << v for v in range(n - 1)])
+    return _extend_by_vertex(enumerate_connected_graphs(n - 1, n - 1), range(1, 1 << (n - 1)))
 
 
 def enumerate_connected_graphs(
@@ -660,14 +667,7 @@ def enumerate_connected_graphs(
     """
     if not 1 <= n <= max_vertices:
         raise GraphError(f"enumeration supports 1..{max_vertices} vertices")
-    if n not in _CONNECTED_CACHE:
-        _CONNECTED_CACHE[n] = _SINGLE_VERTEX if n == 1 else _extend_by_vertex(
-            enumerate_connected_graphs(n - 1, max_vertices), range(1, 1 << (n - 1))
-        )
-    return _CONNECTED_CACHE[n][0]
-
-
-_TREE_CACHE: dict[int, tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]] = {}
+    return _level(n, False)[0]
 
 
 def enumerate_trees(n: int, max_vertices: int = 10) -> tuple[SimpleGraph, ...]:
@@ -675,11 +675,7 @@ def enumerate_trees(n: int, max_vertices: int = 10) -> tuple[SimpleGraph, ...]:
     tree on n >= 2 vertices is a smaller tree plus a leaf joined to one vertex."""
     if not 1 <= n <= max_vertices:
         raise GraphError(f"tree enumeration supports 1..{max_vertices} vertices")
-    if n not in _TREE_CACHE:
-        _TREE_CACHE[n] = _SINGLE_VERTEX if n == 1 else _extend_by_vertex(
-            enumerate_trees(n - 1, max_vertices), [1 << v for v in range(n - 1)]
-        )
-    return _TREE_CACHE[n][0]
+    return _level(n, True)[0]
 
 
 def deletion_parents(n: int, trees_only: bool = False) -> tuple[tuple[int, ...], ...]:
@@ -687,11 +683,9 @@ def deletion_parents(n: int, trees_only: bool = False) -> tuple[tuple[int, ...],
     `enumerate_trees(n)`), the sorted indices of the (n-1)-representatives
     isomorphic to G - u for a non-cut vertex u of G; empty for n = 1.  They
     are recorded while the enumeration extends those representatives (see
-    `_extend_by_vertex`), which this call runs first if it has not run."""
-    cache = _TREE_CACHE if trees_only else _CONNECTED_CACHE
-    if n not in cache:
-        (enumerate_trees if trees_only else enumerate_connected_graphs)(n)
-    return cache[n][1]
+    `_extend_by_vertex`).  Call it after that enumeration, which checks the
+    vertex cap; otherwise this call runs the level itself, uncapped."""
+    return _level(n, trees_only)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +749,6 @@ def contains_subgraph(
     """True if some (not necessarily induced) subgraph of host is isomorphic to pattern."""
     if host.n > max_vertices:
         raise GraphError(f"containment search capped at {max_vertices} vertices")
-    if pattern.n > host.n:
-        return False
     return _embeds(host, pattern, induced=False)
 
 
@@ -766,8 +758,6 @@ def contains_induced(
     """True if some induced subgraph of host is isomorphic to pattern."""
     if host.n > max_vertices:
         raise GraphError(f"containment search capped at {max_vertices} vertices")
-    if pattern.n > host.n:
-        return False
     return _embeds(host, pattern, induced=True)
 
 
@@ -776,8 +766,7 @@ def contains_induced(
 
 
 def to_graph6(graph: SimpleGraph) -> str:
-    bits = _order_bits(graph.adjacency, range(graph.n))
-    return _pack_graph6(graph.n, bits).decode("ascii")
+    return _pack_graph6(graph.n, _order_bits(graph.adjacency, range(graph.n))).decode("ascii")
 
 
 def parse_graph6(text: str) -> SimpleGraph:
@@ -798,17 +787,17 @@ def parse_graph6(text: str) -> SimpleGraph:
         raise GraphError(
             f"graph6 body length {len(body)} does not match {need} groups for n={n}"
         )
-    bits = []
+    padded = 0
     for value in body:
-        for pos in range(5, -1, -1):
-            bits.append((value >> pos) & 1)
+        padded = (padded << 6) | value
+    # Read the string from its first (highest) bit; the padding is ignored.
+    position = 6 * need
     edges = []
-    k = 0
     for j in range(1, n):
         for i in range(j):
-            if bits[k]:
+            position -= 1
+            if padded >> position & 1:
                 edges.append((i, j))
-            k += 1
     return SimpleGraph.from_edges(n, edges)
 
 

@@ -21,10 +21,6 @@ class MonomialError(ValueError):
     pass
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -103,7 +99,7 @@ class SquarefreeMonomial:
 
     @property
     def degree(self) -> int:
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     @property
     def is_one(self) -> bool:
@@ -256,7 +252,7 @@ def minimalize(
         universe = gens[0].universe
     for g in gens:
         _require_same_universe(g, SquarefreeMonomial(universe, 0))
-    masks = sorted({g.mask for g in gens}, key=lambda m: (_popcount(m), m))
+    masks = sorted({g.mask for g in gens}, key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for m in masks:
         if not any(k & ~m == 0 for k in kept):

@@ -103,6 +103,30 @@ def minimal_induced(bad: list[SimpleGraph]) -> list[SimpleGraph]:
     ]
 
 
+def order_bits_bytewise(adjacency: Sequence[int], order: Sequence[int]) -> bytes:
+    """`graphs._order_bits` with one byte per bit, first bit first."""
+    bits = bytearray()
+    for j in range(1, len(order)):
+        row = adjacency[order[j]]
+        for i in range(j):
+            bits.append((row >> order[i]) & 1)
+    return bytes(bits)
+
+
+def pack_graph6_bytewise(n: int, bits: bytes) -> bytes:
+    """`graphs._pack_graph6` for a string of one byte per bit."""
+    out = bytearray([n + 63])
+    for start in range(0, len(bits), 6):
+        chunk = bits[start:start + 6]
+        value = 0
+        for pos in range(6):
+            value <<= 1
+            if pos < len(chunk) and chunk[pos]:
+                value |= 1
+        out.append(value + 63)
+    return bytes(out)
+
+
 def refine_colors_multiset(adjacency: Sequence[int], colors: list[int]) -> list[int]:
     """`graphs._refine_colors` with the signature (colour, sorted neighbour
     colours), which needs no precondition on the colouring."""

@@ -50,6 +50,8 @@ from reference import (
     diameter,
     extend_by_vertex_all_masks,
     induced_subgraph,
+    order_bits_bytewise,
+    pack_graph6_bytewise,
     recognize_family_linear,
     refine_colors_multiset,
 )
@@ -81,7 +83,7 @@ def relabeled(graph: SimpleGraph, rng: random.Random) -> SimpleGraph:
     return SimpleGraph.from_edges(graph.n, [(perm[u], perm[v]) for u, v in graph.sorted_edges()])
 
 
-def min_bits_reference(adjacency, classes) -> bytes:
+def min_bits_reference(adjacency, classes) -> int:
     """Reference for `_min_bits_over_classes`: the minimum over every ordering
     that lists the colour classes in turn, each class in any order."""
     return min(
@@ -465,11 +467,14 @@ class TestEnumeration:
             expected = tuple(self.deletion_classes(g, index) for g in enumerate_(n))
             assert deletion_parents(n, trees_only) == expected, n
 
-    @staticmethod
-    def cold_caches(monkeypatch) -> None:
-        """Empty enumeration caches and form table for this test only."""
-        for name in ("_CONNECTED_CACHE", "_TREE_CACHE", "_REPRESENTATIVE_FORMS"):
-            monkeypatch.setattr(graphs, name, {})
+    @pytest.fixture
+    def cold_caches(self, monkeypatch):
+        """Empty enumeration levels and form table for this test; the levels
+        it fills are dropped again, since their forms go with its table."""
+        graphs._level.cache_clear()
+        monkeypatch.setattr(graphs, "_REPRESENTATIVE_FORMS", {})
+        yield
+        graphs._level.cache_clear()
 
     @pytest.mark.parametrize("trees_only", [False, True])
     def test_twin_orbits_match_all_masks(self, trees_only):
@@ -480,9 +485,8 @@ class TestEnumeration:
             assert [to_graph6(g) for g in enumerate_(n)] == [to_graph6(g) for g in reps], n
             assert deletion_parents(n, trees_only) == parents, n
 
-    def test_candidate_counts(self, monkeypatch):
+    def test_candidate_counts(self, cold_caches, monkeypatch):
         # one candidate per twin orbit of neighbour masks, level by level
-        self.cold_caches(monkeypatch)
         calls = []
         production = graphs.canonical_form
 
@@ -497,8 +501,7 @@ class TestEnumeration:
         enumerate_trees(9)
         assert [calls.count(n) for n in range(2, 10)] == [1, 1, 2, 6, 11, 27, 59, 143]
 
-    def test_form_table_holds_only_representatives(self, monkeypatch):
-        self.cold_caches(monkeypatch)
+    def test_form_table_holds_only_representatives(self, cold_caches):
         enumerate_connected_graphs(7)
         reps = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
         assert graphs._REPRESENTATIVE_FORMS == {
@@ -591,6 +594,48 @@ class TestContainment:
         assert contains_induced(host, pattern) == gm.subgraph_is_isomorphic()
         gm2 = GraphMatcher(to_nx(host), to_nx(pattern))
         assert contains_subgraph(host, pattern) == gm2.subgraph_is_monomorphic()
+
+
+class TestBitStrings:
+    """The integer graph6 bit strings against the byte-per-bit reference;
+    n = 0..20 covers every string length modulo 6."""
+
+    @staticmethod
+    def samples(rng: random.Random):
+        for n in range(13):
+            yield SimpleGraph(n, frozenset())
+            if n:
+                yield complete_graph(n)
+                yield path_graph(n)
+            yield from (random_graph(rng, n, p) for p in (0.2, 0.5, 0.8))
+        yield from (random_graph(rng, rng.randint(13, 20)) for _ in range(30))
+
+    def test_to_graph6_and_parse(self):
+        for graph in self.samples(random.Random(21)):
+            bits = order_bits_bytewise(graph.adjacency, range(graph.n))
+            text = pack_graph6_bytewise(graph.n, bits).decode("ascii")
+            assert to_graph6(graph) == text, graph.edges
+            assert parse_graph6(text) == graph
+
+    def test_order_bits_in_any_order(self):
+        rng = random.Random(22)
+        for graph in self.samples(rng):
+            order = list(range(graph.n))
+            rng.shuffle(order)
+            bits = order_bits_bytewise(graph.adjacency, order)
+            assert graphs._order_bits(graph.adjacency, order) == int(
+                "".join(map(str, bits)) or "0", 2
+            )
+
+    def test_bruteforce_form(self):
+        rng = random.Random(23)
+        for graph in self.samples(rng):
+            if graph.n <= 6:
+                best = min(
+                    order_bits_bytewise(graph.adjacency, order)
+                    for order in itertools.permutations(range(graph.n))
+                )
+                assert canonical_form_bruteforce(graph) == pack_graph6_bytewise(graph.n, best)
 
 
 class TestFormats:
