@@ -15,13 +15,20 @@ class, read off as bit counts.  The brute-force all-permutations form is kept
 alongside as a test oracle.  A bit string is one integer, first bit highest;
 all strings of one n have the same length, so integers compare as strings.
 
+A colouring whose every colour class lies inside one twin class (vertices
+with the same neighbours apart from each other) is *twin-trivial*: every
+colour-respecting permutation is then a product of twin swaps, and so an
+automorphism.  Its canonical form is read off the colour order with no
+search.
+
 Connected graphs and trees are enumerated by adding one vertex at a time and
 deduplicating by canonical form, one cached level per n.  Each
-representative gets one new vertex per orbit of neighbour masks under the
-permutations of its twin classes, which are automorphisms, so no class and
-no parent is lost; the search prunes by the same twin classes.  The
-enumeration also records, for each class, the classes of its one-vertex
-deletions that stay connected.  Only the representatives' canonical forms
+representative gets one new vertex per orbit of neighbour masks under its
+automorphism group, which is computed on the quotient by the twin classes
+(and skipped when that quotient is twin-trivial), so no class and no parent
+is lost; the search prunes by the same twin classes.  The enumeration also
+records, for each class, the classes of its one-vertex deletions that stay
+connected.  Only the representatives' canonical forms
 are kept, in a table that `canonical_form` reads first; a candidate's form
 is computed, compared and dropped.
 """
@@ -387,15 +394,27 @@ def _refine_colors(adjacency: Sequence[int], colors: list[int]) -> list[int]:
     signature per class and keeps the count.  Its signatures start with
     c[v], which is distinct per class, so ranking them sorts the classes by c
     and gives each class the rank c[v] back.
+
+    Two shortcuts give the same result.  A vertex alone in its class gets
+    the signature `(colour, ())`: signatures of different colours compare by
+    colour, and no other vertex shares its colour, so its counts never
+    decide a comparison.  A discrete colouring (n classes) cannot split, so
+    the round's ranking is the ranking of the colours themselves, which is
+    returned at once.
     """
     while True:
         members: dict[int, int] = {}
         for v, c in enumerate(colors):
             members[c] = members.get(c, 0) | 1 << v
-        class_masks = [members[c] for c in sorted(members)]
+        order = sorted(members)
+        if len(order) == len(colors):
+            rank = {c: i for i, c in enumerate(order)}
+            return [rank[c] for c in colors]
+        class_masks = [members[c] for c in order]
         signatures = [
-            (colors[v], tuple([-(row & mask).bit_count() for mask in class_masks]))
-            for v, row in enumerate(adjacency)
+            (c, tuple([-(row & mask).bit_count() for mask in class_masks])
+             if members[c] != 1 << v else ())
+            for v, (c, row) in enumerate(zip(colors, adjacency))
         ]
         ranking = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         new_colors = [ranking[sig] for sig in signatures]
@@ -518,8 +537,25 @@ def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -
 
 
 def _canonical_bits(adjacency: Sequence[int], colors: list[int]) -> int:
+    """Smallest `_order_bits` over the orderings that respect the refined
+    colouring of `colors`, by search or, above `_ORDERING_ENUM_LIMIT`
+    orderings, as the minimum over the branches that individualise each
+    vertex of the first nontrivial class.
+
+    *Twin-trivial shortcut.*  When every colour class lies inside one twin
+    class, any two colour-respecting orderings differ by a permutation of
+    each colour class, and so of each twin class, with the other vertices
+    fixed.  Each such permutation is an automorphism (`_twin_classes`), so
+    every colour-respecting ordering gives the same bits as the colour
+    order, and that is the minimum.  It is also what the branches would
+    return: a branch's refined colouring refines this one with its classes
+    in the same order, so its orderings respect this colouring too.
+    """
     colors = _refine_colors(adjacency, colors)
     classes = _color_classes(colors)
+    twin = {v: i for i, members in enumerate(_twin_classes(adjacency)) for v in members}
+    if all(len({twin[v] for v in members}) == 1 for members in classes):
+        return _order_bits(adjacency, [v for members in classes for v in members])
     total = 1
     for c in classes:
         total *= math.factorial(len(c))
@@ -582,34 +618,108 @@ def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> byte
 # exhaustive enumeration
 
 
-def _prefix_masks(adjacency: Sequence[int], masks: Iterable[int]) -> list[int]:
-    """The masks that pick, in every twin class, its lowest-numbered vertices."""
-    checks = []
-    for members in _twin_classes(adjacency):
-        if len(members) > 1:
-            bits = [1 << v for v in members]
-            checks.append((sum(bits), set(itertools.accumulate(bits, initial=0))))
-    return [m for m in masks if all(m & whole in prefixes for whole, prefixes in checks)]
+def _class_maps(adjacency: Sequence[int], twins: list[list[int]]) -> list[list[int]]:
+    """The permutations of the twin classes `twins` induced by the
+    automorphisms of the graph, each as the list of image class indices.
+
+    An automorphism maps twins to twins, so it permutes the twin classes,
+    and it keeps each class's size, its type (clique or independent set),
+    its refined colour (refinement commutes with relabelling, and twins
+    share a colour) and whether two classes are joined.  Between distinct
+    classes the adjacency is all or nothing, since twins have the same
+    neighbours outside their class.  Conversely a class map that keeps
+    sizes, types and joins lifts to an automorphism: send each class onto
+    its image by any bijection.  So the maps are found by backtracking on
+    the quotient, classes in breadth-first order (the quotient of a
+    connected graph is connected, so each class after the first is joined
+    to an earlier one and its image must be joined to that one's image).
+    Refined colours keep the classes apart; when they and the sizes and
+    types give every class its own key, only the identity is left and no
+    search runs.
+    """
+    colors = _refine_colors(adjacency, [row.bit_count() for row in adjacency])
+    first = [members[0] for members in twins]
+    keys = [
+        (colors[v], len(members), adjacency[v] >> members[-1] & 1)
+        for v, members in zip(first, twins)
+    ]
+    k = len(twins)
+    if len(set(keys)) == k:
+        return [list(range(k))]
+    joined = [[adjacency[first[i]] >> first[j] & 1 for j in range(k)] for i in range(k)]
+    order = [0]
+    for i in order:
+        order += [j for j in range(k) if joined[i][j] and j not in order]
+    order += [j for j in range(k) if j not in order]
+    maps: list[list[int]] = []
+    image = [-1] * k
+
+    def extend(depth: int, used: int) -> None:
+        if depth == k:
+            maps.append(image[:])
+            return
+        i = order[depth]
+        for j in range(k):
+            if used >> j & 1 or keys[j] != keys[i]:
+                continue
+            if all(joined[i][h] == joined[j][image[h]] for h in order[:depth]):
+                image[i] = j
+                extend(depth + 1, used | 1 << j)
+
+    extend(0, 0)
+    return maps
+
+
+def _orbit_masks(adjacency: Sequence[int], masks: Iterable[int]) -> list[int]:
+    """One mask of `masks` per orbit under the automorphisms of the graph,
+    for a set of masks the automorphisms map onto itself.
+
+    A mask's orbit under the permutations inside twin classes (which are
+    automorphisms, `_twin_classes`) is fixed by how many vertices it picks
+    in each class, and holds one *prefix mask*, the one that picks each
+    class's lowest-numbered members.  An automorphism with class map pi
+    (`_class_maps`) sends a mask picking c_i vertices of class i to one
+    picking c_i of class pi(i), which the permutations inside classes move
+    onto the prefix mask with those counts.  So two masks share an
+    automorphism orbit exactly when their prefix masks are images of each
+    other under the class maps, and the kept mask is the prefix mask that
+    is the smallest integer among those images.
+    """
+    twins = _twin_classes(adjacency)
+    # prefixes[i][c]: the c lowest-numbered members of class i, as a mask
+    prefixes = [
+        list(itertools.accumulate((1 << v for v in members), initial=0)) for members in twins
+    ]
+    wholes = [prefix[-1] for prefix in prefixes]
+    checks = [(prefix[-1], set(prefix)) for prefix in prefixes if len(prefix) > 2]
+    kept = [m for m in masks if all(m & whole in prefix for whole, prefix in checks)]
+    maps = _class_maps(adjacency, twins)
+    if len(maps) == 1:
+        return kept
+    smallest = []
+    for mask in kept:
+        counts = [(mask & whole).bit_count() for whole in wholes]
+        if all(mask <= sum(prefixes[j][c] for j, c in zip(image, counts)) for image in maps):
+            smallest.append(mask)
+    return smallest
 
 
 def _extend_by_vertex(
     reps: tuple[SimpleGraph, ...], neighbour_masks: Sequence[int]
 ) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
-    """Join a new last vertex to each representative once per twin orbit of
-    `neighbour_masks` and keep one canonically labelled graph per class,
-    sorted by form; record each class's form in `_REPRESENTATIVE_FORMS`.
+    """Join a new last vertex to each representative once per automorphism
+    orbit of `neighbour_masks` and keep one canonically labelled graph per
+    class, sorted by form; record each class's form in
+    `_REPRESENTATIVE_FORMS`.
 
-    *Twin orbits.*  Of the masks, a representative P gets only those that
-    pick, in every twin class of P (`_twin_classes`), the lowest-numbered
-    members (`_prefix_masks`).  Every permutation sigma inside the twin
-    classes is an automorphism of P, so P + M and P + sigma(M) are
-    isomorphic: sigma, fixing the new vertex, maps one onto the other.  The
-    orbit of M under these permutations is fixed by how many vertices M
-    picks in each class, so it holds exactly one such prefix mask.  The
-    masks used here (all nonempty masks, or all one-bit masks) are closed
-    under these permutations, so every orbit of them keeps its prefix mask,
-    and each P still reaches every class it reached with all the masks.
-    The classes found and the parents below are therefore unchanged.
+    *Orbits.*  Of the masks, a representative P gets one per orbit under
+    its automorphism group (`_orbit_masks`).  For an automorphism sigma of
+    P, P + M and P + sigma(M) are isomorphic: sigma, fixing the new vertex,
+    maps one onto the other.  The masks used here (all nonempty masks, or
+    all one-bit masks) are closed under automorphisms, so every orbit of
+    them keeps one mask, and each P still reaches every class it reached
+    with all the masks.  The classes found and the parents below are
+    therefore unchanged.
 
     Also returns, per class, the sorted indices into `reps` of the
     representatives whose candidates landed in it: its *parents*.  When
@@ -628,7 +738,7 @@ def _extend_by_vertex(
     seen: dict[bytes, set[int]] = {}
     for index, graph in enumerate(reps):
         new = graph.n
-        for mask in _prefix_masks(graph.adjacency, neighbour_masks):
+        for mask in _orbit_masks(graph.adjacency, neighbour_masks):
             grown = SimpleGraph(new + 1, graph.edges | {(u, new) for u in _bits(mask)})
             seen.setdefault(canonical_form(grown), set()).add(index)
     forms = sorted(seen)

@@ -5,6 +5,7 @@ small graph utility no production code needs.  Tests import them from here
 (`from reference import ...`).
 """
 
+import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -160,3 +161,25 @@ def extend_by_vertex_all_masks(
         tuple(parse_graph6(form.decode("ascii")) for form in forms),
         tuple(tuple(sorted(seen[form])) for form in forms),
     )
+
+
+def automorphisms(adjacency: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph, as the tuple of vertex images, by
+    trying each permutation that keeps degrees."""
+    n = len(adjacency)
+    by_degree: dict[int, list[int]] = {}
+    for v, row in enumerate(adjacency):
+        by_degree.setdefault(row.bit_count(), []).append(v)
+    groups = list(by_degree.values())
+    found = []
+    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
+        image = [0] * n
+        for group, moved in zip(groups, images):
+            for v, w in zip(group, moved):
+                image[v] = w
+        if all(
+            sum(1 << image[u] for u in _bits(adjacency[v])) == adjacency[image[v]]
+            for v in range(n)
+        ):
+            found.append(tuple(image))
+    return found
