@@ -41,12 +41,12 @@ from .graphs import (
     FamilyTag,
     GraphError,
     SimpleGraph,
+    _family_index,
     canonical_form,
     contains_subgraph,
     deletion_parents,
     enumerate_connected_graphs,
     enumerate_trees,
-    family_catalog,
     is_connected,
     recognize_family,
     to_adjacency_text,
@@ -253,15 +253,6 @@ def classify_theorem_A(graph: SimpleGraph, t: int) -> bool:
     return _theorem_A_prediction(graph.n, tag, t)
 
 
-@lru_cache(maxsize=None)
-def _theorem_B_forms(n: int) -> frozenset[bytes]:
-    return frozenset(
-        canonical_form(member)
-        for tag, member in family_catalog(n)
-        if tag.kind in THEOREM_B_FAMILY_KINDS
-    )
-
-
 def classify_theorem_B(graph: SimpleGraph) -> bool:
     """Predicted Scarf property of the degree-4 path ideal: true exactly for
     graphs on at most four vertices, stars, triangles with pendant leaves at
@@ -271,7 +262,8 @@ def classify_theorem_B(graph: SimpleGraph) -> bool:
     _require_connected(graph)
     if graph.n <= 4:
         return True
-    return canonical_form(graph) in _theorem_B_forms(graph.n)
+    tags = _family_index(graph.n).get(canonical_form(graph), ())
+    return any(tag.kind in THEOREM_B_FAMILY_KINDS for tag in tags)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Finite simple graphs at desk scale.
 
-Vertices are 0..n-1.  The module covers exactly what the ideal constructions
-and the classification sweeps need: connected vertex subsets, path vertex
-sets, canonical forms with exhaustive-enumeration backing, the named graph
-families (paths, cycles, stars, triangles with pendant leaves, double
-brooms, spiders), subgraph containment and graph6 / adjacency-list / JSON
-input and output.
+A graph is its adjacency rows: vertices are 0..n-1, bit u of row v is set
+when u and v are joined, and edges and degrees are read off the rows.  The
+module covers exactly what the ideal constructions and the classification
+sweeps need: connected vertex subsets, path vertex sets, canonical forms,
+the named graph families (paths, cycles, stars, triangles with pendant
+leaves, double brooms, spiders), subgraph containment and graph6 /
+adjacency-list / JSON input and output.
 
 Canonical forms are exact: colour refinement first, then minimisation of the
 graph6 bit string over the colour-respecting orderings by a pruned depth-first
@@ -22,15 +23,16 @@ automorphism.  Its canonical form is read off the colour order with no
 search.
 
 Connected graphs and trees are enumerated by adding one vertex at a time and
-deduplicating by canonical form, one cached level per n.  Each
-representative gets one new vertex per orbit of neighbour masks under its
+deduplicating by canonical form, one cached level per n.  A candidate is a
+representative's rows, with the new vertex's bit set in those it joins, plus
+the new vertex's mask.  Each representative gets one mask per orbit under its
 automorphism group, which is computed on the quotient by the twin classes
 (and skipped when that quotient is twin-trivial), so no class and no parent
 is lost; the search prunes by the same twin classes.  The enumeration also
 records, for each class, the classes of its one-vertex deletions that stay
-connected.  Only the representatives' canonical forms
-are kept, in a table that `canonical_form` reads first; a candidate's form
-is computed, compared and dropped.
+connected.  Only the representatives' canonical forms are kept, in a table
+that `canonical_form` reads first; a candidate's form is computed, compared
+and dropped.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ DEFAULT_ENUMERATION_CAP = 7
 DEFAULT_EMBEDDING_CAP = 12
 _ORDERING_ENUM_LIMIT = 20000
 # Vertex sets are bit masks and graph6 here has only the one-byte size
-# header, so a graph has at most 62 vertices.  Every graph goes through
-# SimpleGraph, which checks this before it reads an edge, and the family
-# builders hand it their edges lazily, so no input can ask for a huge graph.
+# header, so a graph has at most 62 vertices.  SimpleGraph checks this, and
+# `from_edges` checks it before it reads an edge; the family builders hand
+# their edges over lazily, so no input can ask for a huge graph.
 MAX_VERTICES = 62
 
 
@@ -65,34 +67,49 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph on vertices 0..n-1 with edges as sorted pairs."""
+    """Undirected simple graph on vertices 0..n-1, stored as its adjacency
+    rows: bit u of `adjacency[v]` is set when u and v are joined."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    adjacency: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_vertex_count(self.n)
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"bad edge ({u}, {v}) for {self.n} vertices")
+        adjacency = self.adjacency
+        n = len(adjacency)
+        _check_vertex_count(n)
+        for v, row in enumerate(adjacency):
+            if row >> n:  # a negative row too; before any row is indexed by a bit
+                raise GraphError(f"row {v} has a vertex outside 0..{n - 1}")
+            if row >> v & 1:
+                raise GraphError(f"loop at vertex {v} not allowed")
+            bit = 1 << v
+            while row:  # `_bits` inlined: every enumeration candidate runs this
+                low = row & -row
+                if not adjacency[low.bit_length() - 1] & bit:
+                    raise GraphError(f"row {v} is not symmetric")
+                row ^= low
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
+        """n is checked before any edge is read, each endpoint before it is shifted."""
         _check_vertex_count(n)
-        norm = set()
+        rows = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"bad edge ({u}, {v}) for {n} vertices")
             if u == v:
                 raise GraphError(f"loop at vertex {u} not allowed")
-            norm.add((min(u, v), max(u, v)))
-        return cls(n, frozenset(norm))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return cls(tuple(rows))
+
+    @property
+    def n(self) -> int:
+        return len(self.adjacency)
 
     @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs (u, v) with u < v, sorted."""
+        return tuple((u, v) for u, row in enumerate(self.adjacency) for v in _bits(row >> u << u))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -100,13 +117,7 @@ class SimpleGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return sum(self.degrees) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.adjacency[v]))
@@ -267,19 +278,20 @@ def family_catalog(n: int) -> tuple[tuple[FamilyTag, SimpleGraph], ...]:
 
 
 @lru_cache(maxsize=None)
-def _family_index(n: int) -> dict[bytes, FamilyTag]:
-    """Canonical form -> the first tag in `family_catalog(n)` order with that form."""
-    index: dict[bytes, FamilyTag] = {}
+def _family_index(n: int) -> dict[bytes, tuple[FamilyTag, ...]]:
+    """Canonical form -> every tag of `family_catalog(n)` with it, in catalog order."""
+    index: dict[bytes, tuple[FamilyTag, ...]] = {}
     for tag, member in family_catalog(n):
-        index.setdefault(canonical_form(member), tag)
+        form = canonical_form(member)
+        index[form] = index.get(form, ()) + (tag,)
     return index
 
 
 def recognize_family(graph: SimpleGraph) -> FamilyTag | None:
     """Most specific family tag whose member is isomorphic to the graph, or
     None; one lookup in a per-size index of the catalog's canonical forms."""
-    form = canonical_form(graph)
-    return _family_index(graph.n).get(form)
+    tags = _family_index(graph.n).get(canonical_form(graph))
+    return tags[0] if tags else None
 
 
 def _connected_within(adjacency: Sequence[int], subset_mask: int) -> bool:
@@ -468,10 +480,13 @@ def _color_classes(colors: Sequence[int]) -> list[list[int]]:
     return [classes[c] for c in sorted(classes)]
 
 
-def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -> int:
+def _min_bits_over_classes(
+    adjacency: Sequence[int], classes: list[list[int]], twin: dict[int, int]
+) -> int:
     """Smallest `_order_bits` over the orderings that list the classes in turn,
     each class in any order; a depth-first search that returns the same
-    minimum as trying every such ordering.
+    minimum as trying every such ordering.  `twin[v]` numbers v's class of
+    `_twin_classes`.
 
     The bit string is row 1, row 2, ..., where row j holds the adjacencies of
     `order[j]` to `order[0..j-1]`, so row j depends only on `order[:j+1]` and
@@ -485,8 +500,8 @@ def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -
       vertex whose row j exceeds the best's row j only has larger
       completions.  Once a prefix is strictly smaller, no later row of it is
       compared.
-    - *Twins.*  Unused twins v and w of one class (one class of
-      `_twin_classes`) are swapped by an automorphism that fixes every other
+    - *Twins.*  Unused twins v and w of one class (`twin[v] == twin[w]`)
+      are swapped by an automorphism that fixes every other
       vertex, so it fixes the prefix and maps the colour-respecting
       completions of `prefix + [v]` onto those of `prefix + [w]` with equal
       bits; exploring one vertex per twin class is enough.
@@ -496,7 +511,6 @@ def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -
     """
     n = len(adjacency)
     slot_class = [c for c in classes for _ in c]
-    twin_class = {v: members[0] for members in _twin_classes(adjacency) for v in members}
     rows: list[int] = []
     best_rows: list[int] = []
 
@@ -518,9 +532,9 @@ def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -
         replaced = False
         explored: set[int] = set()
         for v in candidates:
-            if row_of[v] != low or twin_class[v] in explored:
+            if row_of[v] != low or twin[v] in explored:
                 continue
-            explored.add(twin_class[v])
+            explored.add(twin[v])
             rows.append(low)
             child_rows = [(r << 1) | (a >> v & 1) for r, a in zip(row_of, adjacency)]
             if search(depth + 1, child_rows, unused & ~(1 << v), less):
@@ -536,11 +550,12 @@ def _min_bits_over_classes(adjacency: Sequence[int], classes: list[list[int]]) -
     return bits
 
 
-def _canonical_bits(adjacency: Sequence[int], colors: list[int]) -> int:
+def _canonical_bits(adjacency: Sequence[int], colors: list[int], twin: dict[int, int]) -> int:
     """Smallest `_order_bits` over the orderings that respect the refined
     colouring of `colors`, by search or, above `_ORDERING_ENUM_LIMIT`
     orderings, as the minimum over the branches that individualise each
-    vertex of the first nontrivial class.
+    vertex of the first nontrivial class.  `twin[v]` numbers v's class of
+    `_twin_classes`; the search and every branch read this one partition.
 
     *Twin-trivial shortcut.*  When every colour class lies inside one twin
     class, any two colour-respecting orderings differ by a permutation of
@@ -553,7 +568,6 @@ def _canonical_bits(adjacency: Sequence[int], colors: list[int]) -> int:
     """
     colors = _refine_colors(adjacency, colors)
     classes = _color_classes(colors)
-    twin = {v: i for i, members in enumerate(_twin_classes(adjacency)) for v in members}
     if all(len({twin[v] for v in members}) == 1 for members in classes):
         return _order_bits(adjacency, [v for members in classes for v in members])
     total = 1
@@ -562,19 +576,18 @@ def _canonical_bits(adjacency: Sequence[int], colors: list[int]) -> int:
         if total > _ORDERING_ENUM_LIMIT:
             break
     if total <= _ORDERING_ENUM_LIMIT:
-        return _min_bits_over_classes(adjacency, classes)
+        return _min_bits_over_classes(adjacency, classes, twin)
     target = next(c for c in classes if len(c) > 1)
     return min(
-        _canonical_bits(adjacency, [c * 2 + (0 if u == v else 1) for u, c in enumerate(colors)])
+        _canonical_bits(adjacency, [c * 2 + (u != v) for u, c in enumerate(colors)], twin)
         for v in target
     )
 
 
 def _pack_graph6(n: int, bits: int) -> bytes:
     """graph6 bytes of the n(n-1)/2-bit string `bits`: the size byte, then
-    the string padded with zeros to whole groups of six, a byte per group."""
-    if n > 62:
-        raise GraphError("graph6 support here stops at 62 vertices")
+    the string padded with zeros to whole groups of six, a byte per group;
+    n <= MAX_VERTICES holds for every `SimpleGraph`."""
     length = n * (n - 1) // 2
     groups = (length + 5) // 6
     padded = bits << (6 * groups - length)
@@ -599,7 +612,8 @@ def canonical_form(graph: SimpleGraph, max_vertices: int = DEFAULT_CANONICAL_CAP
         # `_canonical_bits` refines the degree colouring itself; refining it
         # here first would change nothing, since refined colourings are fixed
         # points.
-        form = _pack_graph6(graph.n, _canonical_bits(graph.adjacency, list(graph.degrees)))
+        twin = {v: i for i, members in enumerate(_twin_classes(graph.adjacency)) for v in members}
+        form = _pack_graph6(graph.n, _canonical_bits(graph.adjacency, list(graph.degrees), twin))
     return form
 
 
@@ -737,9 +751,9 @@ def _extend_by_vertex(
     """
     seen: dict[bytes, set[int]] = {}
     for index, graph in enumerate(reps):
-        new = graph.n
-        for mask in _orbit_masks(graph.adjacency, neighbour_masks):
-            grown = SimpleGraph(new + 1, graph.edges | {(u, new) for u in _bits(mask)})
+        rows, n = graph.adjacency, graph.n
+        for mask in _orbit_masks(rows, neighbour_masks):
+            grown = SimpleGraph((*(row | (mask >> u & 1) << n for u, row in enumerate(rows)), mask))
             seen.setdefault(canonical_form(grown), set()).add(index)
     forms = sorted(seen)
     classes = tuple(parse_graph6(form.decode("ascii")) for form in forms)
@@ -757,7 +771,7 @@ def _level(
     them (perfbench/spans.py) sees one call per level and credits each
     level's canonical forms to it."""
     if n == 1:
-        return (SimpleGraph(1, frozenset()),), ((),)
+        return (SimpleGraph((0,)),), ((),)
     if trees_only:
         return _extend_by_vertex(enumerate_trees(n - 1, n - 1), [1 << v for v in range(n - 1)])
     return _extend_by_vertex(enumerate_connected_graphs(n - 1, n - 1), range(1, 1 << (n - 1)))
@@ -807,44 +821,37 @@ def _embeds(
 ) -> bool:
     if pattern.n > host.n or pattern.num_edges > host.num_edges:
         return False
+    pat_adj, host_adj = pattern.adjacency, host.adjacency
     order: list[int] = []
-    placed = set()
+    placed = 0
     # Grow the pattern order by connectivity to what is already placed.
     while len(order) < pattern.n:
         best_v, best_key = -1, (-1, -1)
         for v in range(pattern.n):
-            if v in placed:
+            if placed >> v & 1:
                 continue
-            anchored = sum(1 for u in order if pattern.has_edge(u, v))
-            key = (anchored, pattern.degrees[v])
+            key = ((pat_adj[v] & placed).bit_count(), pattern.degrees[v])
             if key > best_key:
                 best_v, best_key = v, key
         order.append(best_v)
-        placed.add(best_v)
+        placed |= 1 << best_v
     host_deg = host.degrees
     pat_deg = pattern.degrees
     image = [-1] * pattern.n
 
     def backtrack(k: int, used_mask: int) -> bool:
+        """`used_mask` holds the images of order[:k]; g takes v when its row, cut
+        to them, equals (induced) or contains the images of v's placed neighbours."""
         if k == pattern.n:
             return True
         v = order[k]
+        want = sum(1 << image[u] for u in order[:k] if pat_adj[v] >> u & 1)
         for g in range(host.n):
             bit = 1 << g
             if used_mask & bit or host_deg[g] < pat_deg[v]:
                 continue
-            ok = True
-            for u in order[:k]:
-                pattern_edge = pattern.has_edge(u, v)
-                host_edge = host.has_edge(image[u], g)
-                if induced:
-                    if pattern_edge != host_edge:
-                        ok = False
-                        break
-                elif pattern_edge and not host_edge:
-                    ok = False
-                    break
-            if ok:
+            row = host_adj[g] & used_mask
+            if row == want if induced else row & want == want:
                 image[v] = g
                 if backtrack(k + 1, used_mask | bit):
                     return True
@@ -902,17 +909,18 @@ def parse_graph6(text: str) -> SimpleGraph:
         padded = (padded << 6) | value
     # Read the string from its first (highest) bit; the padding is ignored.
     position = 6 * need
-    edges = []
+    rows = [0] * n
     for j in range(1, n):
         for i in range(j):
             position -= 1
             if padded >> position & 1:
-                edges.append((i, j))
-    return SimpleGraph.from_edges(n, edges)
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return SimpleGraph(tuple(rows))
 
 
 def to_adjacency_text(graph: SimpleGraph) -> str:
-    parts = ", ".join(f"{u}-{v}" for u, v in graph.sorted_edges())
+    parts = ", ".join(f"{u}-{v}" for u, v in graph.edges)
     return f"n={graph.n}; edges: {parts}" if parts else f"n={graph.n}; edges:"
 
 
@@ -953,7 +961,7 @@ def parse_adjacency_text(text: str) -> SimpleGraph:
 
 
 def to_json_dict(graph: SimpleGraph) -> dict:
-    return {"n": graph.n, "edges": [list(e) for e in graph.sorted_edges()]}
+    return {"n": graph.n, "edges": [list(e) for e in graph.edges]}
 
 
 def graph_from_json_dict(data: dict) -> SimpleGraph:

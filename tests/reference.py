@@ -152,9 +152,10 @@ def extend_by_vertex_all_masks(
     no twin-orbit pruning."""
     seen: dict[bytes, set[int]] = {}
     for index, graph in enumerate(reps):
-        new = graph.n
+        new = 1 << graph.n
         for mask in neighbour_masks:
-            grown = SimpleGraph(new + 1, graph.edges | {(u, new) for u in _bits(mask)})
+            rows = [row | new if mask >> u & 1 else row for u, row in enumerate(graph.adjacency)]
+            grown = SimpleGraph((*rows, mask))
             seen.setdefault(canonical_form(grown), set()).add(index)
     forms = sorted(seen)
     return (

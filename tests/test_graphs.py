@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -61,7 +62,7 @@ from reference import (
 def to_nx(graph: SimpleGraph) -> nx.Graph:
     out = nx.Graph()
     out.add_nodes_from(range(graph.n))
-    out.add_edges_from(graph.sorted_edges())
+    out.add_edges_from(graph.edges)
     return out
 
 
@@ -81,7 +82,7 @@ graph_strategy = st.builds(
 def relabeled(graph: SimpleGraph, rng: random.Random) -> SimpleGraph:
     perm = list(range(graph.n))
     rng.shuffle(perm)
-    return SimpleGraph.from_edges(graph.n, [(perm[u], perm[v]) for u, v in graph.sorted_edges()])
+    return SimpleGraph.from_edges(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
 
 
 def min_bits_reference(adjacency, classes) -> int:
@@ -95,13 +96,37 @@ def min_bits_reference(adjacency, classes) -> int:
 
 class TestConstruction:
     def test_edge_validation(self):
-        with pytest.raises(GraphError):
-            SimpleGraph(3, frozenset({(0, 3)}))
+        # each endpoint is range-checked before it is shifted into a row
+        for endpoint in (-1, 3, 10**15):
+            for edge in ((0, endpoint), (endpoint, 0)):
+                with pytest.raises(GraphError, match="bad edge"):
+                    SimpleGraph.from_edges(3, [(0, 1), edge])
         with pytest.raises(GraphError):
             SimpleGraph.from_edges(3, [(1, 1)])
 
+    @pytest.mark.parametrize("rows, message", [
+        ((0b100, 0), "outside"),       # bit 2 on two vertices
+        ((-1, 0), "outside"),          # every bit
+        ((0b01, 0), "loop"),           # self-loop at 0
+        ((0b10, 0), "symmetric"),      # 0 sees 1, 1 does not see 0
+        ((0b110, 0b001, 0b000), "symmetric"),
+    ])
+    def test_constructor_checks_rows(self, rows, message):
+        with pytest.raises(GraphError, match=message):
+            SimpleGraph(rows)
+
+    def test_edges_and_rows_agree(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            n = rng.randint(0, 12)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+            graph = SimpleGraph.from_edges(n, rng.sample(edges, len(edges)))
+            assert graph.edges == tuple(edges)
+            assert graph.num_edges == len(edges)
+            assert SimpleGraph(graph.adjacency) == graph
+
     def test_families(self):
-        assert path_graph(4).sorted_edges() == [(0, 1), (1, 2), (2, 3)]
+        assert path_graph(4).edges == ((0, 1), (1, 2), (2, 3))
         assert cycle_graph(3).num_edges == 3
         assert star_graph(0).n == 1
         assert star_graph(3).degrees == (3, 1, 1, 1)
@@ -138,10 +163,14 @@ class TestConstruction:
 
     def test_vertex_cap_checked_before_any_edge(self):
         assert path_graph(MAX_VERTICES).n == MAX_VERTICES
-        with pytest.raises(GraphError):
-            SimpleGraph(MAX_VERTICES + 1, frozenset())
+        with pytest.raises(GraphError, match="vertices"):
+            SimpleGraph((0,) * (MAX_VERTICES + 1))
         with pytest.raises(GraphError):
             SimpleGraph.from_edges(10**12, itertools.repeat((0, 1)))
+        read = []
+        with pytest.raises(GraphError):
+            SimpleGraph.from_edges(MAX_VERTICES + 1, (read.append(i) or (0, 1) for i in range(3)))
+        assert read == []
         with pytest.raises(GraphError):
             parse_adjacency_text("n=1000000000000; edges: 0-1")
         huge = 10**14
@@ -183,7 +212,7 @@ class TestSubgraphsAndSubsets:
 
     def test_connectivity(self):
         assert is_connected(path_graph(5))
-        assert is_connected(SimpleGraph(1, frozenset()))
+        assert is_connected(SimpleGraph((0,)))
         assert not is_connected(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]))
 
     def test_connected_subsets_of_path(self):
@@ -230,7 +259,7 @@ class TestSubgraphsAndSubsets:
             for t in (2, 3, 4):
                 expected = set()
                 for perm in itertools.permutations(range(graph.n), t):
-                    if all(graph.has_edge(perm[i], perm[i + 1]) for i in range(t - 1)):
+                    if all(graph.adjacency[perm[i]] >> perm[i + 1] & 1 for i in range(t - 1)):
                         expected.add(tuple(sorted(perm)))
                 assert set(path_vertex_sets(graph, t)) == expected
 
@@ -252,7 +281,7 @@ class TestSubgraphsAndSubsets:
     def test_removable_vertices(self):
         assert removable_vertices(path_graph(5)) == (0, 4)
         assert removable_vertices(cycle_graph(6)) == (0, 1, 2, 3, 4, 5)
-        assert removable_vertices(SimpleGraph(1, frozenset())) == ()
+        assert removable_vertices(SimpleGraph((0,))) == ()
         # triangle leaves: both leaves and both far triangle vertices
         assert removable_vertices(triangle_with_leaves(2)) == (1, 2, 3, 4)
 
@@ -271,7 +300,7 @@ class TestCanonicalForms:
         forms = set()
         for perm in itertools.permutations(range(4)):
             relabeled = SimpleGraph.from_edges(
-                4, [(perm[u], perm[v]) for u, v in paw.sorted_edges()]
+                4, [(perm[u], perm[v]) for u, v in paw.edges]
             )
             forms.add(canonical_form(relabeled))
         assert len(forms) == 1
@@ -353,9 +382,9 @@ class TestPrunedSearch:
         classes) of every call."""
         calls = []
 
-        def recording(adjacency, classes):
+        def recording(adjacency, classes, twin):
             calls.append((adjacency, classes))
-            return search(adjacency, classes)
+            return search(adjacency, classes, twin)
 
         with monkeypatch.context() as patch:
             patch.setattr(graphs, "_min_bits_over_classes", recording)
@@ -368,9 +397,9 @@ class TestPrunedSearch:
         production = graphs._min_bits_over_classes
         form, calls = self.searches(graph, production, monkeypatch)
 
-        def checked(adjacency, classes):
+        def checked(adjacency, classes, twin):
             bits = min_bits_reference(adjacency, classes)
-            assert production(adjacency, classes) == bits, graph.edges
+            assert production(adjacency, classes, twin) == bits, graph.edges
             return bits
 
         assert self.searches(graph, checked, monkeypatch)[0] == form, graph.edges
@@ -431,8 +460,8 @@ class TestTwinTrivialShortcut:
         found = []
         production = graphs._canonical_bits
 
-        def recording(adjacency, colors):
-            bits = production(adjacency, colors)
+        def recording(adjacency, colors, twin):
+            bits = production(adjacency, colors, twin)
             classes = graphs._color_classes(graphs._refine_colors(adjacency, colors))
             if self.twin_trivial(adjacency, classes):
                 order = [v for members in classes for v in members]
@@ -599,6 +628,23 @@ class TestEnumeration:
         enumerate_trees(9)
         assert [calls.count(n) for n in range(2, 10)] == [1, 1, 2, 4, 9, 20, 48, 115]
 
+    def test_one_twin_partition_per_form(self, cold_caches, monkeypatch):
+        # one `_twin_classes` call per computed form, none for its search or
+        # its individualised branches, and one per representative extended
+        calls = []
+        production = graphs._twin_classes
+
+        def counting(adjacency):
+            calls.append(len(adjacency))
+            return production(adjacency)
+
+        monkeypatch.setattr(graphs, "_twin_classes", counting)
+        enumerate_connected_graphs(7)
+        assert len(calls) == (1 + 2 + 8 + 44 + 333 + 3771) + (1 + 1 + 2 + 6 + 21 + 112)
+        calls.clear()
+        canonical_form(cycle_graph(10))  # ten individualised branches
+        assert calls == [10]
+
     def test_form_table_holds_only_representatives(self, cold_caches):
         enumerate_connected_graphs(7)
         reps = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
@@ -701,7 +747,7 @@ class TestBitStrings:
     @staticmethod
     def samples(rng: random.Random):
         for n in range(13):
-            yield SimpleGraph(n, frozenset())
+            yield SimpleGraph((0,) * n)
             if n:
                 yield complete_graph(n)
                 yield path_graph(n)
@@ -746,7 +792,7 @@ class TestFormats:
             theirs = nx.to_graph6_bytes(to_nx(graph), header=False).decode().strip()
             assert to_graph6(graph) == theirs
             back = nx.from_graph6_bytes(to_graph6(graph).encode("ascii"))
-            assert sorted(tuple(sorted(e)) for e in back.edges()) == graph.sorted_edges()
+            assert sorted(tuple(sorted(e)) for e in back.edges()) == list(graph.edges)
 
     @given(graph_strategy)
     def test_graph6_round_trip_random(self, graph):
@@ -763,7 +809,7 @@ class TestFormats:
     def test_adjacency_round_trip(self):
         graph = spider5_graph(1, 1, 1)
         assert parse_adjacency_text(to_adjacency_text(graph)).edges == graph.edges
-        lonely = SimpleGraph(2, frozenset())
+        lonely = SimpleGraph((0, 0))
         assert parse_adjacency_text(to_adjacency_text(lonely)).n == 2
 
     def test_adjacency_parse_errors_carry_line_numbers(self):
@@ -775,3 +821,35 @@ class TestFormats:
     def test_json_round_trip(self):
         graph = triangle_with_leaves(2)
         assert graph_from_json_dict(to_json_dict(graph)).edges == graph.edges
+
+
+class TestPinnedForms:
+    """One sha256 over the enumerated representatives and their parents, and
+    over the canonical forms of the family catalog, cycles, the Petersen graph
+    and seeded random graphs; a change to any of them changes a report."""
+
+    DIGEST = "f9a528dd3f389c157334ac7c3190ecce784f2e56804a04a4b9939a69d05a0c85"
+
+    @staticmethod
+    def lines():
+        for trees_only, top in ((False, 7), (True, 9)):
+            enumerate_ = enumerate_trees if trees_only else enumerate_connected_graphs
+            for n in range(1, top + 1):
+                for graph, parents in zip(enumerate_(n), deletion_parents(n, trees_only)):
+                    yield f"{trees_only} {to_graph6(graph)} {parents}"
+        for n in range(1, 11):
+            for tag, member in family_catalog(n):
+                yield f"{tag} {canonical_form(member).decode()}"
+        outer = ((i, (i + 1) % 5) for i in range(5))
+        spokes = ((i, i + 5) for i in range(5))
+        inner = ((5 + i, 5 + (i + 2) % 5) for i in range(5))
+        petersen = SimpleGraph.from_edges(10, itertools.chain(outer, spokes, inner))
+        for graph in (cycle_graph(8), cycle_graph(9), cycle_graph(10), petersen):
+            yield canonical_form(graph).decode()
+        rng = random.Random(10)
+        for _ in range(500):
+            yield canonical_form(random_graph(rng, rng.randint(1, 10), rng.random())).decode()
+
+    def test_digest(self):
+        text = "\n".join(self.lines()).encode()
+        assert hashlib.sha256(text).hexdigest() == self.DIGEST

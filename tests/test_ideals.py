@@ -99,7 +99,7 @@ class TestEdgeIdeals:
     def test_connected2_lists_edges(self):
         graph = triangle_with_leaves(1)
         ideal = build_ideal(graph, IdealSpec("connected", 2))
-        assert {g.support for g in ideal.mingens} == set(graph.sorted_edges())
+        assert {g.support for g in ideal.mingens} == set(graph.edges)
 
     @given(st.integers(min_value=0, max_value=10**9))
     def test_path2_equals_connected2(self, seed):
@@ -134,7 +134,7 @@ class TestStructure:
         rng = random.Random(5)
         for _ in range(20):
             big = random_graph(rng, rng.randint(3, 7), 0.6)
-            kept = [e for e in big.sorted_edges() if rng.random() < 0.7]
+            kept = [e for e in big.edges if rng.random() < 0.7]
             small = SimpleGraph.from_edges(big.n, kept)
             for spec in (IdealSpec("connected", 3), IdealSpec("path", 4)):
                 inside = build_ideal(small, spec)
@@ -165,7 +165,7 @@ class TestStructure:
         graph = triangle_with_leaves(2)
         perm = (3, 0, 4, 1, 2)
         moved = SimpleGraph.from_edges(
-            graph.n, [(perm[u], perm[v]) for u, v in graph.sorted_edges()]
+            graph.n, [(perm[u], perm[v]) for u, v in graph.edges]
         )
         spec = IdealSpec("path", 4)
         expected = {

@@ -201,3 +201,13 @@ class TestCliFiles:
             assert code == 2
             assert_clean_exit(code, err)
             assert "nested too deeply" in err
+
+    def test_huge_endpoint(self, tmp_path):
+        # an endpoint is range-checked before it is shifted into a row
+        for name, text in (("g.adj", f"n=3; edges: 0-1, 0-{10**15}"),
+                           ("g.json", json.dumps({"n": 3, "edges": [[0, 1], [10**15, 0]]}))):
+            path = tmp_path / name
+            path.write_text(text)
+            code, err = run_cli(graph_argv(str(path)))
+            assert code == 2 and "bad edge" in err
+            assert_clean_exit(code, err)
