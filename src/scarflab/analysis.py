@@ -131,18 +131,21 @@ def _normalize_fields(fields) -> tuple[FieldSpec, ...]:
 
 
 def _failing_fields(
-    delta: LabeledComplex, fields: Iterable[FieldSpec]
+    delta: LabeledComplex, point: SquarefreeMonomial, fields: Iterable[FieldSpec]
 ) -> list[tuple[FieldSpec, HomologyProfile]]:
-    """The fields over which delta, which has a vertex, is not acyclic, each
-    with its reduced Betti profile, in the order given.
+    """The fields over which the restriction of delta to point, which has a
+    vertex, is not acyclic, each with its reduced Betti profile, in the
+    order given.
 
-    A complex that `collapses_to_point` is contractible, hence acyclic over
-    every field, so it is ranked over no field."""
-    if collapses_to_point(delta):
+    A restriction that `collapses_to_point` is contractible, hence acyclic
+    over every field, so it is ranked over no field and never built: delta
+    is restricted only when ranks are needed."""
+    if collapses_to_point(delta, point.mask):
         return []
+    restricted = delta.restrict(point)
     failures = []
     for field in fields:
-        profile = reduced_betti(delta, field)
+        profile = reduced_betti(restricted, field)
         if not profile.is_acyclic:
             failures.append((field, profile))
     return failures
@@ -159,13 +162,13 @@ def _scarf_scan(
     restriction is not acyclic.  Ideals with at most one generator are
     trivially Scarf and scan nothing.
 
-    Each restriction goes through `_failing_fields` over the fields still
-    undecided.  A restriction that is a simplex or collapses to a vertex can
-    be no field's witness, so ranks are computed only for restrictions the
-    collapse pass leaves standing, and verdicts, witnesses and their Betti
-    profiles are those of a scan that ranks every point.  Restrictions are
-    cut from the complex's incidence index, built once on the first point,
-    and the collapse runs in that index too.
+    Each point goes through `_failing_fields` over the fields still
+    undecided.  A restriction that is a simplex or strong-collapses to a
+    vertex can be no field's witness, and it is decided on the complex's
+    face columns without being built.  So restrictions are built and ranked
+    only at the points the collapse test leaves standing, and verdicts,
+    witnesses and their Betti profiles are those of a scan that ranks every
+    point.
 
     Both callers pick the same witness.  If m is the first failing monomial in
     ascending mask order among all monomials some generator divides, let m' be
@@ -189,7 +192,7 @@ def _scarf_scan(
         for point in points:
             if not alive:
                 break
-            for field, profile in _failing_fields(complex_.restrict(point), alive):
+            for field, profile in _failing_fields(complex_, point, alive):
                 verdicts[field] = VERDICT_NOT_SCARF
                 witnesses.append((field, point, profile))
                 alive.remove(field)
@@ -639,7 +642,8 @@ def _graph_verdicts(
             covered |= mask
         if covered == (1 << graph.n) - 1:
             alive = [field for field in fields if field not in failed]
-            failed.update(field for field, _ in _failing_fields(scarf_complex(ideal), alive))
+            top = SquarefreeMonomial(ideal.universe, covered)
+            failed.update(field for field, _ in _failing_fields(scarf_complex(ideal), top, alive))
     return tuple(VERDICT_NOT_SCARF if f in failed else VERDICT_SCARF for f in fields)
 
 

@@ -20,7 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .monomials import (
     MonomialError,
@@ -136,35 +136,25 @@ class LabeledComplex:
         return tuple(counts)
 
     @cached_property
-    def incidence(self) -> "Incidence":
-        """Where this complex's faces sit in an incidence index: the complex's
-        own, built on first use, or the one of the complex a restriction was
-        cut from, which that complex and all its restrictions share."""
-        index = IncidenceIndex(self.faces, self.ideal.generator_masks)
-        return Incidence(index, -1, range(len(self.faces)))
+    def face_columns(self) -> tuple[int, ...]:
+        """Per generator, the bit set of the faces that contain it: bit i of
+        `face_columns[g]` is set when g is in `faces[i]`."""
+        columns = [0] * self.ideal.num_generators
+        for i, face in enumerate(self.faces):
+            for g in face:
+                columns[g] |= 1 << i
+        return tuple(columns)
 
     def restrict(self, m: SquarefreeMonomial) -> "LabeledComplex":
-        """Subcomplex of faces whose label divides m; contains at least the empty face.
+        """Subcomplex of faces whose label divides m, in this complex's face
+        order; contains the empty face whenever this complex is nonempty.
 
-        The faces are found by `IncidenceIndex.kept` and the result shares
-        this complex's index.  A restriction of a restriction keeps the faces
-        whose label divides both monomials, so it walks the shared index with
-        the intersection of their masks.  The result skips the validation in
-        __post_init__, which would cost O(F*d) per call.  Its faces are a
-        subsequence of this complex's validated faces, so they stay sorted,
-        duplicate-free and in range.  They include () whenever this complex is
-        nonempty, since the empty face's label 1 divides every m.  They are
-        downward closed, since a subface's label is a submask of its face's
-        label and so divides m too.
-        """
-        index, mask, _ = self.incidence
-        mask &= m.mask
-        members = index.kept(mask)
-        restricted = object.__new__(LabeledComplex)
-        object.__setattr__(restricted, "ideal", self.ideal)
-        object.__setattr__(restricted, "faces", tuple(map(index.faces.__getitem__, members)))
-        object.__setattr__(restricted, "incidence", Incidence(index, mask, members))
-        return restricted
+        The Scarf scans in `analysis` call it only at the points where
+        `homology.collapses_to_point` leaves ranks to compute."""
+        outside = ~m.mask
+        return LabeledComplex(self.ideal, tuple(
+            face for face, label in zip(self.faces, self.label_masks) if not label & outside
+        ))
 
     def star(self, face: Iterable[int]) -> "LabeledComplex":
         """Faces tau with tau union face still a face; contains face itself and ()."""
@@ -191,88 +181,6 @@ class LabeledComplex:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-class IncidenceIndex:
-    """Incidences of a complex's faces, each face named by its index in `faces`.
-
-    - `children[i]` is the range of indices of the children of faces[i] in
-      the lexicographic generation tree that `scarf_complex` grows, the faces
-      faces[i] + (v,) with v > max(faces[i]).  Every face f != ()
-      hangs below its parent f[:-1], a face because the complex is downward
-      closed.  In (size, lexicographic) order the faces of size k+1 with one
-      prefix are consecutive, and their prefixes ascend, so taking the faces
-      of size k in order and listing their children gives the block of faces
-      of size k+1 in order.  The blocks follow one another, so each face's
-      children start where those of the face before it end, and the
-      children of () start at 1.
-    - `last[j]` is the mask of the generator that faces[j] adds to its parent.
-    - `facets[i]` lists the codimension-one faces of a face of size at least
-      2.  Vertices get none: collapses never remove the empty face.  Only
-      `homology.collapses_to_point` reads them, so they are built on its
-      first call that gets past the simplex check, not with the tree.
-    """
-
-    def __init__(self, faces: tuple[Face, ...], gen_masks: Sequence[int]) -> None:
-        self.faces = faces
-        counts = [0] * len(faces)
-        parent = 0
-        for face in itertools.islice(faces, 1, None):
-            # parents ascend with their children, so the pointer only moves on
-            prefix = face[:-1]
-            while faces[parent] != prefix:
-                parent += 1
-            counts[parent] += 1
-        first = list(itertools.accumulate(counts, initial=1))
-        self.children = [range(a, b) for a, b in zip(first, first[1:])]
-        self.last = [0]
-        self.last += (gen_masks[face[-1]] for face in itertools.islice(faces, 1, None))
-
-    @cached_property
-    def facets(self) -> list[list[int]]:
-        position = {face: i for i, face in enumerate(self.faces)}
-        return [
-            [position[face[:k] + face[k + 1:]] for k in range(len(face))]
-            if len(face) > 1 else []
-            for face in self.faces
-        ]
-
-    def kept(self, mask: int) -> list[int]:
-        """Indices, ascending, of the faces whose label divides the monomial
-        with this mask: the same list as filtering `label_masks` by mask.
-
-        The walk goes down the generation tree level by level, keeping a child
-        when its new generator divides the monomial.  A face is kept exactly
-        when its parent is kept and its new generator divides, because its
-        label is the parent's label times that generator; so by induction on
-        size each level holds the kept faces of one size, each once.  Level
-        k+1 lists the kept children of level k's faces parent by parent, in
-        ascending last generator.  Tuples compare by prefix first, so if level
-        k is in lexicographic order, so is level k+1.  The levels in turn are
-        the faces in (size, lexicographic) order, the order of `faces`, so the
-        indices ascend.  The walk visits the kept faces and the children it
-        rejects, not all faces.
-        """
-        if not self.faces:
-            return []
-        children, last = self.children, self.last
-        outside = ~mask
-        kept = [0]
-        level = [0]
-        while level:
-            level = [j for i in level for j in children[i] if not last[j] & outside]
-            kept += level
-        return kept
-
-
-class Incidence(NamedTuple):
-    """A complex's place in an incidence index: the faces at `members`,
-    ascending, which are those whose label mask lies inside `mask` (-1 for
-    the complex the index was built from)."""
-
-    index: IncidenceIndex
-    mask: int
-    members: Sequence[int]
 
 
 def taylor_complex(ideal: MonomialIdeal, max_generators: int = DEFAULT_TAYLOR_CAP) -> LabeledComplex:
@@ -460,88 +368,3 @@ def generator_index_map(source: MonomialIdeal, target: MonomialIdeal) -> dict[in
             raise ComplexError(f"generator {g.render()} has no counterpart in the target")
         mapping[i] = lookup[g.mask]
     return mapping
-
-
-def evaluate_bar(
-    face: Iterable[int],
-    glued: MonomialIdeal,
-    base: MonomialIdeal,
-    x: int,
-    x_prime: int,
-) -> Face:
-    """Replace every generator x'*n by x*n inside a face of the glued side and
-    return the resulting face over the base ideal (duplicates collapse)."""
-    x_bit = 1 << x
-    x_prime_bit = 1 << x_prime
-    base_lookup = {g.mask: i for i, g in enumerate(base.mingens)}
-    out = set()
-    for index in face:
-        if not 0 <= index < glued.num_generators:
-            raise ComplexError(f"generator index {index} out of range")
-        mask = glued.mingens[index].mask
-        if mask & x_prime_bit:
-            mask = (mask & ~x_prime_bit) | x_bit
-        if mask not in base_lookup:
-            raise ComplexError("bar image is not a generator of the base ideal")
-        out.add(base_lookup[mask])
-    return tuple(sorted(out))
-
-
-def ideals_isomorphic(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    """True when some bijection of variables carries one generator set onto the other.
-
-    Backtracking over variables grouped by how often and in which generator
-    degrees they occur; adequate for the desk-scale ideals used here.
-    """
-    if a.universe.size != b.universe.size or a.num_generators != b.num_generators:
-        return False
-    size = a.universe.size
-
-    def profile(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
-        rows = []
-        for v in range(size):
-            bit = 1 << v
-            degrees = sorted(g.degree for g in ideal.mingens if g.mask & bit)
-            rows.append(tuple(degrees))
-        return rows
-
-    prof_a, prof_b = profile(a), profile(b)
-    if sorted(prof_a) != sorted(prof_b):
-        return False
-    targets_b = {g.mask for g in b.mingens}
-    order = sorted(range(size), key=lambda v: (prof_a[v], v))
-    assignment = [-1] * size
-
-    def gens_consistent(partial_done: int) -> bool:
-        decided = [v for v in order[:partial_done]]
-        decided_mask = 0
-        for v in decided:
-            decided_mask |= 1 << v
-        for g in a.mingens:
-            if g.mask & ~decided_mask:
-                continue
-            image = 0
-            for v in (i for i in decided if g.mask & (1 << i)):
-                image |= 1 << assignment[v]
-            if image not in targets_b:
-                return False
-        return True
-
-    used = [False] * size
-
-    def backtrack(k: int) -> bool:
-        if k == size:
-            return True
-        v = order[k]
-        for w in range(size):
-            if used[w] or prof_b[w] != prof_a[v]:
-                continue
-            assignment[v] = w
-            used[w] = True
-            if gens_consistent(k + 1) and backtrack(k + 1):
-                return True
-            used[w] = False
-            assignment[v] = -1
-        return False
-
-    return backtrack(0)

@@ -1,15 +1,14 @@
 """Reduced simplicial homology: a collapse test, and exact ranks over GF(p) and Q.
 
-`collapses_to_point` answers True at once when the complex is a full
-simplex, and otherwise runs greedy elementary collapses.  When they leave a
-single vertex the complex is contractible, so it is acyclic over every field
-at once and no rank is needed.  It reads the faces off an incidence index
-(`LabeledComplex.incidence`): a restriction shares the index of the complex
-it was cut from, so the Scarf scans in `analysis`, which restrict one
-complex to every lattice point, build one index per complex.  They run the
-collapse first on every restriction and compute ranks only where it gets
-stuck.  On the path:4 ideals of the spiders S5(3,3,3), S5(4,3,3) and
-S5(4,4,4) it settles every lattice point.
+`collapses_to_point` decides the restriction of a complex to a monomial on
+the complex's per-generator face bitsets (`LabeledComplex.face_columns`),
+without building it.  It answers True at once when the restriction is a full
+simplex, and otherwise deletes dominated vertices (strong collapses).  When
+one vertex is left the restriction is contractible, so it is acyclic over
+every field at once and no rank is needed.  The Scarf scans in `analysis`
+run it at every lattice point and build and rank a restriction only where
+it answers False.  On the path:4 ideals of the spiders S5(3,3,3), S5(4,3,3)
+and S5(4,4,4) it settles every lattice point.
 
 Boundary matrices carry the usual alternating signs over the sorted vertex
 order and include the augmentation map sending every vertex to the empty face,
@@ -26,7 +25,6 @@ monomial they restrict to is divided by a generator, whose vertex survives.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -205,70 +203,75 @@ def matrix_rank(matrix: Sequence[Sequence[int]], field: FieldSpec) -> int:
     return _rank_mod_p(matrix, field.p)
 
 
-def collapses_to_point(delta: LabeledComplex) -> bool:
-    """True when the complex is a simplex or greedy elementary collapses
-    reduce it to one vertex.
+def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
+    """True when the restriction of delta to the monomial with this mask (by
+    default delta itself) is a simplex or strong-collapses to one vertex.
 
-    The faces are read off `delta.incidence`, so a restriction is decided in
-    the index of the complex it was cut from, which is built once and shared
-    by all its restrictions.  If the faces span k >= 1 vertices and number
-    2^k - 1 besides the empty face, every nonempty subset of those vertices
-    is a face (a face's vertices are vertices of the complex, and there are
-    2^k - 1 such subsets), so the complex is the full (k-1)-simplex and
-    contractible.  In a Scarf scan this catches every point that is the
-    label of a Scarf face: by the closed half of the Scarf test only that
-    face's generators divide the label, and the face's subsets are all Scarf
-    faces.
+    The restriction keeps the faces whose label divides the monomial, which
+    are the faces with no generator outside it: all faces minus the
+    `face_columns` of the generators that do not divide it.  Its faces form
+    a complex, `members`, and its vertices are the dividing generators that
+    are vertices of delta.  With k >= 1 vertices and 2^k faces counting the
+    empty one, every subset of the vertices is a face, so the restriction is
+    the full (k-1)-simplex and contractible.  In a Scarf scan this catches
+    every point that is the label of a Scarf face: by the closed half of the
+    Scarf test only that face's generators divide the label, and the face's
+    subsets are all Scarf faces.
 
-    Otherwise the collapse runs.  A nonempty face with exactly one live
-    coface is free.  Removing it together with that coface is an elementary
-    collapse: the coface is a maximal face (a face above it would give the
-    free face a second coface), what is left is again a complex, and the space
-    deformation retracts onto it by pushing the coface in from the free face.
-    So a chain of collapses ending at a single vertex proves the complex
-    contractible, and its reduced homology vanishes over every field.  False
-    proves nothing: greedy collapses can get stuck on contractible complexes
-    too, and callers fall back to ranks.
+    Otherwise dominated vertices are deleted (Barmak and Minian, Strong
+    homotopy types, nerves and collapses, 2012).  A vertex v is dominated by
+    a vertex w != v when every face containing v is a face after adding w.
+    Let star_v be the faces containing v.  Removing w maps the faces of
+    star_v that contain w one-to-one into those that do not, and the image
+    lies in the complex as it is closed under subsets.  The map is onto
+    exactly when every face containing v but not w extends by w, that is
+    when w dominates v.  So domination is the count test
+    `2 * (star_v & column_w).bit_count() == star_v.bit_count()`.  A
+    dominator of v lies in every maximal face containing v, since adding it
+    gives a face.  Faces are sorted by size, so the last face of star_v has
+    the most members and is maximal; only its vertices, all still in the
+    complex, are tried as w.  Each pass tests every vertex left and deletes
+    the dominated ones; the passes stop when one deletes nothing.
 
-    Each face keeps the count of its live cofaces and the xor of their
-    indices, which names the coface once the count is 1.  A collapse removes
-    the coface, which leaves the free face maximal, then the free face.  A
-    removed face then has count 0 for good, since its cofaces are all gone
-    (the coface was maximal, the free face's only coface was the coface), so
-    the count alone tells live free faces from stale stack entries.  A work
-    stack holds the faces whose count dropped to 1; the pass does O(F*d) work
-    for F faces of dimension at most d, plus one fill of two arrays as long
-    as the index.
+    Deleting a dominated v, with every face containing it, is a chain of
+    elementary collapses: pair each face sigma + v without w with
+    sigma + v + w, and take the pairs in decreasing size.  When a pair is
+    taken, every larger face over sigma + v is gone, so sigma + v + w is its
+    only coface, and the collapse is a deformation retraction.  So a
+    deletion chain ending at one vertex proves the restriction contractible,
+    and its reduced homology vanishes over every field.  False proves
+    nothing: the restriction may be contractible and not strong collapsible,
+    so callers fall back to ranks, and verdicts, witnesses and Betti
+    profiles stay those of a scan that ranks every point.  When no vertex
+    is dominated the complex is a core, and the answer does not depend on
+    the order of deletions: all orders end at isomorphic cores (Barmak and
+    Minian show that a complex has one core up to isomorphism).
     """
-    index, _, members = delta.incidence
-    kept = members[1:]  # the empty face is never collapsed
-    if not kept:
+    faces, columns = delta.faces, delta.face_columns
+    members = (1 << len(faces)) - 1
+    vertices = []
+    for g, generator in enumerate(delta.ideal.generator_masks):
+        if generator & ~mask:
+            members &= ~columns[g]
+        elif columns[g]:
+            vertices.append(g)
+    if not vertices:
         return False
-    # the vertices of the indexed complex are faces 1..n, the children of ()
-    if len(kept) == (1 << bisect_right(kept, len(index.children[0]))) - 1:
+    if members.bit_count() == 1 << len(vertices):
         return True
-    facets = index.facets
-    cofaces = [0] * len(facets)
-    coface_xor = [0] * len(facets)
-    for i in kept:
-        for f in facets[i]:
-            cofaces[f] += 1
-            coface_xor[f] ^= i
-    remaining = len(kept)
-    stack = [i for i in kept if cofaces[i] == 1]
-    while stack:
-        free = stack.pop()
-        if cofaces[free] != 1:
-            continue
-        coface = coface_xor[free]
-        remaining -= 2
-        for gone in (coface, free):
-            for f in facets[gone]:
-                cofaces[f] -= 1
-                coface_xor[f] ^= gone
-                if cofaces[f] == 1:
-                    stack.append(f)
-    return remaining == 1
+    while True:
+        live = []
+        for v in vertices:
+            star = columns[v] & members
+            size = star.bit_count()
+            top = faces[star.bit_length() - 1]
+            if any(w != v and 2 * (star & columns[w]).bit_count() == size for w in top):
+                members &= ~columns[v]
+            else:
+                live.append(v)
+        if len(live) == len(vertices):
+            return len(live) == 1
+        vertices = live
 
 
 def reduced_betti(delta: LabeledComplex, field: FieldSpec) -> HomologyProfile:

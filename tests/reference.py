@@ -1,14 +1,15 @@
 """Reference implementations that only the tests use.
 
 Each is the plain, slow form of something the package decides faster, or a
-small graph utility no production code needs.  Tests import them from here
-(`from reference import ...`).
+small graph or ideal utility no production code needs.  Tests import them
+from here (`from reference import ...`).
 """
 
 import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from scarflab.complexes import ComplexError, Face, LabeledComplex
 from scarflab.graphs import (
     GraphError,
     SimpleGraph,
@@ -19,6 +20,7 @@ from scarflab.graphs import (
     is_connected,
     parse_graph6,
 )
+from scarflab.monomials import MonomialIdeal
 
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
 
@@ -184,3 +186,133 @@ def automorphisms(adjacency: Sequence[int]) -> list[tuple[int, ...]]:
         ):
             found.append(tuple(image))
     return found
+
+
+def evaluate_bar(
+    face: Iterable[int],
+    glued: MonomialIdeal,
+    base: MonomialIdeal,
+    x: int,
+    x_prime: int,
+) -> Face:
+    """Replace every generator x'*n by x*n inside a face of the glued side and
+    return the resulting face over the base ideal (duplicates collapse)."""
+    x_bit = 1 << x
+    x_prime_bit = 1 << x_prime
+    base_lookup = {g.mask: i for i, g in enumerate(base.mingens)}
+    out = set()
+    for index in face:
+        if not 0 <= index < glued.num_generators:
+            raise ComplexError(f"generator index {index} out of range")
+        mask = glued.mingens[index].mask
+        if mask & x_prime_bit:
+            mask = (mask & ~x_prime_bit) | x_bit
+        if mask not in base_lookup:
+            raise ComplexError("bar image is not a generator of the base ideal")
+        out.add(base_lookup[mask])
+    return tuple(sorted(out))
+
+
+def ideals_isomorphic(a: MonomialIdeal, b: MonomialIdeal) -> bool:
+    """True when some bijection of variables carries one generator set onto the other.
+
+    Backtracking over variables grouped by how often and in which generator
+    degrees they occur; adequate for the desk-scale ideals used here.
+    """
+    if a.universe.size != b.universe.size or a.num_generators != b.num_generators:
+        return False
+    size = a.universe.size
+
+    def profile(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+        rows = []
+        for v in range(size):
+            bit = 1 << v
+            degrees = sorted(g.degree for g in ideal.mingens if g.mask & bit)
+            rows.append(tuple(degrees))
+        return rows
+
+    prof_a, prof_b = profile(a), profile(b)
+    if sorted(prof_a) != sorted(prof_b):
+        return False
+    targets_b = {g.mask for g in b.mingens}
+    order = sorted(range(size), key=lambda v: (prof_a[v], v))
+    assignment = [-1] * size
+
+    def gens_consistent(partial_done: int) -> bool:
+        decided = [v for v in order[:partial_done]]
+        decided_mask = 0
+        for v in decided:
+            decided_mask |= 1 << v
+        for g in a.mingens:
+            if g.mask & ~decided_mask:
+                continue
+            image = 0
+            for v in (i for i in decided if g.mask & (1 << i)):
+                image |= 1 << assignment[v]
+            if image not in targets_b:
+                return False
+        return True
+
+    used = [False] * size
+
+    def backtrack(k: int) -> bool:
+        if k == size:
+            return True
+        v = order[k]
+        for w in range(size):
+            if used[w] or prof_b[w] != prof_a[v]:
+                continue
+            assignment[v] = w
+            used[w] = True
+            if gens_consistent(k + 1) and backtrack(k + 1):
+                return True
+            used[w] = False
+            assignment[v] = -1
+        return False
+
+    return backtrack(0)
+
+
+def collapses_greedy(delta: LabeledComplex) -> bool:
+    """`homology.collapses_to_point` by greedy elementary collapses on the
+    faces of delta: True when delta is a simplex, or when removing free
+    faces (a nonempty face with exactly one coface) together with their
+    coface, as long as any is free, leaves one vertex.
+
+    Each face keeps the count of its live cofaces and the xor of their
+    indices, which names the coface once the count is 1.  A removed face has
+    count 0 for good, so the count alone tells live free faces from stale
+    stack entries.
+    """
+    faces = delta.faces
+    vertices = len(delta.vertices)
+    if not vertices:
+        return False
+    if len(faces) == 1 << vertices:
+        return True
+    position = {face: i for i, face in enumerate(faces)}
+    facets = [
+        [position[face[:k] + face[k + 1:]] for k in range(len(face))] if len(face) > 1 else []
+        for face in faces
+    ]
+    cofaces = [0] * len(faces)
+    coface_xor = [0] * len(faces)
+    for i, below in enumerate(facets):
+        for f in below:
+            cofaces[f] += 1
+            coface_xor[f] ^= i
+    remaining = len(faces) - 1  # the empty face is never collapsed
+    stack = [i for i in range(1, len(faces)) if cofaces[i] == 1]
+    while stack:
+        free = stack.pop()
+        if cofaces[free] != 1:
+            continue
+        coface = coface_xor[free]
+        remaining -= 2
+        for gone in (coface, free):
+            for f in facets[gone]:
+                cofaces[f] -= 1
+                coface_xor[f] ^= gone
+                if cofaces[f] == 1:
+                    stack.append(f)
+    return remaining == 1

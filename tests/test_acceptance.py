@@ -30,7 +30,6 @@ from scarflab.analysis import (
 from scarflab.cli import main as cli_main
 from scarflab.complexes import (
     glue_leaf_ideal,
-    ideals_isomorphic,
     scarf_complex,
     scarf_complex_bruteforce,
 )
@@ -53,7 +52,7 @@ from scarflab.graphs import (
 from scarflab.homology import GF2, GF32003, RATIONALS, reduced_betti
 from scarflab.ideals import IdealSpec, build_ideal
 
-from reference import matches_special_tree_family
+from reference import ideals_isomorphic, matches_special_tree_family
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

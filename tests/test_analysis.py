@@ -18,7 +18,7 @@ from scarflab.analysis import (
     sweep,
     verify_restriction_lemma,
 )
-from scarflab.complexes import glue_leaf_ideal, lcm_lattice
+from scarflab.complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice
 from scarflab.graphs import (
     GraphError,
     SimpleGraph,
@@ -104,10 +104,33 @@ class TestIsScarf:
             analysis._scarf_scan(ideal, fields, lattice, len(lattice))
             for ideal, lattice in zip(ideals, lattices)
         ]
-        monkeypatch.setattr(analysis, "collapses_to_point", lambda delta: False)
+        monkeypatch.setattr(analysis, "collapses_to_point", lambda delta, mask=-1: False)
         for ideal, lattice, report in zip(ideals, lattices, with_collapse):
             assert analysis._scarf_scan(ideal, fields, lattice, len(lattice)) == report
         assert any(not report.all_scarf for report in with_collapse)
+
+    def test_ranks_only_where_collapse_fails(self, monkeypatch):
+        """A spider scan decides every point by the collapse test, and builds
+        and ranks no restriction; C3(P7) still gets its witness from ranks."""
+        calls = {"restrict": 0, "reduced_betti": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((LabeledComplex, "restrict"), (analysis, "reduced_betti")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        spider = build_ideal(spider5_graph(3, 3, 3), P4)
+        report = is_scarf(spider, fields=(GF2, GF32003, RATIONALS))
+        assert report.all_scarf and report.num_lattice_points == 766
+        assert calls == {"restrict": 0, "reduced_betti": 0}
+
+        report = is_scarf(build_ideal(path_graph(7), C3))
+        assert report.witness(GF2)[0].render() == "x1*x2*x3*x4*x5*x6*x7"
+        assert report.witness(GF2)[1].betti == (0, 1)
+        assert calls == {"restrict": 1, "reduced_betti": 2}
 
     def test_bruteforce_cap(self):
         universe = VariableUniverse.of_size(17)

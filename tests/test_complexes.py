@@ -8,10 +8,8 @@ from scarflab.complexes import (
     ComplexError,
     LabeledComplex,
     cone,
-    evaluate_bar,
     generator_index_map,
     glue_leaf_ideal,
-    ideals_isomorphic,
     lcm_lattice,
     leaf_split,
     scarf_complex,
@@ -27,6 +25,8 @@ from scarflab.monomials import (
     lcm_of,
     minimalize,
 )
+
+from reference import evaluate_bar, ideals_isomorphic
 
 P4 = IdealSpec("path", 4)
 C3 = IdealSpec("connected", 3)
@@ -194,11 +194,25 @@ class TestRestrictComplex:
 
 
 def label_filter(delta: LabeledComplex, mask: int) -> list[int]:
-    """Reference for IncidenceIndex.kept: indices of the faces whose label divides mask."""
+    """Indices of the faces whose label divides the monomial with this mask."""
     return [i for i, label in enumerate(delta.label_masks) if label & ~mask == 0]
 
 
+def column_members(delta: LabeledComplex, mask: int) -> int:
+    """The faces whose label divides the monomial, as `collapses_to_point`
+    reads them off the face columns: all faces minus the columns of the
+    generators that do not divide it."""
+    members = (1 << len(delta.faces)) - 1
+    for column, generator in zip(delta.face_columns, delta.ideal.generator_masks):
+        if generator & ~mask:
+            members &= ~column
+    return members
+
+
 class TestIncidenceIndex:
+    """The face-generator incidence index `LabeledComplex.face_columns`, from
+    which `homology.collapses_to_point` reads restrictions, and `restrict`."""
+
     def complexes(self, ideal):
         q = ideal.num_generators
         yield taylor_complex(ideal)
@@ -210,7 +224,7 @@ class TestIncidenceIndex:
             base = scarf_complex(MonomialIdeal(ideal.universe, ideal.mingens[:-1]))
             yield cone(q - 1, LabeledComplex(ideal, base.faces))
 
-    def test_walk_matches_label_filter(self):
+    def test_columns_and_restrict_match_label_filter(self):
         rng = random.Random(53)
         checked = 0
         for _ in range(40):
@@ -220,19 +234,17 @@ class TestIncidenceIndex:
             size = ideal.universe.size
             masks = [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(8)]
             for delta in self.complexes(ideal):
-                index = delta.incidence.index
                 for mask in masks:
-                    kept = index.kept(mask)
-                    assert kept == label_filter(delta, mask), (delta.faces, mask)
+                    kept = label_filter(delta, mask)
+                    assert column_members(delta, mask) == sum(1 << i for i in kept)
                     got = delta.restrict(SquarefreeMonomial(ideal.universe, mask))
-                    assert got.faces == tuple(delta.faces[i] for i in kept)
-                    assert got.incidence == (index, mask, kept)
+                    assert got.faces == tuple(delta.faces[i] for i in kept), (delta.faces, mask)
                     checked += 1
         assert checked > 1000
 
     def test_restriction_of_restriction(self):
-        """A restriction cut from a restriction has the faces of one cut from
-        a fresh copy, and shares the first complex's index."""
+        """A restriction cut from a restriction has the faces of one cut
+        fresh at the intersection of the two monomials."""
         rng = random.Random(59)
         checked = 0
         for _ in range(40):
@@ -242,57 +254,46 @@ class TestIncidenceIndex:
             size = ideal.universe.size
             for delta in self.complexes(ideal):
                 for _ in range(4):
-                    outer, inner = (
-                        SquarefreeMonomial(ideal.universe, rng.getrandbits(size))
-                        for _ in range(2)
+                    outer, inner = (rng.getrandbits(size) for _ in range(2))
+                    got = delta.restrict(SquarefreeMonomial(ideal.universe, outer)).restrict(
+                        SquarefreeMonomial(ideal.universe, inner)
                     )
-                    first = delta.restrict(outer)
-                    fresh = LabeledComplex(ideal, first.faces)
-                    got = first.restrict(inner)
-                    assert got.faces == fresh.restrict(inner).faces
-                    assert got.incidence.index is delta.incidence.index
+                    fresh = delta.restrict(SquarefreeMonomial(ideal.universe, outer & inner))
+                    assert got.faces == fresh.faces
                     checked += 1
         assert checked > 300
 
-    def test_walk_matches_label_filter_on_corpus_lattices(self, oracle_corpus):
+    def test_columns_match_label_filter_on_corpus_lattices(self, oracle_corpus):
         for ideal in oracle_corpus:
             delta = scarf_complex(ideal)
             for point in lcm_lattice(ideal):
-                kept = delta.incidence.index.kept(point.mask)
-                assert kept == label_filter(delta, point.mask)
+                kept = label_filter(delta, point.mask)
+                assert column_members(delta, point.mask) == sum(1 << i for i in kept)
 
     def test_incidences(self):
         delta = taylor_complex(ideal_of("x1", "x2", "x3", size=3))
-        index = delta.incidence.index
-        assert delta.incidence.index is index
-        assert delta.incidence.members == range(len(delta.faces))
-        position = {face: i for i, face in enumerate(delta.faces)}
-        for i, face in enumerate(delta.faces):
-            children = [delta.faces[j] for j in index.children[i]]
-            assert children == [
-                face + (v,) for v in range(face[-1] + 1 if face else 0, 3)
-            ]
-            expected = (
-                [position[face[:k] + face[k + 1:]] for k in range(len(face))]
-                if len(face) > 1 else []
-            )
-            assert index.facets[i] == expected
+        # faces: (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
+        assert delta.face_columns == (0b10110010, 0b11010100, 0b11101000)
+        assert LabeledComplex(delta.ideal, ()).face_columns == (0, 0, 0)
+        assert LabeledComplex(delta.ideal, ((),)).face_columns == (0, 0, 0)
 
-    def test_tree_of_a_scarf_complex(self):
+    def test_columns_of_a_scarf_complex(self):
         ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
         delta = scarf_complex(ideal)
         assert len(delta.faces) < 1 << ideal.num_generators
-        index = delta.incidence.index
-        for i, face in enumerate(delta.faces):
-            children = [delta.faces[j] for j in index.children[i]]
-            assert children == [g for g in delta.faces if g[:-1] == face and g != face]
-            if face:
-                assert index.last[i] == ideal.generator_masks[face[-1]]
+        for g, column in enumerate(delta.face_columns):
+            assert [i for i in range(len(delta.faces)) if column >> i & 1] == [
+                i for i, face in enumerate(delta.faces) if g in face
+            ]
 
-    def test_restrict_leaves_facets_unbuilt(self):
-        delta = taylor_complex(ideal_of("x1*x2", "x2*x3", "x3*x4", size=4))
-        delta.restrict(delta.ideal.universe.parse("x1*x2*x3"))
-        assert "facets" not in vars(delta.incidence.index)
+    def test_restrict_keeps_face_order(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            delta = scarf_complex(random_ideal(rng))
+            size = delta.ideal.universe.size
+            got = delta.restrict(SquarefreeMonomial(delta.ideal.universe, rng.getrandbits(size)))
+            kept = set(got.faces)
+            assert got.faces == tuple(face for face in delta.faces if face in kept)
 
 
 class TestLcmLattice:

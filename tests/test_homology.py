@@ -9,7 +9,7 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from scarflab.complexes import LabeledComplex, cone, lcm_lattice, scarf_complex, taylor_complex
-from scarflab.graphs import path_graph
+from scarflab.graphs import path_graph, spider5_graph
 from scarflab.homology import (
     DEFAULT_FIELDS,
     GF2,
@@ -24,6 +24,8 @@ from scarflab.homology import (
 )
 from scarflab.ideals import IdealSpec, build_ideal
 from scarflab.monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse, minimalize
+
+from reference import collapses_greedy
 
 ALL_FIELDS = (GF2, GF32003, RATIONALS)
 
@@ -267,18 +269,22 @@ class TestVerdicts:
         assert all(reduced_betti(delta, field).is_acyclic for field in DEFAULT_FIELDS)
 
 
-def assert_collapse_sound(delta: LabeledComplex) -> bool:
-    """collapses_to_point proves delta acyclic, and it answers as it does on a
-    fresh copy of delta with an index of its own (a restriction shares the
-    index of the complex it was cut from)."""
-    collapsed = collapses_to_point(delta)
-    fresh = LabeledComplex(delta.ideal, delta.faces)
-    assert fresh.incidence.index is not delta.incidence.index
-    assert collapses_to_point(fresh) == collapsed
+def assert_collapse_sound(delta: LabeledComplex, point: SquarefreeMonomial | None = None) -> bool:
+    """collapses_to_point proves the restriction of delta to point (by
+    default delta itself) acyclic, and it answers on delta's face columns as
+    it does on the restriction built as a complex of its own."""
+    collapsed = collapses_to_point(delta, point.mask if point else -1)
+    restricted = delta.restrict(point) if point else delta
+    assert collapses_to_point(restricted) == collapsed
     if collapsed:
         for field in ALL_FIELDS:
-            assert reduced_betti(delta, field).is_acyclic, delta.faces
+            assert reduced_betti(restricted, field).is_acyclic, restricted.faces
     return collapsed
+
+
+class NoIndexFaces(tuple):
+    def __getitem__(self, index):
+        raise AssertionError("the domination loop ran")
 
 
 class TestCollapse:
@@ -299,24 +305,25 @@ class TestCollapse:
         for faces in (((),), ()):
             delta = LabeledComplex(ideal, faces)
             for mask in range(4):
+                assert not collapses_to_point(delta, mask)
                 restricted = delta.restrict(SquarefreeMonomial(ideal.universe, mask))
                 assert not collapses_to_point(restricted)
 
     def test_points_without_vertices_stay(self):
         delta = taylor_complex(singleton_ideal(3))
+        assert not collapses_to_point(delta, 0)
         assert not collapses_to_point(delta.restrict(delta.ideal.universe.one()))
 
     def test_simplex_check_needs_no_collapse(self):
-        # With every facet list emptied, the collapse pass can remove nothing,
-        # so only the simplex check can answer True.
+        # With faces that refuse indexing, the domination loop cannot pick a
+        # candidate dominator, so only the simplex check can answer.
         ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
-        delta = LabeledComplex(ideal, scarf_complex(ideal).faces)
-        delta.incidence.index.facets = [[] for _ in delta.faces]
-        for face, mask in zip(delta.faces, delta.label_masks):
-            if face:
-                point = SquarefreeMonomial(ideal.universe, mask)
-                assert collapses_to_point(delta.restrict(point))
-        assert not collapses_to_point(delta)
+        delta = scarf_complex(ideal)
+        object.__setattr__(delta, "faces", NoIndexFaces(delta.faces))
+        for mask in delta.label_masks[1:]:
+            assert collapses_to_point(delta, mask)
+        with pytest.raises(AssertionError, match="domination loop"):
+            collapses_to_point(delta)
 
     def test_scarf_face_labels_restrict_to_simplices(self, oracle_corpus):
         checked = 0
@@ -345,10 +352,9 @@ class TestCollapse:
                 continue
             delta = taylor_complex(ideal) if rng.random() < 0.5 else scarf_complex(ideal)
             bound = SquarefreeMonomial(ideal.universe, rng.getrandbits(ideal.universe.size))
-            delta = delta.restrict(bound)
-            if delta.has_vertices:
+            if delta.restrict(bound).has_vertices:
                 done += 1
-                assert_collapse_sound(delta)
+                assert_collapse_sound(delta, bound)
 
     def test_sound_on_random_top_faces(self):
         rng = random.Random(47)
@@ -383,8 +389,66 @@ class TestCollapse:
         for ideal in oracle_corpus:
             delta = scarf_complex(ideal)
             for point in lcm_lattice(ideal):
-                if assert_collapse_sound(delta.restrict(point)):
+                if assert_collapse_sound(delta, point):
                     collapsed += 1
                 else:
                     stuck += 1
         assert collapsed and stuck
+
+    def test_agrees_with_greedy_collapse_on_corpus(self, oracle_corpus):
+        """The strong-collapse test settles exactly the Scarf-complex
+        restrictions of the corpus that greedy elementary collapses settle."""
+        counts = {True: 0, False: 0}
+        for ideal in oracle_corpus:
+            delta = scarf_complex(ideal)
+            for point in lcm_lattice(ideal):
+                collapsed = collapses_to_point(delta, point.mask)
+                assert collapsed == collapses_greedy(delta.restrict(point)), (
+                    ideal.render(), point.render()
+                )
+                counts[collapsed] += 1
+        assert counts == {True: 1986, False: 956}
+
+    @pytest.mark.parametrize("legs", [(3, 3, 3), (4, 3, 3)])
+    def test_spider_lattices_collapse(self, legs):
+        ideal = build_ideal(spider5_graph(*legs), IdealSpec("path", 4))
+        delta = scarf_complex(ideal)
+        assert all(collapses_to_point(delta, point.mask) for point in lcm_lattice(ideal))
+
+
+def dominates(delta: LabeledComplex, w: int, v: int) -> bool:
+    """Every face containing v is still a face after adding w."""
+    return all(
+        tuple(sorted(set(face) | {w})) in delta.face_set for face in delta.faces if v in face
+    )
+
+
+class TestDomination:
+    def test_count_criterion_matches_definition(self):
+        """The count test `collapses_to_point` reads off the face columns is
+        domination, and every dominator of v lies in the last face of its
+        star, the only candidates the test tries."""
+        rng = random.Random(67)
+        dominated = free = 0
+        for _ in range(200):
+            count = rng.randint(2, 7)
+            tops = [
+                tuple(sorted(rng.sample(range(count), rng.randint(1, min(4, count)))))
+                for _ in range(rng.randint(1, 6))
+            ]
+            delta = complex_from_top_faces(count, tops)
+            columns = delta.face_columns
+            for v in delta.vertices:
+                star = columns[v]
+                top = delta.faces[star.bit_length() - 1]
+                for w in delta.vertices:
+                    if w == v:
+                        continue
+                    by_count = 2 * (star & columns[w]).bit_count() == star.bit_count()
+                    assert by_count == dominates(delta, w, v), (tops, v, w)
+                    if by_count:
+                        assert w in top
+                        dominated += 1
+                    else:
+                        free += 1
+        assert dominated > 100 and free > 100
