@@ -17,13 +17,14 @@ connected graph (or tree) up to some size.  They read them from one table per
 spec and field battery, `hereditary_verdicts`, filled level by level: a graph
 fails a field exactly when one of its connected one-vertex deletions fails it
 or its whole Scarf complex is not acyclic over it, so no lattice is scanned.
+Both walk the enumeration's levels in one process and keep its order: by n,
+then by canonical form.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -484,8 +485,6 @@ class LeafPipelineReport:
     glued: MonomialIdeal
     x: int
     x_prime: int
-    plain: tuple[int, ...]
-    leafed: tuple[int, ...]
     hypothesis_holds: bool
     overlapping_pairs: tuple[tuple[int, int], ...]
     replacement_ok: bool | None
@@ -540,7 +539,7 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
     no nonempty face; when it fails the conclusions are not asserted.
     """
     fields = _normalize_fields(fields)
-    plain, leafed = leaf_split(ideal, x)
+    _, leafed = leaf_split(ideal, x)
     glued = glue_leaf_ideal(ideal, x)
     x_prime = glued.universe.size - 1
     base_complex = scarf_complex(ideal)
@@ -602,8 +601,6 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
         glued=glued,
         x=x,
         x_prime=x_prime,
-        plain=plain,
-        leafed=leafed,
         hypothesis_holds=hypothesis,
         overlapping_pairs=overlapping,
         replacement_ok=replacement_ok,
@@ -762,8 +759,7 @@ def _sweep_predictor(spec: IdealSpec):
     raise AnalysisError(f"no classification is wired up for spec {spec}")
 
 
-def _sweep_one(args: tuple[SimpleGraph, IdealSpec, tuple[tuple[str, str], ...]]) -> SweepRecord:
-    graph, spec, verdicts = args
+def _sweep_one(graph: SimpleGraph, predict, verdicts: tuple[tuple[str, str], ...]) -> SweepRecord:
     tag = recognize_family(graph)
     return SweepRecord(
         graph6=canonical_form(graph).decode("ascii"),
@@ -771,39 +767,28 @@ def _sweep_one(args: tuple[SimpleGraph, IdealSpec, tuple[tuple[str, str], ...]])
         num_edges=graph.num_edges,
         edges=to_adjacency_text(graph),
         family=tag.render() if tag else None,
-        predicted=_sweep_predictor(spec)(graph, tag),
+        predicted=predict(graph, tag),
         computed=all(v != VERDICT_NOT_SCARF for _, v in verdicts),
         verdicts=verdicts,
     )
 
 
-def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS, jobs: int = 1) -> SweepResult:
+def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
     """Exhaustive comparison of the classification predicate against the
     computed Scarf property over all connected graphs on up to n_max vertices.
 
-    The verdicts come from `hereditary_verdicts`, in this process; jobs
-    worker processes, at most one per CPU, share building the records."""
+    The verdicts come from `hereditary_verdicts`.  Records come by n, then
+    by canonical form (their graph6), the order of the enumeration."""
     fields = _normalize_fields(fields)
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise AnalysisError(f"jobs must be within 1..{cpus}")
-    _sweep_predictor(spec)
+    predict = _sweep_predictor(spec)
     names = [f.render() for f in fields]
-    tasks = [
-        (graph, spec, tuple(zip(names, verdicts)))
+    records = [
+        _sweep_one(graph, predict, tuple(zip(names, verdicts)))
         for n in range(1, n_max + 1)
         for graph, verdicts in zip(
             enumerate_connected_graphs(n), hereditary_verdicts(spec, n, fields)
         )
     ]
-    if jobs > 1:
-        from multiprocessing import Pool  # only here: the import slows every CLI start
-
-        with Pool(jobs) as pool:
-            records = pool.map(_sweep_one, tasks)
-    else:
-        records = [_sweep_one(task) for task in tasks]
-    records.sort(key=lambda r: (r.n, r.graph6))
     return SweepResult(
         spec=spec,
         n_max=n_max,
@@ -846,7 +831,8 @@ def derive_obstructions(
 ) -> ObstructionCatalog:
     """Minimal non-Scarf connected graphs on up to n_max vertices under the
     chosen containment order ('induced' or 'subgraph'); with trees_only the
-    search universe is the set of trees.
+    search universe is the set of trees.  The graphs come by n, then by
+    canonical form, the order of the enumeration.
 
     Verdicts come from `hereditary_verdicts`.  Under 'induced', a non-Scarf
     graph is minimal exactly when all its parents are Scarf: a smaller
@@ -884,7 +870,6 @@ def derive_obstructions(
                 for other in bad
             )
         ]
-    minimal.sort(key=lambda g: (g.n, canonical_form(g)))
     return ObstructionCatalog(
         spec=spec,
         n_max=n_max,

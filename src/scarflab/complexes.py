@@ -148,13 +148,16 @@ class LabeledComplex:
     def restrict(self, m: SquarefreeMonomial) -> "LabeledComplex":
         """Subcomplex of faces whose label divides m, in this complex's face
         order; contains the empty face whenever this complex is nonempty.
+        When it keeps every face it is this complex, which is frozen, so
+        that is returned instead of a copy.
 
         The Scarf scans in `analysis` call it only at the points where
         `homology.collapses_to_point` leaves ranks to compute."""
         outside = ~m.mask
-        return LabeledComplex(self.ideal, tuple(
+        kept = tuple(
             face for face, label in zip(self.faces, self.label_masks) if not label & outside
-        ))
+        )
+        return self if len(kept) == len(self.faces) else LabeledComplex(self.ideal, kept)
 
     def star(self, face: Iterable[int]) -> "LabeledComplex":
         """Faces tau with tau union face still a face; contains face itself and ()."""
@@ -216,7 +219,9 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
 
     A face qualifies exactly when no outside generator divides its label and
     removing any single member changes the label, so the complex can be grown
-    level by level without touching the full power set.
+    level by level without touching the full power set.  Each level extends
+    the previous one's faces, in order, by larger indices, so the faces come
+    out sorted by size and then lexicographically, as the constructor asks.
     """
     gen_masks = ideal.generator_masks
     q = len(gen_masks)
@@ -236,7 +241,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
                 if _face_is_scarf(candidate, lcm_mask, gen_masks):
                     grown.append((candidate, lcm_mask))
         current = grown
-    return LabeledComplex(ideal, tuple(sorted(faces, key=_face_key)))
+    return LabeledComplex(ideal, tuple(faces))
 
 
 def scarf_complex_bruteforce(

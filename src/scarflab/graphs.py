@@ -780,7 +780,8 @@ def _level(
 def enumerate_connected_graphs(
     n: int, max_vertices: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[SimpleGraph, ...]:
-    """One canonically labelled representative per connected isomorphism class.
+    """One canonically labelled representative per connected isomorphism
+    class, sorted by canonical form; `to_graph6` of each is its form.
 
     Extends each (n-1)-vertex representative by a vertex joined to every
     nonempty set of its vertices and deduplicates by canonical form.  This
@@ -796,7 +797,8 @@ def enumerate_connected_graphs(
 
 def enumerate_trees(n: int, max_vertices: int = 10) -> tuple[SimpleGraph, ...]:
     """One representative per tree isomorphism class, by leaf extension: every
-    tree on n >= 2 vertices is a smaller tree plus a leaf joined to one vertex."""
+    tree on n >= 2 vertices is a smaller tree plus a leaf joined to one vertex.
+    Sorted by canonical form, and `to_graph6` of each is its form."""
     if not 1 <= n <= max_vertices:
         raise GraphError(f"tree enumeration supports 1..{max_vertices} vertices")
     return _level(n, True)[0]

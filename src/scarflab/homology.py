@@ -13,8 +13,9 @@ and S5(4,4,4) it settles every lattice point.
 Boundary matrices carry the usual alternating signs over the sorted vertex
 order and include the augmentation map sending every vertex to the empty face,
 so Betti numbers here are reduced.  All arithmetic is exact: bit-set
-elimination over GF(2), modular elimination for odd primes p < 2^31, and
-fraction-free (Bareiss) elimination over the integers for the rational ranks.
+elimination over GF(2), and one fraction-free elimination for the other
+fields: reduced mod p for odd primes p < 2^31, and Bareiss over the integers
+for the rational ranks.
 
 `reduced_betti` needs a complex with at least one vertex and raises
 HomologyError on the void complex or on one whose only face is the empty
@@ -139,35 +140,21 @@ def _rank_gf2(matrix: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
-    rows = [[entry % p for entry in row] for row in matrix]
+def _rank_fraction_free(matrix: Sequence[Sequence[int]], p: int = 0) -> int:
+    """Exact rank over GF(p) for a prime p, or over Q when p is 0.
+
+    Each pivot clears its column below it by `row <- pivot*row -
+    factor*pivot_row`.  As pivot != 0, that is an invertible row operation
+    (a row scaled by a unit, plus a multiple of another row), so the rank is
+    kept, and it is the number of pivots found.  Over GF(p) the update is
+    reduced mod p, and a row with factor 0 is left alone, since the update
+    would only scale it by a unit.  Over Q it is then divided by the
+    previous pivot, which is nonzero and so keeps the rank, as in Bareiss
+    elimination: each entry left below the pivots is a minor of the input
+    with its rows permuted, so the division is exact over Z and no entry
+    outgrows such a minor."""
+    rows = [[entry % p for entry in row] if p else list(row) for row in matrix]
     rows = [row for row in rows if any(row)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < cols:
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        norm = [(entry * inv) % p for entry in rows[rank]]
-        rows[rank] = norm
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], norm)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_rational(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free elimination over the integers; exact rational rank."""
-    rows = [list(row) for row in matrix if any(row)]
     if not rows:
         return 0
     cols = len(rows[0])
@@ -183,10 +170,14 @@ def _rank_rational(matrix: Sequence[Sequence[int]]) -> int:
         pivot = rows[rank][col]
         for r in range(rank + 1, len(rows)):
             factor = rows[r][col]
-            rows[r] = [
-                (pivot * a - factor * b) // previous_pivot
-                for a, b in zip(rows[r], rows[rank])
-            ]
+            if p:
+                if factor:
+                    rows[r] = [(pivot * a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
+            else:
+                rows[r] = [
+                    (pivot * a - factor * b) // previous_pivot
+                    for a, b in zip(rows[r], rows[rank])
+                ]
         previous_pivot = pivot
         rank += 1
         col += 1
@@ -196,11 +187,9 @@ def _rank_rational(matrix: Sequence[Sequence[int]]) -> int:
 def matrix_rank(matrix: Sequence[Sequence[int]], field: FieldSpec) -> int:
     if not matrix or not any(len(row) for row in matrix):
         return 0
-    if field.kind == "rationals":
-        return _rank_rational(matrix)
     if field.p == 2:
         return _rank_gf2(matrix)
-    return _rank_mod_p(matrix, field.p)
+    return _rank_fraction_free(matrix, field.p or 0)
 
 
 def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:

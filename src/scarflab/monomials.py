@@ -68,11 +68,6 @@ class VariableUniverse:
             mask |= 1 << i
         return SquarefreeMonomial(self, mask)
 
-    def from_mask(self, mask: int) -> "SquarefreeMonomial":
-        if mask < 0 or mask >> self.size:
-            raise MonomialError(f"mask {mask:#x} does not fit a {self.size}-variable universe")
-        return SquarefreeMonomial(self, mask)
-
     def one(self) -> "SquarefreeMonomial":
         return SquarefreeMonomial(self, 0)
 

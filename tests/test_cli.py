@@ -1,6 +1,6 @@
 import hashlib
 import json
-import os
+import multiprocessing.pool
 import shutil
 import subprocess
 import sys
@@ -234,11 +234,17 @@ class TestLimits:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "2^31" in captured.err
 
-    def test_jobs_outside_cpu_count_rejected(self, capsys):
-        for jobs in (0, (os.cpu_count() or 1) + 1):
-            assert main(["sweep", "--spec", "path:4", "--n-max", "3",
-                         "--jobs", str(jobs)]) == 2
-            assert "jobs must be within 1.." in capsys.readouterr().err
+    def test_jobs_other_than_one_rejected(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+        for jobs in ("0", "2"):
+            assert main(["sweep", "--spec", "path:4", "--n-max", "3", "--jobs", jobs]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "--jobs" in captured.err
 
 
 class TestInputErrors:
@@ -295,9 +301,9 @@ class TestDeterminism:
     def test_sweep_output_is_stable(self, tmp_path):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
-        for target, jobs in ((first, "1"), (second, "2")):
+        for target, jobs in ((first, ["--jobs", "1"]), (second, [])):
             assert main(["sweep", "--spec", "path:4", "--n-max", "4",
-                         "--jobs", jobs, "--output", str(target)]) == 0
+                         *jobs, "--output", str(target)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
     def test_derive_output_is_stable(self, tmp_path):
@@ -322,9 +328,9 @@ class TestPinnedReports:
         )
 
     @pytest.mark.parametrize("argv, digest", [
-        (["sweep", "--spec", "connected:3", "--n-max", "7", "--jobs", "1", "--format", "json"],
+        (["sweep", "--spec", "connected:3", "--n-max", "7", "--format", "json"],
          "e0166f79c95c740f8a47b236be62a22300ed99397063f270b67d2e6163323a6a"),
-        (["sweep", "--spec", "path:4", "--n-max", "7", "--jobs", "1", "--format", "json"],
+        (["sweep", "--spec", "path:4", "--n-max", "7", "--format", "json"],
          "f2f3758e3167a150285b2e80d15bfd1c2b5696c65c261f9a10fe521dbc27086a"),
         (["derive", "--spec", "path:5", "--n-max", "7", "--mode", "induced"],
          "24cb70b9f838806889ee9227115311fa7bf2104a4a4415726cb4ef76f46a1452"),

@@ -554,6 +554,19 @@ class TestEnumeration:
         with pytest.raises(GraphError):
             enumerate_connected_graphs(8)
 
+    def test_levels_sorted_by_canonical_form(self):
+        """Each level is strictly increasing by canonical form, and each
+        representative is labelled by its form, so sweeps and derivations
+        keep this order without sorting.  The forms are taken of relabelled
+        copies, so they are computed, not read back from the enumeration."""
+        rng = random.Random(12)
+        for enumerate_, n_max in ((enumerate_connected_graphs, 7), (enumerate_trees, 9)):
+            for n in range(1, n_max + 1):
+                level = enumerate_(n)
+                forms = [canonical_form(relabeled(g, rng)).decode("ascii") for g in level]
+                assert [to_graph6(g) for g in level] == forms, n
+                assert all(a < b for a, b in zip(forms, forms[1:])), n
+
     @staticmethod
     def deletion_classes(graph: SimpleGraph, index: dict[bytes, int]) -> tuple[int, ...]:
         return tuple(sorted({

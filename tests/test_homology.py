@@ -169,7 +169,7 @@ class TestMatrixRank:
         rng = random.Random(seed)
         matrix = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         assert matrix_rank(matrix, RATIONALS) == sympy.Matrix(matrix).rank()
-        for p in (2, 5, 32003):
+        for p in (2, 3, 5, 32003):
             dm = DomainMatrix.from_list(matrix, GF(p))
             assert matrix_rank(matrix, FieldSpec("prime", p)) == len(dm.rref()[1])
 
