@@ -5,7 +5,8 @@ every lcm-lattice point is acyclic over every coefficient field in
 the battery.  Restricting attention to lattice points is sound because the
 restriction of the complex to a monomial m only depends on the set of
 generators dividing m, and that set determines a lattice point with the same
-restriction; the exhaustive all-monomials variant is kept as an oracle.
+restriction.  The test oracle in `tests/reference.py` scans every monomial
+some generator divides and ranks every restriction.
 
 Witness policy: the scan walks lattice points in ascending support-bit-pattern
 order, so a reported failure is the smallest failing point in that order.
@@ -49,8 +50,8 @@ from .graphs import (
     enumerate_connected_graphs,
     enumerate_trees,
     is_connected,
-    recognize_family,
     to_adjacency_text,
+    to_graph6,
 )
 from .homology import (
     DEFAULT_FIELDS,
@@ -60,7 +61,7 @@ from .homology import (
     reduced_betti,
 )
 from .ideals import IdealSpec, build_ideal
-from .monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse
+from .monomials import MonomialIdeal, SquarefreeMonomial
 
 VERDICT_SCARF = "scarf"
 VERDICT_NOT_SCARF = "not_scarf"
@@ -152,84 +153,58 @@ def _failing_fields(
     return failures
 
 
-def _scarf_scan(
-    ideal: MonomialIdeal,
-    fields: tuple[FieldSpec, ...],
-    points: Iterable[SquarefreeMonomial],
-    num_lattice_points: int,
-) -> ScarfReport:
-    """Restrict the Scarf complex to each point, which callers pass in
-    ascending mask order, and record per field the first point whose
-    restriction is not acyclic.  Ideals with at most one generator are
-    trivially Scarf and scan nothing.
+def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
+    """Scarf verdict per field, with the smallest failing lattice point as
+    witness.  Ideals with at most one generator are trivially Scarf and scan
+    nothing.
 
-    Each point goes through `_failing_fields` over the fields still
-    undecided.  A restriction that is a simplex or strong-collapses to a
-    vertex can be no field's witness, and it is decided on the complex's
-    face columns without being built.  So restrictions are built and ranked
-    only at the points the collapse test leaves standing, and verdicts,
-    witnesses and their Betti profiles are those of a scan that ranks every
-    point.
+    The Scarf complex is restricted to each lcm-lattice point in ascending
+    mask order, and each field's first point whose restriction is not
+    acyclic is its witness.  Each point goes through `_failing_fields` over
+    the fields still undecided.  A restriction that is a simplex or
+    strong-collapses to a vertex can be no field's witness, and it is
+    decided on the complex's face columns without being built.  So
+    restrictions are built and ranked only at the points the collapse test
+    leaves standing, and verdicts, witnesses and their Betti profiles are
+    those of a scan that ranks every point.
 
-    Both callers pick the same witness.  If m is the first failing monomial in
-    ascending mask order among all monomials some generator divides, let m' be
-    the lcm of the generators dividing m.  Then m' is a lattice point and a
-    submask of m, so m' <= m, and every face label dividing m is an lcm of
-    generators dividing m and so divides m': the restrictions at m and m' are
-    equal.  Hence m' fails too, so m' = m and m is a lattice point.  Lattice
-    points are among those monomials in the same order, so the lattice scan
-    meets the same first failure.  Every point either scan visits is divided
-    by a generator, whose singleton face is in the Scarf complex, so every
-    restriction has a vertex and reduced_betti applies.
+    The lattice scan finds the witness a scan of every monomial some
+    generator divides would find.  If m is the first failing monomial in
+    ascending mask order among those, let m' be the lcm of the generators
+    dividing m.  Then m' is a lattice point and a submask of m, so m' <= m,
+    and every face label dividing m is an lcm of generators dividing m and
+    so divides m': the restrictions at m and m' are equal.  Hence m' fails
+    too, so m' = m and m is a lattice point.  Lattice points are among those
+    monomials in the same order, so the lattice scan meets the same first
+    failure.  Every point either scan visits is divided by a generator,
+    whose singleton face is in the Scarf complex, so every restriction has a
+    vertex and reduced_betti applies.
     """
+    fields = _normalize_fields(fields)
+    lattice = lcm_lattice(ideal)
     complex_ = scarf_complex(ideal)
+    witnesses = []
     if ideal.num_generators <= 1:
-        verdicts = {f: VERDICT_TRIVIALLY_SCARF for f in fields}
-        witnesses = []
+        verdicts = dict.fromkeys(fields, VERDICT_TRIVIALLY_SCARF)
     else:
         alive = list(fields)
         verdicts = {}
-        witnesses = []
-        for point in points:
+        for point in lattice:
             if not alive:
                 break
             for field, profile in _failing_fields(complex_, point, alive):
                 verdicts[field] = VERDICT_NOT_SCARF
                 witnesses.append((field, point, profile))
                 alive.remove(field)
-        for field in alive:
-            verdicts[field] = VERDICT_SCARF
+        verdicts.update(dict.fromkeys(alive, VERDICT_SCARF))
     return ScarfReport(
         ideal=ideal,
         verdicts=tuple((f, verdicts[f]) for f in fields),
         witnesses=tuple(witnesses),
         num_generators=ideal.num_generators,
         num_scarf_faces=len(complex_.faces),
-        num_lattice_points=num_lattice_points,
+        num_lattice_points=len(lattice),
     )
-
-
-def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
-    """Scarf verdict per field, with the smallest failing lattice point as witness."""
-    lattice = lcm_lattice(ideal)
-    return _scarf_scan(ideal, _normalize_fields(fields), lattice, len(lattice))
-
-
-def is_scarf_bruteforce(
-    ideal: MonomialIdeal, fields=DEFAULT_FIELDS, max_variables: int = 16
-) -> ScarfReport:
-    """Oracle variant of is_scarf scanning every monomial some generator divides."""
-    fields = _normalize_fields(fields)
-    universe = ideal.universe
-    if universe.size > max_variables:
-        raise AnalysisError(f"brute-force acyclicity check capped at {max_variables} variables")
-    masks = ideal.generator_masks
-    points = (
-        SquarefreeMonomial(universe, m)
-        for m in range(1 << universe.size)
-        if any(g & ~m == 0 for g in masks)
-    )
-    return _scarf_scan(ideal, fields, points, len(lcm_lattice(ideal)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +216,20 @@ def _require_connected(graph: SimpleGraph) -> None:
         raise AnalysisError("classification predicates expect a connected graph")
 
 
-def _theorem_A_prediction(n: int, tag: FamilyTag | None, t: int) -> bool:
-    """Theorem A's answer for a connected graph on n vertices with family tag
-    `tag`; the tag is read only when n > t."""
-    return n <= t or (tag is not None and tag.kind == "path" and tag.params[0] <= 2 * t)
+def _family_tags(graph: SimpleGraph) -> tuple[FamilyTag, ...]:
+    return _family_index(graph.n).get(canonical_form(graph), ())
+
+
+def _theorem_A_prediction(n: int, tags: tuple[FamilyTag, ...], t: int) -> bool:
+    """Theorem A's answer for a connected graph on n vertices with family
+    tags `tags`; the tags are read only when n > t."""
+    return n <= t or any(tag.kind == "path" and tag.params[0] <= 2 * t for tag in tags)
+
+
+def _theorem_B_prediction(n: int, tags: tuple[FamilyTag, ...]) -> bool:
+    """Theorem B's answer for a connected graph on n vertices with family
+    tags `tags`; the tags are read only when n > 4."""
+    return n <= 4 or any(tag.kind in THEOREM_B_FAMILY_KINDS for tag in tags)
 
 
 def classify_theorem_A(graph: SimpleGraph, t: int) -> bool:
@@ -253,8 +238,7 @@ def classify_theorem_A(graph: SimpleGraph, t: int) -> bool:
     if t < 3:
         raise AnalysisError("the connected-ideal classification needs t >= 3")
     _require_connected(graph)
-    tag = recognize_family(graph) if graph.n > t else None
-    return _theorem_A_prediction(graph.n, tag, t)
+    return _theorem_A_prediction(graph.n, _family_tags(graph) if graph.n > t else (), t)
 
 
 def classify_theorem_B(graph: SimpleGraph) -> bool:
@@ -264,215 +248,7 @@ def classify_theorem_B(graph: SimpleGraph) -> bool:
     five or six spine vertices (any leaf counts >= 0; degenerate parameter
     choices cover the short paths)."""
     _require_connected(graph)
-    if graph.n <= 4:
-        return True
-    tags = _family_index(graph.n).get(canonical_form(graph), ())
-    return any(tag.kind in THEOREM_B_FAMILY_KINDS for tag in tags)
-
-
-# ---------------------------------------------------------------------------
-# the two-generator bound in t+1 variables
-
-
-@dataclass(frozen=True)
-class TwoGeneratorReport:
-    t: int
-    num_ideals: int
-    failures: tuple[dict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {"t": self.t, "num_ideals": self.num_ideals, "failures": list(self.failures)}
-
-
-def check_two_generator_lemma(t: int, fields=DEFAULT_FIELDS) -> TwoGeneratorReport:
-    """Over t+1 variables, a square-free ideal generated in degree t should be
-    Scarf exactly when it has at most two generators.  Checks every subset of
-    the t+1 possible generators."""
-    if not 2 <= t <= 5:
-        raise AnalysisError("the exhaustive two-generator check supports 2 <= t <= 5")
-    fields = _normalize_fields(fields)
-    universe = VariableUniverse.of_size(t + 1)
-    full = (1 << (t + 1)) - 1
-    candidates = [SquarefreeMonomial(universe, full & ~(1 << i)) for i in range(t + 1)]
-    failures = []
-    count = 0
-    for size in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            count += 1
-            ideal = MonomialIdeal(universe, tuple(sorted(combo, key=lambda m: m.mask)))
-            report = is_scarf(ideal, fields)
-            expected = len(combo) <= 2
-            if report.all_scarf != expected or report.fields_disagree:
-                failures.append(
-                    {
-                        "generators": [m.render() for m in combo],
-                        "expected_scarf": expected,
-                        "verdicts": {f.render(): v for f, v in report.verdicts},
-                    }
-                )
-    return TwoGeneratorReport(t=t, num_ideals=count, failures=tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# paths and cycles
-
-
-@dataclass(frozen=True)
-class PathCycleRow:
-    kind: str
-    r: int
-    num_generators: int
-    computed_scarf: bool
-    expected_scarf: bool
-    shape: str | None
-    shape_ok: bool | None
-
-    @property
-    def consistent(self) -> bool:
-        return self.computed_scarf == self.expected_scarf and self.shape_ok is not False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r": self.r,
-            "num_generators": self.num_generators,
-            "computed_scarf": self.computed_scarf,
-            "expected_scarf": self.expected_scarf,
-            "shape": self.shape,
-            "shape_ok": self.shape_ok,
-        }
-
-
-@dataclass(frozen=True)
-class PathsCyclesReport:
-    t: int
-    rows: tuple[PathCycleRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.consistent for row in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {"t": self.t, "rows": [row.to_json_dict() for row in self.rows]}
-
-
-def _scarf_is_path_complex(complex_: LabeledComplex) -> bool:
-    q = complex_.ideal.num_generators
-    expected = {()}
-    expected.update((i,) for i in range(q))
-    expected.update((i, i + 1) for i in range(q - 1))
-    return complex_.face_set == expected
-
-
-def _scarf_is_polygon(complex_: LabeledComplex) -> bool:
-    q = complex_.ideal.num_generators
-    f = complex_.f_vector()
-    if len(f) != 2 or f[0] != q or f[1] != q:
-        return False
-    edge_graph = SimpleGraph.from_edges(q, complex_.faces_of_size(2))
-    return all(d == 2 for d in edge_graph.degrees) and is_connected(edge_graph)
-
-
-def check_paths_cycles(t: int, r_max: int, fields=DEFAULT_FIELDS) -> PathsCyclesReport:
-    """Tabulate the Scarf verdicts of the connected ideals of paths and cycles
-    up to r_max vertices against the closed-form answers (paths: r <= 2t,
-    cycles: r <= t), including the shape of the path-case Scarf complexes."""
-    if t < 3:
-        raise AnalysisError("the paths-and-cycles table needs t >= 3")
-    fields = _normalize_fields(fields)
-    from .graphs import cycle_graph, path_graph
-
-    spec = IdealSpec("connected", t)
-    rows = []
-    for r in range(3, r_max + 1):
-        ideal = build_ideal(path_graph(r), spec)
-        report = is_scarf(ideal, fields)
-        shape = None
-        shape_ok = None
-        if t + 2 <= r <= 2 * t:
-            shape = "path"
-            shape_ok = _scarf_is_path_complex(scarf_complex(ideal))
-        elif r == 2 * t + 1:
-            shape = "polygon"
-            shape_ok = _scarf_is_polygon(scarf_complex(ideal))
-        rows.append(
-            PathCycleRow(
-                kind="path",
-                r=r,
-                num_generators=ideal.num_generators,
-                computed_scarf=report.all_scarf,
-                expected_scarf=r <= 2 * t,
-                shape=shape,
-                shape_ok=shape_ok,
-            )
-        )
-    for r in range(3, r_max + 1):
-        ideal = build_ideal(cycle_graph(r), spec)
-        report = is_scarf(ideal, fields)
-        rows.append(
-            PathCycleRow(
-                kind="cycle",
-                r=r,
-                num_generators=ideal.num_generators,
-                computed_scarf=report.all_scarf,
-                expected_scarf=r <= t,
-                shape=None,
-                shape_ok=None,
-            )
-        )
-    return PathsCyclesReport(t=t, rows=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# restriction stability
-
-
-@dataclass(frozen=True)
-class RestrictionReport:
-    applicable: bool
-    num_checked: int
-    violations: tuple[dict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "num_checked": self.num_checked,
-            "violations": list(self.violations),
-        }
-
-
-def verify_restriction_lemma(
-    ideal: MonomialIdeal, sample=None, fields=DEFAULT_FIELDS
-) -> RestrictionReport:
-    """If the ideal is Scarf, every restriction to a monomial must stay Scarf.
-
-    The default sample is every lcm-lattice point; any violation is reported
-    (and means an internal inconsistency, since the property is a theorem)."""
-    fields = _normalize_fields(fields)
-    base = is_scarf(ideal, fields)
-    if not base.all_scarf:
-        return RestrictionReport(applicable=False, num_checked=0, violations=())
-    points = tuple(sample) if sample is not None else lcm_lattice(ideal).points
-    violations = []
-    for m in points:
-        sub = ideal.restrict(m)
-        report = is_scarf(sub, fields)
-        if not report.all_scarf:
-            violations.append(
-                {
-                    "monomial": m.render(),
-                    "verdicts": {f.render(): v for f, v in report.verdicts},
-                }
-            )
-    return RestrictionReport(applicable=True, num_checked=len(points), violations=tuple(violations))
+    return _theorem_B_prediction(graph.n, _family_tags(graph) if graph.n > 4 else ())
 
 
 # ---------------------------------------------------------------------------
@@ -751,23 +527,27 @@ class SweepResult:
 
 
 def _sweep_predictor(spec: IdealSpec):
-    """The classification's answer for a connected graph and its family tag."""
+    """The classification's answer for a connected graph on n vertices and
+    its family tags."""
     if spec.kind == "connected" and spec.t >= 3:
-        return lambda graph, tag: _theorem_A_prediction(graph.n, tag, spec.t)
+        return lambda n, tags: _theorem_A_prediction(n, tags, spec.t)
     if spec.kind == "path" and spec.t == 4:
-        return lambda graph, tag: classify_theorem_B(graph)
+        return _theorem_B_prediction
     raise AnalysisError(f"no classification is wired up for spec {spec}")
 
 
 def _sweep_one(graph: SimpleGraph, predict, verdicts: tuple[tuple[str, str], ...]) -> SweepRecord:
-    tag = recognize_family(graph)
+    """The record of an enumerated representative, whose `to_graph6` is its
+    canonical form."""
+    form = to_graph6(graph)
+    tags = _family_index(graph.n).get(form.encode("ascii"), ())
     return SweepRecord(
-        graph6=canonical_form(graph).decode("ascii"),
+        graph6=form,
         n=graph.n,
         num_edges=graph.num_edges,
         edges=to_adjacency_text(graph),
-        family=tag.render() if tag else None,
-        predicted=predict(graph, tag),
+        family=tags[0].render() if tags else None,
+        predicted=predict(graph.n, tags),
         computed=all(v != VERDICT_NOT_SCARF for _, v in verdicts),
         verdicts=verdicts,
     )
@@ -778,9 +558,12 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
     computed Scarf property over all connected graphs on up to n_max vertices.
 
     The verdicts come from `hereditary_verdicts`.  Records come by n, then
-    by canonical form (their graph6), the order of the enumeration."""
+    by canonical form (their graph6), the order of the enumeration.  n_max
+    is checked against the enumeration cap before any graph is built."""
     fields = _normalize_fields(fields)
     predict = _sweep_predictor(spec)
+    if not 1 <= n_max <= DEFAULT_ENUMERATION_CAP:
+        raise GraphError(f"sweep capped at {DEFAULT_ENUMERATION_CAP} vertices here")
     names = [f.render() for f in fields]
     records = [
         _sweep_one(graph, predict, tuple(zip(names, verdicts)))
@@ -804,6 +587,9 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
 
 @dataclass(frozen=True)
 class ObstructionCatalog:
+    """`graphs` are enumerated representatives: `to_graph6` of each is its
+    canonical form."""
+
     spec: IdealSpec
     n_max: int
     mode: str
@@ -818,7 +604,7 @@ class ObstructionCatalog:
             "mode": self.mode,
             "trees_only": self.trees_only,
             "num_non_scarf": self.num_non_scarf,
-            "graphs": [canonical_form(g).decode("ascii") for g in self.graphs],
+            "graphs": [to_graph6(g) for g in self.graphs],
         }
 
 

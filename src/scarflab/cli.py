@@ -38,6 +38,7 @@ from .graphs import (
     parse_adjacency_text,
     parse_graph6,
     recognize_family,
+    to_graph6,
 )
 from .homology import FieldSpec
 from .ideals import IdealSpec, build_ideal
@@ -324,7 +325,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
             f"trees_only={str(catalog.trees_only).lower()} fields={args.fields}",
             f"# non_scarf_total={catalog.num_non_scarf} minimal={len(catalog.graphs)}",
         ]
-        lines.extend(canonical_form(g).decode("ascii") for g in catalog.graphs)
+        lines.extend(to_graph6(g) for g in catalog.graphs)
         _emit("\n".join(lines), args.output)
     return 0
 

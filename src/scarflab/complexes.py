@@ -5,13 +5,13 @@ of its members (the empty face is labelled 1).  The Taylor complex is the full
 power set.  The Scarf complex keeps the faces whose label is shared by no
 other subset of generators; it is computed level by level from the equivalent
 closed-and-irredundant test (no outside generator divides the face label, and
-dropping any member changes the label), with the exhaustive power-set variant
-retained as an oracle.
+dropping any member changes the label); the exhaustive power-set variant is a
+test oracle in `tests/reference.py`.
 
-The lcm lattice is the closure of the generators under pairwise lcm; the
-monomial 1 is excluded and treated as an implicit bottom.  Leaf gluing builds
-the ideal obtained by re-attaching, on a fresh variable, every generator
-divisible by a chosen variable.
+The lcm lattice is the closure of the generators under pairwise lcm, as a
+sorted tuple of points; the monomial 1 is excluded and treated as an
+implicit bottom.  Leaf gluing builds the ideal obtained by re-attaching, on a
+fresh variable, every generator divisible by a chosen variable.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .monomials import (
 )
 
 DEFAULT_TAYLOR_CAP = 20
-DEFAULT_SCARF_ORACLE_CAP = 16
 
 
 class ComplexError(ValueError):
@@ -244,25 +243,6 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     return LabeledComplex(ideal, tuple(faces))
 
 
-def scarf_complex_bruteforce(
-    ideal: MonomialIdeal, max_generators: int = DEFAULT_SCARF_ORACLE_CAP
-) -> LabeledComplex:
-    """Oracle variant: enumerate all 2^q subsets and keep globally unique labels."""
-    q = ideal.num_generators
-    if q > max_generators:
-        raise ComplexError(f"brute-force Scarf capped at {max_generators} generators")
-    gen_masks = ideal.generator_masks
-    by_label: dict[int, list[Face]] = {}
-    for size in range(q + 1):
-        for combo in itertools.combinations(range(q), size):
-            mask = 0
-            for i in combo:
-                mask |= gen_masks[i]
-            by_label.setdefault(mask, []).append(combo)
-    unique = [group[0] for group in by_label.values() if len(group) == 1]
-    return LabeledComplex(ideal, tuple(sorted(unique, key=_face_key)))
-
-
 def cone(apex: int, delta: LabeledComplex) -> LabeledComplex:
     """Cone with apex a generator index not yet used by the complex; doubles the faces."""
     if not 0 <= apex < delta.ideal.num_generators:
@@ -277,27 +257,9 @@ def cone(apex: int, delta: LabeledComplex) -> LabeledComplex:
     return LabeledComplex(delta.ideal, tuple(sorted(grown, key=_face_key)))
 
 
-@dataclass(frozen=True)
-class LcmLattice:
-    """All lcms of nonempty generator subsets; 1 is excluded (implicit bottom)."""
-
-    ideal: MonomialIdeal
-    points: tuple[SquarefreeMonomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    @property
-    def top(self) -> SquarefreeMonomial:
-        if not self.points:
-            raise ComplexError("the lattice of the zero ideal has no top")
-        return self.points[-1]
-
-
-def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
+def lcm_lattice(ideal: MonomialIdeal) -> tuple[SquarefreeMonomial, ...]:
+    """All lcms of nonempty generator subsets in ascending mask order; the
+    last is the top, and the zero ideal's lattice is empty."""
     gen_masks = ideal.generator_masks
     points = set(gen_masks)
     frontier = set(gen_masks)
@@ -311,10 +273,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
                     grown.add(joined)
         frontier = grown
     universe = ideal.universe
-    return LcmLattice(
-        ideal,
-        tuple(SquarefreeMonomial(universe, m) for m in sorted(points)),
-    )
+    return tuple(SquarefreeMonomial(universe, m) for m in sorted(points))
 
 
 # ---------------------------------------------------------------------------

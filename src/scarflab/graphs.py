@@ -12,9 +12,10 @@ Canonical forms are exact: colour refinement first, then minimisation of the
 graph6 bit string over the colour-respecting orderings by a pruned depth-first
 search, branching through individualisation when the colour classes allow too
 many orderings.  Colour refinement splits classes by neighbour counts per
-class, read off as bit counts.  The brute-force all-permutations form is kept
-alongside as a test oracle.  A bit string is one integer, first bit highest;
-all strings of one n have the same length, so integers compare as strings.
+class, read off as bit counts.  The brute-force all-permutations form is a
+test oracle in `tests/reference.py`.  A bit string is one integer, first bit
+highest; all strings of one n have the same length, so integers compare as
+strings.
 
 A colouring whose every colour class lies inside one twin class (vertices
 with the same neighbours apart from each other) is *twin-trivial*: every
@@ -30,9 +31,9 @@ automorphism group, which is computed on the quotient by the twin classes
 (and skipped when that quotient is twin-trivial), so no class and no parent
 is lost; the search prunes by the same twin classes.  The enumeration also
 records, for each class, the classes of its one-vertex deletions that stay
-connected.  Only the representatives' canonical forms are kept, in a table
-that `canonical_form` reads first; a candidate's form is computed, compared
-and dropped.
+connected.  Each representative is parsed from its canonical form, so
+`to_graph6` of it is that form; a candidate's form is computed, compared and
+dropped.
 """
 
 from __future__ import annotations
@@ -594,38 +595,16 @@ def _pack_graph6(n: int, bits: int) -> bytes:
     return bytes([n + 63, *((padded >> (6 * k) & 63) + 63 for k in reversed(range(groups)))])
 
 
-# Representative -> its canonical form, for every representative an
-# enumeration has returned (`_extend_by_vertex` records them).  Candidates,
-# which are only deduplicated, are not kept.
-_REPRESENTATIVE_FORMS: dict[SimpleGraph, bytes] = {}
-
-
 def canonical_form(graph: SimpleGraph, max_vertices: int = DEFAULT_CANONICAL_CAP) -> bytes:
-    """Canonical graph6 bytes; equal exactly for isomorphic graphs.  The forms
-    of enumerated representatives are looked up, all others computed."""
+    """Canonical graph6 bytes; equal exactly for isomorphic graphs."""
     if graph.n > max_vertices:
         raise GraphError(f"canonical form capped at {max_vertices} vertices")
-    form = _REPRESENTATIVE_FORMS.get(graph)
-    if form is None:
-        if graph.n == 0:
-            raise GraphError("canonical form needs at least one vertex")
-        # `_canonical_bits` refines the degree colouring itself; refining it
-        # here first would change nothing, since refined colourings are fixed
-        # points.
-        twin = {v: i for i, members in enumerate(_twin_classes(graph.adjacency)) for v in members}
-        form = _pack_graph6(graph.n, _canonical_bits(graph.adjacency, list(graph.degrees), twin))
-    return form
-
-
-def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> bytes:
-    """All-permutations canonical form, exponential; kept as an oracle."""
-    if graph.n > max_vertices:
-        raise GraphError(f"brute-force form capped at {max_vertices} vertices")
-    best = min(
-        _order_bits(graph.adjacency, order)
-        for order in itertools.permutations(range(graph.n))
-    )
-    return _pack_graph6(graph.n, best)
+    if graph.n == 0:
+        raise GraphError("canonical form needs at least one vertex")
+    # `_canonical_bits` refines the degree colouring itself; refining it here
+    # first would change nothing, since refined colourings are fixed points.
+    twin = {v: i for i, members in enumerate(_twin_classes(graph.adjacency)) for v in members}
+    return _pack_graph6(graph.n, _canonical_bits(graph.adjacency, list(graph.degrees), twin))
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +702,7 @@ def _extend_by_vertex(
 ) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
     """Join a new last vertex to each representative once per automorphism
     orbit of `neighbour_masks` and keep one canonically labelled graph per
-    class, sorted by form; record each class's form in
-    `_REPRESENTATIVE_FORMS`.
+    class, sorted by form.
 
     *Orbits.*  Of the masks, a representative P gets one per orbit under
     its automorphism group (`_orbit_masks`).  For an automorphism sigma of
@@ -747,7 +725,7 @@ def _extend_by_vertex(
     candidate of P is isomorphic to G.
 
     A representative parsed from a form F is isomorphic to the candidates
-    with form F, so its own canonical form is F; that is what is recorded.
+    with form F, so its own canonical form is F, and `to_graph6` of it is F.
     """
     seen: dict[bytes, set[int]] = {}
     for index, graph in enumerate(reps):
@@ -756,9 +734,10 @@ def _extend_by_vertex(
             grown = SimpleGraph((*(row | (mask >> u & 1) << n for u, row in enumerate(rows)), mask))
             seen.setdefault(canonical_form(grown), set()).add(index)
     forms = sorted(seen)
-    classes = tuple(parse_graph6(form.decode("ascii")) for form in forms)
-    _REPRESENTATIVE_FORMS.update(zip(classes, forms))
-    return classes, tuple(tuple(sorted(seen[form])) for form in forms)
+    return (
+        tuple(parse_graph6(form.decode("ascii")) for form in forms),
+        tuple(tuple(sorted(seen[form])) for form in forms),
+    )
 
 
 @lru_cache(maxsize=None)

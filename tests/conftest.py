@@ -31,7 +31,8 @@ def oracle_corpus():
     at most 12 generators and 8 variables so the exponential oracles stay fast."""
     from scarflab.graphs import cycle_graph, enumerate_connected_graphs, path_graph, spider5_graph
     from scarflab.ideals import IdealSpec, build_ideal
-    from scarflab.monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse
+
+    from reference import degree_t_ideals
 
     ideals = []
     for t in (3, 4):
@@ -45,15 +46,7 @@ def oracle_corpus():
                          IdealSpec("path", 4)):
                 ideals.append(build_ideal(graph, spec))
     for t in (3, 4):
-        universe = VariableUniverse.of_size(t + 1)
-        full = (1 << (t + 1)) - 1
-        gens = [SquarefreeMonomial(universe, full & ~(1 << i)) for i in range(t + 1)]
-        import itertools
-        for size in range(t + 2):
-            for combo in itertools.combinations(gens, size):
-                ideals.append(
-                    MonomialIdeal(universe, tuple(sorted(combo, key=lambda m: m.mask)))
-                )
+        ideals.extend(degree_t_ideals(t))
     ideals.append(build_ideal(spider5_graph(1, 1, 1), IdealSpec("path", 4)))
 
     unique = {}

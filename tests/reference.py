@@ -6,21 +6,31 @@ from here (`from reference import ...`).
 """
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from scarflab.complexes import ComplexError, Face, LabeledComplex
+from scarflab.analysis import (
+    VERDICT_NOT_SCARF,
+    VERDICT_SCARF,
+    VERDICT_TRIVIALLY_SCARF,
+    ScarfReport,
+)
+from scarflab.complexes import ComplexError, Face, LabeledComplex, lcm_lattice, scarf_complex
 from scarflab.graphs import (
     GraphError,
     SimpleGraph,
     _bits,
+    _order_bits,
+    _pack_graph6,
     canonical_form,
     contains_induced,
     family_catalog,
     is_connected,
     parse_graph6,
 )
-from scarflab.monomials import MonomialIdeal
+from scarflab.homology import DEFAULT_FIELDS, reduced_betti
+from scarflab.monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse
 
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
 
@@ -316,3 +326,102 @@ def collapses_greedy(delta: LabeledComplex) -> bool:
                 if cofaces[f] == 1:
                     stack.append(f)
     return remaining == 1
+
+
+def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> bytes:
+    """`graphs.canonical_form` as the smallest bit string over all vertex
+    orderings."""
+    if graph.n > max_vertices:
+        raise GraphError(f"brute-force form capped at {max_vertices} vertices")
+    best = min(
+        _order_bits(graph.adjacency, order)
+        for order in itertools.permutations(range(graph.n))
+    )
+    return _pack_graph6(graph.n, best)
+
+
+def scarf_complex_bruteforce(ideal: MonomialIdeal, max_generators: int = 16) -> LabeledComplex:
+    """`complexes.scarf_complex` by enumerating all 2^q generator subsets and
+    keeping those whose label no other subset shares."""
+    q = ideal.num_generators
+    if q > max_generators:
+        raise ComplexError(f"brute-force Scarf capped at {max_generators} generators")
+    by_label: dict[int, list[Face]] = {}
+    for size in range(q + 1):
+        for combo in itertools.combinations(range(q), size):
+            mask = 0
+            for i in combo:
+                mask |= ideal.generator_masks[i]
+            by_label.setdefault(mask, []).append(combo)
+    return LabeledComplex.from_faces(
+        ideal, (group[0] for group in by_label.values() if len(group) == 1)
+    )
+
+
+def is_scarf_bruteforce(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
+    """`analysis.is_scarf` by building and ranking the restriction of the
+    Scarf complex at every monomial some generator divides, in ascending mask
+    order, with no collapse test and no lattice."""
+    fields = tuple(fields)
+    delta = scarf_complex(ideal)
+    witnesses = []
+    if ideal.num_generators <= 1:
+        verdicts = dict.fromkeys(fields, VERDICT_TRIVIALLY_SCARF)
+    else:
+        verdicts = dict.fromkeys(fields, VERDICT_SCARF)
+        masks = ideal.generator_masks
+        for m in range(1 << ideal.universe.size):
+            if not any(g & ~m == 0 for g in masks):
+                continue
+            point = SquarefreeMonomial(ideal.universe, m)
+            restricted = delta.restrict(point)
+            for field in fields:
+                if verdicts[field] == VERDICT_SCARF:
+                    profile = reduced_betti(restricted, field)
+                    if not profile.is_acyclic:
+                        verdicts[field] = VERDICT_NOT_SCARF
+                        witnesses.append((field, point, profile))
+    return ScarfReport(
+        ideal=ideal,
+        verdicts=tuple((f, verdicts[f]) for f in fields),
+        witnesses=tuple(witnesses),
+        num_generators=ideal.num_generators,
+        num_scarf_faces=len(delta.faces),
+        num_lattice_points=len(lcm_lattice(ideal)),
+    )
+
+
+def degree_t_ideals(t: int) -> list[MonomialIdeal]:
+    """Every ideal generated by a subset of the t+1 square-free monomials of
+    degree t in t+1 variables, 2^(t+1) of them."""
+    universe = VariableUniverse.of_size(t + 1)
+    full = (1 << (t + 1)) - 1
+    gens = [SquarefreeMonomial(universe, full & ~(1 << i)) for i in range(t + 1)]
+    return [
+        MonomialIdeal(universe, tuple(sorted(combo, key=lambda m: m.mask)))
+        for size in range(t + 2)
+        for combo in itertools.combinations(gens, size)
+    ]
+
+
+def is_polygon_boundary(delta: LabeledComplex, sides: int) -> bool:
+    """Exactly `sides` vertices and edges forming one closed cycle, nothing else."""
+    if delta.f_vector() != (sides, sides):
+        return False
+    edges = delta.faces_of_size(2)
+    degrees = Counter(v for edge in edges for v in edge)
+    if len(degrees) != sides or any(d != 2 for d in degrees.values()):
+        return False
+    adjacency: dict[int, set[int]] = {v: set() for v in degrees}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    start = next(iter(adjacency))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == sides

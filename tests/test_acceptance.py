@@ -10,29 +10,21 @@ import json
 import math
 import shutil
 import subprocess
-import sys
 import time
-from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
 import conftest
 
 from scarflab.analysis import (
-    check_two_generator_lemma,
     classify_theorem_A,
     classify_theorem_B,
     derive_obstructions,
     is_scarf,
-    is_scarf_bruteforce,
     leaf_lemma_pipeline,
 )
 from scarflab.cli import main as cli_main
-from scarflab.complexes import (
-    glue_leaf_ideal,
-    scarf_complex,
-    scarf_complex_bruteforce,
-)
+from scarflab.complexes import glue_leaf_ideal, scarf_complex
 from scarflab.graphs import (
     canonical_form,
     connected_induced_subsets,
@@ -49,10 +41,17 @@ from scarflab.graphs import (
     star_graph,
     triangle_with_leaves,
 )
-from scarflab.homology import GF2, GF32003, RATIONALS, reduced_betti
+from scarflab.homology import GF2, RATIONALS, reduced_betti
 from scarflab.ideals import IdealSpec, build_ideal
 
-from reference import ideals_isomorphic, matches_special_tree_family
+from reference import (
+    degree_t_ideals,
+    ideals_isomorphic,
+    is_polygon_boundary,
+    is_scarf_bruteforce,
+    matches_special_tree_family,
+    scarf_complex_bruteforce,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -85,29 +84,6 @@ def criterion(number: int, title: str, budget_seconds: float | None = None):
 def middle_leaf(graph) -> int:
     (leaf,) = [v for v in graph.neighbors(2) if graph.degrees[v] == 1]
     return leaf
-
-
-def is_polygon_boundary(delta, sides: int) -> bool:
-    """Exactly `sides` vertices and edges forming one closed cycle, nothing else."""
-    if delta.f_vector() != (sides, sides):
-        return False
-    edges = delta.faces_of_size(2)
-    degrees = Counter(v for edge in edges for v in edge)
-    if len(degrees) != sides or any(d != 2 for d in degrees.values()):
-        return False
-    adjacency: dict[int, set[int]] = {v: set() for v in degrees}
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    start = next(iter(adjacency))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == sides
 
 
 def test_criterion_01_worked_example():
@@ -212,9 +188,12 @@ def test_criterion_04_theorem_b_cross_validation():
 def test_criterion_05_two_generator_lemma():
     with criterion(5, "two-generator bound in t+1 variables", budget_seconds=10.0) as notes:
         for t in (3, 4):
-            report = check_two_generator_lemma(t)
-            assert report.num_ideals == 2 ** (t + 1)
-            assert report.ok, report.failures
+            ideals = degree_t_ideals(t)
+            assert len(ideals) == 2 ** (t + 1)
+            for ideal in ideals:
+                report = is_scarf(ideal)
+                assert report.all_scarf == (ideal.num_generators <= 2), ideal.render()
+                assert not report.fields_disagree
         notes.append("all 16 + 32 generator subsets")
 
 

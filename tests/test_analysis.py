@@ -1,24 +1,18 @@
-import random
-
 import pytest
 
 from scarflab import analysis
 from scarflab.analysis import (
     AnalysisError,
     THEOREM_B_FAMILY_KINDS,
-    check_paths_cycles,
-    check_two_generator_lemma,
     classify_theorem_A,
     classify_theorem_B,
     derive_obstructions,
     hereditary_verdicts,
     is_scarf,
-    is_scarf_bruteforce,
     leaf_lemma_pipeline,
     sweep,
-    verify_restriction_lemma,
 )
-from scarflab.complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice
+from scarflab.complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice, scarf_complex
 from scarflab.graphs import (
     GraphError,
     SimpleGraph,
@@ -28,7 +22,6 @@ from scarflab.graphs import (
     cycle_graph,
     enumerate_connected_graphs,
     enumerate_trees,
-    parse_graph6,
     path_graph,
     spider5_graph,
     spider6_graph,
@@ -37,9 +30,15 @@ from scarflab.graphs import (
 )
 from scarflab.homology import DEFAULT_FIELDS, GF2, GF32003, RATIONALS, FieldSpec
 from scarflab.ideals import IdealSpec, build_ideal
-from scarflab.monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse, minimalize
+from scarflab.monomials import MonomialIdeal, VariableUniverse
 
-from reference import matches_special_tree_family, minimal_induced
+from reference import (
+    degree_t_ideals,
+    is_polygon_boundary,
+    is_scarf_bruteforce,
+    matches_special_tree_family,
+    minimal_induced,
+)
 
 P4 = IdealSpec("path", 4)
 C3 = IdealSpec("connected", 3)
@@ -89,25 +88,27 @@ class TestIsScarf:
             is_scarf(ideal, fields=(GF2, GF2))
 
     def test_agrees_with_bruteforce_on_corpus(self, oracle_corpus):
-        for ideal in oracle_corpus:
-            fast = is_scarf(ideal)
-            slow = is_scarf_bruteforce(ideal)
+        """The oracle ranks the restriction at every monomial some generator
+        divides, so this checks the lattice scan and the collapse shortcut."""
+        fields = (GF2, GF32003, RATIONALS)
+        reports = []
+        for ideal in oracle_corpus + [build_ideal(spider5_graph(2, 1, 1), P4)]:
+            fast = is_scarf(ideal, fields)
+            slow = is_scarf_bruteforce(ideal, fields)
             assert fast.verdicts == slow.verdicts, ideal.render()
             assert fast.witnesses == slow.witnesses, ideal.render()
             assert fast == slow, ideal.render()
+            reports.append(fast)
+        assert any(report.all_scarf for report in reports)
+        assert any(not report.all_scarf for report in reports)
 
     def test_collapse_shortcut_changes_no_report(self, oracle_corpus, monkeypatch):
         fields = (GF2, GF32003, RATIONALS)
         ideals = oracle_corpus + [build_ideal(spider5_graph(2, 1, 1), P4)]
-        lattices = [lcm_lattice(ideal) for ideal in ideals]
-        with_collapse = [
-            analysis._scarf_scan(ideal, fields, lattice, len(lattice))
-            for ideal, lattice in zip(ideals, lattices)
-        ]
+        with_collapse = [is_scarf(ideal, fields) for ideal in ideals]
         monkeypatch.setattr(analysis, "collapses_to_point", lambda delta, mask=-1: False)
-        for ideal, lattice, report in zip(ideals, lattices, with_collapse):
-            assert analysis._scarf_scan(ideal, fields, lattice, len(lattice)) == report
-        assert any(not report.all_scarf for report in with_collapse)
+        for ideal, report in zip(ideals, with_collapse):
+            assert is_scarf(ideal, fields) == report, ideal.render()
 
     def test_ranks_only_where_collapse_fails(self, monkeypatch):
         """A spider scan decides every point by the collapse test, and builds
@@ -131,12 +132,6 @@ class TestIsScarf:
         assert report.witness(GF2)[0].render() == "x1*x2*x3*x4*x5*x6*x7"
         assert report.witness(GF2)[1].betti == (0, 1)
         assert calls == {"restrict": 1, "reduced_betti": 2}
-
-    def test_bruteforce_cap(self):
-        universe = VariableUniverse.of_size(17)
-        gens = [SquarefreeMonomial(universe, 1 << i) for i in range(17)]
-        with pytest.raises(AnalysisError):
-            is_scarf_bruteforce(minimalize(gens, universe=universe))
 
     def test_json_shape(self):
         report = is_scarf(build_ideal(path_graph(7), C3))
@@ -187,60 +182,54 @@ class TestClassifiers:
 
 class TestTwoGeneratorLemma:
     def test_counts_and_outcome(self):
-        for t, expected in ((3, 16), (4, 32)):
-            report = check_two_generator_lemma(t)
-            assert report.num_ideals == expected
-            assert report.ok and not report.failures
-
-    def test_range_guard(self):
-        with pytest.raises(AnalysisError):
-            check_two_generator_lemma(6)
+        """Over t+1 variables, an ideal generated in degree t is Scarf exactly
+        when it has at most two generators."""
+        for t in (3, 4):
+            ideals = degree_t_ideals(t)
+            assert len(ideals) == 2 ** (t + 1)
+            for ideal in ideals:
+                report = is_scarf(ideal)
+                assert report.all_scarf == (ideal.num_generators <= 2), ideal.render()
+                assert not report.fields_disagree
 
 
 class TestPathsCycles:
+    """The connected ideal of a path on r vertices is Scarf exactly for
+    r <= 2t, and of a cycle for r <= t.  For t+2 <= r <= 2t the path's Scarf
+    complex is a path on its generators, and at r = 2t+1 a polygon."""
+
     def test_table_t3(self):
-        report = check_paths_cycles(3, 9)
-        assert report.ok
-        paths = {row.r: row for row in report.rows if row.kind == "path"}
-        cycles = {row.r: row for row in report.rows if row.kind == "cycle"}
-        assert [r for r in sorted(paths) if paths[r].computed_scarf] == [3, 4, 5, 6]
-        assert [r for r in sorted(cycles) if cycles[r].computed_scarf] == [3]
-        assert paths[5].shape == "path" and paths[5].shape_ok
-        assert paths[7].shape == "polygon" and paths[7].shape_ok
-        assert paths[8].shape is None
+        self.check_table(3, 9)
 
     def test_table_t4(self):
-        report = check_paths_cycles(4, 10)
-        assert report.ok
-        paths = {row.r: row for row in report.rows if row.kind == "path"}
-        cycles = {row.r: row for row in report.rows if row.kind == "cycle"}
-        assert [r for r in sorted(paths) if paths[r].computed_scarf] == [3, 4, 5, 6, 7, 8]
-        assert [r for r in sorted(cycles) if cycles[r].computed_scarf] == [3, 4]
-        assert paths[9].shape == "polygon" and paths[9].shape_ok
+        self.check_table(4, 10)
 
-    def test_guard(self):
-        with pytest.raises(AnalysisError):
-            check_paths_cycles(2, 8)
+    @staticmethod
+    def check_table(t: int, r_max: int) -> None:
+        spec = IdealSpec("connected", t)
+        for r in range(3, r_max + 1):
+            ideal = build_ideal(path_graph(r), spec)
+            assert is_scarf(ideal).all_scarf == (r <= 2 * t), r
+            assert is_scarf(build_ideal(cycle_graph(r), spec)).all_scarf == (r <= t), r
+            q = ideal.num_generators
+            if t + 2 <= r <= 2 * t:
+                path = ((), *((i,) for i in range(q)), *((i, i + 1) for i in range(q - 1)))
+                assert scarf_complex(ideal).faces == path, r
+            elif r == 2 * t + 1:
+                assert is_polygon_boundary(scarf_complex(ideal), q), r
 
 
 class TestRestrictionLemma:
     def test_scarf_base_has_no_violations(self):
-        report = verify_restriction_lemma(build_ideal(path_graph(6), C3))
-        assert report.applicable and report.ok
-        assert report.num_checked == 10
-        assert report.violations == ()
-
-    def test_non_scarf_base_is_inapplicable(self):
-        report = verify_restriction_lemma(build_ideal(path_graph(7), C3))
-        assert not report.applicable
-        assert report.ok
-        assert report.num_checked == 0
-
-    def test_explicit_sample(self):
-        ideal = build_ideal(path_graph(6), C3)
-        sample = [SquarefreeMonomial(ideal.universe, 0b001111)]
-        report = verify_restriction_lemma(ideal, sample=sample)
-        assert report.applicable and report.num_checked == 1 and report.ok
+        """A Scarf ideal stays Scarf when restricted to any monomial; every
+        restriction is one to an lcm-lattice point."""
+        for graph, spec in (
+            (path_graph(6), C3), (path_graph(8), P4), (spider5_graph(1, 1, 1), P4),
+        ):
+            ideal = build_ideal(graph, spec)
+            assert is_scarf(ideal).all_scarf
+            for point in lcm_lattice(ideal):
+                assert is_scarf(ideal.restrict(point)).all_scarf, point.render()
 
 
 class TestLeafPipeline:
@@ -327,6 +316,12 @@ class TestSweep:
             sweep(IdealSpec("path", 3), 4)
         with pytest.raises(AnalysisError):
             sweep(IdealSpec("connected", 2), 4)
+
+    @pytest.mark.parametrize("n_max", [0, -5, 8])
+    def test_n_max_checked_up_front(self, n_max, monkeypatch):
+        monkeypatch.setattr(analysis, "hereditary_verdicts", None)  # no work may start
+        with pytest.raises(GraphError):
+            sweep(C3, n_max)
 
 
 class TestObstructions:

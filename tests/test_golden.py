@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
-from scarflab.complexes import scarf_complex, scarf_complex_bruteforce
+from scarflab.complexes import scarf_complex
 from scarflab.graphs import path_graph, spider5_graph
 from scarflab.ideals import IdealSpec, build_ideal
+
+from reference import scarf_complex_bruteforce
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

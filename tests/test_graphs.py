@@ -18,7 +18,6 @@ from scarflab.graphs import (
     broom3_graph,
     broom4_graph,
     canonical_form,
-    canonical_form_bruteforce,
     complete_graph,
     connected_induced_subsets,
     contains_induced,
@@ -49,6 +48,7 @@ from scarflab.graphs import (
 from reference import (
     are_isomorphic,
     automorphisms,
+    canonical_form_bruteforce,
     diameter,
     extend_by_vertex_all_masks,
     induced_subgraph,
@@ -377,9 +377,8 @@ class TestPrunedSearch:
 
     @staticmethod
     def searches(graph: SimpleGraph, search, monkeypatch) -> tuple[bytes, list]:
-        """Canonical form of graph, with no recorded form to look up and with
-        `search` in place of `_min_bits_over_classes`, and the (adjacency,
-        classes) of every call."""
+        """Canonical form of graph, with `search` in place of
+        `_min_bits_over_classes`, and the (adjacency, classes) of every call."""
         calls = []
 
         def recording(adjacency, classes, twin):
@@ -388,7 +387,6 @@ class TestPrunedSearch:
 
         with monkeypatch.context() as patch:
             patch.setattr(graphs, "_min_bits_over_classes", recording)
-            patch.setattr(graphs, "_REPRESENTATIVE_FORMS", {})
             form = canonical_form(graph)
         return form, calls
 
@@ -454,9 +452,9 @@ class TestTwinTrivialShortcut:
         )
 
     def shortcuts(self, graph: SimpleGraph, monkeypatch) -> tuple[bytes, list]:
-        """Canonical form of graph with no recorded form to look up, and the
-        (adjacency, refined classes) of every twin-trivial colouring that
-        `_canonical_bits` met, each checked to give the colour order's bits."""
+        """Canonical form of graph, and the (adjacency, refined classes) of
+        every twin-trivial colouring that `_canonical_bits` met, each checked
+        to give the colour order's bits."""
         found = []
         production = graphs._canonical_bits
 
@@ -471,7 +469,6 @@ class TestTwinTrivialShortcut:
 
         with monkeypatch.context() as patch:
             patch.setattr(graphs, "_canonical_bits", recording)
-            patch.setattr(graphs, "_REPRESENTATIVE_FORMS", {})
             form = canonical_form(graph)
         return form, found
 
@@ -584,12 +581,8 @@ class TestEnumeration:
             assert deletion_parents(n, trees_only) == expected, n
 
     @pytest.fixture
-    def cold_caches(self, monkeypatch):
-        """Empty enumeration levels and form table for this test; the levels
-        it fills are dropped again, since their forms go with its table."""
-        graphs._level.cache_clear()
-        monkeypatch.setattr(graphs, "_REPRESENTATIVE_FORMS", {})
-        yield
+    def cold_caches(self):
+        """Empty enumeration levels for this test."""
         graphs._level.cache_clear()
 
     @pytest.mark.parametrize("trees_only", [False, True])
@@ -657,13 +650,6 @@ class TestEnumeration:
         calls.clear()
         canonical_form(cycle_graph(10))  # ten individualised branches
         assert calls == [10]
-
-    def test_form_table_holds_only_representatives(self, cold_caches):
-        enumerate_connected_graphs(7)
-        reps = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
-        assert graphs._REPRESENTATIVE_FORMS == {
-            g: to_graph6(g).encode("ascii") for g in reps
-        }
 
     def test_seven_vertex_count(self):
         assert len(enumerate_connected_graphs(7)) == 853
