@@ -141,7 +141,8 @@ def _failing_fields(
 
     A restriction that `collapses_to_point` is contractible, hence acyclic
     over every field, so it is ranked over no field and never built: delta
-    is restricted only when ranks are needed."""
+    is restricted only when ranks are needed.  The collapse answers are
+    kept on delta by vertex set, so the points of one scan share them."""
     if collapses_to_point(delta, point.mask):
         return []
     restricted = delta.restrict(point)
@@ -163,10 +164,11 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     acyclic is its witness.  Each point goes through `_failing_fields` over
     the fields still undecided.  A restriction that is a simplex or
     strong-collapses to a vertex can be no field's witness, and it is
-    decided on the complex's face columns without being built.  So
-    restrictions are built and ranked only at the points the collapse test
-    leaves standing, and verdicts, witnesses and their Betti profiles are
-    those of a scan that ranks every point.
+    decided on the complex's face columns without being built, from a table
+    of collapse answers by vertex set that all points of the scan share.
+    So restrictions are built and ranked only at the points the collapse
+    test leaves standing, and verdicts, witnesses and their Betti profiles
+    are those of a scan that ranks every point.
 
     The lattice scan finds the witness a scan of every monomial some
     generator divides would find.  If m is the first failing monomial in

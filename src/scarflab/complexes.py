@@ -144,6 +144,13 @@ class LabeledComplex:
                 columns[g] |= 1 << i
         return tuple(columns)
 
+    @cached_property
+    def collapse_answers(self) -> dict[int, bool]:
+        """Answers of `homology.collapses_to_point` on this complex, keyed
+        by the bit set of the restriction's vertices, which that function
+        fills in."""
+        return {}
+
     def restrict(self, m: SquarefreeMonomial) -> "LabeledComplex":
         """Subcomplex of faces whose label divides m, in this complex's face
         order; contains the empty face whenever this complex is nonempty.

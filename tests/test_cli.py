@@ -234,6 +234,14 @@ class TestLimits:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "2^31" in captured.err
 
+    def test_unparseable_field_rejected(self, capsys):
+        argv = ["scarf", "--graph", "path:5", "--spec", "connected:3", "--fields"]
+        for field in ("gf", "gfx", "gf2.5"):
+            assert main(argv + [f"gf2,{field}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot parse field '{field}'\n"
+
     def test_jobs_other_than_one_rejected(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")

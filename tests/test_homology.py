@@ -97,6 +97,9 @@ class TestFieldSpec:
             FieldSpec.parse("gf4")
         with pytest.raises(HomologyError):
             FieldSpec.parse("bogus")
+        for text in ("gf", "gfx", "gf2.5"):
+            with pytest.raises(HomologyError, match=f"cannot parse field '{text}'"):
+                FieldSpec.parse(text)
         with pytest.raises(HomologyError):
             FieldSpec("prime", 1)
         with pytest.raises(HomologyError):
@@ -452,3 +455,90 @@ class TestDomination:
                     else:
                         free += 1
         assert dominated > 100 and free > 100
+
+
+def vertex_set(delta: LabeledComplex, mask: int) -> int:
+    """The bit set of the generators dividing the monomial that are vertices
+    of delta: the key of the restriction in `delta.collapse_answers`."""
+    columns = delta.face_columns
+    return sum(
+        1 << g for g, generator in enumerate(delta.ideal.generator_masks)
+        if not generator & ~mask and columns[g]
+    )
+
+
+def assert_table_closed(delta: LabeledComplex) -> None:
+    """Every entry of delta's collapse table is the answer for the induced
+    subcomplex on its vertex set, read from the definitions: True on a
+    simplex, False on a core with two or more vertices, and otherwise the
+    answer stored for the set less some dominated vertex."""
+    table = delta.collapse_answers
+    for key, answer in table.items():
+        members = {g for g in range(delta.ideal.num_generators) if key >> g & 1}
+        sub = LabeledComplex(
+            delta.ideal, tuple(face for face in delta.faces if members.issuperset(face))
+        )
+        if len(sub.faces) == 1 << len(members):
+            assert answer and sorted(members) == list(sub.vertices), (delta.faces, key)
+            continue
+        dominated = [
+            v for v in sub.vertices if any(dominates(sub, w, v) for w in sub.vertices if w != v)
+        ]
+        if not dominated:
+            assert answer is False, (delta.faces, key)
+        else:
+            assert any(table.get(key & ~(1 << v)) is answer for v in dominated), (
+                delta.faces, key
+            )
+
+
+class TestCollapseTable:
+    def assert_table_agrees(self, delta: LabeledComplex, masks) -> set[bool]:
+        """Queries one complex at the masks in the order given, compares
+        each answer with a copy whose table is empty and with greedy
+        collapses of the restriction, and returns the answers seen."""
+        universe = delta.ideal.universe
+        answers = set()
+        for mask in masks:
+            answer = collapses_to_point(delta, mask)
+            answers.add(answer)
+            fresh = LabeledComplex(delta.ideal, delta.faces)
+            assert collapses_to_point(fresh, mask) is answer, (delta.faces, mask)
+            restricted = delta.restrict(SquarefreeMonomial(universe, mask))
+            assert collapses_greedy(restricted) == answer, (delta.faces, mask)
+            if vertex_set(delta, mask):
+                assert delta.collapse_answers[vertex_set(delta, mask)] is answer
+        assert_table_closed(delta)
+        return answers
+
+    def test_shuffled_lattice_scans_on_corpus(self, oracle_corpus):
+        rng = random.Random(71)
+        seen = set()
+        for ideal in oracle_corpus:
+            masks = [point.mask for point in lcm_lattice(ideal)]
+            rng.shuffle(masks)
+            seen |= self.assert_table_agrees(scarf_complex(ideal), masks)
+        assert seen == {True, False}
+
+    def test_random_masks_on_random_complexes(self):
+        rng = random.Random(73)
+        seen = set()
+        for _ in range(50):
+            count = rng.randint(4, 8)
+            tops = [
+                tuple(sorted(rng.sample(range(count), rng.randint(1, min(4, count)))))
+                for _ in range(rng.randint(2, 7))
+            ]
+            masks = [rng.getrandbits(count) for _ in range(30)]
+            seen |= self.assert_table_agrees(complex_from_top_faces(count, tops), masks)
+        assert seen == {True, False}
+
+    def test_spider_scan_reads_the_table(self):
+        """After one scan of the lattice, a second one answers from the table
+        alone: with faces that refuse indexing no vertex can be tested."""
+        ideal = build_ideal(spider5_graph(3, 3, 3), IdealSpec("path", 4))
+        delta = scarf_complex(ideal)
+        masks = [point.mask for point in lcm_lattice(ideal)]
+        assert all(collapses_to_point(delta, mask) for mask in masks)
+        object.__setattr__(delta, "faces", NoIndexFaces(delta.faces))
+        assert all(collapses_to_point(delta, mask) for mask in masks)
