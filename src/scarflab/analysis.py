@@ -345,23 +345,18 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
     base_report = is_scarf(ideal, fields)
     glued_report = is_scarf(glued, fields)
 
+    def mapped_cone(j: int) -> set[tuple[int, ...]]:
+        """The cone from apex[j] over the glued image of j's old star."""
+        star = {map_face(face) for face in stars[j].faces}
+        return star | {tuple(sorted(face + (apex[j],))) for face in star}
+
     replacement_ok = stars_ok = disjointness_persists = None
     if hypothesis:
-        expected = {map_face(face) for face in base_complex.faces}
-        for j in leafed:
-            for face in stars[j].faces:
-                expected.add(tuple(sorted(map_face(face) + (apex[j],))))
+        cones = {j: mapped_cone(j) for j in leafed}
+        expected = {map_face(face) for face in base_complex.faces}.union(*cones.values())
         replacement_ok = expected == set(glued_complex.faces)
-
-        stars_ok = True
-        glued_stars = {}
-        for j in leafed:
-            want = {map_face(face) for face in stars[j].faces}
-            want |= {tuple(sorted(map_face(face) + (apex[j],))) for face in stars[j].faces}
-            got = glued_complex.star((to_glued[j],))
-            glued_stars[j] = got
-            if set(got.faces) != want:
-                stars_ok = False
+        glued_stars = {j: glued_complex.star((to_glued[j],)) for j in leafed}
+        stars_ok = all(set(glued_stars[j].faces) == cones[j] for j in leafed)
         disjointness_persists = not any(
             _stars_share_nonempty_face(glued_stars[i], glued_stars[j])
             for i, j in itertools.combinations(leafed, 2)
@@ -562,10 +557,10 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
     The verdicts come from `hereditary_verdicts`.  Records come by n, then
     by canonical form (their graph6), the order of the enumeration.  n_max
     is checked against the enumeration cap before any graph is built."""
+    if not 1 <= n_max <= DEFAULT_ENUMERATION_CAP:
+        raise GraphError(f"n_max must be within 1..{DEFAULT_ENUMERATION_CAP}")
     fields = _normalize_fields(fields)
     predict = _sweep_predictor(spec)
-    if not 1 <= n_max <= DEFAULT_ENUMERATION_CAP:
-        raise GraphError(f"sweep capped at {DEFAULT_ENUMERATION_CAP} vertices here")
     names = [f.render() for f in fields]
     records = [
         _sweep_one(graph, predict, tuple(zip(names, verdicts)))
@@ -631,10 +626,10 @@ def derive_obstructions(
     'subgraph' still searches for a smaller non-Scarf subgraph pairwise."""
     if mode not in ("induced", "subgraph"):
         raise AnalysisError("mode must be 'induced' or 'subgraph'")
+    cap = DERIVE_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
+    if not 1 <= n_max <= cap:
+        raise GraphError(f"n_max must be within 1..{cap}")
     fields = _normalize_fields(fields)
-    limit = DERIVE_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
-    if not 1 <= n_max <= limit:
-        raise GraphError(f"obstruction derivation capped at {limit} vertices here")
     bad = []
     minimal = []
     below: tuple[tuple[str, ...], ...] = ()

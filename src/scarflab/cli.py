@@ -20,16 +20,9 @@ import re
 import sys
 
 from . import analysis
-from .analysis import (
-    DERIVE_TREE_CAP,
-    derive_obstructions,
-    is_scarf,
-    leaf_lemma_pipeline,
-    sweep,
-)
+from .analysis import derive_obstructions, is_scarf, leaf_lemma_pipeline, sweep
 from .complexes import scarf_complex, taylor_complex
 from .graphs import (
-    DEFAULT_ENUMERATION_CAP,
     FamilyTag,
     SimpleGraph,
     canonical_form,
@@ -188,11 +181,6 @@ def _json_block(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
-def _check_n_max(n_max: int, cap: int) -> None:
-    if not 1 <= n_max <= cap:
-        raise CliError(f"--n-max must be within 1..{cap}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -257,7 +245,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     theorem = args.theorem.strip()
     fields = parse_fields(args.fields)
     if theorem.upper().startswith("A:"):
-        t = int(theorem[2:])
+        try:
+            t = int(theorem[2:])
+        except ValueError:
+            raise CliError(f"cannot parse theorem {theorem!r}; use A:<t> or B") from None
         predicted = analysis.classify_theorem_A(graph, t)
         spec = IdealSpec("connected", t)
     elif theorem.upper() == "B":
@@ -286,7 +277,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs != 1:
         raise CliError("--jobs takes only 1: sweeps run in one process")
-    _check_n_max(args.n_max, DEFAULT_ENUMERATION_CAP)
     result = sweep(IdealSpec.parse(args.spec), args.n_max, parse_fields(args.fields))
     if args.format == "json":
         _emit("\n".join(result.to_json_lines()), args.output)
@@ -308,7 +298,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
-    _check_n_max(args.n_max, DERIVE_TREE_CAP if args.trees_only else DEFAULT_ENUMERATION_CAP)
     catalog = derive_obstructions(
         IdealSpec.parse(args.spec),
         args.n_max,

@@ -219,29 +219,26 @@ class FamilyTag:
         return self.render()
 
 
-_FAMILY_BUILDERS = {
-    "path": (1, path_graph),
-    "cycle": (1, cycle_graph),
-    "star": (1, star_graph),
-    "triangle": (1, triangle_with_leaves),
-    "broom3": (2, broom3_graph),
-    "broom4": (2, broom4_graph),
-    "spider5": (3, spider5_graph),
-    "spider6": (3, spider6_graph),
+# kind -> (builder, vertices outside the parameters, parameter count), in
+# recognition priority when a graph lies in several families at once.
+_FAMILIES = {
+    "path": (path_graph, 0, 1),
+    "cycle": (cycle_graph, 0, 1),
+    "star": (star_graph, 1, 1),
+    "triangle": (triangle_with_leaves, 3, 1),
+    "broom3": (broom3_graph, 3, 2),
+    "broom4": (broom4_graph, 4, 2),
+    "spider5": (spider5_graph, 5, 3),
+    "spider6": (spider6_graph, 6, 3),
 }
-
-# Recognition priority when a graph lies in several families at once.
-FAMILY_PRIORITY = (
-    "path", "cycle", "star", "triangle", "broom3", "broom4", "spider5", "spider6",
-)
 
 
 def make_family(tag: FamilyTag) -> SimpleGraph:
-    if tag.kind not in _FAMILY_BUILDERS:
+    if tag.kind not in _FAMILIES:
         raise GraphError(f"unknown family kind {tag.kind!r}")
-    arity, builder = _FAMILY_BUILDERS[tag.kind]
-    if len(tag.params) != arity:
-        raise GraphError(f"family {tag.kind} takes {arity} parameters, got {len(tag.params)}")
+    builder, _, count = _FAMILIES[tag.kind]
+    if len(tag.params) != count:
+        raise GraphError(f"family {tag.kind} takes {count} parameters, got {len(tag.params)}")
     return builder(*tag.params)
 
 
@@ -256,26 +253,15 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def family_catalog(n: int) -> tuple[tuple[FamilyTag, SimpleGraph], ...]:
-    """All family members with exactly n vertices, in recognition priority order."""
-    out: list[tuple[FamilyTag, SimpleGraph]] = []
-    for kind in FAMILY_PRIORITY:
-        if kind == "path" and n >= 1:
-            out.append((FamilyTag("path", (n,)), path_graph(n)))
-        elif kind == "cycle" and n >= 3:
-            out.append((FamilyTag("cycle", (n,)), cycle_graph(n)))
-        elif kind == "star" and n >= 1:
-            out.append((FamilyTag("star", (n - 1,)), star_graph(n - 1)))
-        elif kind == "triangle" and n >= 3:
-            out.append((FamilyTag("triangle", (n - 3,)), triangle_with_leaves(n - 3)))
-        elif kind in ("broom3", "broom4", "spider5", "spider6"):
-            spine = int(kind[-1])
-            free = n - spine
-            if free < 0:
-                continue
-            arity = _FAMILY_BUILDERS[kind][0]
-            for params in _compositions(free, arity):
-                out.append((FamilyTag(kind, params), make_family(FamilyTag(kind, params))))
-    return tuple(out)
+    """All family members with exactly n vertices, in recognition priority
+    order: each kind's parameters are the compositions of the vertices
+    outside them.  Every family needs a vertex, and a cycle three."""
+    return tuple(
+        (FamilyTag(kind, params), builder(*params))
+        for kind, (builder, outside, count) in _FAMILIES.items()
+        if n >= max(outside, 3 if kind == "cycle" else 1)
+        for params in _compositions(n - outside, count)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -16,10 +16,10 @@ vertex domination tests over the whole scan.
 
 Boundary matrices carry the usual alternating signs over the sorted vertex
 order and include the augmentation map sending every vertex to the empty face,
-so Betti numbers here are reduced.  All arithmetic is exact: bit-set
-elimination over GF(2), and one fraction-free elimination for the other
-fields: reduced mod p for odd primes p < 2^31, and Bareiss over the integers
-for the rational ranks.
+so Betti numbers here are reduced.  All arithmetic is exact: one
+fraction-free elimination serves every field, reduced mod p for the primes
+p < 2^31 (p = 2 among them), and Bareiss over the integers for the rational
+ranks.
 
 `reduced_betti` needs a complex with at least one vertex and raises
 HomologyError on the void complex or on one whose only face is the empty
@@ -129,27 +129,8 @@ def boundary_matrix(delta: LabeledComplex, i: int) -> list[list[int]]:
     return matrix
 
 
-def _rank_gf2(matrix: Sequence[Sequence[int]]) -> int:
-    rows = []
-    for row in matrix:
-        mask = 0
-        for j, entry in enumerate(row):
-            if entry % 2:
-                mask |= 1 << j
-        if mask:
-            rows.append(mask)
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        rank += 1
-        low = pivot & -pivot
-        rows = [r ^ pivot if r & low else r for r in rows]
-        rows = [r for r in rows if r]
-    return rank
-
-
-def _rank_fraction_free(matrix: Sequence[Sequence[int]], p: int = 0) -> int:
-    """Exact rank over GF(p) for a prime p, or over Q when p is 0.
+def matrix_rank(matrix: Sequence[Sequence[int]], field: FieldSpec) -> int:
+    """Exact rank over GF(p) for a prime p, or over Q.
 
     Each pivot clears its column below it by `row <- pivot*row -
     factor*pivot_row`.  As pivot != 0, that is an invertible row operation
@@ -160,16 +141,15 @@ def _rank_fraction_free(matrix: Sequence[Sequence[int]], p: int = 0) -> int:
     previous pivot, which is nonzero and so keeps the rank, as in Bareiss
     elimination: each entry left below the pivots is a minor of the input
     with its rows permuted, so the division is exact over Z and no entry
-    outgrows such a minor."""
+    outgrows such a minor.  A matrix with no nonzero entry, `[]` and `[[]]`
+    among them, has no pivot and rank 0."""
+    p = field.p
     rows = [[entry % p for entry in row] if p else list(row) for row in matrix]
     rows = [row for row in rows if any(row)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
     rank = 0
     col = 0
     previous_pivot = 1
-    while rank < len(rows) and col < cols:
+    while rank < len(rows) and col < len(rows[rank]):
         pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot_row is None:
             col += 1
@@ -190,14 +170,6 @@ def _rank_fraction_free(matrix: Sequence[Sequence[int]], p: int = 0) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def matrix_rank(matrix: Sequence[Sequence[int]], field: FieldSpec) -> int:
-    if not matrix or not any(len(row) for row in matrix):
-        return 0
-    if field.p == 2:
-        return _rank_gf2(matrix)
-    return _rank_fraction_free(matrix, field.p or 0)
 
 
 def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:

@@ -101,11 +101,11 @@ class SquarefreeMonomial:
         return self.mask == 0
 
     def divides(self, other: "SquarefreeMonomial") -> bool:
-        _require_same_universe(self, other)
+        _require_universe(other, self.universe)
         return self.mask & ~other.mask == 0
 
     def lcm(self, other: "SquarefreeMonomial") -> "SquarefreeMonomial":
-        _require_same_universe(self, other)
+        _require_universe(other, self.universe)
         return SquarefreeMonomial(self.universe, self.mask | other.mask)
 
     def render(self) -> str:
@@ -117,8 +117,8 @@ class SquarefreeMonomial:
         return self.render()
 
 
-def _require_same_universe(a: SquarefreeMonomial, b: SquarefreeMonomial) -> None:
-    if a.universe is not b.universe and a.universe != b.universe:
+def _require_universe(m: SquarefreeMonomial, universe: VariableUniverse) -> None:
+    if m.universe is not universe and m.universe != universe:
         raise MonomialError("monomials live in different variable universes")
 
 
@@ -133,7 +133,7 @@ def lcm_of(
         if seen is None:
             seen = m.universe
         else:
-            _require_same_universe(m, SquarefreeMonomial(seen, 0))
+            _require_universe(m, seen)
         mask |= m.mask
     if seen is None:
         if universe is None:
@@ -159,7 +159,7 @@ class MonomialIdeal:
         if sorted(masks) != masks or len(set(masks)) != len(masks):
             raise MonomialError("mingens must be strictly sorted by support bit pattern")
         for g in self.mingens:
-            _require_same_universe(g, SquarefreeMonomial(self.universe, 0))
+            _require_universe(g, self.universe)
         for i, a in enumerate(masks):
             for b in masks[i + 1:]:
                 if a & ~b == 0 or b & ~a == 0:
@@ -183,13 +183,13 @@ class MonomialIdeal:
 
     def restrict(self, m: SquarefreeMonomial) -> "MonomialIdeal":
         """Subideal generated by the minimal generators dividing m."""
-        _require_same_universe(m, SquarefreeMonomial(self.universe, 0))
+        _require_universe(m, self.universe)
         return MonomialIdeal(
             self.universe, tuple(g for g in self.mingens if g.mask & ~m.mask == 0)
         )
 
     def contains(self, m: SquarefreeMonomial) -> bool:
-        _require_same_universe(m, SquarefreeMonomial(self.universe, 0))
+        _require_universe(m, self.universe)
         return any(g.mask & ~m.mask == 0 for g in self.mingens)
 
     def to_json_dict(self) -> dict:
@@ -246,7 +246,7 @@ def minimalize(
     if universe is None:
         universe = gens[0].universe
     for g in gens:
-        _require_same_universe(g, SquarefreeMonomial(universe, 0))
+        _require_universe(g, universe)
     masks = sorted({g.mask for g in gens}, key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for m in masks:

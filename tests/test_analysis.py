@@ -317,11 +317,22 @@ class TestSweep:
         with pytest.raises(AnalysisError):
             sweep(IdealSpec("connected", 2), 4)
 
-    @pytest.mark.parametrize("n_max", [0, -5, 8])
-    def test_n_max_checked_up_front(self, n_max, monkeypatch):
+    @pytest.mark.parametrize("n_max, trees_only, cap", [
+        pytest.param(0, None, 7, id="0"),
+        pytest.param(-5, None, 7, id="-5"),
+        pytest.param(8, None, 7, id="8"),
+        pytest.param(8, False, 7, id="derive-8"),
+        pytest.param(10, True, 9, id="derive-trees-10"),
+    ])
+    def test_n_max_checked_up_front(self, n_max, trees_only, cap, monkeypatch):
+        """`sweep` (trees_only None) and `derive_obstructions` reject n_max
+        outside 1..cap, naming the range, before any work starts."""
         monkeypatch.setattr(analysis, "hereditary_verdicts", None)  # no work may start
-        with pytest.raises(GraphError):
-            sweep(C3, n_max)
+        with pytest.raises(GraphError, match=rf"n_max must be within 1\.\.{cap}$"):
+            if trees_only is None:
+                sweep(C3, n_max)
+            else:
+                derive_obstructions(P4, n_max, "induced", trees_only=trees_only)
 
 
 class TestObstructions:

@@ -171,6 +171,14 @@ class TestSubcommands:
         assert main(["classify", "--graph", "path:4", "--theorem", "C"]) == 2
         assert "unknown theorem" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theorem", ["A:x", "A:"])
+    def test_classify_unparseable_degree(self, theorem, capsys):
+        assert main(["classify", "--graph", "path:5", "--theorem", theorem]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(theorem) in captured.err and "use A:<t> or B" in captured.err
+
     def test_sweep_table(self, capsys):
         assert main(["sweep", "--spec", "connected:3", "--n-max", "4",
                      "--format", "table"]) == 0
@@ -222,7 +230,7 @@ class TestLimits:
               "--trees-only"], 9),
         ):
             assert main(argv) == 2
-            assert f"--n-max must be within 1..{cap}" in capsys.readouterr().err
+            assert f"n_max must be within 1..{cap}" in capsys.readouterr().err
 
     def test_prime_field_at_or_above_2_31_rejected(self, capsys):
         argv = ["scarf", "--graph", "path:5", "--spec", "connected:3", "--fields"]

@@ -852,3 +852,14 @@ class TestPinnedForms:
     def test_digest(self):
         text = "\n".join(self.lines()).encode()
         assert hashlib.sha256(text).hexdigest() == self.DIGEST
+
+    def test_family_catalog_digest(self):
+        """The catalog's order, tags and member labellings for n = 1..12."""
+        lines = [
+            f"{n} {tag.render()} {to_graph6(member)}"
+            for n in range(1, 13)
+            for tag, member in family_catalog(n)
+        ]
+        assert len(lines) == 348
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "5bee1f70353633807506c7174a2281b813f2f9dfb2071cd940f2e75938facc4b"
