@@ -88,26 +88,9 @@ class ScarfReport:
     num_scarf_faces: int
     num_lattice_points: int
 
-    def verdict(self, field: FieldSpec) -> str:
-        for f, v in self.verdicts:
-            if f == field:
-                return v
-        raise AnalysisError(f"field {field} was not part of this report")
-
     @property
     def all_scarf(self) -> bool:
         return all(v != VERDICT_NOT_SCARF for _, v in self.verdicts)
-
-    @property
-    def fields_disagree(self) -> bool:
-        answers = {v != VERDICT_NOT_SCARF for _, v in self.verdicts}
-        return len(answers) > 1
-
-    def witness(self, field: FieldSpec) -> tuple[SquarefreeMonomial, HomologyProfile] | None:
-        for f, m, profile in self.witnesses:
-            if f == field:
-                return m, profile
-        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -317,7 +300,7 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
     no nonempty face; when it fails the conclusions are not asserted.
     """
     fields = _normalize_fields(fields)
-    _, leafed = leaf_split(ideal, x)
+    leafed = leaf_split(ideal, x)
     glued = glue_leaf_ideal(ideal, x)
     x_prime = glued.universe.size - 1
     base_complex = scarf_complex(ideal)
@@ -514,10 +497,6 @@ class SweepResult:
     records: tuple[SweepRecord, ...]
     disagreements: tuple[SweepRecord, ...]
     field_conflicts: tuple[SweepRecord, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements and not self.field_conflicts
 
     def to_json_lines(self) -> list[str]:
         return [json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records]

@@ -49,15 +49,18 @@ class CliError(ValueError):
 def parse_family_token(token: str) -> FamilyTag:
     """Family shorthand: P7, C5, S4 (star), T2, S3(1,2), S4(2,2), S5(1,2,1), S6(1,2,1)."""
     token = token.strip()
+    unparsed = f"cannot parse family {token!r}; expected forms like T2, S4, S5(1,2,1)"
     match = _FAMILY_SHORTHAND.match(token)
     if not match:
-        raise CliError(
-            f"cannot parse family {token!r}; expected forms like T2, S4, S5(1,2,1)"
-        )
-    letter, number, args = match.group(1), int(match.group(2)), match.group(3)
+        raise CliError(unparsed)
+    letter, args = match.group(1), match.group(3)
     if args is not None and not args.strip():
         raise CliError(f"empty parameter list in {token!r}")
-    params = tuple(int(p) for p in args.split(",")) if args else None
+    try:  # an empty parameter, or a number past int()'s digit limit
+        number = int(match.group(2))
+        params = tuple(int(p) for p in args.split(",")) if args else None
+    except ValueError:
+        raise CliError(unparsed) from None
     if letter == "P":
         if params is not None:
             raise CliError("P takes no parameter list")

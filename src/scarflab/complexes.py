@@ -17,7 +17,6 @@ fresh variable, every generator divisible by a chosen variable.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -70,13 +69,6 @@ class LabeledComplex:
                 if face[:drop] + face[drop + 1:] not in seen:
                     raise ComplexError(f"faces are not downward closed at {face}")
 
-    @classmethod
-    def from_faces(cls, ideal: MonomialIdeal, faces: Iterable[Iterable[int]]) -> "LabeledComplex":
-        normalized = {tuple(sorted(set(face))) for face in faces}
-        if normalized:
-            normalized.add(())
-        return cls(ideal, tuple(sorted(normalized, key=_face_key)))
-
     @cached_property
     def face_set(self) -> frozenset[Face]:
         return frozenset(self.faces)
@@ -92,16 +84,6 @@ class LabeledComplex:
             out.append(mask)
         return tuple(out)
 
-    def label(self, face: Iterable[int]) -> SquarefreeMonomial:
-        key = tuple(sorted(set(face)))
-        if key not in self.face_set:
-            raise ComplexError(f"{key} is not a face")
-        mask = self.label_masks[self.faces.index(key)]
-        return SquarefreeMonomial(self.ideal.universe, mask)
-
-    def contains(self, face: Iterable[int]) -> bool:
-        return tuple(sorted(set(face))) in self.face_set
-
     @property
     def is_void(self) -> bool:
         return not self.faces
@@ -109,10 +91,6 @@ class LabeledComplex:
     @property
     def has_vertices(self) -> bool:
         return any(len(face) == 1 for face in self.faces)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(face[0] for face in self.faces if len(face) == 1)
 
     @property
     def dim(self) -> int:
@@ -188,9 +166,6 @@ class LabeledComplex:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def taylor_complex(ideal: MonomialIdeal, max_generators: int = DEFAULT_TAYLOR_CAP) -> LabeledComplex:
     """Full power set of the minimal generators."""
@@ -251,7 +226,9 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
 
 
 def cone(apex: int, delta: LabeledComplex) -> LabeledComplex:
-    """Cone with apex a generator index not yet used by the complex; doubles the faces."""
+    """Cone with apex a generator index not yet used by the complex; doubles
+    the faces.  No production code calls it; it is kept as API because the
+    README lists it among what `complexes` offers."""
     if not 0 <= apex < delta.ideal.num_generators:
         raise ComplexError(f"apex {apex} is not a generator index")
     if delta.is_void:
@@ -287,16 +264,15 @@ def lcm_lattice(ideal: MonomialIdeal) -> tuple[SquarefreeMonomial, ...]:
 # leaf gluing
 
 
-def leaf_split(ideal: MonomialIdeal, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Indices of generators not divisible (plain) and divisible (leafed) by variable x."""
+def leaf_split(ideal: MonomialIdeal, x: int) -> tuple[int, ...]:
+    """Indices of the generators divisible (leafed) by variable x."""
     if not 0 <= x < ideal.universe.size:
         raise ComplexError(f"variable index {x} out of range")
     bit = 1 << x
-    plain = tuple(i for i, g in enumerate(ideal.mingens) if not g.mask & bit)
     leafed = tuple(i for i, g in enumerate(ideal.mingens) if g.mask & bit)
     if not leafed:
         raise ComplexError(f"variable {ideal.universe.names[x]} divides no generator")
-    return plain, leafed
+    return leafed
 
 
 def _fresh_variable_name(universe: VariableUniverse, base: str) -> str:
@@ -309,7 +285,7 @@ def _fresh_variable_name(universe: VariableUniverse, base: str) -> str:
 def glue_leaf_ideal(ideal: MonomialIdeal, x: int) -> MonomialIdeal:
     """Extend the universe by a fresh variable x' and add x'*(g/x) for every
     generator g divisible by x.  The result is minimally generated as given."""
-    _, leafed = leaf_split(ideal, x)
+    leafed = leaf_split(ideal, x)
     universe = ideal.universe
     extended = universe.extend(_fresh_variable_name(universe, universe.names[x]))
     x_prime_bit = 1 << universe.size

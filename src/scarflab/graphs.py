@@ -5,8 +5,8 @@ when u and v are joined, and edges and degrees are read off the rows.  The
 module covers exactly what the ideal constructions and the classification
 sweeps need: connected vertex subsets, path vertex sets, canonical forms,
 the named graph families (paths, cycles, stars, triangles with pendant
-leaves, double brooms, spiders), subgraph containment and graph6 /
-adjacency-list / JSON input and output.
+leaves, double brooms, spiders), subgraph containment, graph6 and
+adjacency-list input and output, and JSON input.
 
 Canonical forms are exact: colour refinement first, then minimisation of the
 graph6 bit string over the colour-respecting orderings by a pruned depth-first
@@ -120,9 +120,6 @@ class SimpleGraph:
     def num_edges(self) -> int:
         return sum(self.degrees) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adjacency[v]))
-
 
 def _check_vertex_count(n: int) -> None:
     if not 0 <= n <= MAX_VERTICES:
@@ -146,12 +143,6 @@ def star_graph(k: int) -> SimpleGraph:
     if k < 0:
         raise GraphError("leaf count must be nonnegative")
     return SimpleGraph.from_edges(k + 1, ((0, i) for i in range(1, k + 1)))
-
-
-def complete_graph(n: int) -> SimpleGraph:
-    if n < 1:
-        raise GraphError("need at least one vertex")
-    return SimpleGraph.from_edges(n, ((u, v) for v in range(n) for u in range(v)))
 
 
 def triangle_with_leaves(k: int) -> SimpleGraph:
@@ -341,21 +332,6 @@ def path_vertex_sets(graph: SimpleGraph, t: int) -> tuple[tuple[int, ...], ...]:
     for start in range(graph.n):
         extend(start, 1 << start, 1, start)
     return tuple(sorted(found))
-
-
-def removable_vertices(graph: SimpleGraph) -> tuple[int, ...]:
-    """Vertices whose removal keeps the graph connected; empty for a single vertex."""
-    if not is_connected(graph):
-        raise GraphError("removable_vertices needs a connected graph")
-    if graph.n == 1:
-        return ()
-    full = (1 << graph.n) - 1
-    out = []
-    for v in range(graph.n):
-        rest = full & ~(1 << v)
-        if _connected_within(graph.adjacency, rest):
-            out.append(v)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +815,11 @@ def contains_subgraph(
 def contains_induced(
     host: SimpleGraph, pattern: SimpleGraph, max_vertices: int = DEFAULT_EMBEDDING_CAP
 ) -> bool:
-    """True if some induced subgraph of host is isomorphic to pattern."""
+    """True if some induced subgraph of host is isomorphic to pattern.
+
+    No production code calls it: the benchmark's layer trace
+    (perfbench/spans.py) wraps it by name, so it stays until a benchmark
+    change drops it from there and it moves to the tests."""
     if host.n > max_vertices:
         raise GraphError(f"containment search capped at {max_vertices} vertices")
     return _embeds(host, pattern, induced=True)
@@ -925,10 +905,6 @@ def parse_adjacency_text(text: str) -> SimpleGraph:
     except (ValueError, GraphError) as exc:
         detail = exc.args[0] if exc.args else str(exc)
         raise GraphError(f"line {graph_line_no}: {detail}") from None
-
-
-def to_json_dict(graph: SimpleGraph) -> dict:
-    return {"n": graph.n, "edges": [list(e) for e in graph.edges]}
 
 
 def graph_from_json_dict(data: dict) -> SimpleGraph:

@@ -87,7 +87,6 @@ class FieldSpec:
 
 GF2 = FieldSpec("prime", 2)
 GF32003 = FieldSpec("prime", 32003)
-RATIONALS = FieldSpec("rationals")
 DEFAULT_FIELDS = (GF2, GF32003)
 
 

@@ -47,18 +47,20 @@ class IdealSpec:
     def parse(cls, text: str) -> "IdealSpec":
         kind, _, t_text = text.strip().partition(":")
         try:
-            return cls(kind, int(t_text))
-        except ValueError as exc:
+            t = int(t_text)
+        except ValueError:
+            raise IdealSpecError(
+                f"bad ideal spec {text!r}; use connected:<t> or path:<t>"
+            ) from None
+        try:
+            return cls(kind, t)
+        except IdealSpecError as exc:
             raise IdealSpecError(f"bad ideal spec {text!r}: {exc}") from None
-
-
-def vertex_universe(graph: SimpleGraph) -> VariableUniverse:
-    return VariableUniverse.of_size(graph.n)
 
 
 def build_ideal(graph: SimpleGraph, spec: IdealSpec) -> MonomialIdeal:
     """Ideal of the requested kind; disconnected input graphs are fine."""
-    universe = vertex_universe(graph)
+    universe = VariableUniverse.of_size(graph.n)
     if spec.t > graph.n:
         return MonomialIdeal.zero(universe)
     if spec.kind == "connected":

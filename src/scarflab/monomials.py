@@ -9,7 +9,6 @@ square-free monomials is just the divisibility antichain of the generators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -92,22 +91,6 @@ class SquarefreeMonomial:
     def support(self) -> tuple[int, ...]:
         return tuple(_bits(self.mask))
 
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def is_one(self) -> bool:
-        return self.mask == 0
-
-    def divides(self, other: "SquarefreeMonomial") -> bool:
-        _require_universe(other, self.universe)
-        return self.mask & ~other.mask == 0
-
-    def lcm(self, other: "SquarefreeMonomial") -> "SquarefreeMonomial":
-        _require_universe(other, self.universe)
-        return SquarefreeMonomial(self.universe, self.mask | other.mask)
-
     def render(self) -> str:
         if self.mask == 0:
             return "1"
@@ -120,26 +103,6 @@ class SquarefreeMonomial:
 def _require_universe(m: SquarefreeMonomial, universe: VariableUniverse) -> None:
     if m.universe is not universe and m.universe != universe:
         raise MonomialError("monomials live in different variable universes")
-
-
-def lcm_of(
-    monomials: Iterable[SquarefreeMonomial],
-    universe: VariableUniverse | None = None,
-) -> SquarefreeMonomial:
-    """lcm of a collection; the empty collection needs an explicit universe and gives 1."""
-    mask = 0
-    seen: VariableUniverse | None = None
-    for m in monomials:
-        if seen is None:
-            seen = m.universe
-        else:
-            _require_universe(m, seen)
-        mask |= m.mask
-    if seen is None:
-        if universe is None:
-            raise MonomialError("lcm of an empty collection needs a universe")
-        seen = universe
-    return SquarefreeMonomial(seen, mask)
 
 
 @dataclass(frozen=True)
@@ -181,25 +144,11 @@ class MonomialIdeal:
     def generator_masks(self) -> tuple[int, ...]:
         return tuple(g.mask for g in self.mingens)
 
-    def restrict(self, m: SquarefreeMonomial) -> "MonomialIdeal":
-        """Subideal generated by the minimal generators dividing m."""
-        _require_universe(m, self.universe)
-        return MonomialIdeal(
-            self.universe, tuple(g for g in self.mingens if g.mask & ~m.mask == 0)
-        )
-
-    def contains(self, m: SquarefreeMonomial) -> bool:
-        _require_universe(m, self.universe)
-        return any(g.mask & ~m.mask == 0 for g in self.mingens)
-
     def to_json_dict(self) -> dict:
         return {
             "variables": list(self.universe.names),
             "mingens": [list(g.support) for g in self.mingens],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonomialIdeal":

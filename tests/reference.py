@@ -21,6 +21,7 @@ from scarflab.graphs import (
     GraphError,
     SimpleGraph,
     _bits,
+    _connected_within,
     _order_bits,
     _pack_graph6,
     canonical_form,
@@ -29,10 +30,74 @@ from scarflab.graphs import (
     is_connected,
     parse_graph6,
 )
-from scarflab.homology import DEFAULT_FIELDS, reduced_betti
-from scarflab.monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse
+from scarflab.homology import DEFAULT_FIELDS, FieldSpec, reduced_betti
+from scarflab.monomials import (
+    MonomialError,
+    MonomialIdeal,
+    SquarefreeMonomial,
+    VariableUniverse,
+    _require_universe,
+)
 
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
+RATIONALS = FieldSpec("rationals")
+
+
+def complete_graph(n: int) -> SimpleGraph:
+    if n < 1:
+        raise GraphError("need at least one vertex")
+    return SimpleGraph.from_edges(n, ((u, v) for v in range(n) for u in range(v)))
+
+
+def removable_vertices(graph: SimpleGraph) -> tuple[int, ...]:
+    """Vertices whose removal keeps the graph connected; empty for a single
+    vertex.  The deletions the enumeration records as parents are these."""
+    if not is_connected(graph):
+        raise GraphError("removable_vertices needs a connected graph")
+    if graph.n == 1:
+        return ()
+    full = (1 << graph.n) - 1
+    return tuple(v for v in range(graph.n) if _connected_within(graph.adjacency, full & ~(1 << v)))
+
+
+def lcm_of(
+    monomials: Iterable[SquarefreeMonomial],
+    universe: VariableUniverse | None = None,
+) -> SquarefreeMonomial:
+    """lcm of a collection; the empty collection needs an explicit universe and gives 1."""
+    mask = 0
+    seen: VariableUniverse | None = None
+    for m in monomials:
+        if seen is None:
+            seen = m.universe
+        else:
+            _require_universe(m, seen)
+        mask |= m.mask
+    if seen is None:
+        if universe is None:
+            raise MonomialError("lcm of an empty collection needs a universe")
+        seen = universe
+    return SquarefreeMonomial(seen, mask)
+
+
+def restrict_ideal(ideal: MonomialIdeal, m: SquarefreeMonomial) -> MonomialIdeal:
+    """Subideal generated by the minimal generators dividing m."""
+    _require_universe(m, ideal.universe)
+    return MonomialIdeal(ideal.universe, tuple(g for g in ideal.mingens if g.mask & ~m.mask == 0))
+
+
+def complex_from_faces(ideal: MonomialIdeal, faces: Iterable[Iterable[int]]) -> LabeledComplex:
+    """The complex with these faces, each sorted and deduplicated, plus the
+    empty face when there is any; not closed under subsets."""
+    normalized = {tuple(sorted(set(face))) for face in faces}
+    if normalized:
+        normalized.add(())
+    return LabeledComplex(ideal, tuple(sorted(normalized, key=lambda face: (len(face), face))))
+
+
+def fields_disagree(report: ScarfReport) -> bool:
+    """True when the report's fields do not all give the same Scarf answer."""
+    return len({verdict != VERDICT_NOT_SCARF for _, verdict in report.verdicts}) > 1
 
 
 def induced_subgraph(
@@ -72,7 +137,7 @@ def diameter(graph: SimpleGraph) -> int:
         while frontier:
             nxt = []
             for v in frontier:
-                for u in graph.neighbors(v):
+                for u in _bits(graph.adjacency[v]):
                     if u not in dist:
                         dist[u] = dist[v] + 1
                         nxt.append(u)
@@ -237,7 +302,7 @@ def ideals_isomorphic(a: MonomialIdeal, b: MonomialIdeal) -> bool:
         rows = []
         for v in range(size):
             bit = 1 << v
-            degrees = sorted(g.degree for g in ideal.mingens if g.mask & bit)
+            degrees = sorted(g.mask.bit_count() for g in ideal.mingens if g.mask & bit)
             rows.append(tuple(degrees))
         return rows
 
@@ -295,7 +360,7 @@ def collapses_greedy(delta: LabeledComplex) -> bool:
     stack entries.
     """
     faces = delta.faces
-    vertices = len(delta.vertices)
+    vertices = len(delta.faces_of_size(1))
     if not vertices:
         return False
     if len(faces) == 1 << vertices:
@@ -353,7 +418,7 @@ def scarf_complex_bruteforce(ideal: MonomialIdeal, max_generators: int = 16) -> 
             for i in combo:
                 mask |= ideal.generator_masks[i]
             by_label.setdefault(mask, []).append(combo)
-    return LabeledComplex.from_faces(
+    return complex_from_faces(
         ideal, (group[0] for group in by_label.values() if len(group) == 1)
     )
 

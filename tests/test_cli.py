@@ -23,9 +23,9 @@ from scarflab.graphs import (
     spider5_graph,
     to_graph6,
 )
-from scarflab.homology import GF2, RATIONALS
+from scarflab.homology import GF2
 
-from reference import are_isomorphic
+from reference import RATIONALS, are_isomorphic
 
 
 class TestFamilyTokens:
@@ -249,6 +249,28 @@ class TestLimits:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: cannot parse field '{field}'\n"
+
+    def test_unparseable_family_or_spec_rejected(self, capsys):
+        """An empty parameter or a number past int()'s digit limit gives one
+        `error:` line naming the token, not Python's int() message."""
+        digits = "1" * 5000
+        family = "error: cannot parse family '{}'; expected forms like T2, S4, S5(1,2,1)\n"
+        spec = "error: bad ideal spec '{}'; use connected:<t> or path:<t>\n"
+        cases = [
+            (["--graph", f"family:{token}", "--spec", "path:4"], family.format(token))
+            for token in ("S3(1,)", "S3(,1)", "S5(1,,2)", "S5(1,2,3,)", "S3( ,1)", f"P{digits}")
+        ] + [
+            (["--graph", "path:5", "--spec", text], spec.format(text))
+            for text in ("path:x", "connected:", f"path:{digits}")
+        ]
+        for argv, message in cases:
+            assert main(["scarf", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "invalid literal" not in captured.err and "limit" not in captured.err
+            if digits not in message:  # past the digit limit only from Python 3.11
+                assert captured.err == message
 
     def test_jobs_other_than_one_rejected(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):

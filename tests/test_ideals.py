@@ -17,11 +17,10 @@ from scarflab.ideals import (
     IdealSpec,
     IdealSpecError,
     build_ideal,
-    vertex_universe,
 )
 from scarflab.monomials import SquarefreeMonomial
 
-from reference import induced_subgraph
+from reference import induced_subgraph, restrict_ideal
 
 
 def mask_of(vertices) -> int:
@@ -64,7 +63,7 @@ class TestWorkedExamples:
     def test_connected4_of_cycle5(self):
         ideal = build_ideal(cycle_graph(5), IdealSpec("connected", 4))
         assert ideal.num_generators == 5
-        assert all(g.degree == 4 for g in ideal.mingens)
+        assert all(g.mask.bit_count() == 4 for g in ideal.mingens)
 
     def test_path4_of_star_is_zero(self):
         ideal = build_ideal(star_graph(4), IdealSpec("path", 4))
@@ -128,7 +127,7 @@ class TestStructure:
                 c_ideal = build_ideal(graph, c_spec)
                 p_ideal = build_ideal(graph, IdealSpec("path", c_spec.t))
                 for g in p_ideal.mingens:
-                    assert c_ideal.contains(g)
+                    assert any(k & ~g.mask == 0 for k in c_ideal.generator_masks)
 
     def test_monotone_under_adding_edges(self):
         rng = random.Random(5)
@@ -140,7 +139,7 @@ class TestStructure:
                 inside = build_ideal(small, spec)
                 outside = build_ideal(big, spec)
                 for g in inside.mingens:
-                    assert outside.contains(g)
+                    assert any(k & ~g.mask == 0 for k in outside.generator_masks)
 
     def test_restriction_matches_induced_subgraph(self):
         # generators supported inside a vertex set are exactly the generators
@@ -154,7 +153,7 @@ class TestStructure:
             for spec in (IdealSpec("connected", 3), IdealSpec("path", 3)):
                 whole = build_ideal(graph, spec)
                 bound = SquarefreeMonomial(whole.universe, mask_of(chosen))
-                restricted = {g.support for g in whole.restrict(bound).mingens}
+                restricted = {g.support for g in restrict_ideal(whole, bound).mingens}
                 relabeled = {
                     tuple(mapping[i] for i in g.support)
                     for g in build_ideal(sub, spec).mingens
@@ -175,7 +174,8 @@ class TestStructure:
         assert {g.support for g in build_ideal(moved, spec).mingens} == expected
 
     def test_universe_names_follow_vertices(self):
-        assert vertex_universe(path_graph(3)).names == ("x1", "x2", "x3")
+        ideal = build_ideal(path_graph(3), IdealSpec("path", 2))
+        assert ideal.universe.names == ("x1", "x2", "x3")
 
     def test_generators_form_antichain(self):
         rng = random.Random(9)
@@ -183,4 +183,4 @@ class TestStructure:
             graph = random_graph(rng, 6)
             ideal = build_ideal(graph, IdealSpec("connected", 3))
             for a, b in itertools.permutations(ideal.mingens, 2):
-                assert not a.divides(b)
+                assert a.mask & ~b.mask != 0
