@@ -14,12 +14,12 @@ Fields are never merged: a graph counts as Scarf only when every field in the
 battery agrees, and cross-field disagreements are surfaced, not resolved.
 
 Sweeps and obstruction catalogs need verdicts, not witnesses, for every
-connected graph (or tree) up to some size.  They read them from one table per
-spec and field battery, `hereditary_verdicts`, filled level by level: a graph
-fails a field exactly when one of its connected one-vertex deletions fails it
-or its whole Scarf complex is not acyclic over it, so no lattice is scanned.
-Both walk the enumeration's levels in one process and keep its order: by n,
-then by canonical form.
+connected graph (or tree) up to some size.  Both iterate one walk over the
+enumeration's levels, `hereditary_verdicts`, which keeps only the level
+below: a graph fails a field exactly when one of its connected one-vertex
+deletions fails it or its whole Scarf complex is not acyclic over it, so no
+lattice is scanned.  The walk keeps the enumeration's order: by n, then by
+canonical form.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .complexes import (
     LabeledComplex,
-    generator_index_map,
+    _face_key,
+    cone,
     glue_leaf_ideal,
     lcm_lattice,
     leaf_split,
@@ -305,7 +305,9 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
     x_prime = glued.universe.size - 1
     base_complex = scarf_complex(ideal)
     glued_complex = scarf_complex(glued)
-    to_glued = generator_index_map(ideal, glued)
+    # glue_leaf_ideal keeps every old generator and adds each replacement, so no lookup misses
+    glued_index = {g.mask: k for k, g in enumerate(glued.mingens)}
+    to_glued = [glued_index[g.mask] for g in ideal.mingens]
 
     stars = {j: base_complex.star((j,)) for j in leafed}
     overlapping = tuple(
@@ -317,9 +319,8 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
 
     x_bit = 1 << x
     x_prime_bit = 1 << x_prime
-    glued_lookup = {g.mask: k for k, g in enumerate(glued.mingens)}
     apex = {
-        j: glued_lookup[(ideal.mingens[j].mask & ~x_bit) | x_prime_bit] for j in leafed
+        j: glued_index[(ideal.mingens[j].mask & ~x_bit) | x_prime_bit] for j in leafed
     }
 
     def map_face(face) -> tuple[int, ...]:
@@ -328,10 +329,10 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
     base_report = is_scarf(ideal, fields)
     glued_report = is_scarf(glued, fields)
 
-    def mapped_cone(j: int) -> set[tuple[int, ...]]:
+    def mapped_cone(j: int) -> frozenset[tuple[int, ...]]:
         """The cone from apex[j] over the glued image of j's old star."""
-        star = {map_face(face) for face in stars[j].faces}
-        return star | {tuple(sorted(face + (apex[j],))) for face in star}
+        star = sorted((map_face(face) for face in stars[j].faces), key=_face_key)
+        return cone(apex[j], LabeledComplex(glued, tuple(star))).face_set
 
     replacement_ok = stars_ok = disjointness_persists = None
     if hypothesis:
@@ -339,7 +340,7 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
         expected = {map_face(face) for face in base_complex.faces}.union(*cones.values())
         replacement_ok = expected == set(glued_complex.faces)
         glued_stars = {j: glued_complex.star((to_glued[j],)) for j in leafed}
-        stars_ok = all(set(glued_stars[j].faces) == cones[j] for j in leafed)
+        stars_ok = all(glued_stars[j].face_set == cones[j] for j in leafed)
         disjointness_persists = not any(
             _stars_share_nonempty_face(glued_stars[i], glued_stars[j])
             for i, j in itertools.combinations(leafed, 2)
@@ -400,28 +401,19 @@ def _graph_verdicts(
     return tuple(VERDICT_NOT_SCARF if f in failed else VERDICT_SCARF for f in fields)
 
 
-@lru_cache(maxsize=None)
-def _level_verdicts(
-    spec: IdealSpec, fields: tuple[FieldSpec, ...], n: int, trees_only: bool
-) -> tuple[tuple[str, ...], ...]:
-    graphs = enumerate_trees(n) if trees_only else enumerate_connected_graphs(n)
-    below = _level_verdicts(spec, fields, n - 1, trees_only) if n > 1 else ()
-    return tuple(
-        _graph_verdicts(graph, spec, fields, (below[p] for p in parents))
-        for graph, parents in zip(graphs, deletion_parents(n, trees_only))
-    )
-
-
 def hereditary_verdicts(
-    spec: IdealSpec, n: int, fields=DEFAULT_FIELDS, trees_only: bool = False
-) -> tuple[tuple[str, ...], ...]:
-    """Per representative of `enumerate_connected_graphs(n)` (with
-    trees_only, of `enumerate_trees(n)`), its verdict per field, as
-    `is_scarf(build_ideal(graph, spec), fields).verdicts` gives it.
+    spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS, trees_only: bool = False
+) -> Iterator[tuple[SimpleGraph, tuple[str, ...], tuple[tuple[str, ...], ...]]]:
+    """Walk the representatives of `enumerate_connected_graphs(n)` (with
+    trees_only, of `enumerate_trees(n)`) for n = 1..n_max in enumeration
+    order, yielding (graph, verdicts, parent_verdicts): graph's verdict per
+    field, as `is_scarf(build_ideal(graph, spec), fields).verdicts` gives
+    it, and the verdicts of its parents.  n_max and the fields are checked
+    before any graph is built; only the level below is kept.
 
-    The table is filled in increasing n from each graph's parents, the
-    classes of G - u over its non-cut vertices u (`deletion_parents`).  G is
-    not Scarf over a field F exactly when
+    A graph's parents are the classes of G - u over its non-cut vertices u
+    (`deletion_parents`), so its verdicts follow from theirs.  G is not
+    Scarf over a field F exactly when
 
     (a) some parent is not Scarf over F, or
     (b) x_V is an lcm-lattice point (the generator supports cover V) and
@@ -450,7 +442,20 @@ def hereditary_verdicts(
     parent with at most one, and (b) is checked by `_failing_fields` on the
     whole complex over the fields its parents pass.
     """
-    return _level_verdicts(spec, _normalize_fields(fields), n, trees_only)
+    cap = DERIVE_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
+    if not 1 <= n_max <= cap:
+        raise GraphError(f"n_max must be within 1..{cap}")
+    fields = _normalize_fields(fields)
+    below: list[tuple[str, ...]] = []
+    for n in range(1, n_max + 1):
+        graphs = enumerate_trees(n) if trees_only else enumerate_connected_graphs(n)
+        level = []
+        for graph, parents in zip(graphs, deletion_parents(n, trees_only)):
+            parent_verdicts = tuple(below[p] for p in parents)
+            verdicts = _graph_verdicts(graph, spec, fields, parent_verdicts)
+            level.append(verdicts)
+            yield graph, verdicts, parent_verdicts
+        below = level
 
 
 # ---------------------------------------------------------------------------
@@ -533,20 +538,15 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
     """Exhaustive comparison of the classification predicate against the
     computed Scarf property over all connected graphs on up to n_max vertices.
 
-    The verdicts come from `hereditary_verdicts`.  Records come by n, then
-    by canonical form (their graph6), the order of the enumeration.  n_max
-    is checked against the enumeration cap before any graph is built."""
-    if not 1 <= n_max <= DEFAULT_ENUMERATION_CAP:
-        raise GraphError(f"n_max must be within 1..{DEFAULT_ENUMERATION_CAP}")
-    fields = _normalize_fields(fields)
+    The verdicts come from `hereditary_verdicts`, which checks n_max and the
+    fields before any graph is built.  Records come by n, then by canonical
+    form (their graph6), the order of the enumeration."""
+    fields = tuple(fields)
     predict = _sweep_predictor(spec)
     names = [f.render() for f in fields]
     records = [
         _sweep_one(graph, predict, tuple(zip(names, verdicts)))
-        for n in range(1, n_max + 1)
-        for graph, verdicts in zip(
-            enumerate_connected_graphs(n), hereditary_verdicts(spec, n, fields)
-        )
+        for graph, verdicts, _ in hereditary_verdicts(spec, n_max, fields)
     ]
     return SweepResult(
         spec=spec,
@@ -605,22 +605,13 @@ def derive_obstructions(
     'subgraph' still searches for a smaller non-Scarf subgraph pairwise."""
     if mode not in ("induced", "subgraph"):
         raise AnalysisError("mode must be 'induced' or 'subgraph'")
-    cap = DERIVE_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
-    if not 1 <= n_max <= cap:
-        raise GraphError(f"n_max must be within 1..{cap}")
-    fields = _normalize_fields(fields)
     bad = []
     minimal = []
-    below: tuple[tuple[str, ...], ...] = ()
-    for n in range(1, n_max + 1):
-        level = hereditary_verdicts(spec, n, fields, trees_only)
-        graphs = enumerate_trees(n) if trees_only else enumerate_connected_graphs(n)
-        for graph, verdicts, parents in zip(graphs, level, deletion_parents(n, trees_only)):
-            if VERDICT_NOT_SCARF in verdicts:
-                bad.append(graph)
-                if mode == "induced" and all(VERDICT_NOT_SCARF not in below[p] for p in parents):
-                    minimal.append(graph)
-        below = level
+    for graph, verdicts, parent_verdicts in hereditary_verdicts(spec, n_max, fields, trees_only):
+        if VERDICT_NOT_SCARF in verdicts:
+            bad.append(graph)
+            if mode == "induced" and all(VERDICT_NOT_SCARF not in p for p in parent_verdicts):
+                minimal.append(graph)
     if mode == "subgraph":
         minimal = [
             graph

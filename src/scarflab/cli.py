@@ -326,9 +326,12 @@ def _cmd_leaf(args: argparse.Namespace) -> int:
     ideal = _resolve_ideal(args)
     name = args.var.strip()
     if name.isdigit():
-        x = int(name)
+        try:  # a digit int() rejects (such as '²'), or past its digit limit
+            x = int(name)
+        except ValueError:
+            raise CliError(f"--var takes a variable name or index, got {name!r}") from None
         if not 0 <= x < ideal.universe.size:
-            raise CliError(f"variable index {x} out of range")
+            raise CliError(f"--var index {x} out of range 0..{ideal.universe.size - 1}")
     else:
         x = ideal.universe.index_of(name)
     report = leaf_lemma_pipeline(ideal, x, parse_fields(args.fields))

@@ -227,8 +227,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
 
 def cone(apex: int, delta: LabeledComplex) -> LabeledComplex:
     """Cone with apex a generator index not yet used by the complex; doubles
-    the faces.  No production code calls it; it is kept as API because the
-    README lists it among what `complexes` offers."""
+    the faces."""
     if not 0 <= apex < delta.ideal.num_generators:
         raise ComplexError(f"apex {apex} is not a generator index")
     if delta.is_void:
@@ -300,18 +299,3 @@ def glue_leaf_ideal(ideal: MonomialIdeal, x: int) -> MonomialIdeal:
         )
     except MonomialError as exc:
         raise ComplexError(f"gluing produced a non-minimal generating set: {exc}") from exc
-
-
-def generator_index_map(source: MonomialIdeal, target: MonomialIdeal) -> dict[int, int]:
-    """Map generator indices of source to indices of equal-support generators of target.
-
-    Works across universes that agree on the variables the source uses (the
-    leaf-glued ideal extends the universe without renumbering).
-    """
-    lookup = {g.mask: j for j, g in enumerate(target.mingens)}
-    mapping = {}
-    for i, g in enumerate(source.mingens):
-        if g.mask not in lookup:
-            raise ComplexError(f"generator {g.render()} has no counterpart in the target")
-        mapping[i] = lookup[g.mask]
-    return mapping

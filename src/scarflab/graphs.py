@@ -889,7 +889,10 @@ def parse_adjacency_text(text: str) -> SimpleGraph:
         key, _, value = head.partition("=")
         if key.strip() != "n":
             raise GraphError("expected 'n=<count>' before ';'")
-        n = int(value)
+        try:  # not a number, or past int()'s digit limit
+            n = int(value)
+        except ValueError:
+            raise GraphError(f"bad vertex count {value.strip()!r}") from None
         tail = tail.strip()
         if not tail.startswith("edges:"):
             raise GraphError("expected 'edges:' after ';'")
@@ -897,12 +900,14 @@ def parse_adjacency_text(text: str) -> SimpleGraph:
         edges = []
         if body:
             for chunk in body.split(","):
-                u_text, _, v_text = chunk.strip().partition("-")
-                if not v_text:
-                    raise GraphError(f"bad edge token {chunk.strip()!r}")
-                edges.append((int(u_text), int(v_text)))
+                token = chunk.strip()
+                u_text, _, v_text = token.partition("-")
+                try:
+                    edges.append((int(u_text), int(v_text)))
+                except ValueError:
+                    raise GraphError(f"bad edge token {token!r}") from None
         return SimpleGraph.from_edges(n, edges)
-    except (ValueError, GraphError) as exc:
+    except GraphError as exc:
         detail = exc.args[0] if exc.args else str(exc)
         raise GraphError(f"line {graph_line_no}: {detail}") from None
 

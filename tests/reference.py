@@ -95,6 +95,21 @@ def complex_from_faces(ideal: MonomialIdeal, faces: Iterable[Iterable[int]]) -> 
     return LabeledComplex(ideal, tuple(sorted(normalized, key=lambda face: (len(face), face))))
 
 
+def generator_index_map(source: MonomialIdeal, target: MonomialIdeal) -> dict[int, int]:
+    """Map generator indices of source to indices of equal-support generators of target.
+
+    Works across universes that agree on the variables the source uses (the
+    leaf-glued ideal extends the universe without renumbering).
+    """
+    lookup = {g.mask: j for j, g in enumerate(target.mingens)}
+    mapping = {}
+    for i, g in enumerate(source.mingens):
+        if g.mask not in lookup:
+            raise ComplexError(f"generator {g.render()} has no counterpart in the target")
+        mapping[i] = lookup[g.mask]
+    return mapping
+
+
 def fields_disagree(report: ScarfReport) -> bool:
     """True when the report's fields do not all give the same Scarf answer."""
     return len({verdict != VERDICT_NOT_SCARF for _, verdict in report.verdicts}) > 1

@@ -36,10 +36,12 @@ from reference import (
     complete_graph,
     degree_t_ideals,
     fields_disagree,
+    induced_subgraph,
     is_polygon_boundary,
     is_scarf_bruteforce,
     matches_special_tree_family,
     minimal_induced,
+    removable_vertices,
     restrict_ideal,
 )
 
@@ -325,7 +327,8 @@ class TestSweep:
     def test_n_max_checked_up_front(self, n_max, trees_only, cap, monkeypatch):
         """`sweep` (trees_only None) and `derive_obstructions` reject n_max
         outside 1..cap, naming the range, before any work starts."""
-        monkeypatch.setattr(analysis, "hereditary_verdicts", None)  # no work may start
+        for name in ("enumerate_connected_graphs", "enumerate_trees", "build_ideal"):
+            monkeypatch.setattr(analysis, name, None)  # no work may start
         with pytest.raises(GraphError, match=rf"n_max must be within 1\.\.{cap}$"):
             if trees_only is None:
                 sweep(C3, n_max)
@@ -397,20 +400,33 @@ class TestHereditaryVerdicts:
         [(DEFAULT_FIELDS, 7, False), (GF2_GF3_Q, 6, False), (DEFAULT_FIELDS, 9, True)],
     )
     def test_agrees_with_full_scan(self, fields, n_max, trees_only):
+        expected = [graph for n in range(1, n_max + 1) for graph in self.universe(n, trees_only)]
         for spec in self.SPECS:
-            for n in range(1, n_max + 1):
-                table = hereditary_verdicts(spec, n, fields, trees_only)
-                graphs = self.universe(n, trees_only)
-                assert len(table) == len(graphs)
-                for graph, verdicts in zip(graphs, table):
-                    report = is_scarf(build_ideal(graph, spec), fields)
-                    assert verdicts == tuple(v for _, v in report.verdicts), (spec, graph.edges)
+            walk = list(hereditary_verdicts(spec, n_max, fields, trees_only))
+            assert [graph for graph, _, _ in walk] == expected
+            for graph, verdicts, _ in walk:
+                report = is_scarf(build_ideal(graph, spec), fields)
+                assert verdicts == tuple(v for _, v in report.verdicts), (spec, graph.edges)
+
+    @pytest.mark.parametrize("trees_only, n_max", [(False, 6), (True, 8)])
+    @pytest.mark.parametrize("spec", [P4, C3], ids=str)
+    def test_parent_verdicts_are_those_of_the_deletions(self, spec, trees_only, n_max):
+        """The parents yielded with G are the classes of G - u over the
+        vertices u whose deletion leaves G connected."""
+        walk = list(hereditary_verdicts(spec, n_max, DEFAULT_FIELDS, trees_only))
+        by_form = {canonical_form(graph): verdicts for graph, verdicts, _ in walk}
+        for graph, _, parent_verdicts in walk:
+            deletions = {
+                by_form[canonical_form(induced_subgraph(graph, set(range(graph.n)) - {u})[0])]
+                for u in removable_vertices(graph)
+            }
+            assert set(parent_verdicts) == deletions, graph.edges
 
     def test_field_list_validation(self):
         with pytest.raises(AnalysisError):
-            hereditary_verdicts(P4, 3, ())
+            list(hereditary_verdicts(P4, 3, ()))
         with pytest.raises(AnalysisError):
-            hereditary_verdicts(P4, 3, (GF2, GF2))
+            list(hereditary_verdicts(P4, 3, (GF2, GF2)))
 
     @pytest.mark.parametrize("trees_only, n_max", [(True, 9), (False, 6)])
     def test_induced_catalogs_match_pairwise_search(self, trees_only, n_max):

@@ -272,6 +272,35 @@ class TestLimits:
             if digits not in message:  # past the digit limit only from Python 3.11
                 assert captured.err == message
 
+    def test_unparseable_leaf_variable_rejected(self, capsys):
+        """A --var of digits int() rejects, or past its digit limit, gives one
+        `error:` line naming --var, not Python's int() message."""
+        argv = ["leaf", "--graph", "family:S5(1,1,1)", "--spec", "path:4", "--var"]
+        for var in ("²", "1" * 5000):
+            assert main(argv + [var]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --var ") and captured.err.count("\n") == 1
+            assert "invalid literal" not in captured.err and "limit" not in captured.err
+
+    def test_unparseable_adjacency_file_rejected(self, tmp_path, capsys):
+        """A vertex count or edge token that is not a number gives one
+        `error:` line naming the line and the token."""
+        path = tmp_path / "g.adj"
+        digits = "1" * 5000
+        for text, message in (
+            ("n=x; edges: 0-1", "line 1: bad vertex count 'x'"),
+            ("n=3; edges: 0-y", "line 1: bad edge token '0-y'"),
+            ("n=3; edges: 0-1-2", "line 1: bad edge token '0-1-2'"),
+            (f"n={digits}; edges: 0-1", f"line 1: bad vertex count '{digits}'"),
+        ):
+            path.write_text(text)
+            assert main(["ideal", "--graph", f"@{path}", "--spec", "path:2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+            assert "invalid literal" not in captured.err and "Exceeds the limit" not in captured.err
+
     def test_jobs_other_than_one_rejected(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")

@@ -8,7 +8,6 @@ from scarflab.complexes import (
     ComplexError,
     LabeledComplex,
     cone,
-    generator_index_map,
     glue_leaf_ideal,
     lcm_lattice,
     leaf_split,
@@ -27,6 +26,7 @@ from scarflab.monomials import (
 from reference import (
     complex_from_faces,
     evaluate_bar,
+    generator_index_map,
     ideals_isomorphic,
     lcm_of,
     scarf_complex_bruteforce,

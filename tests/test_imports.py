@@ -30,8 +30,6 @@ def unused_imports(source: str) -> list[str]:
 
 # Public names that no module in src/scarflab reads, kept on purpose.
 ALLOWED_UNREAD = frozenset({
-    # The README lists it among what `complexes` offers.
-    "complexes.cone",
     # perfbench/spans.py wraps it by name until a benchmark change drops it.
     "graphs.contains_induced",
 })
