@@ -31,9 +31,12 @@ automorphism group, which is computed on the quotient by the twin classes
 (and skipped when that quotient is twin-trivial), so no class and no parent
 is lost; the search prunes by the same twin classes.  The enumeration also
 records, for each class, the classes of its one-vertex deletions that stay
-connected.  Each representative is parsed from its canonical form, so
-`to_graph6` of it is that form; a candidate's form is computed, compared and
-dropped.
+connected.  Only the first candidate of each class is canonicalised: every
+candidate is filed by a cheap isomorphism invariant (its sorted vertex labels,
+degree and neighbour-degree sum), and a later candidate joins the class it
+matches by an exact isomorphism test against a plan stored once per class.
+Each representative is parsed from its canonical form, so `to_graph6` of it
+is that form.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CANONICAL_CAP = 10
 DEFAULT_ENUMERATION_CAP = 7
+DEFAULT_TREE_CAP = 10
 DEFAULT_EMBEDDING_CAP = 12
 _ORDERING_ENUM_LIMIT = 20000
 # Vertex sets are bit masks and graph6 here has only the one-byte size
@@ -83,7 +87,7 @@ class SimpleGraph:
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v} not allowed")
             bit = 1 << v
-            while row:  # `_bits` inlined: every enumeration candidate runs this
+            while row:  # `_bits` inlined: every new enumeration class runs this
                 low = row & -row
                 if not adjacency[low.bit_length() - 1] & bit:
                     raise GraphError(f"row {v} is not symmetric")
@@ -659,6 +663,121 @@ def _orbit_masks(adjacency: Sequence[int], masks: Iterable[int]) -> list[int]:
     return smallest
 
 
+def _vertex_labels(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """Per vertex, its degree and the sum of its neighbours' degrees.  An
+    isomorphism keeps both, so it maps each vertex to one with its label,
+    and the sorted labels are an isomorphism invariant."""
+    degrees = [row.bit_count() for row in rows]
+    labels = []
+    for row, degree in zip(rows, degrees):
+        total = 0
+        while row:  # `_bits` inlined: every enumeration candidate runs this
+            low = row & -row
+            total += degrees[low.bit_length() - 1]
+            row ^= low
+        labels.append((degree, total))
+    return labels
+
+
+def _match_plan(rows: Sequence[int], keys: Sequence) -> tuple[tuple[object, tuple[int, ...]], ...]:
+    """The plan `_find_map` maps a graph by: per step, the key of the vertex
+    placed there and the earlier steps that hold its neighbours.  The next
+    vertex is the one with the most placed neighbours, then the highest
+    degree, so in a connected graph every vertex after the first joins an
+    earlier one."""
+    n = len(rows)
+    step = [0] * n
+    plan = []
+    placed = 0
+    for k in range(n):
+        best_v, best_key = -1, (-1, -1)
+        for v in range(n):
+            if placed >> v & 1:
+                continue
+            key = ((rows[v] & placed).bit_count(), rows[v].bit_count())
+            if key > best_key:
+                best_v, best_key = v, key
+        plan.append((keys[best_v], tuple([step[u] for u in _bits(rows[best_v] & placed)])))
+        step[best_v] = k
+        placed |= 1 << best_v
+    return tuple(plan)
+
+
+def _find_map(
+    plan: Sequence[tuple[object, tuple[int, ...]]],
+    rows: Sequence[int],
+    allowed: dict,
+    induced: bool,
+) -> bool:
+    """True when the graph the plan was made from (`_match_plan`) maps
+    injectively into the graph with these rows, each plan vertex to a vertex
+    in `allowed[its key]` (a mask), keeping edges (and non-edges if
+    `induced`).
+
+    Step k maps the plan's k-th vertex to an unused allowed vertex g whose
+    row, cut to the images of steps 0..k-1, equals (induced) or contains the
+    images of the plan vertex's earlier neighbours; the search backtracks
+    over every such g.  A full map checks every pair of plan vertices once,
+    at the later of its two steps, so it is such a map.  Conversely such a
+    map with allowed images meets every step's test, so the search, which
+    tries every vertex passing the tests, finds it or another one.
+    Requiring g to be a neighbour of the first earlier neighbour's image
+    only drops vertices the row test would reject.
+    """
+    n = len(plan)
+    image = [0] * n  # image[k]: the bit of step k's image
+
+    def extend(k: int, used: int) -> bool:
+        if k == n:
+            return True
+        key, earlier = plan[k]
+        options = allowed.get(key, 0) & ~used
+        want = 0
+        if earlier:
+            options &= rows[image[earlier[0]].bit_length() - 1]
+            for j in earlier:
+                want |= image[j]
+        while options:
+            bit = options & -options
+            options ^= bit
+            row = rows[bit.bit_length() - 1] & used
+            if row == want if induced else row & want == want:
+                image[k] = bit
+                if extend(k + 1, used | bit):
+                    return True
+        return False
+
+    return extend(0, 0)
+
+
+def _class_form(classes: dict, rows: tuple[int, ...]) -> bytes:
+    """The canonical form of the graph with these rows, computed only when
+    no graph in `classes` is isomorphic to it; `classes` maps the sorted
+    `_vertex_labels` of each class met so far to its (plan, form) pairs, and
+    a new class is added to it.
+
+    The sorted labels are an isomorphism invariant, so an isomorphic graph
+    was filed under the same key, with as many vertices.  An induced map
+    between graphs with as many vertices is an isomorphism, and an
+    isomorphism keeps labels, so `_find_map` with each vertex allowed only
+    the vertices of its own label decides isomorphism exactly.  So the form
+    returned is the graph's own, and `canonical_form` (called through the
+    module name, so a wrapper around it sees every call) runs once per class.
+    """
+    labels = _vertex_labels(rows)
+    found = classes.setdefault(tuple(sorted(labels)), [])
+    if found:
+        by_label: dict[tuple[int, int], int] = {}
+        for v, label in enumerate(labels):
+            by_label[label] = by_label.get(label, 0) | 1 << v
+        for plan, form in found:
+            if _find_map(plan, rows, by_label, True):
+                return form
+    form = canonical_form(SimpleGraph(rows))
+    found.append((_match_plan(rows, labels), form))
+    return form
+
+
 def _extend_by_vertex(
     reps: tuple[SimpleGraph, ...], neighbour_masks: Sequence[int]
 ) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
@@ -686,20 +805,34 @@ def _extend_by_vertex(
     the mask of phi(N(u)) is nonempty (one bit when u is a leaf), and that
     candidate of P is isomorphic to G.
 
+    *One form per class.*  A candidate stays as rows, and `_class_form`
+    gives it its form: the first candidate of a class is canonicalised
+    (and only it becomes a `SimpleGraph`), later ones are matched to that
+    class by an exact isomorphism test.  Every candidate still gets its own
+    form, so the classes, parents and order are those of canonicalising
+    every candidate.
+
     A representative parsed from a form F is isomorphic to the candidates
     with form F, so its own canonical form is F, and `to_graph6` of it is F.
     """
+    classes: dict = {}
     seen: dict[bytes, set[int]] = {}
     for index, graph in enumerate(reps):
         rows, n = graph.adjacency, graph.n
         for mask in _orbit_masks(rows, neighbour_masks):
-            grown = SimpleGraph((*(row | (mask >> u & 1) << n for u, row in enumerate(rows)), mask))
-            seen.setdefault(canonical_form(grown), set()).add(index)
+            grown = (*(row | (mask >> u & 1) << n for u, row in enumerate(rows)), mask)
+            seen.setdefault(_class_form(classes, grown), set()).add(index)
     forms = sorted(seen)
     return (
         tuple(parse_graph6(form.decode("ascii")) for form in forms),
         tuple(tuple(sorted(seen[form])) for form in forms),
     )
+
+
+def _check_level_size(n: int, max_vertices: int, trees_only: bool) -> None:
+    if not 1 <= n <= max_vertices:
+        kind = "tree enumeration" if trees_only else "enumeration"
+        raise GraphError(f"{kind} supports 1..{max_vertices} vertices")
 
 
 @lru_cache(maxsize=None)
@@ -731,17 +864,15 @@ def enumerate_connected_graphs(
     isomorphic to some connected (n-1)-vertex representative plus one vertex
     with a nonempty neighbourhood, which is one of the candidates.
     """
-    if not 1 <= n <= max_vertices:
-        raise GraphError(f"enumeration supports 1..{max_vertices} vertices")
+    _check_level_size(n, max_vertices, False)
     return _level(n, False)[0]
 
 
-def enumerate_trees(n: int, max_vertices: int = 10) -> tuple[SimpleGraph, ...]:
+def enumerate_trees(n: int, max_vertices: int = DEFAULT_TREE_CAP) -> tuple[SimpleGraph, ...]:
     """One representative per tree isomorphism class, by leaf extension: every
     tree on n >= 2 vertices is a smaller tree plus a leaf joined to one vertex.
     Sorted by canonical form, and `to_graph6` of each is its form."""
-    if not 1 <= n <= max_vertices:
-        raise GraphError(f"tree enumeration supports 1..{max_vertices} vertices")
+    _check_level_size(n, max_vertices, True)
     return _level(n, True)[0]
 
 
@@ -750,8 +881,10 @@ def deletion_parents(n: int, trees_only: bool = False) -> tuple[tuple[int, ...],
     `enumerate_trees(n)`), the sorted indices of the (n-1)-representatives
     isomorphic to G - u for a non-cut vertex u of G; empty for n = 1.  They
     are recorded while the enumeration extends those representatives (see
-    `_extend_by_vertex`).  Call it after that enumeration, which checks the
-    vertex cap; otherwise this call runs the level itself, uncapped."""
+    `_extend_by_vertex`).  n is checked against that enumerator's default
+    cap before any level runs."""
+    cap = DEFAULT_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
+    _check_level_size(n, cap, trees_only)
     return _level(n, trees_only)[1]
 
 
@@ -764,43 +897,13 @@ def _embeds(
 ) -> bool:
     if pattern.n > host.n or pattern.num_edges > host.num_edges:
         return False
-    pat_adj, host_adj = pattern.adjacency, host.adjacency
-    order: list[int] = []
-    placed = 0
-    # Grow the pattern order by connectivity to what is already placed.
-    while len(order) < pattern.n:
-        best_v, best_key = -1, (-1, -1)
-        for v in range(pattern.n):
-            if placed >> v & 1:
-                continue
-            key = ((pat_adj[v] & placed).bit_count(), pattern.degrees[v])
-            if key > best_key:
-                best_v, best_key = v, key
-        order.append(best_v)
-        placed |= 1 << best_v
-    host_deg = host.degrees
-    pat_deg = pattern.degrees
-    image = [-1] * pattern.n
-
-    def backtrack(k: int, used_mask: int) -> bool:
-        """`used_mask` holds the images of order[:k]; g takes v when its row, cut
-        to them, equals (induced) or contains the images of v's placed neighbours."""
-        if k == pattern.n:
-            return True
-        v = order[k]
-        want = sum(1 << image[u] for u in order[:k] if pat_adj[v] >> u & 1)
-        for g in range(host.n):
-            bit = 1 << g
-            if used_mask & bit or host_deg[g] < pat_deg[v]:
-                continue
-            row = host_adj[g] & used_mask
-            if row == want if induced else row & want == want:
-                image[v] = g
-                if backtrack(k + 1, used_mask | bit):
-                    return True
-        return False
-
-    return backtrack(0, 0)
+    # An embedding maps each pattern vertex to a host vertex of at least its degree.
+    allowed = {
+        d: sum(1 << g for g, degree in enumerate(host.degrees) if degree >= d)
+        for d in set(pattern.degrees)
+    }
+    plan = _match_plan(pattern.adjacency, pattern.degrees)
+    return _find_map(plan, host.adjacency, allowed, induced)
 
 
 def contains_subgraph(

@@ -616,24 +616,37 @@ class TestEnumeration:
                 assert len(maps) == len(induced) and set(map(tuple, maps)) == induced
 
     def test_candidate_counts(self, cold_caches, monkeypatch):
-        # one candidate per automorphism orbit of neighbour masks, level by level
-        calls = []
-        production = graphs.canonical_form
+        # one candidate per automorphism orbit of neighbour masks, and one
+        # canonical form per class, level by level
+        candidates, forms = [], []
+        orbit_masks, canonical = graphs._orbit_masks, graphs.canonical_form
 
-        def counting(graph, *args):
-            calls.append(graph.n)
-            return production(graph, *args)
+        def counting_masks(adjacency, masks):
+            kept = orbit_masks(adjacency, masks)
+            candidates.extend([len(adjacency) + 1] * len(kept))
+            return kept
 
-        monkeypatch.setattr(graphs, "canonical_form", counting)
-        enumerate_connected_graphs(7)
-        assert [calls.count(n) for n in range(2, 8)] == [1, 2, 8, 44, 333, 3771]
-        calls.clear()
-        enumerate_trees(9)
-        assert [calls.count(n) for n in range(2, 10)] == [1, 1, 2, 4, 9, 20, 48, 115]
+        def counting_forms(graph, *args):
+            forms.append(graph.n)
+            return canonical(graph, *args)
+
+        monkeypatch.setattr(graphs, "_orbit_masks", counting_masks)
+        monkeypatch.setattr(graphs, "canonical_form", counting_forms)
+        for enumerate_, top, counts in (
+            (enumerate_connected_graphs, 7, [1, 2, 8, 44, 333, 3771]),
+            (enumerate_trees, 9, [1, 1, 2, 4, 9, 20, 48, 115]),
+        ):
+            candidates.clear()
+            forms.clear()
+            enumerate_(top)
+            levels = range(2, top + 1)
+            assert [candidates.count(n) for n in levels] == counts
+            assert [forms.count(n) for n in levels] == [len(enumerate_(n)) for n in levels]
 
     def test_one_twin_partition_per_form(self, cold_caches, monkeypatch):
-        # one `_twin_classes` call per computed form, none for its search or
-        # its individualised branches, and one per representative extended
+        # one `_twin_classes` call per computed form (one per class), none for
+        # its search or its individualised branches, and one per
+        # representative extended
         calls = []
         production = graphs._twin_classes
 
@@ -643,10 +656,20 @@ class TestEnumeration:
 
         monkeypatch.setattr(graphs, "_twin_classes", counting)
         enumerate_connected_graphs(7)
-        assert len(calls) == (1 + 2 + 8 + 44 + 333 + 3771) + (1 + 1 + 2 + 6 + 21 + 112)
+        assert len(calls) == (1 + 2 + 6 + 21 + 112 + 853) + (1 + 1 + 2 + 6 + 21 + 112)
         calls.clear()
         canonical_form(cycle_graph(10))  # ten individualised branches
         assert calls == [10]
+
+    @pytest.mark.parametrize("trees_only, cap", [(False, 7), (True, 10)])
+    def test_deletion_parents_capped_before_any_level(self, monkeypatch, trees_only, cap):
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(graphs, "_level", no_level)
+        for n in (0, cap + 1):
+            with pytest.raises(GraphError, match=f"supports 1..{cap} vertices"):
+                deletion_parents(n, trees_only)
 
     def test_seven_vertex_count(self):
         assert len(enumerate_connected_graphs(7)) == 853
@@ -707,6 +730,68 @@ class TestEnumeration:
                 canonical_form(SimpleGraph.from_edges(n, edges)) for edges in labeled
             }
             assert len(enumerate_trees(n)) == len(classes)
+
+
+class TestClassMatch:
+    """`graphs._class_form`'s isomorphism match against the canonical-form
+    oracle on graphs with equal sorted vertex labels, the pairs the
+    enumeration tests it on."""
+
+    @staticmethod
+    def key(graph: SimpleGraph):
+        return tuple(sorted(graphs._vertex_labels(graph.adjacency)))
+
+    @staticmethod
+    def matches(a: SimpleGraph, b: SimpleGraph) -> bool:
+        # b joins a's class exactly when the match finds an isomorphism
+        classes: dict = {}
+        graphs._class_form(classes, a.adjacency)
+        graphs._class_form(classes, b.adjacency)
+        return sum(map(len, classes.values())) == 1
+
+    def test_regular_pairs_told_apart(self):
+        # 2-regular on six vertices, one disconnected, and cubic on six,
+        # both connected: every vertex has one label, so only the match
+        # separates them
+        two_triangles = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        k33 = SimpleGraph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        prism = SimpleGraph.from_edges(
+            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+        )
+        rng = random.Random(6)
+        for a, b in ((cycle_graph(6), two_triangles), (k33, prism)):
+            assert self.key(a) == self.key(b)
+            assert not self.matches(a, b) and not self.matches(b, a)
+            assert self.matches(a, relabeled(a, rng)) and self.matches(b, relabeled(b, rng))
+
+    def test_equal_key_pairs_match_the_oracle(self):
+        # every graph on up to 7 vertices (connected or not), the trees on 10,
+        # and seeded random 3- and 4-regular and random graphs on 8 to 10
+        # vertices, grouped by key; each pair in a group, the second relabelled
+        rng = random.Random(18)
+        pool = [
+            SimpleGraph.from_edges(g.number_of_nodes(), g.edges())
+            for g in nx.graph_atlas_g()
+            if g.number_of_nodes() > 0
+        ]
+        pool += enumerate_trees(10)
+        for seed in range(40):
+            n, d = rng.choice([(8, 3), (10, 3), (8, 4), (9, 4), (10, 4)])
+            pool.append(SimpleGraph.from_edges(n, nx.random_regular_graph(d, n, seed).edges()))
+            pool.append(random_graph(rng, rng.randint(8, 10), rng.uniform(0.2, 0.8)))
+        groups: dict = {}
+        for graph in pool:
+            groups.setdefault(self.key(graph), []).append(graph)
+        outcomes = {True: 0, False: 0}
+        connected_apart = 0
+        for group in groups.values():
+            for a, b in itertools.product(group[:6], repeat=2):
+                b = relabeled(b, rng)
+                expected = are_isomorphic(a, b)
+                assert self.matches(a, b) == expected, (a.edges, b.edges)
+                outcomes[expected] += 1
+                connected_apart += not expected and is_connected(a) and is_connected(b)
+        assert outcomes[True] > 1000 and outcomes[False] > 200 and connected_apart > 50
 
 
 class TestContainment:
