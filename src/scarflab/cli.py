@@ -116,11 +116,8 @@ def _load_graph_file(path: str) -> SimpleGraph:
     except OSError as exc:
         raise CliError(f"cannot read graph file {path}: {exc}") from None
     if path.endswith(".g6"):
-        lines = [
-            line.strip()
-            for line in text.splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
+        stripped = (line.strip() for line in text.splitlines())
+        lines = [line for line in stripped if line and not line.startswith("#")]
         if len(lines) != 1:
             raise CliError(f"{path}: expected exactly one graph6 line, found {len(lines)}")
         return parse_graph6(lines[0])

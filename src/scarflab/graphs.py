@@ -26,17 +26,16 @@ search.
 Connected graphs and trees are enumerated by adding one vertex at a time and
 deduplicating by canonical form, one cached level per n.  A candidate is a
 representative's rows, with the new vertex's bit set in those it joins, plus
-the new vertex's mask.  Each representative gets one mask per orbit under its
-automorphism group, which is computed on the quotient by the twin classes
-(and skipped when that quotient is twin-trivial), so no class and no parent
-is lost; the search prunes by the same twin classes.  The enumeration also
-records, for each class, the classes of its one-vertex deletions that stay
-connected.  Only the first candidate of each class is canonicalised: every
-candidate is filed by a cheap isomorphism invariant (its sorted vertex labels,
-degree and neighbour-degree sum), and a later candidate joins the class it
-matches by an exact isomorphism test against a plan stored once per class.
-Each representative is parsed from its canonical form, so `to_graph6` of it
-is that form.
+the new vertex's mask.  Each representative gets one mask per orbit under the
+permutations inside its twin classes, the mask that picks the lowest-numbered
+members of every class, so no class and no parent is lost; the search prunes
+by the same twin classes.  The enumeration also records, for each class, the
+classes of its one-vertex deletions that stay connected.  Only the first
+candidate of each class is canonicalised: every candidate is filed by a cheap
+isomorphism invariant (its sorted vertex labels, degree and neighbour-degree
+sum), and a later candidate joins the class it matches by an exact
+isomorphism test against a plan stored once per class.  Each representative
+is parsed from its canonical form, so `to_graph6` of it is that form.
 """
 
 from __future__ import annotations
@@ -577,90 +576,24 @@ def canonical_form(graph: SimpleGraph, max_vertices: int = DEFAULT_CANONICAL_CAP
 # exhaustive enumeration
 
 
-def _class_maps(adjacency: Sequence[int], twins: list[list[int]]) -> list[list[int]]:
-    """The permutations of the twin classes `twins` induced by the
-    automorphisms of the graph, each as the list of image class indices.
+def _twin_orbit_masks(adjacency: Sequence[int], masks: Iterable[int]) -> list[int]:
+    """One mask of `masks` per orbit under the permutations inside the twin
+    classes of the graph, for a set of masks those permutations map onto
+    itself: the masks that pick the lowest-numbered members of every class.
 
-    An automorphism maps twins to twins, so it permutes the twin classes,
-    and it keeps each class's size, its type (clique or independent set),
-    its refined colour (refinement commutes with relabelling, and twins
-    share a colour) and whether two classes are joined.  Between distinct
-    classes the adjacency is all or nothing, since twins have the same
-    neighbours outside their class.  Conversely a class map that keeps
-    sizes, types and joins lifts to an automorphism: send each class onto
-    its image by any bijection.  So the maps are found by backtracking on
-    the quotient, classes in breadth-first order (the quotient of a
-    connected graph is connected, so each class after the first is joined
-    to an earlier one and its image must be joined to that one's image).
-    Refined colours keep the classes apart; when they and the sizes and
-    types give every class its own key, only the identity is left and no
-    search runs.
+    Those permutations are automorphisms (`_twin_classes`).  Each keeps how
+    many vertices a mask picks in each class, and any two masks with the same
+    counts are mapped onto each other by one of them, so an orbit is fixed by
+    the counts and holds exactly one *prefix mask*, the one that picks each
+    class's lowest-numbered members.
     """
-    colors = _refine_colors(adjacency, [row.bit_count() for row in adjacency])
-    first = [members[0] for members in twins]
-    keys = [
-        (colors[v], len(members), adjacency[v] >> members[-1] & 1)
-        for v, members in zip(first, twins)
-    ]
-    k = len(twins)
-    if len(set(keys)) == k:
-        return [list(range(k))]
-    joined = [[adjacency[first[i]] >> first[j] & 1 for j in range(k)] for i in range(k)]
-    order = [0]
-    for i in order:
-        order += [j for j in range(k) if joined[i][j] and j not in order]
-    order += [j for j in range(k) if j not in order]
-    maps: list[list[int]] = []
-    image = [-1] * k
-
-    def extend(depth: int, used: int) -> None:
-        if depth == k:
-            maps.append(image[:])
-            return
-        i = order[depth]
-        for j in range(k):
-            if used >> j & 1 or keys[j] != keys[i]:
-                continue
-            if all(joined[i][h] == joined[j][image[h]] for h in order[:depth]):
-                image[i] = j
-                extend(depth + 1, used | 1 << j)
-
-    extend(0, 0)
-    return maps
-
-
-def _orbit_masks(adjacency: Sequence[int], masks: Iterable[int]) -> list[int]:
-    """One mask of `masks` per orbit under the automorphisms of the graph,
-    for a set of masks the automorphisms map onto itself.
-
-    A mask's orbit under the permutations inside twin classes (which are
-    automorphisms, `_twin_classes`) is fixed by how many vertices it picks
-    in each class, and holds one *prefix mask*, the one that picks each
-    class's lowest-numbered members.  An automorphism with class map pi
-    (`_class_maps`) sends a mask picking c_i vertices of class i to one
-    picking c_i of class pi(i), which the permutations inside classes move
-    onto the prefix mask with those counts.  So two masks share an
-    automorphism orbit exactly when their prefix masks are images of each
-    other under the class maps, and the kept mask is the prefix mask that
-    is the smallest integer among those images.
-    """
-    twins = _twin_classes(adjacency)
-    # prefixes[i][c]: the c lowest-numbered members of class i, as a mask
-    prefixes = [
-        list(itertools.accumulate((1 << v for v in members), initial=0)) for members in twins
-    ]
-    wholes = [prefix[-1] for prefix in prefixes]
-    checks = [(prefix[-1], set(prefix)) for prefix in prefixes if len(prefix) > 2]
-    kept = [m for m in masks if all(m & whole in prefix for whole, prefix in checks)]
-    maps = _class_maps(adjacency, twins)
-    if len(maps) == 1:
-        return kept
-    smallest = []
-    for mask in kept:
-        counts = [(mask & whole).bit_count() for whole in wholes]
-        if all(mask <= sum(prefixes[j][c] for j, c in zip(image, counts)) for image in maps):
-            smallest.append(mask)
-    return smallest
+    checks = []
+    for members in _twin_classes(adjacency):
+        if len(members) > 1:
+            # the masks of the c lowest-numbered members, c = 0..len(members)
+            prefix = list(itertools.accumulate((1 << v for v in members), initial=0))
+            checks.append((prefix[-1], set(prefix)))
+    return [m for m in masks if all(m & whole in prefix for whole, prefix in checks)]
 
 
 def _vertex_labels(rows: Sequence[int]) -> list[tuple[int, int]]:
@@ -781,18 +714,22 @@ def _class_form(classes: dict, rows: tuple[int, ...]) -> bytes:
 def _extend_by_vertex(
     reps: tuple[SimpleGraph, ...], neighbour_masks: Sequence[int]
 ) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
-    """Join a new last vertex to each representative once per automorphism
-    orbit of `neighbour_masks` and keep one canonically labelled graph per
-    class, sorted by form.
+    """Join a new last vertex to each representative once per twin orbit of
+    `neighbour_masks` and keep one canonically labelled graph per class,
+    sorted by form.
 
     *Orbits.*  Of the masks, a representative P gets one per orbit under
-    its automorphism group (`_orbit_masks`).  For an automorphism sigma of
-    P, P + M and P + sigma(M) are isomorphic: sigma, fixing the new vertex,
-    maps one onto the other.  The masks used here (all nonempty masks, or
-    all one-bit masks) are closed under automorphisms, so every orbit of
-    them keeps one mask, and each P still reaches every class it reached
-    with all the masks.  The classes found and the parents below are
-    therefore unchanged.
+    the permutations inside its twin classes (`_twin_orbit_masks`).  These
+    permutations are automorphisms of P, and they form a subgroup of its
+    automorphism group.  For an automorphism sigma of P, P + M and
+    P + sigma(M) are isomorphic: sigma, fixing the new vertex, maps one onto
+    the other.  The masks used here (all nonempty masks, or all one-bit
+    masks) are closed under every permutation of P's vertices, so under the
+    subgroup; every orbit of them keeps one mask, and each P still reaches
+    every class it reached with all the masks.  The classes found and the
+    parents below are therefore unchanged.  Masks in one orbit of the whole
+    group but in different orbits of the subgroup give more than one
+    candidate of a class, and `_class_form` files them under it exactly.
 
     Also returns, per class, the sorted indices into `reps` of the
     representatives whose candidates landed in it: its *parents*.  When
@@ -819,7 +756,7 @@ def _extend_by_vertex(
     seen: dict[bytes, set[int]] = {}
     for index, graph in enumerate(reps):
         rows, n = graph.adjacency, graph.n
-        for mask in _orbit_masks(rows, neighbour_masks):
+        for mask in _twin_orbit_masks(rows, neighbour_masks):
             grown = (*(row | (mask >> u & 1) << n for u, row in enumerate(rows)), mask)
             seen.setdefault(_class_form(classes, grown), set()).add(index)
     forms = sorted(seen)

@@ -69,6 +69,19 @@ class TestGraphArguments:
         with pytest.raises(CliError):
             parse_graph_argument(f"@{path}")
 
+    def test_indented_comment_skipped_in_graph_files(self, tmp_path, capsys):
+        # the same indented comment line is skipped in a .g6 and an .adj file
+        outputs = []
+        for name, line in (("graph.g6", to_graph6(path_graph(4))),
+                           ("graph.adj", "n=4; edges: 0-1, 1-2, 2-3")):
+            path = tmp_path / name
+            path.write_text(f"  # note\n{line}\n")
+            assert main(["ideal", "--graph", f"@{path}", "--spec", "path:2"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
     def test_adjacency_file(self, tmp_path):
         path = tmp_path / "graph.adj"
         path.write_text("# a path\nn=4; edges: 0-1, 1-2, 2-3\n")

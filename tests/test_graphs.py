@@ -592,34 +592,47 @@ class TestEnumeration:
             assert deletion_parents(n, trees_only) == parents, n
 
     @pytest.mark.parametrize("trees_only", [False, True])
-    def test_orbit_masks_one_per_automorphism_orbit(self, trees_only):
-        # the masks each representative is extended by: one per orbit of its
-        # automorphism group, counted by brute force, with the class maps the
-        # group induces on the twin classes
+    def test_twin_orbit_masks_are_the_prefix_masks(self, trees_only):
+        # the masks each representative is extended by, against its
+        # automorphisms found by brute force and its twin classes found by
+        # the definition (the same neighbours apart from each other)
         enumerate_ = enumerate_trees if trees_only else enumerate_connected_graphs
         for n in range(1, 9 if trees_only else 7):
             masks = [1 << v for v in range(n)] if trees_only else range(1, 1 << n)
             for graph in enumerate_(n):
                 adjacency = graph.adjacency
+                twins = sorted({
+                    tuple(w for w in range(n)
+                          if adjacency[v] & ~(1 << w) == adjacency[w] & ~(1 << v))
+                    for v in range(n)
+                })
+                inside = []  # every permutation that maps each twin class onto itself
+                for images in itertools.product(*map(itertools.permutations, twins)):
+                    image = [0] * n
+                    for members, moved in zip(twins, images):
+                        for v, w in zip(members, moved):
+                            image[v] = w
+                    inside.append(tuple(image))
                 autos = automorphisms(adjacency)
+                assert set(inside) <= set(autos), graph.edges
 
-                def orbit(mask):
-                    return frozenset(sum(1 << a[v] for v in graphs._bits(mask)) for a in autos)
+                def orbit(mask, group):
+                    return frozenset(sum(1 << a[v] for v in graphs._bits(mask)) for a in group)
 
-                kept = graphs._orbit_masks(adjacency, masks)
-                assert len({orbit(m) for m in kept}) == len(kept), graph.edges
-                assert {orbit(m) for m in kept} == {orbit(m) for m in masks}, graph.edges
-                twins = graphs._twin_classes(adjacency)
-                index = {v: i for i, members in enumerate(twins) for v in members}
-                induced = {tuple(index[a[members[0]]] for members in twins) for a in autos}
-                maps = graphs._class_maps(adjacency, twins)
-                assert len(maps) == len(induced) and set(map(tuple, maps)) == induced
+                def picks_lowest(mask):
+                    picked = [tuple(v for v in members if mask >> v & 1) for members in twins]
+                    return all(p == members[:len(p)] for p, members in zip(picked, twins))
+
+                kept = graphs._twin_orbit_masks(adjacency, masks)
+                assert {orbit(m, autos) for m in kept} == {orbit(m, autos) for m in masks}, graph.edges
+                assert len({orbit(m, inside) for m in kept}) == len(kept), graph.edges
+                assert kept == [m for m in masks if picks_lowest(m)], graph.edges
 
     def test_candidate_counts(self, cold_caches, monkeypatch):
-        # one candidate per automorphism orbit of neighbour masks, and one
-        # canonical form per class, level by level
+        # one candidate per twin orbit of neighbour masks, and one canonical
+        # form per class, level by level
         candidates, forms = [], []
-        orbit_masks, canonical = graphs._orbit_masks, graphs.canonical_form
+        orbit_masks, canonical = graphs._twin_orbit_masks, graphs.canonical_form
 
         def counting_masks(adjacency, masks):
             kept = orbit_masks(adjacency, masks)
@@ -630,11 +643,11 @@ class TestEnumeration:
             forms.append(graph.n)
             return canonical(graph, *args)
 
-        monkeypatch.setattr(graphs, "_orbit_masks", counting_masks)
+        monkeypatch.setattr(graphs, "_twin_orbit_masks", counting_masks)
         monkeypatch.setattr(graphs, "canonical_form", counting_forms)
         for enumerate_, top, counts in (
-            (enumerate_connected_graphs, 7, [1, 2, 8, 44, 333, 3771]),
-            (enumerate_trees, 9, [1, 1, 2, 4, 9, 20, 48, 115]),
+            (enumerate_connected_graphs, 7, [1, 2, 8, 53, 417, 4818]),
+            (enumerate_trees, 9, [1, 1, 2, 6, 11, 27, 59, 143]),
         ):
             candidates.clear()
             forms.clear()
@@ -935,6 +948,17 @@ class TestPinnedForms:
     def test_digest(self):
         text = "\n".join(self.lines()).encode()
         assert hashlib.sha256(text).hexdigest() == self.DIGEST
+
+    def test_tree_digest_to_cap(self):
+        """Every tree on 1..10 vertices (`DEFAULT_TREE_CAP`) with its parents."""
+        lines = [
+            f"{n} {to_graph6(tree)} {parents}"
+            for n in range(1, 11)
+            for tree, parents in zip(enumerate_trees(n), deletion_parents(n, True))
+        ]
+        assert len(lines) == 201
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "bb98657721627f58d9378f9d8cd95ef09252cb7e75f1a34ec3bbd72739af9743"
 
     def test_family_catalog_digest(self):
         """The catalog's order, tags and member labellings for n = 1..12."""
