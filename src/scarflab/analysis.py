@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .complexes import (
     LabeledComplex,
@@ -44,6 +43,8 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     _family_index,
+    _Frozen,
+    _set,
     canonical_form,
     contains_subgraph,
     deletion_parents,
@@ -79,14 +80,22 @@ class AnalysisError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ScarfReport:
-    ideal: MonomialIdeal
-    verdicts: tuple[tuple[FieldSpec, str], ...]
-    witnesses: tuple[tuple[FieldSpec, SquarefreeMonomial, HomologyProfile], ...]
-    num_generators: int
-    num_scarf_faces: int
-    num_lattice_points: int
+class ScarfReport(_Frozen):
+    _fields = (
+        "ideal", "verdicts", "witnesses", "num_generators", "num_scarf_faces", "num_lattice_points"
+    )
+
+    def __init__(
+        self, ideal: MonomialIdeal, verdicts: tuple[tuple[FieldSpec, str], ...],
+        witnesses: tuple[tuple[FieldSpec, SquarefreeMonomial, HomologyProfile], ...],
+        num_generators: int, num_scarf_faces: int, num_lattice_points: int,
+    ) -> None:
+        _set(self, "ideal", ideal)
+        _set(self, "verdicts", verdicts)
+        _set(self, "witnesses", witnesses)
+        _set(self, "num_generators", num_generators)
+        _set(self, "num_scarf_faces", num_scarf_faces)
+        _set(self, "num_lattice_points", num_lattice_points)
 
     @property
     def all_scarf(self) -> bool:
@@ -240,20 +249,30 @@ def classify_theorem_B(graph: SimpleGraph) -> bool:
 # leaf gluing pipeline
 
 
-@dataclass(frozen=True)
-class LeafPipelineReport:
-    base: MonomialIdeal
-    glued: MonomialIdeal
-    x: int
-    x_prime: int
-    hypothesis_holds: bool
-    overlapping_pairs: tuple[tuple[int, int], ...]
-    replacement_ok: bool | None
-    stars_ok: bool | None
-    disjointness_persists: bool | None
-    scarf_transfer: str
-    base_scarf: bool
-    glued_scarf: bool
+class LeafPipelineReport(_Frozen):
+    _fields = (
+        "base", "glued", "x", "x_prime", "hypothesis_holds", "overlapping_pairs", "replacement_ok",
+        "stars_ok", "disjointness_persists", "scarf_transfer", "base_scarf", "glued_scarf",
+    )
+
+    def __init__(
+        self, base: MonomialIdeal, glued: MonomialIdeal, x: int, x_prime: int,
+        hypothesis_holds: bool, overlapping_pairs: tuple[tuple[int, int], ...],
+        replacement_ok: bool | None, stars_ok: bool | None, disjointness_persists: bool | None,
+        scarf_transfer: str, base_scarf: bool, glued_scarf: bool,
+    ) -> None:
+        _set(self, "base", base)
+        _set(self, "glued", glued)
+        _set(self, "x", x)
+        _set(self, "x_prime", x_prime)
+        _set(self, "hypothesis_holds", hypothesis_holds)
+        _set(self, "overlapping_pairs", overlapping_pairs)
+        _set(self, "replacement_ok", replacement_ok)
+        _set(self, "stars_ok", stars_ok)
+        _set(self, "disjointness_persists", disjointness_persists)
+        _set(self, "scarf_transfer", scarf_transfer)
+        _set(self, "base_scarf", base_scarf)
+        _set(self, "glued_scarf", glued_scarf)
 
     @property
     def ok(self) -> bool:
@@ -462,16 +481,21 @@ def hereditary_verdicts(
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    graph6: str
-    n: int
-    num_edges: int
-    edges: str
-    family: str | None
-    predicted: bool
-    computed: bool
-    verdicts: tuple[tuple[str, str], ...]
+class SweepRecord(_Frozen):
+    _fields = ("graph6", "n", "num_edges", "edges", "family", "predicted", "computed", "verdicts")
+
+    def __init__(
+        self, graph6: str, n: int, num_edges: int, edges: str, family: str | None, predicted: bool,
+        computed: bool, verdicts: tuple[tuple[str, str], ...],
+    ) -> None:
+        _set(self, "graph6", graph6)
+        _set(self, "n", n)
+        _set(self, "num_edges", num_edges)
+        _set(self, "edges", edges)
+        _set(self, "family", family)
+        _set(self, "predicted", predicted)
+        _set(self, "computed", computed)
+        _set(self, "verdicts", verdicts)
 
     @property
     def agree(self) -> bool:
@@ -495,13 +519,18 @@ class SweepRecord:
         }
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    spec: IdealSpec
-    n_max: int
-    records: tuple[SweepRecord, ...]
-    disagreements: tuple[SweepRecord, ...]
-    field_conflicts: tuple[SweepRecord, ...]
+class SweepResult(_Frozen):
+    _fields = ("spec", "n_max", "records", "disagreements", "field_conflicts")
+
+    def __init__(
+        self, spec: IdealSpec, n_max: int, records: tuple[SweepRecord, ...],
+        disagreements: tuple[SweepRecord, ...], field_conflicts: tuple[SweepRecord, ...],
+    ) -> None:
+        _set(self, "spec", spec)
+        _set(self, "n_max", n_max)
+        _set(self, "records", records)
+        _set(self, "disagreements", disagreements)
+        _set(self, "field_conflicts", field_conflicts)
 
     def to_json_lines(self) -> list[str]:
         return [json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records]
@@ -561,17 +590,22 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
 # obstruction catalogs
 
 
-@dataclass(frozen=True)
-class ObstructionCatalog:
+class ObstructionCatalog(_Frozen):
     """`graphs` are enumerated representatives: `to_graph6` of each is its
     canonical form."""
 
-    spec: IdealSpec
-    n_max: int
-    mode: str
-    trees_only: bool
-    num_non_scarf: int
-    graphs: tuple[SimpleGraph, ...]
+    _fields = ("spec", "n_max", "mode", "trees_only", "num_non_scarf", "graphs")
+
+    def __init__(
+        self, spec: IdealSpec, n_max: int, mode: str, trees_only: bool, num_non_scarf: int,
+        graphs: tuple[SimpleGraph, ...],
+    ) -> None:
+        _set(self, "spec", spec)
+        _set(self, "n_max", n_max)
+        _set(self, "mode", mode)
+        _set(self, "trees_only", trees_only)
+        _set(self, "num_non_scarf", num_non_scarf)
+        _set(self, "graphs", graphs)
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,10 +17,10 @@ fresh variable, every generator divisible by a chosen variable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
+from .graphs import _Frozen, _set
 from .monomials import (
     MonomialError,
     MonomialIdeal,
@@ -42,32 +42,32 @@ def _face_key(face: Face) -> tuple[int, Face]:
     return (len(face), face)
 
 
-@dataclass(frozen=True)
-class LabeledComplex:
+class LabeledComplex(_Frozen):
     """A downward-closed face family over the minimal generators of an ideal."""
 
-    ideal: MonomialIdeal
-    faces: tuple[Face, ...]
+    _fields = ("ideal", "faces")
 
-    def __post_init__(self) -> None:
-        q = self.ideal.num_generators
+    def __init__(self, ideal: MonomialIdeal, faces: tuple[Face, ...]) -> None:
+        q = ideal.num_generators
         seen = set()
-        for face in self.faces:
+        for face in faces:
             if tuple(sorted(face)) != face:
                 raise ComplexError(f"face {face} is not sorted")
             if any(not 0 <= i < q for i in face):
                 raise ComplexError(f"face {face} references a missing generator")
             seen.add(face)
-        if len(seen) != len(self.faces):
+        if len(seen) != len(faces):
             raise ComplexError("duplicate faces")
-        if self.faces and list(self.faces) != sorted(self.faces, key=_face_key):
+        if faces and list(faces) != sorted(faces, key=_face_key):
             raise ComplexError("faces must be sorted by size then lexicographically")
-        if self.faces and () not in seen:
+        if faces and () not in seen:
             raise ComplexError("a nonempty complex must contain the empty face")
-        for face in self.faces:
+        for face in faces:
             for drop in range(len(face)):
                 if face[:drop] + face[drop + 1:] not in seen:
                     raise ComplexError(f"faces are not downward closed at {face}")
+        _set(self, "ideal", ideal)
+        _set(self, "faces", faces)
 
     @cached_property
     def face_set(self) -> frozenset[Face]:

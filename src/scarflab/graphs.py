@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CANONICAL_CAP = 10
 DEFAULT_ENUMERATION_CAP = 7
@@ -69,15 +68,53 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the value types: immutable, and equal, hashed and shown by
+    the per-class tuple `_fields` of field names.  Each subclass's
+    `__init__` validates its arguments and stores each field with `_set`.
+
+    It does what `@dataclass(frozen=True)` did, without its import cost:
+    `dataclasses` loads `inspect` (and with it `ast`, `dis` and
+    `tokenize`), and each decorated class `exec`s its generated methods,
+    which made up most of the time to import `scarflab.cli`.  The
+    constructors are written out per class because some run thousands of
+    times per command.  Instances keep a `__dict__`, which
+    `functools.cached_property` writes to directly."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimpleGraph(_Frozen):
     """Undirected simple graph on vertices 0..n-1, stored as its adjacency
     rows: bit u of `adjacency[v]` is set when u and v are joined."""
 
-    adjacency: tuple[int, ...]
+    _fields = ("adjacency",)
 
-    def __post_init__(self) -> None:
-        adjacency = self.adjacency
+    def __init__(self, adjacency: tuple[int, ...]) -> None:
         n = len(adjacency)
         _check_vertex_count(n)
         for v, row in enumerate(adjacency):
@@ -91,6 +128,7 @@ class SimpleGraph:
                 if not adjacency[low.bit_length() - 1] & bit:
                     raise GraphError(f"row {v} is not symmetric")
                 row ^= low
+        _set(self, "adjacency", adjacency)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
@@ -199,10 +237,12 @@ def spider6_graph(m: int, n: int, p: int) -> SimpleGraph:
     return _spine_with_leaves(6, {0: m, 2: n, 5: p})
 
 
-@dataclass(frozen=True)
-class FamilyTag:
-    kind: str
-    params: tuple[int, ...]
+class FamilyTag(_Frozen):
+    _fields = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple[int, ...]) -> None:
+        _set(self, "kind", kind)
+        _set(self, "params", params)
 
     def render(self) -> str:
         if not self.params:
@@ -260,10 +300,13 @@ def family_catalog(n: int) -> tuple[tuple[FamilyTag, SimpleGraph], ...]:
 
 @lru_cache(maxsize=None)
 def _family_index(n: int) -> dict[bytes, tuple[FamilyTag, ...]]:
-    """Canonical form -> every tag of `family_catalog(n)` with it, in catalog order."""
+    """Canonical form -> every tag of `family_catalog(n)` with it, in catalog
+    order.  Isomorphic members share a form, which `_class_form` computes
+    once per class."""
     index: dict[bytes, tuple[FamilyTag, ...]] = {}
+    classes: dict = {}
     for tag, member in family_catalog(n):
-        form = canonical_form(member)
+        form = _class_form(classes, member.adjacency)
         index[form] = index.get(form, ()) + (tag,)
     return index
 

@@ -30,10 +30,10 @@ monomial they restrict to is divided by a generator, whose vertex survives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .complexes import LabeledComplex
+from .graphs import _Frozen, _set
 
 # Primality is checked by trial division up to sqrt(p), about 46k divisions
 # below this bound; larger moduli would stall validation for minutes.
@@ -44,26 +44,29 @@ class HomologyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(_Frozen):
     """Coefficient field: GF(p) for a prime p, or the rationals."""
 
-    kind: str
-    p: int | None = None
+    _fields = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind == "prime":
-            if self.p is None or self.p < 2:
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind == "prime":
+            if p is None or p < 2:
                 raise HomologyError("prime field needs p >= 2")
-            if self.p >= PRIME_FIELD_LIMIT:
-                raise HomologyError(f"prime field needs p < 2^31, got {self.p}")
-            if any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
-                raise HomologyError(f"{self.p} is not prime")
-        elif self.kind == "rationals":
-            if self.p is not None:
+            if p >= PRIME_FIELD_LIMIT:
+                raise HomologyError(f"prime field needs p < 2^31, got {p}")
+            if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+                raise HomologyError(f"{p} is not prime")
+        elif kind == "rationals":
+            if p is not None:
                 raise HomologyError("the rationals take no modulus")
         else:
-            raise HomologyError(f"unknown field kind {self.kind!r}")
+            raise HomologyError(f"unknown field kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+
+    def __hash__(self) -> int:  # once per field and graph in a sweep's verdict sets
+        return hash((self.kind, self.p))
 
     def render(self) -> str:
         return "q" if self.kind == "rationals" else f"gf{self.p}"
@@ -90,11 +93,13 @@ GF32003 = FieldSpec("prime", 32003)
 DEFAULT_FIELDS = (GF2, GF32003)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    field: FieldSpec
-    betti_minus_one: int
-    betti: tuple[int, ...]
+class HomologyProfile(_Frozen):
+    _fields = ("field", "betti_minus_one", "betti")
+
+    def __init__(self, field: FieldSpec, betti_minus_one: int, betti: tuple[int, ...]) -> None:
+        _set(self, "field", field)
+        _set(self, "betti_minus_one", betti_minus_one)
+        _set(self, "betti", betti)
 
     @property
     def is_acyclic(self) -> bool:

@@ -14,9 +14,7 @@ ideal, which is a valid result everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import SimpleGraph, connected_induced_subsets, path_vertex_sets
+from .graphs import SimpleGraph, _Frozen, _set, connected_induced_subsets, path_vertex_sets
 from .monomials import MonomialIdeal, VariableUniverse, minimalize
 
 IDEAL_KINDS = ("connected", "path")
@@ -26,16 +24,16 @@ class IdealSpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    kind: str
-    t: int
+class IdealSpec(_Frozen):
+    _fields = ("kind", "t")
 
-    def __post_init__(self) -> None:
-        if self.kind not in IDEAL_KINDS:
-            raise IdealSpecError(f"kind must be one of {IDEAL_KINDS}, got {self.kind!r}")
-        if self.t < 2:
+    def __init__(self, kind: str, t: int) -> None:
+        if kind not in IDEAL_KINDS:
+            raise IdealSpecError(f"kind must be one of {IDEAL_KINDS}, got {kind!r}")
+        if t < 2:
             raise IdealSpecError("degree t must be at least 2")
+        _set(self, "kind", kind)
+        _set(self, "t", t)
 
     def render(self) -> str:
         return f"{self.kind}:{self.t}"

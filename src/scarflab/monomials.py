@@ -9,11 +9,10 @@ square-free monomials is just the divisibility antichain of the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
-from .graphs import _bits
+from .graphs import _bits, _Frozen, _set
 
 DEFAULT_MAX_VARIABLES = 32
 
@@ -22,19 +21,19 @@ class MonomialError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VariableUniverse:
+class VariableUniverse(_Frozen):
     """An ordered tuple of distinct variable names shared by a family of monomials."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if len(set(names)) != len(names):
             raise MonomialError("variable names must be distinct")
-        if len(self.names) > DEFAULT_MAX_VARIABLES:
+        if len(names) > DEFAULT_MAX_VARIABLES:
             raise MonomialError(
-                f"universe has {len(self.names)} variables, cap is {DEFAULT_MAX_VARIABLES}"
+                f"universe has {len(names)} variables, cap is {DEFAULT_MAX_VARIABLES}"
             )
+        _set(self, "names", names)
 
     @classmethod
     def of_size(cls, count: int) -> "VariableUniverse":
@@ -73,14 +72,14 @@ class VariableUniverse:
         return self.monomial(self.index_of(part.strip()) for part in text.split("*"))
 
 
-@dataclass(frozen=True)
-class SquarefreeMonomial:
-    universe: VariableUniverse
-    mask: int
+class SquarefreeMonomial(_Frozen):
+    _fields = ("universe", "mask")
 
-    def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask >> self.universe.size:
+    def __init__(self, universe: VariableUniverse, mask: int) -> None:
+        if mask < 0 or mask >> universe.size:
             raise MonomialError("support does not fit the universe")
+        _set(self, "universe", universe)
+        _set(self, "mask", mask)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -100,8 +99,7 @@ def _require_universe(m: SquarefreeMonomial, universe: VariableUniverse) -> None
         raise MonomialError("monomials live in different variable universes")
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """A square-free monomial ideal held as its minimal generators.
 
     Generators are stored as an antichain sorted by ascending support bit
@@ -109,19 +107,20 @@ class MonomialIdeal:
     tuple is the zero ideal.
     """
 
-    universe: VariableUniverse
-    mingens: tuple[SquarefreeMonomial, ...]
+    _fields = ("universe", "mingens")
 
-    def __post_init__(self) -> None:
-        masks = [g.mask for g in self.mingens]
+    def __init__(self, universe: VariableUniverse, mingens: tuple[SquarefreeMonomial, ...]) -> None:
+        masks = [g.mask for g in mingens]
         if sorted(masks) != masks or len(set(masks)) != len(masks):
             raise MonomialError("mingens must be strictly sorted by support bit pattern")
-        for g in self.mingens:
-            _require_universe(g, self.universe)
+        for g in mingens:
+            _require_universe(g, universe)
         for i, a in enumerate(masks):
             for b in masks[i + 1:]:
                 if a & ~b == 0 or b & ~a == 0:
                     raise MonomialError("mingens must form a divisibility antichain")
+        _set(self, "universe", universe)
+        _set(self, "mingens", mingens)
 
     @classmethod
     def zero(cls, universe: VariableUniverse) -> "MonomialIdeal":

@@ -1,7 +1,9 @@
 """The runtime stays pure standard library: src/scarflab imports nothing
-but itself and modules of the standard library."""
+but itself and modules of the standard library.  It also stays quick to
+start: importing the CLI loads none of the slow standard modules below."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +48,22 @@ def test_files_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_only_stdlib_imports(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+# `dataclasses` loads `inspect`, which loads `ast`, `dis` and `tokenize`;
+# `typing` is large too.  Each CLI call would pay for them at start-up.
+SLOW_MODULES = ("dataclasses", "inspect", "typing")
+
+
+def test_cli_import_loads_no_slow_module():
+    """A fresh interpreter without `site` (-S), whose `.pth` files may
+    preload modules, and without the environment (-I)."""
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import scarflab.cli; "
+        f"print(*[name for name in {SLOW_MODULES!r} if name in sys.modules])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
