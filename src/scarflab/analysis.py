@@ -13,6 +13,11 @@ order, so a reported failure is the smallest failing point in that order.
 Fields are never merged: a graph counts as Scarf only when every field in the
 battery agrees, and cross-field disagreements are surfaced, not resolved.
 
+The paper's classifications are predicates on a connected graph's size and
+family tags.  `theorem_spec` maps a theorem's name to the ideal it covers,
+`_predictor` is the one place that says what the classification of an ideal
+predicts, and `classify` (one graph) and `sweep` (every graph) both read it.
+
 Sweeps and obstruction catalogs need verdicts, not witnesses, for every
 connected graph (or tree) up to some size.  Both iterate one walk over the
 enumeration's levels, `hereditary_verdicts`, which keeps only the level
@@ -38,14 +43,12 @@ from .complexes import (
     scarf_complex,
 )
 from .graphs import (
-    DEFAULT_ENUMERATION_CAP,
-    FamilyTag,
-    GraphError,
     SimpleGraph,
+    _check_level_size,
     _family_index,
+    _family_tags,
     _Frozen,
     _set,
-    canonical_form,
     contains_subgraph,
     deletion_parents,
     enumerate_connected_graphs,
@@ -69,11 +72,6 @@ VERDICT_NOT_SCARF = "not_scarf"
 VERDICT_TRIVIALLY_SCARF = "trivially_scarf"
 
 THEOREM_B_FAMILY_KINDS = ("star", "triangle", "broom3", "broom4", "spider5", "spider6")
-
-# Both enumerations add one vertex to each smaller representative, but a tree
-# gets n-1 candidate leaves where a connected graph gets 2^(n-1)-1 candidate
-# neighbourhoods, so trees stay cheap past DEFAULT_ENUMERATION_CAP.
-DERIVE_TREE_CAP = 9
 
 
 class AnalysisError(ValueError):
@@ -205,44 +203,52 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
 # classification predicates
 
 
-def _require_connected(graph: SimpleGraph) -> None:
+def theorem_spec(text: str) -> IdealSpec:
+    """The ideal a theorem of the paper classifies: `A:<t>` (Theorem A,
+    t >= 3) the connected ideal of degree t, `B` (Theorem B) the path ideal
+    of degree 4; the letter may be lower case."""
+    theorem = text.strip()
+    if theorem.upper().startswith("A:"):
+        try:
+            t = int(theorem[2:])
+        except ValueError:
+            raise AnalysisError(f"cannot parse theorem {theorem!r}; use A:<t> or B") from None
+        if t < 3:
+            raise AnalysisError("the connected-ideal classification needs t >= 3")
+        return IdealSpec("connected", t)
+    if theorem.upper() == "B":
+        return IdealSpec("path", 4)
+    raise AnalysisError(f"unknown theorem {theorem!r}; use A:<t> or B")
+
+
+def _predictor(spec: IdealSpec):
+    """The classification's answer for a connected graph on n vertices, from
+    n and its family tags, which it reads only when n > spec.t.
+
+    Theorem A (connected:t, t >= 3): Scarf exactly for graphs on at most t
+    vertices and paths on at most 2t.  Theorem B (path:4): Scarf exactly for
+    graphs on at most four vertices, stars, triangles with pendant leaves at
+    one vertex, double brooms on three or four spine vertices, and spiders
+    on five or six spine vertices (any leaf counts >= 0; degenerate
+    parameter choices cover the short paths)."""
+    if spec.kind == "connected" and spec.t >= 3:
+        t = spec.t
+        return lambda n, tags: n <= t or any(
+            tag.kind == "path" and tag.params[0] <= 2 * t for tag in tags
+        )
+    if spec.kind == "path" and spec.t == 4:
+        return lambda n, tags: n <= 4 or any(tag.kind in THEOREM_B_FAMILY_KINDS for tag in tags)
+    raise AnalysisError(f"no classification is wired up for spec {spec}")
+
+
+def classify(graph: SimpleGraph, spec: IdealSpec) -> bool:
+    """Predicted Scarf property of spec's ideal of a connected graph, by the
+    classification `_predictor` wires up for spec; `sweep` reads the same
+    predictor."""
+    predict = _predictor(spec)
     if not is_connected(graph):
         raise AnalysisError("classification predicates expect a connected graph")
-
-
-def _family_tags(graph: SimpleGraph) -> tuple[FamilyTag, ...]:
-    return _family_index(graph.n).get(canonical_form(graph), ())
-
-
-def _theorem_A_prediction(n: int, tags: tuple[FamilyTag, ...], t: int) -> bool:
-    """Theorem A's answer for a connected graph on n vertices with family
-    tags `tags`; the tags are read only when n > t."""
-    return n <= t or any(tag.kind == "path" and tag.params[0] <= 2 * t for tag in tags)
-
-
-def _theorem_B_prediction(n: int, tags: tuple[FamilyTag, ...]) -> bool:
-    """Theorem B's answer for a connected graph on n vertices with family
-    tags `tags`; the tags are read only when n > 4."""
-    return n <= 4 or any(tag.kind in THEOREM_B_FAMILY_KINDS for tag in tags)
-
-
-def classify_theorem_A(graph: SimpleGraph, t: int) -> bool:
-    """Predicted Scarf property of the connected ideal of degree t >= 3: true
-    exactly for graphs with at most t vertices and for paths on at most 2t."""
-    if t < 3:
-        raise AnalysisError("the connected-ideal classification needs t >= 3")
-    _require_connected(graph)
-    return _theorem_A_prediction(graph.n, _family_tags(graph) if graph.n > t else (), t)
-
-
-def classify_theorem_B(graph: SimpleGraph) -> bool:
-    """Predicted Scarf property of the degree-4 path ideal: true exactly for
-    graphs on at most four vertices, stars, triangles with pendant leaves at
-    one vertex, double brooms on three or four spine vertices, and spiders on
-    five or six spine vertices (any leaf counts >= 0; degenerate parameter
-    choices cover the short paths)."""
-    _require_connected(graph)
-    return _theorem_B_prediction(graph.n, _family_tags(graph) if graph.n > 4 else ())
+    return predict(graph.n, _family_tags(graph) if graph.n > spec.t else ())
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +433,9 @@ def hereditary_verdicts(
     trees_only, of `enumerate_trees(n)`) for n = 1..n_max in enumeration
     order, yielding (graph, verdicts, parent_verdicts): graph's verdict per
     field, as `is_scarf(build_ideal(graph, spec), fields).verdicts` gives
-    it, and the verdicts of its parents.  n_max and the fields are checked
-    before any graph is built; only the level below is kept.
+    it, and the verdicts of its parents.  n_max (against the enumerator's
+    cap, by `_check_level_size`) and the fields are checked before any graph
+    is built; only the level below is kept.
 
     A graph's parents are the classes of G - u over its non-cut vertices u
     (`deletion_parents`), so its verdicts follow from theirs.  G is not
@@ -461,9 +468,7 @@ def hereditary_verdicts(
     parent with at most one, and (b) is checked by `_failing_fields` on the
     whole complex over the fields its parents pass.
     """
-    cap = DERIVE_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
-    if not 1 <= n_max <= cap:
-        raise GraphError(f"n_max must be within 1..{cap}")
+    _check_level_size(n_max, trees_only)
     fields = _normalize_fields(fields)
     below: list[tuple[str, ...]] = []
     for n in range(1, n_max + 1):
@@ -536,16 +541,6 @@ class SweepResult(_Frozen):
         return [json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records]
 
 
-def _sweep_predictor(spec: IdealSpec):
-    """The classification's answer for a connected graph on n vertices and
-    its family tags."""
-    if spec.kind == "connected" and spec.t >= 3:
-        return lambda n, tags: _theorem_A_prediction(n, tags, spec.t)
-    if spec.kind == "path" and spec.t == 4:
-        return _theorem_B_prediction
-    raise AnalysisError(f"no classification is wired up for spec {spec}")
-
-
 def _sweep_one(graph: SimpleGraph, predict, verdicts: tuple[tuple[str, str], ...]) -> SweepRecord:
     """The record of an enumerated representative, whose `to_graph6` is its
     canonical form."""
@@ -571,7 +566,7 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
     fields before any graph is built.  Records come by n, then by canonical
     form (their graph6), the order of the enumeration."""
     fields = tuple(fields)
-    predict = _sweep_predictor(spec)
+    predict = _predictor(spec)
     names = [f.render() for f in fields]
     records = [
         _sweep_one(graph, predict, tuple(zip(names, verdicts)))
@@ -636,7 +631,9 @@ def derive_obstructions(
     (see `hereditary_verdicts`), which is then non-Scarf too, and G - u is
     one itself.  Connected induced subgraphs of trees are trees, so this
     holds within the trees as well.  Deleting an edge is no restriction, so
-    'subgraph' still searches for a smaller non-Scarf subgraph pairwise."""
+    'subgraph' still searches for a smaller non-Scarf subgraph pairwise.
+    With trees_only both orders give the same graphs: a connected subgraph
+    of a tree on vertex set W spans the forest G[W], so it equals G[W]."""
     if mode not in ("induced", "subgraph"):
         raise AnalysisError("mode must be 'induced' or 'subgraph'")
     bad = []

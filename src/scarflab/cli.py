@@ -6,7 +6,11 @@ against computed verdicts, run exhaustive sweeps, derive minimal obstruction
 catalogs, and exercise the leaf-gluing pipeline.
 
 Graphs are given as shorthand (path:6, cycle:5, star:4, family:T2,
-family:S5(1,2,1)) or as @file with .g6, .adj or .json content.  All JSON
+family:S5(1,2,1)) or as @file with .g6, .adj or .json content.  The front end
+only reads its arguments: a family's parameter count is checked by
+`graphs.make_family`, a theorem name is mapped to its ideal by
+`analysis.theorem_spec`, the field list and the `--n-max` cap are checked by
+`analysis` and `graphs` before any work starts.  All JSON
 output is emitted with sorted keys so identical invocations produce identical
 bytes.  The scarf subcommand exits 0 when the ideal is Scarf, 1 when it is
 not, 2 on usage or input errors; other subcommands use 0/2.
@@ -19,8 +23,14 @@ import json
 import re
 import sys
 
-from . import analysis
-from .analysis import derive_obstructions, is_scarf, leaf_lemma_pipeline, sweep
+from .analysis import (
+    classify,
+    derive_obstructions,
+    is_scarf,
+    leaf_lemma_pipeline,
+    sweep,
+    theorem_spec,
+)
 from .complexes import scarf_complex, taylor_complex
 from .graphs import (
     FamilyTag,
@@ -40,6 +50,9 @@ from .monomials import MonomialIdeal
 _FAMILY_SHORTHAND = re.compile(
     r"^([PCST])(\d+)(?:\(([\d,\s]*)\))?$"
 )
+# The kind of a bare letter token, and of an S token with a parameter list.
+_LETTER_KINDS = {"P": "path", "C": "cycle", "S": "star", "T": "triangle"}
+_SPINE_KINDS = {3: "broom3", 4: "broom4", 5: "spider5", 6: "spider6"}
 
 
 class CliError(ValueError):
@@ -47,7 +60,8 @@ class CliError(ValueError):
 
 
 def parse_family_token(token: str) -> FamilyTag:
-    """Family shorthand: P7, C5, S4 (star), T2, S3(1,2), S4(2,2), S5(1,2,1), S6(1,2,1)."""
+    """Family shorthand: P7, C5, S4 (star), T2, S3(1,2), S4(2,2), S5(1,2,1), S6(1,2,1).
+    The parameter counts are `make_family`'s to check."""
     token = token.strip()
     unparsed = f"cannot parse family {token!r}; expected forms like T2, S4, S5(1,2,1)"
     match = _FAMILY_SHORTHAND.match(token)
@@ -61,30 +75,13 @@ def parse_family_token(token: str) -> FamilyTag:
         params = tuple(int(p) for p in args.split(",")) if args else None
     except ValueError:
         raise CliError(unparsed) from None
-    if letter == "P":
-        if params is not None:
-            raise CliError("P takes no parameter list")
-        return FamilyTag("path", (number,))
-    if letter == "C":
-        if params is not None:
-            raise CliError("C takes no parameter list")
-        return FamilyTag("cycle", (number,))
-    if letter == "T":
-        if params is not None:
-            raise CliError("T takes no parameter list; the leaf count follows T")
-        return FamilyTag("triangle", (number,))
-    # letter == "S": bare = star with <number> leaves, with args = broom or spider
     if params is None:
-        return FamilyTag("star", (number,))
-    if number in (3, 4):
-        if len(params) != 2:
-            raise CliError(f"S{number}(m,n) takes two parameters")
-        return FamilyTag(f"broom{number}", params)
-    if number in (5, 6):
-        if len(params) != 3:
-            raise CliError(f"S{number}(m,n,p) takes three parameters")
-        return FamilyTag(f"spider{number}", params)
-    raise CliError(f"parameterized spines exist only for S3, S4, S5, S6, got S{number}")
+        return FamilyTag(_LETTER_KINDS[letter], (number,))
+    if letter != "S":
+        raise CliError(f"{letter} takes no parameter list")
+    if number not in _SPINE_KINDS:
+        raise CliError(f"parameterized spines exist only for S3, S4, S5, S6, got S{number}")
+    return FamilyTag(_SPINE_KINDS[number], params)
 
 
 def parse_graph_argument(text: str) -> SimpleGraph:
@@ -146,10 +143,8 @@ def _load_ideal_file(path: str) -> MonomialIdeal:
 
 
 def parse_fields(text: str) -> tuple[FieldSpec, ...]:
-    fields = tuple(FieldSpec.parse(part) for part in text.split(",") if part.strip())
-    if not fields:
-        raise CliError("at least one field is required")
-    return fields
+    """The fields of a comma list; `analysis` rejects an empty or repeating one."""
+    return tuple(FieldSpec.parse(part) for part in text.split(",") if part.strip())
 
 
 def _resolve_ideal(args: argparse.Namespace) -> MonomialIdeal:
@@ -242,26 +237,15 @@ def _cmd_complex(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     graph = parse_graph_argument(args.graph)
-    theorem = args.theorem.strip()
     fields = parse_fields(args.fields)
-    if theorem.upper().startswith("A:"):
-        try:
-            t = int(theorem[2:])
-        except ValueError:
-            raise CliError(f"cannot parse theorem {theorem!r}; use A:<t> or B") from None
-        predicted = analysis.classify_theorem_A(graph, t)
-        spec = IdealSpec("connected", t)
-    elif theorem.upper() == "B":
-        predicted = analysis.classify_theorem_B(graph)
-        spec = IdealSpec("path", 4)
-    else:
-        raise CliError(f"unknown theorem {theorem!r}; use A:<t> or B")
+    spec = theorem_spec(args.theorem)
+    predicted = classify(graph, spec)
     computed = is_scarf(build_ideal(graph, spec), fields).all_scarf
     tag = recognize_family(graph)
     data = {
         "graph6": canonical_form(graph).decode("ascii"),
         "family": tag.render() if tag else None,
-        "theorem": theorem,
+        "theorem": args.theorem.strip(),
         "spec": spec.render(),
         "predicted": predicted,
         "computed": computed,

@@ -311,10 +311,18 @@ def _family_index(n: int) -> dict[bytes, tuple[FamilyTag, ...]]:
     return index
 
 
+def _family_tags(graph: SimpleGraph) -> tuple[FamilyTag, ...]:
+    """Every tag of `family_catalog(graph.n)` whose member is isomorphic to
+    the graph, most specific first; one lookup in a per-size index of the
+    catalog's canonical forms.  The graph's own form comes first, so a graph
+    past the canonical-form cap fails on it before any catalog is built."""
+    form = canonical_form(graph)
+    return _family_index(graph.n).get(form, ())
+
+
 def recognize_family(graph: SimpleGraph) -> FamilyTag | None:
-    """Most specific family tag whose member is isomorphic to the graph, or
-    None; one lookup in a per-size index of the catalog's canonical forms."""
-    tags = _family_index(graph.n).get(canonical_form(graph))
+    """Most specific family tag whose member is isomorphic to the graph, or None."""
+    tags = _family_tags(graph)
     return tags[0] if tags else None
 
 
@@ -739,6 +747,7 @@ def _class_form(classes: dict, rows: tuple[int, ...]) -> bytes:
     the vertices of its own label decides isomorphism exactly.  So the form
     returned is the graph's own, and `canonical_form` (called through the
     module name, so a wrapper around it sees every call) runs once per class.
+    Its cap is the graph's own size: the callers have checked theirs.
     """
     labels = _vertex_labels(rows)
     found = classes.setdefault(tuple(sorted(labels)), [])
@@ -749,7 +758,7 @@ def _class_form(classes: dict, rows: tuple[int, ...]) -> bytes:
         for plan, form in found:
             if _find_map(plan, rows, by_label, True):
                 return form
-    form = canonical_form(SimpleGraph(rows))
+    form = canonical_form(SimpleGraph(rows), len(rows))
     found.append((_match_plan(rows, labels), form))
     return form
 
@@ -809,7 +818,11 @@ def _extend_by_vertex(
     )
 
 
-def _check_level_size(n: int, max_vertices: int, trees_only: bool) -> None:
+def _check_level_size(n: int, trees_only: bool, max_vertices: int | None = None) -> None:
+    """n must lie in 1..max_vertices, by default the cap of the enumerator
+    trees_only picks; every caller checks before any level runs."""
+    if max_vertices is None:
+        max_vertices = DEFAULT_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
     if not 1 <= n <= max_vertices:
         kind = "tree enumeration" if trees_only else "enumeration"
         raise GraphError(f"{kind} supports 1..{max_vertices} vertices")
@@ -844,7 +857,7 @@ def enumerate_connected_graphs(
     isomorphic to some connected (n-1)-vertex representative plus one vertex
     with a nonempty neighbourhood, which is one of the candidates.
     """
-    _check_level_size(n, max_vertices, False)
+    _check_level_size(n, False, max_vertices)
     return _level(n, False)[0]
 
 
@@ -852,7 +865,7 @@ def enumerate_trees(n: int, max_vertices: int = DEFAULT_TREE_CAP) -> tuple[Simpl
     """One representative per tree isomorphism class, by leaf extension: every
     tree on n >= 2 vertices is a smaller tree plus a leaf joined to one vertex.
     Sorted by canonical form, and `to_graph6` of each is its form."""
-    _check_level_size(n, max_vertices, True)
+    _check_level_size(n, True, max_vertices)
     return _level(n, True)[0]
 
 
@@ -863,8 +876,7 @@ def deletion_parents(n: int, trees_only: bool = False) -> tuple[tuple[int, ...],
     are recorded while the enumeration extends those representatives (see
     `_extend_by_vertex`).  n is checked against that enumerator's default
     cap before any level runs."""
-    cap = DEFAULT_TREE_CAP if trees_only else DEFAULT_ENUMERATION_CAP
-    _check_level_size(n, cap, trees_only)
+    _check_level_size(n, trees_only)
     return _level(n, trees_only)[1]
 
 

@@ -17,8 +17,7 @@ from pathlib import Path
 import conftest
 
 from scarflab.analysis import (
-    classify_theorem_A,
-    classify_theorem_B,
+    classify,
     derive_obstructions,
     is_scarf,
     leaf_lemma_pipeline,
@@ -148,7 +147,7 @@ def test_criterion_03_theorem_a_cross_validation():
             spec = IdealSpec("connected", t)
             for n in range(1, 8):
                 for graph in enumerate_connected_graphs(n):
-                    predicted = classify_theorem_A(graph, t)
+                    predicted = classify(graph, spec)
                     report = is_scarf(build_ideal(graph, spec))
                     assert not fields_disagree(report)
                     assert predicted == report.all_scarf, (t, n, graph.edges)
@@ -166,7 +165,7 @@ def test_criterion_04_theorem_b_cross_validation():
 
         scarf_non_trees = []
         for graph in five:
-            predicted = classify_theorem_B(graph)
+            predicted = classify(graph, P4)
             report = is_scarf(build_ideal(graph, P4))
             assert not fields_disagree(report)
             assert predicted == report.all_scarf, graph.edges
@@ -178,7 +177,7 @@ def test_criterion_04_theorem_b_cross_validation():
         checked = 0
         for n in range(1, 8):
             for graph in enumerate_connected_graphs(n):
-                predicted = classify_theorem_B(graph)
+                predicted = classify(graph, P4)
                 report = is_scarf(build_ideal(graph, P4))
                 assert not fields_disagree(report)
                 assert predicted == report.all_scarf, (n, graph.edges)

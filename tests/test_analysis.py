@@ -4,8 +4,7 @@ from scarflab import analysis
 from scarflab.analysis import (
     AnalysisError,
     THEOREM_B_FAMILY_KINDS,
-    classify_theorem_A,
-    classify_theorem_B,
+    classify,
     derive_obstructions,
     hereditary_verdicts,
     is_scarf,
@@ -21,6 +20,7 @@ from scarflab.graphs import (
     cycle_graph,
     enumerate_connected_graphs,
     enumerate_trees,
+    parse_graph6,
     path_graph,
     spider5_graph,
     spider6_graph,
@@ -144,30 +144,30 @@ class TestIsScarf:
 
 class TestClassifiers:
     def test_theorem_a_examples(self):
-        assert classify_theorem_A(path_graph(6), 3)
-        assert not classify_theorem_A(path_graph(7), 3)
-        assert not classify_theorem_A(complete_graph(4), 3)
-        assert classify_theorem_A(complete_graph(3), 3)
-        assert classify_theorem_A(path_graph(8), 4)
-        assert not classify_theorem_A(cycle_graph(4), 3)
+        assert classify(path_graph(6), C3)
+        assert not classify(path_graph(7), C3)
+        assert not classify(complete_graph(4), C3)
+        assert classify(complete_graph(3), C3)
+        assert classify(path_graph(8), C4)
+        assert not classify(cycle_graph(4), C3)
 
     def test_theorem_a_guards(self):
         with pytest.raises(AnalysisError):
-            classify_theorem_A(path_graph(4), 2)
+            classify(path_graph(4), IdealSpec("connected", 2))
         with pytest.raises(AnalysisError):
-            classify_theorem_A(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]), 3)
+            classify(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]), C3)
 
     def test_theorem_b_examples(self):
-        assert not classify_theorem_B(cycle_graph(5))
-        assert not classify_theorem_B(path_graph(9))
-        assert classify_theorem_B(path_graph(8))
-        assert classify_theorem_B(star_graph(7))
-        assert classify_theorem_B(triangle_with_leaves(4))
-        assert classify_theorem_B(broom3_graph(2, 3))
-        assert classify_theorem_B(spider5_graph(2, 1, 2))
-        assert classify_theorem_B(spider6_graph(1, 2, 1))
-        assert classify_theorem_B(complete_graph(4))
-        assert not classify_theorem_B(complete_graph(5))
+        assert not classify(cycle_graph(5), P4)
+        assert not classify(path_graph(9), P4)
+        assert classify(path_graph(8), P4)
+        assert classify(star_graph(7), P4)
+        assert classify(triangle_with_leaves(4), P4)
+        assert classify(broom3_graph(2, 3), P4)
+        assert classify(spider5_graph(2, 1, 2), P4)
+        assert classify(spider6_graph(1, 2, 1), P4)
+        assert classify(complete_graph(4), P4)
+        assert not classify(complete_graph(5), P4)
 
     def test_p8_really_is_scarf_and_p9_not(self):
         assert is_scarf(build_ideal(path_graph(8), P4)).all_scarf
@@ -317,19 +317,26 @@ class TestSweep:
         with pytest.raises(AnalysisError):
             sweep(IdealSpec("connected", 2), 4)
 
+    @pytest.mark.parametrize("spec", [C3, C4, IdealSpec("connected", 5), P4], ids=str)
+    def test_records_predicted_by_classify(self, spec):
+        """`classify` and `sweep` read one predictor."""
+        for record in sweep(spec, 6).records:
+            assert record.predicted == classify(parse_graph6(record.graph6), spec), record.graph6
+
     @pytest.mark.parametrize("n_max, trees_only, cap", [
         pytest.param(0, None, 7, id="0"),
         pytest.param(-5, None, 7, id="-5"),
         pytest.param(8, None, 7, id="8"),
         pytest.param(8, False, 7, id="derive-8"),
-        pytest.param(10, True, 9, id="derive-trees-10"),
+        pytest.param(11, True, 10, id="derive-trees-11"),
     ])
     def test_n_max_checked_up_front(self, n_max, trees_only, cap, monkeypatch):
         """`sweep` (trees_only None) and `derive_obstructions` reject n_max
-        outside 1..cap, naming the range, before any work starts."""
+        outside 1..cap, the enumerator's own cap, naming the range, before
+        any work starts."""
         for name in ("enumerate_connected_graphs", "enumerate_trees", "build_ideal"):
             monkeypatch.setattr(analysis, name, None)  # no work may start
-        with pytest.raises(GraphError, match=rf"n_max must be within 1\.\.{cap}$"):
+        with pytest.raises(GraphError, match=rf"enumeration supports 1\.\.{cap} vertices$"):
             if trees_only is None:
                 sweep(C3, n_max)
             else:
@@ -440,6 +447,17 @@ class TestHereditaryVerdicts:
             ]
             assert catalog.num_non_scarf == len(bad)
             assert catalog.graphs == tuple(minimal_induced(bad)), spec
+
+    def test_tree_catalogs_agree_across_orders(self):
+        """On trees a connected subgraph is an induced one, so the pairwise
+        'subgraph' search and the parent rule of 'induced' agree."""
+        specs = [IdealSpec("path", t) for t in range(2, 7)]
+        specs += [IdealSpec("connected", t) for t in range(2, 6)]
+        for spec in specs:
+            induced = derive_obstructions(spec, 10, "induced", trees_only=True)
+            subgraph = derive_obstructions(spec, 10, "subgraph", trees_only=True)
+            assert induced.graphs and subgraph.graphs == induced.graphs, spec
+            assert subgraph.num_non_scarf == induced.num_non_scarf, spec
 
     def test_seven_vertex_induced_catalog_matches_pairwise_search(self):
         # the other specs take 2 to 23 s for the pairwise search at n <= 7;

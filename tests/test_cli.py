@@ -18,6 +18,7 @@ from scarflab.cli import (
 )
 from scarflab.graphs import (
     FamilyTag,
+    GraphError,
     canonical_form,
     path_graph,
     spider5_graph,
@@ -42,9 +43,13 @@ class TestFamilyTokens:
         assert parse_family_token("S6(1, 1, 1)") == FamilyTag("spider6", (1, 1, 1))
 
     def test_rejections(self):
-        for bad in ("P7(1)", "S5(1,2)", "S7(1,1,1)", "S3(1,2,3)", "X4", "S5()"):
+        for bad in ("P7(1)", "S7(1,1,1)", "X4", "S5()"):
             with pytest.raises(CliError):
                 parse_family_token(bad)
+        # a wrong parameter count is `make_family`'s to reject
+        for bad in ("S5(1,2)", "S3(1,2,3)"):
+            with pytest.raises(GraphError, match="parameters"):
+                parse_graph_argument(f"family:{bad}")
 
 
 class TestGraphArguments:
@@ -105,9 +110,20 @@ class TestFieldArguments:
     def test_parse_lists(self):
         assert parse_fields("gf2,q") == (GF2, RATIONALS)
 
-    def test_empty_rejected(self):
-        with pytest.raises(CliError):
-            parse_fields(" , ")
+    def test_empty_rejected(self, capsys):
+        """An empty field list is rejected where the fields are used, with
+        one `error:` line from every subcommand that takes fields."""
+        for argv in (
+            ["scarf", "--graph", "path:5", "--spec", "path:4"],
+            ["classify", "--graph", "path:5", "--theorem", "B"],
+            ["sweep", "--spec", "path:4", "--n-max", "4"],
+            ["derive", "--spec", "path:4", "--n-max", "4", "--mode", "induced"],
+            ["leaf", "--graph", "path:5", "--spec", "path:4", "--var", "x1"],
+        ):
+            assert main([*argv, "--fields", " , "]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: need at least one coefficient field\n", argv
 
 
 class TestSubcommands:
@@ -239,11 +255,22 @@ class TestLimits:
         for argv, cap in (
             (["sweep", "--spec", "connected:3", "--n-max", "8"], 7),
             (["derive", "--spec", "path:4", "--n-max", "8", "--mode", "subgraph"], 7),
-            (["derive", "--spec", "path:4", "--n-max", "10", "--mode", "induced",
-              "--trees-only"], 9),
+            (["derive", "--spec", "path:4", "--n-max", "11", "--mode", "induced",
+              "--trees-only"], 10),
         ):
             assert main(argv) == 2
-            assert f"n_max must be within 1..{cap}" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert f"enumeration supports 1..{cap} vertices" in captured.err
+
+    def test_derive_trees_reach_the_tree_cap(self, capsys):
+        """89 and the two minimal trees are what a full `is_scarf` scan and
+        `reference.minimal_induced` give on the trees with up to 10 vertices."""
+        argv = ["derive", "--spec", "path:5", "--n-max", "10", "--mode", "induced",
+                "--trees-only"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("# non_scarf_total=89 minimal=2\nF??}O\nF@Q?w\n")
 
     def test_prime_field_at_or_above_2_31_rejected(self, capsys):
         argv = ["scarf", "--graph", "path:5", "--spec", "connected:3", "--fields"]

@@ -530,6 +530,14 @@ class TestRecognition:
         # a path of 3 is also a star and a degenerate broom; path wins
         assert recognize_family(path_graph(3)).kind == "path"
 
+    def test_oversized_graph_fails_before_any_catalog(self, monkeypatch):
+        def no_index(n):
+            raise AssertionError("a family catalog was built")
+
+        monkeypatch.setattr(graphs, "_family_index", no_index)
+        with pytest.raises(GraphError, match="canonical form capped at 10 vertices"):
+            recognize_family(path_graph(11))
+
     def test_renders(self):
         assert FamilyTag("spider5", (1, 2, 1)).render() == "spider5(1, 2, 1)"
         assert FamilyTag("path", (4,)).render() == "path(4)"
@@ -731,6 +739,14 @@ class TestEnumeration:
         for n in range(1, 10):
             expected = sum(1 for _ in nx.nonisomorphic_trees(n)) if n >= 2 else 1
             assert len(enumerate_trees(n)) == expected
+
+    def test_trees_past_the_canonical_form_cap(self):
+        """An enumerator's own max_vertices is the only cap: the forms it
+        computes are capped at the candidate's size (A000055: 235 trees on
+        11 vertices)."""
+        trees = enumerate_trees(11, max_vertices=11)
+        assert len(trees) == 235
+        assert all(to_graph6(tree).encode("ascii") == canonical_form(tree, 11) for tree in trees)
 
     def test_trees_via_pruefer_oracle(self):
         for n in range(3, 8):
