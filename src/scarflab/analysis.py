@@ -23,8 +23,9 @@ connected graph (or tree) up to some size.  Both iterate one walk over the
 enumeration's levels, `hereditary_verdicts`, which keeps only the level
 below: a graph fails a field exactly when one of its connected one-vertex
 deletions fails it or its whole Scarf complex is not acyclic over it, so no
-lattice is scanned.  The walk keeps the enumeration's order: by n, then by
-canonical form.
+lattice is scanned.  The walk computes no canonical form; sweeps and
+catalogs canonicalise only the graphs they report, and sort them by n, then
+by canonical form.
 """
 
 from __future__ import annotations
@@ -44,15 +45,14 @@ from .complexes import (
 )
 from .graphs import (
     SimpleGraph,
+    _canonical_copy,
     _check_level_size,
     _family_index,
     _family_tags,
     _Frozen,
+    _level,
     _set,
     contains_subgraph,
-    deletion_parents,
-    enumerate_connected_graphs,
-    enumerate_trees,
     is_connected,
     to_adjacency_text,
     to_graph6,
@@ -429,16 +429,22 @@ def _graph_verdicts(
 def hereditary_verdicts(
     spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS, trees_only: bool = False
 ) -> Iterator[tuple[SimpleGraph, tuple[str, ...], tuple[tuple[str, ...], ...]]]:
-    """Walk the representatives of `enumerate_connected_graphs(n)` (with
-    trees_only, of `enumerate_trees(n)`) for n = 1..n_max in enumeration
-    order, yielding (graph, verdicts, parent_verdicts): graph's verdict per
-    field, as `is_scarf(build_ideal(graph, spec), fields).verdicts` gives
-    it, and the verdicts of its parents.  n_max (against the enumerator's
-    cap, by `_check_level_size`) and the fields are checked before any graph
-    is built; only the level below is kept.
+    """Walk the connected graphs (with trees_only, the trees) on n =
+    1..n_max vertices level by level, yielding (graph, verdicts,
+    parent_verdicts): graph's verdict per field, as
+    `is_scarf(build_ideal(graph, spec), fields).verdicts` gives it, and the
+    verdicts of its parents.  n_max (against the enumerator's cap, by
+    `_check_level_size`) and the fields are checked before any graph is
+    built; only the level below is kept.
+
+    Each class appears once per level, in the order the enumeration finds
+    it, labelled as its first candidate (`graphs._level`); no canonical
+    form is computed.  A graph's verdicts depend only on its own ideal and
+    its parents' verdicts, so neither the order nor the labelling changes
+    any verdict.
 
     A graph's parents are the classes of G - u over its non-cut vertices u
-    (`deletion_parents`), so its verdicts follow from theirs.  G is not
+    (`graphs._extend_by_vertex`), so its verdicts follow from theirs.  G is not
     Scarf over a field F exactly when
 
     (a) some parent is not Scarf over F, or
@@ -472,9 +478,8 @@ def hereditary_verdicts(
     fields = _normalize_fields(fields)
     below: list[tuple[str, ...]] = []
     for n in range(1, n_max + 1):
-        graphs = enumerate_trees(n) if trees_only else enumerate_connected_graphs(n)
         level = []
-        for graph, parents in zip(graphs, deletion_parents(n, trees_only)):
+        for graph, parents in zip(*_level(n, trees_only)):
             parent_verdicts = tuple(below[p] for p in parents)
             verdicts = _graph_verdicts(graph, spec, fields, parent_verdicts)
             level.append(verdicts)
@@ -542,15 +547,17 @@ class SweepResult(_Frozen):
 
 
 def _sweep_one(graph: SimpleGraph, predict, verdicts: tuple[tuple[str, str], ...]) -> SweepRecord:
-    """The record of an enumerated representative, whose `to_graph6` is its
-    canonical form."""
-    form = to_graph6(graph)
+    """The record of a graph of the walk, reported by its canonical form:
+    the graph6 is that form, and the edges are those of the labelling it
+    gives."""
+    canonical = _canonical_copy(graph)
+    form = to_graph6(canonical)
     tags = _family_index(graph.n).get(form.encode("ascii"), ())
     return SweepRecord(
         graph6=form,
         n=graph.n,
         num_edges=graph.num_edges,
-        edges=to_adjacency_text(graph),
+        edges=to_adjacency_text(canonical),
         family=tags[0].render() if tags else None,
         predicted=predict(graph.n, tags),
         computed=all(v != VERDICT_NOT_SCARF for _, v in verdicts),
@@ -563,15 +570,18 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
     computed Scarf property over all connected graphs on up to n_max vertices.
 
     The verdicts come from `hereditary_verdicts`, which checks n_max and the
-    fields before any graph is built.  Records come by n, then by canonical
-    form (their graph6), the order of the enumeration."""
+    fields before any graph is built.  Each record is canonicalised, and
+    the records are sorted by n, then by canonical form (their graph6)."""
     fields = tuple(fields)
     predict = _predictor(spec)
     names = [f.render() for f in fields]
-    records = [
-        _sweep_one(graph, predict, tuple(zip(names, verdicts)))
-        for graph, verdicts, _ in hereditary_verdicts(spec, n_max, fields)
-    ]
+    records = sorted(
+        (
+            _sweep_one(graph, predict, tuple(zip(names, verdicts)))
+            for graph, verdicts, _ in hereditary_verdicts(spec, n_max, fields)
+        ),
+        key=lambda record: (record.n, record.graph6),
+    )
     return SweepResult(
         spec=spec,
         n_max=n_max,
@@ -586,8 +596,8 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
 
 
 class ObstructionCatalog(_Frozen):
-    """`graphs` are enumerated representatives: `to_graph6` of each is its
-    canonical form."""
+    """`graphs` are labelled by their canonical forms, so `to_graph6` of
+    each is its form, and sorted by n, then by form."""
 
     _fields = ("spec", "n_max", "mode", "trees_only", "num_non_scarf", "graphs")
 
@@ -622,8 +632,8 @@ def derive_obstructions(
 ) -> ObstructionCatalog:
     """Minimal non-Scarf connected graphs on up to n_max vertices under the
     chosen containment order ('induced' or 'subgraph'); with trees_only the
-    search universe is the set of trees.  The graphs come by n, then by
-    canonical form, the order of the enumeration.
+    search universe is the set of trees.  Only the catalog's graphs are
+    canonicalised; they come by n, then by canonical form.
 
     Verdicts come from `hereditary_verdicts`.  Under 'induced', a non-Scarf
     graph is minimal exactly when all its parents are Scarf: a smaller
@@ -654,11 +664,12 @@ def derive_obstructions(
                 for other in bad
             )
         ]
+    catalog = sorted(map(_canonical_copy, minimal), key=lambda graph: (graph.n, to_graph6(graph)))
     return ObstructionCatalog(
         spec=spec,
         n_max=n_max,
         mode=mode,
         trees_only=trees_only,
         num_non_scarf=len(bad),
-        graphs=tuple(minimal),
+        graphs=tuple(catalog),
     )

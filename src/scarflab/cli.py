@@ -35,7 +35,6 @@ from .complexes import scarf_complex, taylor_complex
 from .graphs import (
     FamilyTag,
     SimpleGraph,
-    canonical_form,
     graph_from_json_dict,
     make_family,
     parse_adjacency_text,
@@ -243,7 +242,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     computed = is_scarf(build_ideal(graph, spec), fields).all_scarf
     tag = recognize_family(graph)
     data = {
-        "graph6": canonical_form(graph).decode("ascii"),
+        "graph6": graph._form.decode("ascii"),
         "family": tag.render() if tag else None,
         "theorem": args.theorem.strip(),
         "spec": spec.render(),

@@ -23,19 +23,23 @@ colour-respecting permutation is then a product of twin swaps, and so an
 automorphism.  Its canonical form is read off the colour order with no
 search.
 
-Connected graphs and trees are enumerated by adding one vertex at a time and
-deduplicating by canonical form, one cached level per n.  A candidate is a
-representative's rows, with the new vertex's bit set in those it joins, plus
-the new vertex's mask.  Each representative gets one mask per orbit under the
-permutations inside its twin classes, the mask that picks the lowest-numbered
-members of every class, so no class and no parent is lost; the search prunes
-by the same twin classes.  The enumeration also records, for each class, the
-classes of its one-vertex deletions that stay connected.  Only the first
-candidate of each class is canonicalised: every candidate is filed by a cheap
-isomorphism invariant (its sorted vertex labels, degree and neighbour-degree
-sum), and a later candidate joins the class it matches by an exact
-isomorphism test against a plan stored once per class.  Each representative
-is parsed from its canonical form, so `to_graph6` of it is that form.
+Connected graphs and trees are enumerated by adding one vertex at a time,
+one cached level per n.  A candidate is a representative's rows, with the new
+vertex's bit set in those it joins, plus the new vertex's mask.  Each
+representative gets one mask per orbit under the permutations inside its
+twin classes, the mask that picks the lowest-numbered members of every
+class, so no class and no parent is lost; the canonical-form search prunes
+by the same twin classes.  The enumeration also records, for
+each class, the classes of its one-vertex deletions that stay connected.
+Classes are told apart without canonical forms: every candidate is filed by
+a cheap isomorphism invariant (its sorted vertex labels, degree and
+neighbour-degree sum), and it joins the class it matches by an exact
+isomorphism test against a plan stored once per class, or opens a new one.
+A level holds its classes in the order found, each labelled as its first
+candidate.  The public enumerators are a view of those levels: each
+representative relabelled by its canonical form, so `to_graph6` of it is
+that form, and sorted by form.  Sweeps and derivations walk the levels
+themselves and canonicalise only the graphs they print.
 """
 
 from __future__ import annotations
@@ -160,6 +164,13 @@ class SimpleGraph(_Frozen):
     @property
     def num_edges(self) -> int:
         return sum(self.degrees) // 2
+
+    @cached_property
+    def _form(self) -> bytes:
+        """`canonical_form` of the graph under its default cap, computed at
+        most once: `classify` reads an input's form for its family tags, and
+        the CLI reports the same form."""
+        return canonical_form(self)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -301,13 +312,17 @@ def family_catalog(n: int) -> tuple[tuple[FamilyTag, SimpleGraph], ...]:
 @lru_cache(maxsize=None)
 def _family_index(n: int) -> dict[bytes, tuple[FamilyTag, ...]]:
     """Canonical form -> every tag of `family_catalog(n)` with it, in catalog
-    order.  Isomorphic members share a form, which `_class_form` computes
-    once per class."""
+    order.  `_class_index` files isomorphic members in one class, and a form
+    is computed only for each new class."""
     index: dict[bytes, tuple[FamilyTag, ...]] = {}
     classes: dict = {}
+    firsts: list[tuple[int, ...]] = []
+    forms: list[bytes] = []
     for tag, member in family_catalog(n):
-        form = _class_form(classes, member.adjacency)
-        index[form] = index.get(form, ()) + (tag,)
+        k = _class_index(classes, firsts, member.adjacency)
+        if k == len(forms):
+            forms.append(canonical_form(member, n))
+        index[forms[k]] = index.get(forms[k], ()) + (tag,)
     return index
 
 
@@ -316,7 +331,7 @@ def _family_tags(graph: SimpleGraph) -> tuple[FamilyTag, ...]:
     the graph, most specific first; one lookup in a per-size index of the
     catalog's canonical forms.  The graph's own form comes first, so a graph
     past the canonical-form cap fails on it before any catalog is built."""
-    form = canonical_form(graph)
+    form = graph._form
     return _family_index(graph.n).get(form, ())
 
 
@@ -623,6 +638,13 @@ def canonical_form(graph: SimpleGraph, max_vertices: int = DEFAULT_CANONICAL_CAP
     return _pack_graph6(graph.n, _canonical_bits(graph.adjacency, list(graph.degrees), twin))
 
 
+def _canonical_copy(graph: SimpleGraph) -> SimpleGraph:
+    """The graph relabelled by its canonical form, so `to_graph6` of the copy
+    is `canonical_form(graph)`.  The form's cap is the graph's own size: the
+    callers have checked theirs."""
+    return parse_graph6(canonical_form(graph, graph.n).decode("ascii"))
+
+
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
@@ -734,20 +756,19 @@ def _find_map(
     return extend(0, 0)
 
 
-def _class_form(classes: dict, rows: tuple[int, ...]) -> bytes:
-    """The canonical form of the graph with these rows, computed only when
-    no graph in `classes` is isomorphic to it; `classes` maps the sorted
-    `_vertex_labels` of each class met so far to its (plan, form) pairs, and
-    a new class is added to it.
+def _class_index(classes: dict, firsts: list[tuple[int, ...]], rows: tuple[int, ...]) -> int:
+    """The index in `firsts` of the class of the graph with these rows.
+    `firsts` holds the rows of each class's first graph, in the order the
+    classes were met, and `classes` maps the sorted `_vertex_labels` of each
+    class to its (plan, index) pairs; a graph that matches no class opens a
+    new one at the end of `firsts`.
 
     The sorted labels are an isomorphism invariant, so an isomorphic graph
     was filed under the same key, with as many vertices.  An induced map
     between graphs with as many vertices is an isomorphism, and an
     isomorphism keeps labels, so `_find_map` with each vertex allowed only
-    the vertices of its own label decides isomorphism exactly.  So the form
-    returned is the graph's own, and `canonical_form` (called through the
-    module name, so a wrapper around it sees every call) runs once per class.
-    Its cap is the graph's own size: the callers have checked theirs.
+    the vertices of its own label decides isomorphism exactly.  No canonical
+    form is computed.
     """
     labels = _vertex_labels(rows)
     found = classes.setdefault(tuple(sorted(labels)), [])
@@ -755,20 +776,20 @@ def _class_form(classes: dict, rows: tuple[int, ...]) -> bytes:
         by_label: dict[tuple[int, int], int] = {}
         for v, label in enumerate(labels):
             by_label[label] = by_label.get(label, 0) | 1 << v
-        for plan, form in found:
+        for plan, index in found:
             if _find_map(plan, rows, by_label, True):
-                return form
-    form = canonical_form(SimpleGraph(rows), len(rows))
-    found.append((_match_plan(rows, labels), form))
-    return form
+                return index
+    found.append((_match_plan(rows, labels), len(firsts)))
+    firsts.append(rows)
+    return len(firsts) - 1
 
 
 def _extend_by_vertex(
-    reps: tuple[SimpleGraph, ...], neighbour_masks: Sequence[int]
+    reps: Sequence[SimpleGraph], neighbour_masks: Sequence[int]
 ) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
     """Join a new last vertex to each representative once per twin orbit of
-    `neighbour_masks` and keep one canonically labelled graph per class,
-    sorted by form.
+    `neighbour_masks` and keep one graph per class, in the order the classes
+    are found, each labelled as its first candidate.
 
     *Orbits.*  Of the masks, a representative P gets one per orbit under
     the permutations inside its twin classes (`_twin_orbit_masks`).  These
@@ -781,7 +802,7 @@ def _extend_by_vertex(
     every class it reached with all the masks.  The classes found and the
     parents below are therefore unchanged.  Masks in one orbit of the whole
     group but in different orbits of the subgroup give more than one
-    candidate of a class, and `_class_form` files them under it exactly.
+    candidate of a class, and `_class_index` files them under it exactly.
 
     Also returns, per class, the sorted indices into `reps` of the
     representatives whose candidates landed in it: its *parents*.  When
@@ -794,28 +815,24 @@ def _extend_by_vertex(
     the mask of phi(N(u)) is nonempty (one bit when u is a leaf), and that
     candidate of P is isomorphic to G.
 
-    *One form per class.*  A candidate stays as rows, and `_class_form`
-    gives it its form: the first candidate of a class is canonicalised
-    (and only it becomes a `SimpleGraph`), later ones are matched to that
-    class by an exact isomorphism test.  Every candidate still gets its own
-    form, so the classes, parents and order are those of canonicalising
-    every candidate.
-
-    A representative parsed from a form F is isomorphic to the candidates
-    with form F, so its own canonical form is F, and `to_graph6` of it is F.
+    *No forms.*  A candidate stays as rows, and `_class_index` files it;
+    only a class's first candidate becomes a `SimpleGraph`.  The classes and
+    parents are those of canonicalising every candidate; only their order
+    and labelling differ.
     """
     classes: dict = {}
-    seen: dict[bytes, set[int]] = {}
+    firsts: list[tuple[int, ...]] = []
+    parents: list[list[int]] = []
     for index, graph in enumerate(reps):
         rows, n = graph.adjacency, graph.n
         for mask in _twin_orbit_masks(rows, neighbour_masks):
             grown = (*(row | (mask >> u & 1) << n for u, row in enumerate(rows)), mask)
-            seen.setdefault(_class_form(classes, grown), set()).add(index)
-    forms = sorted(seen)
-    return (
-        tuple(parse_graph6(form.decode("ascii")) for form in forms),
-        tuple(tuple(sorted(seen[form])) for form in forms),
-    )
+            k = _class_index(classes, firsts, grown)
+            if k == len(parents):
+                parents.append([index])
+            elif parents[k][-1] != index:  # reps are visited in index order
+                parents[k].append(index)
+    return tuple(map(SimpleGraph, firsts)), tuple(map(tuple, parents))
 
 
 def _check_level_size(n: int, trees_only: bool, max_vertices: int | None = None) -> None:
@@ -833,15 +850,48 @@ def _level(
     n: int, trees_only: bool
 ) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
     """(representatives, parents) of the connected graphs on n vertices, or
-    with trees_only of the trees, as `_extend_by_vertex` returns them.  The
-    level below comes through the public enumerators, so a wrapper around
-    them (perfbench/spans.py) sees one call per level and credits each
-    level's canonical forms to it."""
+    with trees_only of the trees, as `_extend_by_vertex` returns them from
+    the level below: one graph per class, in the order found, and parents
+    that index the level below in its own order.  No canonical form is
+    computed."""
     if n == 1:
         return (SimpleGraph((0,)),), ((),)
+    below = _level(n - 1, trees_only)[0]
     if trees_only:
-        return _extend_by_vertex(enumerate_trees(n - 1, n - 1), [1 << v for v in range(n - 1)])
-    return _extend_by_vertex(enumerate_connected_graphs(n - 1, n - 1), range(1, 1 << (n - 1)))
+        return _extend_by_vertex(below, [1 << v for v in range(n - 1)])
+    return _extend_by_vertex(below, range(1, 1 << (n - 1)))
+
+
+@lru_cache(maxsize=None)
+def _canonical_level(
+    n: int, trees_only: bool
+) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """`_level(n, trees_only)` as the public enumerators return it:
+    (representatives, parents, rank).  Each representative is relabelled by
+    its canonical form, so `to_graph6` of it is that form, and the level is
+    sorted by form; `rank[i]` is the position of `_level`'s class i, and the
+    parents are mapped through the rank of the level below and sorted.  The
+    one-vertex graph is its own form.
+
+    The level below comes through the public enumerators, so a wrapper
+    around them (perfbench/spans.py) sees one call per level and credits
+    each level's canonical forms to it."""
+    reps, parents = _level(n, trees_only)
+    if n == 1:
+        return reps, parents, (0,)
+    (enumerate_trees if trees_only else enumerate_connected_graphs)(n - 1, n - 1)
+    below = _canonical_level(n - 1, trees_only)[2]
+    copies = [_canonical_copy(graph) for graph in reps]
+    forms = [to_graph6(copy) for copy in copies]
+    order = sorted(range(len(reps)), key=forms.__getitem__)
+    rank = [0] * len(order)
+    for position, i in enumerate(order):
+        rank[i] = position
+    return (
+        tuple(copies[i] for i in order),
+        tuple(tuple(sorted(below[p] for p in parents[i])) for i in order),
+        tuple(rank),
+    )
 
 
 def enumerate_connected_graphs(
@@ -851,14 +901,14 @@ def enumerate_connected_graphs(
     class, sorted by canonical form; `to_graph6` of each is its form.
 
     Extends each (n-1)-vertex representative by a vertex joined to every
-    nonempty set of its vertices and deduplicates by canonical form.  This
+    nonempty set of its vertices and keeps one graph per class.  This
     reaches every class: a connected graph on n >= 2 vertices has a vertex
     whose removal leaves it connected (a leaf of a spanning tree), so it is
     isomorphic to some connected (n-1)-vertex representative plus one vertex
     with a nonempty neighbourhood, which is one of the candidates.
     """
     _check_level_size(n, False, max_vertices)
-    return _level(n, False)[0]
+    return _canonical_level(n, False)[0]
 
 
 def enumerate_trees(n: int, max_vertices: int = DEFAULT_TREE_CAP) -> tuple[SimpleGraph, ...]:
@@ -866,18 +916,7 @@ def enumerate_trees(n: int, max_vertices: int = DEFAULT_TREE_CAP) -> tuple[Simpl
     tree on n >= 2 vertices is a smaller tree plus a leaf joined to one vertex.
     Sorted by canonical form, and `to_graph6` of each is its form."""
     _check_level_size(n, True, max_vertices)
-    return _level(n, True)[0]
-
-
-def deletion_parents(n: int, trees_only: bool = False) -> tuple[tuple[int, ...], ...]:
-    """Per representative of `enumerate_connected_graphs(n)` (or of
-    `enumerate_trees(n)`), the sorted indices of the (n-1)-representatives
-    isomorphic to G - u for a non-cut vertex u of G; empty for n = 1.  They
-    are recorded while the enumeration extends those representatives (see
-    `_extend_by_vertex`).  n is checked against that enumerator's default
-    cap before any level runs."""
-    _check_level_size(n, trees_only)
-    return _level(n, trees_only)[1]
+    return _canonical_level(n, True)[0]
 
 
 # ---------------------------------------------------------------------------

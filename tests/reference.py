@@ -21,6 +21,8 @@ from scarflab.graphs import (
     GraphError,
     SimpleGraph,
     _bits,
+    _canonical_level,
+    _check_level_size,
     _connected_within,
     _order_bits,
     _pack_graph6,
@@ -237,11 +239,23 @@ def refine_colors_multiset(adjacency: Sequence[int], colors: list[int]) -> list[
         colors, num = new_colors, len(ranking)
 
 
+def deletion_parents(n: int, trees_only: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Per representative of `enumerate_connected_graphs(n)` (or of
+    `enumerate_trees(n)`), the sorted indices of the (n-1)-representatives
+    isomorphic to G - u for a non-cut vertex u of G; empty for n = 1.  They
+    are the parents the enumeration records (`graphs._extend_by_vertex`),
+    mapped into the sorted levels of the enumerators' view.  n is checked
+    against that enumerator's default cap before any level runs."""
+    _check_level_size(n, trees_only)
+    return _canonical_level(n, trees_only)[1]
+
+
 def extend_by_vertex_all_masks(
     reps: tuple[SimpleGraph, ...], neighbour_masks: Sequence[int]
 ) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...]]:
     """`graphs._extend_by_vertex` with every mask for every representative,
-    no twin-orbit pruning."""
+    no twin-orbit pruning, and its classes canonically labelled and sorted
+    by form, as the enumerators return them."""
     seen: dict[bytes, set[int]] = {}
     for index, graph in enumerate(reps):
         new = 1 << graph.n

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from scarflab import analysis
@@ -334,7 +336,7 @@ class TestSweep:
         """`sweep` (trees_only None) and `derive_obstructions` reject n_max
         outside 1..cap, the enumerator's own cap, naming the range, before
         any work starts."""
-        for name in ("enumerate_connected_graphs", "enumerate_trees", "build_ideal"):
+        for name in ("_level", "build_ideal"):
             monkeypatch.setattr(analysis, name, None)  # no work may start
         with pytest.raises(GraphError, match=rf"enumeration supports 1\.\.{cap} vertices$"):
             if trees_only is None:
@@ -407,10 +409,18 @@ class TestHereditaryVerdicts:
         [(DEFAULT_FIELDS, 7, False), (GF2_GF3_Q, 6, False), (DEFAULT_FIELDS, 9, True)],
     )
     def test_agrees_with_full_scan(self, fields, n_max, trees_only):
-        expected = [graph for n in range(1, n_max + 1) for graph in self.universe(n, trees_only)]
+        """The walk goes level by level, and each level holds the
+        enumerator's classes, in its own order and labelling."""
+        expected = Counter(
+            canonical_form(graph)
+            for n in range(1, n_max + 1)
+            for graph in self.universe(n, trees_only)
+        )
         for spec in self.SPECS:
             walk = list(hereditary_verdicts(spec, n_max, fields, trees_only))
-            assert [graph for graph, _, _ in walk] == expected
+            sizes = [graph.n for graph, _, _ in walk]
+            assert sizes == sorted(sizes)
+            assert Counter(canonical_form(graph) for graph, _, _ in walk) == expected
             for graph, verdicts, _ in walk:
                 report = is_scarf(build_ideal(graph, spec), fields)
                 assert verdicts == tuple(v for _, v in report.verdicts), (spec, graph.edges)

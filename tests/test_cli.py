@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing.pool
+import random
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import scarflab
+from scarflab import analysis, graphs
 from scarflab.cli import (
     CliError,
     main,
@@ -19,12 +21,14 @@ from scarflab.cli import (
 from scarflab.graphs import (
     FamilyTag,
     GraphError,
+    SimpleGraph,
     canonical_form,
     path_graph,
     spider5_graph,
     to_graph6,
 )
 from scarflab.homology import GF2
+from scarflab.ideals import IdealSpec
 
 from reference import RATIONALS, are_isomorphic
 
@@ -420,6 +424,85 @@ class TestDeterminism:
             assert main(["derive", "--spec", "path:4", "--n-max", "5",
                          "--mode", "subgraph", "--output", str(target)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestCanonicalisation:
+    """The level walk computes no canonical form; `sweep` and `derive`
+    canonicalise only the graphs they print and sort them by form."""
+
+    REPORTS = (
+        ["sweep", "--spec", "connected:3", "--n-max", "6", "--format", "json"],
+        ["sweep", "--spec", "path:4", "--n-max", "6", "--format", "json"],
+        ["derive", "--spec", "path:5", "--n-max", "9", "--mode", "induced", "--trees-only"],
+        ["derive", "--spec", "path:4", "--n-max", "9", "--mode", "subgraph", "--trees-only"],
+    )
+
+    @staticmethod
+    def output(argv, capsys) -> str:
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def count_forms(monkeypatch) -> list[int]:
+        """Cold levels and family index, and the size of every graph
+        `canonical_form` is called on from now on."""
+        for cached in (graphs._level, graphs._canonical_level, graphs._family_index):
+            cached.cache_clear()
+        calls = []
+        production = graphs.canonical_form
+
+        def counting(graph, *args):
+            calls.append(graph.n)
+            return production(graph, *args)
+
+        monkeypatch.setattr(graphs, "canonical_form", counting)
+        return calls
+
+    def test_reports_ignore_the_walk_order_and_labelling(self, monkeypatch, capsys):
+        # each level reversed, each graph relabelled by a seeded permutation,
+        # and the parents remapped to match
+        expected = [self.output(argv, capsys) for argv in self.REPORTS]
+        production = graphs._level
+
+        def shuffled(n, trees_only):
+            reps, parents = production(n, trees_only)
+            size_below = len(production(n - 1, trees_only)[0]) if n > 1 else 0
+            rng = random.Random(f"{n} {trees_only}")
+            moved = []
+            for graph in reversed(reps):
+                image = list(range(n))
+                rng.shuffle(image)
+                moved.append(SimpleGraph.from_edges(n, [(image[u], image[v]) for u, v in graph.edges]))
+            remapped = [tuple(sorted(size_below - 1 - p for p in ps)) for ps in reversed(parents)]
+            return tuple(moved), tuple(remapped)
+
+        monkeypatch.setattr(analysis, "_level", shuffled)
+        assert [self.output(argv, capsys) for argv in self.REPORTS] == expected
+
+    def test_only_printed_graphs_are_canonicalised(self, monkeypatch, capsys):
+        calls = self.count_forms(monkeypatch)
+        for spec, trees_only, n_max in ((IdealSpec("path", 4), False, 7),
+                                        (IdealSpec("path", 5), True, 9)):
+            assert sum(1 for _ in analysis.hereditary_verdicts(spec, n_max, trees_only=trees_only))
+        assert calls == []
+        sweep_argv, derive_argvs = self.REPORTS[1], self.REPORTS[2:]
+        for argv, forms in zip(derive_argvs, (2, 5)):
+            calls.clear()
+            self.output(argv, capsys)
+            assert len(calls) == forms, argv
+        # one form per record and one per class of the family index
+        calls.clear()
+        records = self.output(sweep_argv, capsys).splitlines()
+        assert len(records) == 143
+        index_classes = sum(len(graphs._family_index(n)) for n in range(1, 7))
+        assert len(calls) == len(records) + index_classes == 163
+
+    def test_classify_computes_the_input_form_once(self, monkeypatch, capsys):
+        # 30 forms for the classes of the ten-vertex family index, one for the input
+        calls = self.count_forms(monkeypatch)
+        self.output(["classify", "--graph", "family:S5(2,1,2)", "--theorem", "B"], capsys)
+        assert len(calls) == 31 and calls.count(10) == 31
+        assert len(graphs._family_index(10)) == 30
 
 
 class TestPinnedReports:

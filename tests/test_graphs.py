@@ -22,7 +22,6 @@ from scarflab.graphs import (
     contains_induced,
     contains_subgraph,
     cycle_graph,
-    deletion_parents,
     enumerate_connected_graphs,
     enumerate_trees,
     family_catalog,
@@ -47,6 +46,7 @@ from reference import (
     automorphisms,
     canonical_form_bruteforce,
     complete_graph,
+    deletion_parents,
     diameter,
     extend_by_vertex_all_masks,
     induced_subgraph,
@@ -587,8 +587,10 @@ class TestEnumeration:
 
     @pytest.fixture
     def cold_caches(self):
-        """Empty enumeration levels for this test."""
+        """Empty enumeration levels, and the enumerators' view of them, for
+        this test."""
         graphs._level.cache_clear()
+        graphs._canonical_level.cache_clear()
 
     @pytest.mark.parametrize("trees_only", [False, True])
     def test_twin_orbits_match_all_masks(self, trees_only):
@@ -637,8 +639,9 @@ class TestEnumeration:
                 assert kept == [m for m in masks if picks_lowest(m)], graph.edges
 
     def test_candidate_counts(self, cold_caches, monkeypatch):
-        # one candidate per twin orbit of neighbour masks, and one canonical
-        # form per class, level by level
+        # one candidate per twin orbit of neighbour masks, level by level;
+        # the walk computes no canonical form, and the enumerators' view
+        # computes one per class and tries no candidate
         candidates, forms = [], []
         orbit_masks, canonical = graphs._twin_orbit_masks, graphs.canonical_form
 
@@ -653,21 +656,26 @@ class TestEnumeration:
 
         monkeypatch.setattr(graphs, "_twin_orbit_masks", counting_masks)
         monkeypatch.setattr(graphs, "canonical_form", counting_forms)
-        for enumerate_, top, counts in (
-            (enumerate_connected_graphs, 7, [1, 2, 8, 53, 417, 4818]),
-            (enumerate_trees, 9, [1, 1, 2, 6, 11, 27, 59, 143]),
+        for trees_only, top, counts in (
+            (False, 7, [1, 2, 8, 53, 417, 4818]),
+            (True, 9, [1, 1, 2, 6, 11, 27, 59, 143]),
         ):
             candidates.clear()
             forms.clear()
-            enumerate_(top)
+            graphs._level(top, trees_only)
             levels = range(2, top + 1)
             assert [candidates.count(n) for n in levels] == counts
+            assert forms == []
+            enumerate_ = enumerate_trees if trees_only else enumerate_connected_graphs
+            enumerate_(top)
+            assert [candidates.count(n) for n in levels] == counts
             assert [forms.count(n) for n in levels] == [len(enumerate_(n)) for n in levels]
+            assert forms.count(1) == 0
 
     def test_one_twin_partition_per_form(self, cold_caches, monkeypatch):
-        # one `_twin_classes` call per computed form (one per class), none for
-        # its search or its individualised branches, and one per
-        # representative extended
+        # the walk: one `_twin_classes` call per representative extended;
+        # the enumerators' view: one per computed form (one per class), none
+        # for its search or its individualised branches
         calls = []
         production = graphs._twin_classes
 
@@ -676,8 +684,11 @@ class TestEnumeration:
             return production(adjacency)
 
         monkeypatch.setattr(graphs, "_twin_classes", counting)
+        graphs._level(7, False)
+        assert len(calls) == 1 + 1 + 2 + 6 + 21 + 112
+        calls.clear()
         enumerate_connected_graphs(7)
-        assert len(calls) == (1 + 2 + 6 + 21 + 112 + 853) + (1 + 1 + 2 + 6 + 21 + 112)
+        assert len(calls) == 1 + 2 + 6 + 21 + 112 + 853
         calls.clear()
         canonical_form(cycle_graph(10))  # ten individualised branches
         assert calls == [10]
@@ -762,7 +773,7 @@ class TestEnumeration:
 
 
 class TestClassMatch:
-    """`graphs._class_form`'s isomorphism match against the canonical-form
+    """`graphs._class_index`'s isomorphism match against the canonical-form
     oracle on graphs with equal sorted vertex labels, the pairs the
     enumeration tests it on."""
 
@@ -774,9 +785,9 @@ class TestClassMatch:
     def matches(a: SimpleGraph, b: SimpleGraph) -> bool:
         # b joins a's class exactly when the match finds an isomorphism
         classes: dict = {}
-        graphs._class_form(classes, a.adjacency)
-        graphs._class_form(classes, b.adjacency)
-        return sum(map(len, classes.values())) == 1
+        firsts: list = []
+        assert graphs._class_index(classes, firsts, a.adjacency) == 0
+        return graphs._class_index(classes, firsts, b.adjacency) == 0
 
     def test_regular_pairs_told_apart(self):
         # 2-regular on six vertices, one disconnected, and cubic on six,
