@@ -635,33 +635,44 @@ def derive_obstructions(
     search universe is the set of trees.  Only the catalog's graphs are
     canonicalised; they come by n, then by canonical form.
 
-    Verdicts come from `hereditary_verdicts`.  Under 'induced', a non-Scarf
-    graph is minimal exactly when all its parents are Scarf: a smaller
-    non-Scarf connected induced subgraph lies in some G - u with u non-cut
-    (see `hereditary_verdicts`), which is then non-Scarf too, and G - u is
-    one itself.  Connected induced subgraphs of trees are trees, so this
-    holds within the trees as well.  Deleting an edge is no restriction, so
-    'subgraph' still searches for a smaller non-Scarf subgraph pairwise.
-    With trees_only both orders give the same graphs: a connected subgraph
-    of a tree on vertex set W spans the forest G[W], so it equals G[W]."""
+    Verdicts come from `hereditary_verdicts`, and both orders read the
+    parents' verdicts.  Under 'induced', a non-Scarf graph is minimal
+    exactly when all its parents are Scarf: a smaller non-Scarf connected
+    induced subgraph lies in some G - u with u non-cut (see
+    `hereditary_verdicts`), which is then non-Scarf too, and G - u is one
+    itself.  Connected induced subgraphs of trees are trees, so this holds
+    within the trees as well.
+
+    Under 'subgraph', the induced catalog is filtered pairwise: G stays
+    unless it contains a strictly smaller catalog graph as a subgraph
+    (fewer vertices, or as many and fewer edges).  A subgraph-minimal
+    non-Scarf graph is induced-minimal, as an induced subgraph is a
+    subgraph.  Conversely, a catalog graph G with a smaller non-Scarf
+    connected subgraph H is filtered out.  Following non-Scarf parents down
+    from H reaches an induced-minimal M; M is an induced subgraph of H, so
+    a subgraph of G, and strictly smaller than G (M is H itself if it has
+    as many vertices), and M is in the catalog.  Parents of a tree are trees, so this holds
+    within the trees too.  With trees_only both orders give the same
+    graphs: a connected subgraph of a tree on vertex set W spans the forest
+    G[W], so it equals G[W]."""
     if mode not in ("induced", "subgraph"):
         raise AnalysisError("mode must be 'induced' or 'subgraph'")
-    bad = []
+    num_non_scarf = 0
     minimal = []
     for graph, verdicts, parent_verdicts in hereditary_verdicts(spec, n_max, fields, trees_only):
         if VERDICT_NOT_SCARF in verdicts:
-            bad.append(graph)
-            if mode == "induced" and all(VERDICT_NOT_SCARF not in p for p in parent_verdicts):
+            num_non_scarf += 1
+            if all(VERDICT_NOT_SCARF not in p for p in parent_verdicts):
                 minimal.append(graph)
     if mode == "subgraph":
         minimal = [
             graph
-            for graph in bad
+            for graph in minimal
             # only strictly smaller candidates can witness non-minimality
             if not any(
                 (other.n, other.num_edges) < (graph.n, graph.num_edges)
                 and contains_subgraph(graph, other)
-                for other in bad
+                for other in minimal
             )
         ]
     catalog = sorted(map(_canonical_copy, minimal), key=lambda graph: (graph.n, to_graph6(graph)))
@@ -670,6 +681,6 @@ def derive_obstructions(
         n_max=n_max,
         mode=mode,
         trees_only=trees_only,
-        num_non_scarf=len(bad),
+        num_non_scarf=num_non_scarf,
         graphs=tuple(catalog),
     )

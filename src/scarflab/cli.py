@@ -334,13 +334,15 @@ def _cmd_leaf(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, graph_input: bool,
-                ideal_input: bool = False, formats: tuple[str, ...] = ("json", "table")) -> None:
+                ideal_input: bool = False, fields: bool = True,
+                formats: tuple[str, ...] = ("json", "table")) -> None:
     if graph_input:
         parser.add_argument("--graph", help="path:6, cycle:5, star:4, family:S5(1,2,1), @file")
     if ideal_input:
         parser.add_argument("--ideal", help="JSON file with variables + mingens")
-    parser.add_argument("--fields", default="gf2,gf32003",
-                        help="comma-separated coefficient fields (gf2, gf32003, q)")
+    if fields:
+        parser.add_argument("--fields", default="gf2,gf32003",
+                            help="comma-separated coefficient fields (gf2, gf32003, q)")
     parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--output", help="write the report to this file instead of stdout")
 
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ideal = sub.add_parser("ideal", help="construct the ideal of a graph")
     p_ideal.add_argument("--spec", help="connected:<t> or path:<t>")
-    _add_common(p_ideal, graph_input=True, ideal_input=True)
+    _add_common(p_ideal, graph_input=True, ideal_input=True, fields=False)
     p_ideal.set_defaults(handler=_cmd_ideal)
 
     p_scarf = sub.add_parser("scarf", help="decide the Scarf property")
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_complex.add_argument("--spec", help="connected:<t> or path:<t>")
     p_complex.add_argument("--kind", choices=("taylor", "scarf"), default="scarf")
     p_complex.add_argument("--restrict", help="restrict to faces whose label divides this monomial")
-    _add_common(p_complex, graph_input=True, ideal_input=True)
+    _add_common(p_complex, graph_input=True, ideal_input=True, fields=False)
     p_complex.set_defaults(handler=_cmd_complex)
 
     p_classify = sub.add_parser("classify", help="theorem predicate vs computed verdict")

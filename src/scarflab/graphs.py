@@ -36,9 +36,10 @@ a cheap isomorphism invariant (its sorted vertex labels, degree and
 neighbour-degree sum), and it joins the class it matches by an exact
 isomorphism test against a plan stored once per class, or opens a new one.
 A level holds its classes in the order found, each labelled as its first
-candidate.  The public enumerators are a view of those levels: each
-representative relabelled by its canonical form, so `to_graph6` of it is
-that form, and sorted by form.  Sweeps and derivations walk the levels
+candidate.  The public enumerators are a view of one level each: its
+representatives relabelled by their canonical forms, so `to_graph6` of each
+is its form, and sorted by form; the view keeps no parents and
+canonicalises no other level.  Sweeps and derivations walk the levels
 themselves and canonicalise only the graphs they print.
 """
 
@@ -863,35 +864,11 @@ def _level(
 
 
 @lru_cache(maxsize=None)
-def _canonical_level(
-    n: int, trees_only: bool
-) -> tuple[tuple[SimpleGraph, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """`_level(n, trees_only)` as the public enumerators return it:
-    (representatives, parents, rank).  Each representative is relabelled by
-    its canonical form, so `to_graph6` of it is that form, and the level is
-    sorted by form; `rank[i]` is the position of `_level`'s class i, and the
-    parents are mapped through the rank of the level below and sorted.  The
-    one-vertex graph is its own form.
-
-    The level below comes through the public enumerators, so a wrapper
-    around them (perfbench/spans.py) sees one call per level and credits
-    each level's canonical forms to it."""
-    reps, parents = _level(n, trees_only)
-    if n == 1:
-        return reps, parents, (0,)
-    (enumerate_trees if trees_only else enumerate_connected_graphs)(n - 1, n - 1)
-    below = _canonical_level(n - 1, trees_only)[2]
-    copies = [_canonical_copy(graph) for graph in reps]
-    forms = [to_graph6(copy) for copy in copies]
-    order = sorted(range(len(reps)), key=forms.__getitem__)
-    rank = [0] * len(order)
-    for position, i in enumerate(order):
-        rank[i] = position
-    return (
-        tuple(copies[i] for i in order),
-        tuple(tuple(sorted(below[p] for p in parents[i])) for i in order),
-        tuple(rank),
-    )
+def _canonical_level(n: int, trees_only: bool) -> tuple[SimpleGraph, ...]:
+    """`_level(n, trees_only)`'s representatives as the public enumerators
+    return them: each relabelled by its canonical form, so `to_graph6` of it
+    is that form, and sorted by form.  Only this level is canonicalised."""
+    return tuple(sorted(map(_canonical_copy, _level(n, trees_only)[0]), key=to_graph6))
 
 
 def enumerate_connected_graphs(
@@ -908,7 +885,7 @@ def enumerate_connected_graphs(
     with a nonempty neighbourhood, which is one of the candidates.
     """
     _check_level_size(n, False, max_vertices)
-    return _canonical_level(n, False)[0]
+    return _canonical_level(n, False)
 
 
 def enumerate_trees(n: int, max_vertices: int = DEFAULT_TREE_CAP) -> tuple[SimpleGraph, ...]:
@@ -916,7 +893,7 @@ def enumerate_trees(n: int, max_vertices: int = DEFAULT_TREE_CAP) -> tuple[Simpl
     tree on n >= 2 vertices is a smaller tree plus a leaf joined to one vertex.
     Sorted by canonical form, and `to_graph6` of each is its form."""
     _check_level_size(n, True, max_vertices)
-    return _canonical_level(n, True)[0]
+    return _canonical_level(n, True)
 
 
 # ---------------------------------------------------------------------------

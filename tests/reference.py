@@ -10,6 +10,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from scarflab import graphs
 from scarflab.analysis import (
     VERDICT_NOT_SCARF,
     VERDICT_SCARF,
@@ -21,13 +22,13 @@ from scarflab.graphs import (
     GraphError,
     SimpleGraph,
     _bits,
-    _canonical_level,
     _check_level_size,
     _connected_within,
     _order_bits,
     _pack_graph6,
     canonical_form,
     contains_induced,
+    contains_subgraph,
     family_catalog,
     is_connected,
     parse_graph6,
@@ -198,6 +199,22 @@ def minimal_induced(bad: list[SimpleGraph]) -> list[SimpleGraph]:
     ]
 
 
+def minimal_subgraphs(bad: list[SimpleGraph]) -> list[SimpleGraph]:
+    """The graphs of `bad` (distinct classes) that contain no other one of
+    them as a subgraph, by pairwise containment search over all of them.
+    Only a graph with fewer vertices, or as many and fewer edges, can be a
+    proper subgraph."""
+    return [
+        graph
+        for graph in bad
+        if not any(
+            (other.n, other.num_edges) < (graph.n, graph.num_edges)
+            and contains_subgraph(graph, other)
+            for other in bad
+        )
+    ]
+
+
 def order_bits_bytewise(adjacency: Sequence[int], order: Sequence[int]) -> bytes:
     """`graphs._order_bits` with one byte per bit, first bit first."""
     bits = bytearray()
@@ -244,10 +261,22 @@ def deletion_parents(n: int, trees_only: bool = False) -> tuple[tuple[int, ...],
     `enumerate_trees(n)`), the sorted indices of the (n-1)-representatives
     isomorphic to G - u for a non-cut vertex u of G; empty for n = 1.  They
     are the parents the enumeration records (`graphs._extend_by_vertex`),
-    mapped into the sorted levels of the enumerators' view.  n is checked
-    against that enumerator's default cap before any level runs."""
+    mapped into the levels the enumerators sort by canonical form, through
+    the forms of levels n and n-1.  n is checked against that enumerator's
+    default cap before any level runs."""
     _check_level_size(n, trees_only)
-    return _canonical_level(n, trees_only)[1]
+    below = []
+    if n > 1:
+        below = [canonical_form(g, n - 1) for g in graphs._level(n - 1, trees_only)[0]]
+    position = {form: i for i, form in enumerate(sorted(below))}
+    reps, parents = graphs._level(n, trees_only)
+    return tuple(
+        mapped
+        for _, mapped in sorted(
+            (canonical_form(g, n), tuple(sorted(position[below[p]] for p in ps)))
+            for g, ps in zip(reps, parents)
+        )
+    )
 
 
 def extend_by_vertex_all_masks(

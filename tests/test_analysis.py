@@ -6,6 +6,7 @@ from scarflab import analysis
 from scarflab.analysis import (
     AnalysisError,
     THEOREM_B_FAMILY_KINDS,
+    VERDICT_NOT_SCARF,
     classify,
     derive_obstructions,
     hereditary_verdicts,
@@ -27,6 +28,7 @@ from scarflab.graphs import (
     spider5_graph,
     spider6_graph,
     star_graph,
+    to_graph6,
     triangle_with_leaves,
 )
 from scarflab.homology import DEFAULT_FIELDS, GF2, GF32003, FieldSpec
@@ -43,6 +45,7 @@ from reference import (
     is_scarf_bruteforce,
     matches_special_tree_family,
     minimal_induced,
+    minimal_subgraphs,
     removable_vertices,
     restrict_ideal,
 )
@@ -457,6 +460,19 @@ class TestHereditaryVerdicts:
             ]
             assert catalog.num_non_scarf == len(bad)
             assert catalog.graphs == tuple(minimal_induced(bad)), spec
+
+    @pytest.mark.parametrize("trees_only, n_max", [(False, 7), (True, 10)])
+    def test_subgraph_catalogs_match_pairwise_search(self, trees_only, n_max):
+        """The induced catalog filtered pairwise gives what a pairwise
+        search over every non-Scarf graph of the walk gives."""
+        specs = [IdealSpec("connected", t) for t in (3, 4, 5)] + [P4, IdealSpec("path", 5)]
+        for spec in specs:
+            catalog = derive_obstructions(spec, n_max, "subgraph", trees_only)
+            walk = hereditary_verdicts(spec, n_max, DEFAULT_FIELDS, trees_only)
+            bad = [graph for graph, verdicts, _ in walk if VERDICT_NOT_SCARF in verdicts]
+            assert catalog.num_non_scarf == len(bad), spec
+            expected = sorted((g.n, canonical_form(g).decode()) for g in minimal_subgraphs(bad))
+            assert [(g.n, to_graph6(g)) for g in catalog.graphs] == expected, spec
 
     def test_tree_catalogs_agree_across_orders(self):
         """On trees a connected subgraph is an induced one, so the pairwise

@@ -129,6 +129,22 @@ class TestFieldArguments:
             assert captured.out == ""
             assert captured.err == "error: need at least one coefficient field\n", argv
 
+    def test_only_commands_that_rank_take_fields(self, capsys):
+        """`ideal` and `complex` rank no homology, so argparse rejects
+        `--fields` there (exit 2) instead of ignoring it; the other five
+        commands read it (`test_empty_rejected`)."""
+        for argv in (
+            ["ideal", "--graph", "path:4", "--spec", "path:2"],
+            ["complex", "--graph", "path:4", "--spec", "path:2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--fields", "gf2"])
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--fields" in captured.err, argv
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+
 
 class TestSubcommands:
     def test_ideal_table(self, capsys):

@@ -2,8 +2,9 @@
 
 perfbench/spans.py lists them in TARGETS.  A rename or deletion there would
 only surface as an AttributeError in a `--trace 1` benchmark run.  It also
-credits each canonical form to the enumeration call that made it, which
-holds only while every level of an enumeration is a call of its own.
+credits each canonical form to the enumeration call that made it, and a cold
+enumeration canonicalises exactly the classes of its own level: the levels
+below it are walked without forms, and no other enumeration is called.
 """
 
 import importlib
@@ -50,12 +51,11 @@ def test_trace_targets_resolve(monkeypatch):
 
 
 @pytest.mark.parametrize("function, n, candidates, classes", [
-    # candidates: canonical forms of levels 2..n; classes: representatives
-    # returned by those levels.  Only a class's first candidate is
-    # canonicalised, so the benchmark's candidates_per_class reads 1.0 on
-    # sweep-n6 and derive-trees.
-    ("enumerate_connected_graphs", 6, 1 + 2 + 6 + 21 + 112, 1 + 2 + 6 + 21 + 112),
-    ("enumerate_trees", 9, 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47, 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47),
+    # candidates: canonical forms computed inside the call; classes:
+    # representatives it returns.  Both count level n alone, one form per
+    # class, so candidates_per_class reads 1.0.
+    ("enumerate_connected_graphs", 6, 112, 112),
+    ("enumerate_trees", 9, 47, 47),
 ])
 def test_enumeration_credited_level_by_level(function, n, candidates, classes):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
