@@ -151,14 +151,25 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
 
     The Scarf complex is restricted to each lcm-lattice point in ascending
     mask order, and each field's first point whose restriction is not
-    acyclic is its witness.  Each point goes through `_failing_fields` over
-    the fields still undecided.  A restriction that is a simplex or
+    acyclic is its witness.  A point that is the label of a Scarf face is
+    skipped, and every other point goes through `_failing_fields` over the
+    fields still undecided.  A restriction that is a simplex or
     strong-collapses to a vertex can be no field's witness, and it is
-    decided on the complex's face columns without being built, from a table
-    of collapse answers by vertex set that all points of the scan share.
-    So restrictions are built and ranked only at the points the collapse
-    test leaves standing, and verdicts, witnesses and their Betti profiles
-    are those of a scan that ranks every point.
+    decided on the complex's per-variable tables without being built, from
+    a table of collapse answers by vertex set that all points of the scan
+    share.  So restrictions are built and ranked only at the points the
+    collapse test leaves standing, and verdicts, witnesses and their Betti
+    profiles are those of a scan that ranks every point.
+
+    The skip is sound: let m be the label of a nonempty Scarf face sigma.
+    The Scarf test is closed, so no generator outside sigma divides m, and
+    the generators dividing m are those of sigma.  The restriction at m is
+    the subcomplex induced on them, and every subset of sigma is a Scarf
+    face, as the complex is closed under subsets.  So the restriction is
+    the full simplex on sigma, which is contractible and acyclic over every
+    field, and m is no field's witness.  (The empty face's label 1 is a
+    lattice point only of the unit ideal, which has one generator and is
+    not scanned.)
 
     The lattice scan finds the witness a scan of every monomial some
     generator divides would find.  If m is the first failing monomial in
@@ -181,9 +192,12 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     else:
         alive = list(fields)
         verdicts = {}
+        labels = set(complex_.label_masks)
         for point in lattice:
             if not alive:
                 break
+            if point.mask in labels:
+                continue
             for field, profile in _failing_fields(complex_, point, alive):
                 verdicts[field] = VERDICT_NOT_SCARF
                 witnesses.append((field, point, profile))

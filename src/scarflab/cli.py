@@ -304,6 +304,8 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 def _cmd_leaf(args: argparse.Namespace) -> int:
     ideal = _resolve_ideal(args)
+    if not ideal.universe.size:
+        raise CliError("--var: the ideal has no variables")
     name = args.var.strip()
     if name.isdigit():
         try:  # a digit int() rejects (such as '²'), or past its digit limit

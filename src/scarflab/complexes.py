@@ -9,9 +9,13 @@ dropping any member changes the label); the exhaustive power-set variant is a
 test oracle in `tests/reference.py`.
 
 The lcm lattice is the closure of the generators under pairwise lcm, as a
-sorted tuple of points; the monomial 1 is excluded and treated as an
-implicit bottom.  Leaf gluing builds the ideal obtained by re-attaching, on a
-fresh variable, every generator divisible by a chosen variable.
+sorted tuple of points, built by adding one generator at a time; the
+monomial 1 is excluded and treated as an implicit bottom (it is a point only
+of the unit ideal, whose one generator it is).  Per variable, a complex also
+indexes the vertices and faces the variable does not divide, so a
+restriction is a few ANDs over the variables outside the monomial.  Leaf
+gluing builds the ideal obtained by re-attaching, on a fresh variable, every
+generator divisible by a chosen variable.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 
-from .graphs import _Frozen, _set
+from .graphs import _bits, _Frozen, _set
 from .monomials import (
     MonomialError,
     MonomialIdeal,
@@ -121,6 +125,34 @@ class LabeledComplex(_Frozen):
             for g in face:
                 columns[g] |= 1 << i
         return tuple(columns)
+
+    @cached_property
+    def vertices(self) -> int:
+        """Bit set of the generators that are vertices: bit g is set when
+        some face contains g, so that (g,) is a face by downward closure."""
+        return sum(1 << g for g, column in enumerate(self.face_columns) if column)
+
+    @cached_property
+    def vertices_without(self) -> tuple[int, ...]:
+        """Per variable x, the bit set of the vertices whose generator x
+        does not divide."""
+        lacking = [self.vertices] * self.ideal.universe.size
+        for g, generator in enumerate(self.ideal.generator_masks):
+            for x in _bits(generator):
+                lacking[x] &= ~(1 << g)
+        return tuple(lacking)
+
+    @cached_property
+    def faces_without(self) -> tuple[int, ...]:
+        """Per variable x, the bit set of the faces whose label x does not
+        divide.  A label is the lcm of its face's generators, so x divides
+        it exactly when x divides a member: these are all faces minus the
+        `face_columns` of the generators x divides."""
+        lacking = [(1 << len(self.faces)) - 1] * self.ideal.universe.size
+        for column, generator in zip(self.face_columns, self.ideal.generator_masks):
+            for x in _bits(generator):
+                lacking[x] &= ~column
+        return tuple(lacking)
 
     @cached_property
     def collapse_answers(self) -> dict[int, bool]:
@@ -242,19 +274,18 @@ def cone(apex: int, delta: LabeledComplex) -> LabeledComplex:
 
 def lcm_lattice(ideal: MonomialIdeal) -> tuple[SquarefreeMonomial, ...]:
     """All lcms of nonempty generator subsets in ascending mask order; the
-    last is the top, and the zero ideal's lattice is empty."""
-    gen_masks = ideal.generator_masks
-    points = set(gen_masks)
-    frontier = set(gen_masks)
-    while frontier:
-        grown = set()
-        for point in frontier:
-            for mask in gen_masks:
-                joined = point | mask
-                if joined not in points:
-                    points.add(joined)
-                    grown.add(joined)
-        frontier = grown
+    last is the top.  The zero ideal's lattice is empty, and the unit
+    ideal's is the one point 1.
+
+    The set is closed one generator at a time: after g_1, ..., g_k it holds
+    the lcms of the nonempty subsets of those generators.  That is so for
+    k = 0, with no subsets, and a nonempty subset of g_1, ..., g_k+1 either
+    misses g_k+1, or is {g_k+1}, or is a nonempty subset S of the earlier
+    ones plus g_k+1, whose lcm is lcm(S) | g_k+1."""
+    points: set[int] = set()
+    for generator in ideal.generator_masks:
+        points |= {point | generator for point in points}
+        points.add(generator)
     universe = ideal.universe
     return tuple(SquarefreeMonomial(universe, m) for m in sorted(points))
 

@@ -1,18 +1,24 @@
 """Reduced simplicial homology: a collapse test, and exact ranks over GF(p) and Q.
 
 `collapses_to_point` decides the restriction of a complex to a monomial on
-the complex's per-generator face bitsets (`LabeledComplex.face_columns`),
-without building it.  It answers True at once when the restriction is a full
-simplex, and otherwise deletes one dominated vertex (a strong collapse) and
-asks again.  The answer depends only on the restriction's vertex set, so it
-is kept per complex by vertex set (`LabeledComplex.collapse_answers`), and a
-point stops at the first vertex set another point already decided.  When
-one vertex is left the restriction is contractible, so it is acyclic over
-every field at once and no rank is needed.  The Scarf scans in `analysis`
-run it at every lattice point and build and rank a restriction only where
-it answers False.  On the path:4 ideals of the spiders S5(3,3,3), S5(4,3,3)
-and S5(4,4,4) it settles every lattice point, with 567, 1,135 and 4,335
-vertex domination tests over the whole scan.
+bit sets of the complex's faces, without building it.  The restriction's
+vertices and faces are ANDs of per-variable tables
+(`LabeledComplex.vertices_without` and `faces_without`) over the variables
+the monomial lacks, and domination is tested on the per-generator face bit
+sets (`LabeledComplex.face_columns`).  It answers True at once when the
+restriction is a full simplex, and otherwise deletes one dominated vertex (a
+strong collapse) and asks again.  The answer depends only on the
+restriction's vertex set, so it is kept per complex by vertex set
+(`LabeledComplex.collapse_answers`), looked up before the faces are
+computed, and a point stops at the first vertex set another point already
+decided.  When one vertex is left the restriction is contractible, so it is
+acyclic over every field at once and no rank is needed.  The Scarf scans in
+`analysis` run it at every lattice point that labels no Scarf face (those
+restrict to simplices) and build and rank a restriction only where it
+answers False.  On the path:4 ideals of the spiders S5(3,3,3), S5(4,3,3)
+and S5(4,4,4) it settles the 511, 1,023 and 4,095 points left of 766, 1,406
+and 5,118, with 567, 1,135 and 4,335 vertex domination tests over the whole
+scan.
 
 Boundary matrices carry the usual alternating signs over the sorted vertex
 order and include the augmentation map sending every vertex to the empty face,
@@ -181,15 +187,18 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
     default delta itself) is a simplex or strong-collapses to one vertex.
 
     The restriction keeps the faces whose label divides the monomial, which
-    are the faces with no generator outside it: all faces minus the
-    `face_columns` of the generators that do not divide it.  Its faces form
-    a complex, `members`, and its vertices A are the dividing generators
-    that are vertices of delta.  With k >= 1 vertices and 2^k faces counting
-    the empty one, every subset of the vertices is a face, so the
-    restriction is the full (k-1)-simplex and contractible.  In a Scarf scan
-    this catches every point that is the label of a Scarf face: by the
-    closed half of the Scarf test only that face's generators divide the
-    label, and the face's subsets are all Scarf faces.
+    are those whose label lacks every variable x the monomial lacks: the
+    AND of `delta.faces_without[x]` over those x.  Its faces form a
+    complex, `members`, and its vertices A are the dividing generators that
+    are vertices of delta: `delta.vertices` ANDed with
+    `delta.vertices_without[x]` over the same x.  A is computed first and
+    looked up in `delta.collapse_answers`, so a known answer needs no
+    faces.  A monomial that lacks no variable, such as x_V in a sweep,
+    restricts to delta itself, and neither table is built.  With k >= 1
+    vertices and 2^k faces counting the empty one, every subset of the
+    vertices is a face, so the restriction is the full (k-1)-simplex and
+    contractible.  That holds at every point that is the label of a Scarf
+    face, which `analysis.is_scarf` therefore skips.
 
     Otherwise one dominated vertex is deleted (Barmak and Minian, Strong
     homotopy types, nerves and collapses, 2012).  A vertex v is dominated by
@@ -236,16 +245,28 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
     a point only when |A| = 1, which the simplex check answers first; so
     the answer is False.
     """
-    faces, columns, answers = delta.faces, delta.face_columns, delta.collapse_answers
-    members = (1 << len(faces)) - 1
-    vertices = 0
-    for g, generator in enumerate(delta.ideal.generator_masks):
-        if generator & ~mask:
-            members &= ~columns[g]
-        elif columns[g]:
-            vertices |= 1 << g
+    answers = delta.collapse_answers
+    absent = ~mask & ((1 << delta.ideal.universe.size) - 1)
+    vertices = delta.vertices
+    if absent:
+        vertices_without = delta.vertices_without
+        rest = absent
+        while rest:
+            low = rest & -rest
+            vertices &= vertices_without[low.bit_length() - 1]
+            rest ^= low
     if not vertices:
         return False
+    if vertices in answers:
+        return answers[vertices]
+    faces, columns = delta.faces, delta.face_columns
+    members = (1 << len(faces)) - 1
+    if absent:
+        faces_without = delta.faces_without
+        while absent:
+            low = absent & -absent
+            members &= faces_without[low.bit_length() - 1]
+            absent ^= low
     path = []
     while vertices not in answers:
         path.append(vertices)

@@ -57,6 +57,8 @@ class VariableUniverse(_Frozen):
         mask = 0
         for i in indices:
             if not 0 <= i < self.size:
+                if not self.size:
+                    raise MonomialError(f"variable index {i}: the universe has no variables")
                 raise MonomialError(f"variable index {i} out of range 0..{self.size - 1}")
             mask |= 1 << i
         return SquarefreeMonomial(self, mask)

@@ -116,9 +116,10 @@ class TestIsScarf:
             assert is_scarf(ideal, fields) == report, ideal.render()
 
     def test_ranks_only_where_collapse_fails(self, monkeypatch):
-        """A spider scan decides every point by the collapse test, and builds
-        and ranks no restriction; C3(P7) still gets its witness from ranks."""
-        calls = {"restrict": 0, "reduced_betti": 0}
+        """A spider scan skips the points that label Scarf faces, decides
+        every other point by the collapse test, and builds and ranks no
+        restriction; C3(P7) still gets its witness from ranks."""
+        calls = {"restrict": 0, "reduced_betti": 0, "collapses_to_point": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -126,18 +127,28 @@ class TestIsScarf:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for owner, name in ((LabeledComplex, "restrict"), (analysis, "reduced_betti")):
+        for owner, name in (
+            (LabeledComplex, "restrict"),
+            (analysis, "reduced_betti"),
+            (analysis, "collapses_to_point"),
+        ):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-        spider = build_ideal(spider5_graph(3, 3, 3), P4)
-        report = is_scarf(spider, fields=(GF2, GF32003, RATIONALS))
-        assert report.all_scarf and report.num_lattice_points == 766
-        assert calls == {"restrict": 0, "reduced_betti": 0}
+        for legs, points, labels in (((3, 3, 3), 766, 255), ((4, 3, 3), 1406, 383)):
+            calls["collapses_to_point"] = 0
+            spider = build_ideal(spider5_graph(*legs), P4)
+            report = is_scarf(spider, fields=(GF2, GF32003, RATIONALS))
+            assert report.all_scarf and report.num_lattice_points == points
+            # every face but the empty one labels a lattice point of its own
+            assert report.num_scarf_faces - 1 == labels
+            assert calls == {
+                "restrict": 0, "reduced_betti": 0, "collapses_to_point": points - labels
+            }
 
         report = is_scarf(build_ideal(path_graph(7), C3))
         field, monomial, profile = report.witnesses[0]
         assert field == GF2 and monomial.render() == "x1*x2*x3*x4*x5*x6*x7"
         assert profile.betti == (0, 1)
-        assert calls == {"restrict": 1, "reduced_betti": 2}
+        assert calls["restrict"] == 1 and calls["reduced_betti"] == 2
 
     def test_json_shape(self):
         report = is_scarf(build_ideal(path_graph(7), C3))

@@ -269,6 +269,24 @@ class TestSubcommands:
                      "--var", "x9"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_ideal_without_variables_rejected(self, tmp_path, capsys):
+        """An ideal over no variables gives one `error:` line saying so, both
+        for a --var of leaf and for a generator naming a variable index."""
+        path = tmp_path / "empty.json"
+        cases = [
+            ({"variables": [], "mingens": [[]]}, ["leaf", "--var", "0"],
+             "error: --var: the ideal has no variables\n"),
+            ({"variables": [], "mingens": []}, ["leaf", "--var", "x1"],
+             "error: --var: the ideal has no variables\n"),
+            ({"variables": [], "mingens": [[0]]}, ["ideal"],
+             "error: variable index 0: the universe has no variables\n"),
+        ]
+        for data, argv, message in cases:
+            path.write_text(json.dumps(data))
+            assert main([*argv, "--ideal", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == message
+
 
 class TestLimits:
     def test_n_max_above_cap_rejected(self, capsys):

@@ -203,9 +203,9 @@ def label_filter(delta: LabeledComplex, mask: int) -> list[int]:
 
 
 def column_members(delta: LabeledComplex, mask: int) -> int:
-    """The faces whose label divides the monomial, as `collapses_to_point`
-    reads them off the face columns: all faces minus the columns of the
-    generators that do not divide it."""
+    """The faces whose label divides the monomial, read off the face
+    columns: all faces minus the columns of the generators that do not
+    divide it."""
     members = (1 << len(delta.faces)) - 1
     for column, generator in zip(delta.face_columns, delta.ideal.generator_masks):
         if generator & ~mask:
@@ -213,9 +213,30 @@ def column_members(delta: LabeledComplex, mask: int) -> int:
     return members
 
 
+def indexed_restriction(delta: LabeledComplex, mask: int) -> tuple[int, int]:
+    """The vertices and the faces of the restriction to the monomial, as
+    `collapses_to_point` reads them off the per-variable tables: ANDs over
+    the variables the monomial lacks."""
+    vertices, members = delta.vertices, (1 << len(delta.faces)) - 1
+    for x in range(delta.ideal.universe.size):
+        if not mask >> x & 1:
+            vertices &= delta.vertices_without[x]
+            members &= delta.faces_without[x]
+    return vertices, members
+
+
+def dividing_vertices(delta: LabeledComplex, mask: int) -> int:
+    """The generators dividing the monomial whose singleton is a face."""
+    return sum(
+        1 << g for g, generator in enumerate(delta.ideal.generator_masks)
+        if not generator & ~mask and (g,) in delta.face_set
+    )
+
+
 class TestIncidenceIndex:
-    """The face-generator incidence index `LabeledComplex.face_columns`, from
-    which `homology.collapses_to_point` reads restrictions, and `restrict`."""
+    """The face-generator incidence index `LabeledComplex.face_columns`, the
+    per-variable tables `vertices_without` and `faces_without`, from which
+    `homology.collapses_to_point` reads restrictions, and `restrict`."""
 
     def complexes(self, ideal):
         q = ideal.num_generators
@@ -241,6 +262,9 @@ class TestIncidenceIndex:
                 for mask in masks:
                     kept = label_filter(delta, mask)
                     assert column_members(delta, mask) == sum(1 << i for i in kept)
+                    assert indexed_restriction(delta, mask) == (
+                        dividing_vertices(delta, mask), sum(1 << i for i in kept)
+                    )
                     got = delta.restrict(SquarefreeMonomial(ideal.universe, mask))
                     assert got.faces == tuple(delta.faces[i] for i in kept), (delta.faces, mask)
                     checked += 1
@@ -273,13 +297,22 @@ class TestIncidenceIndex:
             for point in lcm_lattice(ideal):
                 kept = label_filter(delta, point.mask)
                 assert column_members(delta, point.mask) == sum(1 << i for i in kept)
+                assert indexed_restriction(delta, point.mask) == (
+                    dividing_vertices(delta, point.mask), sum(1 << i for i in kept)
+                )
 
     def test_incidences(self):
         delta = taylor_complex(ideal_of("x1", "x2", "x3", size=3))
         # faces: (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
         assert delta.face_columns == (0b10110010, 0b11010100, 0b11101000)
-        assert LabeledComplex(delta.ideal, ()).face_columns == (0, 0, 0)
-        assert LabeledComplex(delta.ideal, ((),)).face_columns == (0, 0, 0)
+        assert delta.vertices == 0b111
+        assert delta.vertices_without == (0b110, 0b101, 0b011)
+        assert delta.faces_without == (0b01001101, 0b00101011, 0b00010111)
+        for faces in ((), ((),)):
+            empty = LabeledComplex(delta.ideal, faces)
+            assert empty.face_columns == (0, 0, 0)
+            assert empty.vertices == 0 and empty.vertices_without == (0, 0, 0)
+            assert empty.faces_without == (len(faces),) * 3
 
     def test_columns_of_a_scarf_complex(self):
         ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
@@ -300,11 +333,21 @@ class TestIncidenceIndex:
             assert got.faces == tuple(face for face in delta.faces if face in kept)
 
 
+def unit_ideal(size: int) -> MonomialIdeal:
+    return MonomialIdeal.from_json_dict(
+        {"variables": [f"x{i + 1}" for i in range(size)], "mingens": [[]]}
+    )
+
+
 class TestLcmLattice:
     def test_single_generator(self):
         ideal = ideal_of("x1*x2", size=2)
         lattice = lcm_lattice(ideal)
         assert [p.render() for p in lattice] == ["x1*x2"]
+        # the closure starts from no point, and the unit ideal's one
+        # generator 1 is its one point
+        assert [p.render() for p in lcm_lattice(unit_ideal(2))] == ["1"]
+        assert lcm_lattice(unit_ideal(0)) == (VariableUniverse(()).one(),)
 
     def test_c3_of_p6(self):
         ideal = build_ideal(path_graph(6), C3)
@@ -319,9 +362,10 @@ class TestLcmLattice:
         assert len(lattice) == 10
 
     def test_matches_subset_lcms_on_corpus(self, oracle_corpus):
-        for ideal in oracle_corpus:
+        universe = VariableUniverse.of_size(3)
+        for ideal in oracle_corpus + [unit_ideal(3), MonomialIdeal.zero(universe)]:
             q = ideal.num_generators
-            if not 1 <= q <= 10:
+            if q > 10:
                 continue
             expected = set()
             for bits in range(1, 1 << q):
@@ -333,15 +377,22 @@ class TestLcmLattice:
             assert {p.mask for p in lcm_lattice(ideal)} == expected
 
     def test_points_sorted_and_closed(self):
-        lattice = lcm_lattice(build_ideal(cycle_graph(5), C3))
-        masks = [p.mask for p in lattice]
-        assert masks == sorted(masks)
-        points = set(masks)
-        for a, b in itertools.combinations(masks, 2):
-            assert a | b in points
+        for ideal in (
+            build_ideal(cycle_graph(5), C3),
+            unit_ideal(2),
+            MonomialIdeal.zero(VariableUniverse.of_size(2)),
+        ):
+            lattice = lcm_lattice(ideal)
+            masks = [p.mask for p in lattice]
+            assert masks == sorted(set(masks))
+            assert all(p.universe is ideal.universe for p in lattice)
+            points = set(masks)
+            for a, b in itertools.combinations(masks, 2):
+                assert a | b in points
 
     def test_zero_ideal_has_no_top(self):
         assert lcm_lattice(MonomialIdeal.zero(VariableUniverse.of_size(2))) == ()
+        assert lcm_lattice(MonomialIdeal.zero(VariableUniverse(()))) == ()
 
 
 class TestStarAndCone:

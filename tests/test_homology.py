@@ -533,6 +533,36 @@ class TestCollapseTable:
             seen |= self.assert_table_agrees(complex_from_top_faces(count, tops), masks)
         assert seen == {True, False}
 
+        # Scarf complexes of ideals whose generators share variables, in
+        # universes with unused variables, queried off the lattice
+        seen = set()
+        for _ in range(50):
+            used, unused = rng.randint(3, 6), rng.randint(0, 3)
+            universe = VariableUniverse.of_size(used + unused)
+            gens = [
+                SquarefreeMonomial(universe, rng.randint(1, (1 << used) - 1))
+                for _ in range(rng.randint(2, 8))
+            ]
+            ideal = minimalize(gens, universe=universe)
+            lattice = {point.mask for point in lcm_lattice(ideal)}
+            masks = [mask for mask in (rng.getrandbits(universe.size) for _ in range(30))
+                     if mask not in lattice]
+            seen |= self.assert_table_agrees(scarf_complex(ideal), masks)
+        assert seen == {True, False}
+
+    def test_tables_only_for_absent_variables(self):
+        """A query at a monomial that lacks no variable, as a sweep's x_V,
+        builds no per-variable table; one that lacks a variable builds both."""
+        ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
+        top = (1 << ideal.universe.size) - 1
+        for mask in (-1, top):
+            delta = scarf_complex(ideal)
+            assert not collapses_to_point(delta, mask)
+            assert "vertices_without" not in vars(delta)
+            assert "faces_without" not in vars(delta)
+        assert collapses_to_point(delta, top >> 1)
+        assert "vertices_without" in vars(delta) and "faces_without" in vars(delta)
+
     def test_spider_scan_reads_the_table(self):
         """After one scan of the lattice, a second one answers from the table
         alone: with faces that refuse indexing no vertex can be tested."""
