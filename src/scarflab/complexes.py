@@ -1,12 +1,16 @@
 """Labelled simplicial complexes on the generators of a square-free ideal.
 
 Faces are sorted tuples of generator indices; the label of a face is the lcm
-of its members (the empty face is labelled 1).  The Taylor complex is the full
+of its members (the empty face is labelled 1).  The constructor checks the
+faces on their bit masks over the generators.  The Taylor complex is the full
 power set.  The Scarf complex keeps the faces whose label is shared by no
-other subset of generators; it is computed level by level from the equivalent
-closed-and-irredundant test (no outside generator divides the face label, and
-dropping any member changes the label); the exhaustive power-set variant is a
-test oracle in `tests/reference.py`.
+other subset of generators.  It is grown level by level on bit sets: the
+Scarf edges are found once, as neighbour masks, and a face grows only by a
+common neighbour of its members, which is then tested to be closed (no
+outside generator divides the label: one AND per variable the label lacks,
+over a per-variable index of the generators) and irredundant (dropping any
+member changes the label).  The exhaustive power-set variant is a test
+oracle in `tests/reference.py`.
 
 The lcm lattice is the closure of the generators under pairwise lcm, as a
 sorted tuple of points, built by adding one generator at a time; the
@@ -46,30 +50,58 @@ def _face_key(face: Face) -> tuple[int, Face]:
     return (len(face), face)
 
 
+def _reject_face(face: Face, q: int) -> None:
+    """Raise the error for a face whose members do not increase strictly
+    within 0..q-1."""
+    if tuple(sorted(face)) != face:
+        raise ComplexError(f"face {face} is not sorted")
+    if len(set(face)) != len(face):
+        raise ComplexError(f"face {face} repeats a generator")
+    raise ComplexError(f"face {face} references a missing generator")
+
+
 class LabeledComplex(_Frozen):
     """A downward-closed face family over the minimal generators of an ideal."""
 
     _fields = ("ideal", "faces")
 
     def __init__(self, ideal: MonomialIdeal, faces: tuple[Face, ...]) -> None:
+        """Checks every face on its bit mask (bit i set when generator i is
+        a member).  A face's members must increase strictly and lie in
+        0..q-1, which is when each member's bit exceeds the mask of the
+        members before it; the first face that fails goes to
+        `_reject_face` for its message.  Such faces have distinct masks
+        exactly when they are distinct, only the empty face has mask 0, and
+        dropping member i from a face leaves the face with mask `mask ^ bit`."""
         q = ideal.num_generators
-        seen = set()
+        masks = []
+        unordered = False
+        previous: tuple = (-1,)
         for face in faces:
-            if tuple(sorted(face)) != face:
-                raise ComplexError(f"face {face} is not sorted")
-            if any(not 0 <= i < q for i in face):
-                raise ComplexError(f"face {face} references a missing generator")
-            seen.add(face)
-        if len(seen) != len(faces):
+            mask = 0
+            for i in face:
+                if not 0 <= i < q or 1 << i <= mask:
+                    _reject_face(face, q)
+                mask |= 1 << i
+            masks.append(mask)
+            key = (len(face), face)
+            if key <= previous:
+                unordered = True
+            previous = key
+        present = set(masks)
+        if len(present) != len(faces):
             raise ComplexError("duplicate faces")
-        if faces and list(faces) != sorted(faces, key=_face_key):
+        if unordered:
             raise ComplexError("faces must be sorted by size then lexicographically")
-        if faces and () not in seen:
+        if faces and 0 not in present:
             raise ComplexError("a nonempty complex must contain the empty face")
-        for face in faces:
-            for drop in range(len(face)):
-                if face[:drop] + face[drop + 1:] not in seen:
+        for face, mask in zip(faces, masks):
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                if mask ^ bit not in present:
                     raise ComplexError(f"faces are not downward closed at {face}")
+                rest ^= bit
         _set(self, "ideal", ideal)
         _set(self, "faces", faces)
 
@@ -212,47 +244,96 @@ def taylor_complex(ideal: MonomialIdeal, max_generators: int = DEFAULT_TAYLOR_CA
     return LabeledComplex(ideal, tuple(faces))
 
 
-def _face_is_scarf(face: Face, lcm_mask: int, gen_masks: Sequence[int]) -> bool:
-    face_set = set(face)
-    for j, mask in enumerate(gen_masks):
-        if j not in face_set and mask & ~lcm_mask == 0:
-            return False
-    for drop in face:
-        rest = 0
-        for i in face:
-            if i != drop:
-                rest |= gen_masks[i]
-        if rest == lcm_mask:
-            return False
-    return True
+def _closed(outside: int, absent: int, without: Sequence[int]) -> bool:
+    """Whether no generator in the bit set `outside` divides the monomial
+    that lacks exactly the variables in the bit set `absent`.
+
+    `without[x]` is the bit set of the generators that x does not divide.
+    A generator divides the monomial exactly when it lacks every absent
+    variable, so the dividing generators of `outside` are `outside` ANDed
+    with `without[x]` over the absent x, and the loop stops as soon as none
+    is left."""
+    while outside and absent:
+        low = absent & -absent
+        outside &= without[low.bit_length() - 1]
+        absent ^= low
+    return not outside
 
 
 def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     """Faces of the Taylor complex whose lcm label is globally unique.
 
-    A face qualifies exactly when no outside generator divides its label and
-    removing any single member changes the label, so the complex can be grown
-    level by level without touching the full power set.  Each level extends
-    the previous one's faces, in order, by larger indices, so the faces come
-    out sorted by size and then lexicographically, as the constructor asks.
+    A face qualifies exactly when it is closed (no outside generator
+    divides its label, `_closed`) and irredundant (removing any member
+    changes the label, that is every member has a variable that no other
+    member has).  So the complex is grown level by level without touching
+    the full power set:
+
+    * Every generator is a vertex: the minimal generators form an
+      antichain, so none divides another, and a generator is not 1 unless
+      it is the only one, the unit ideal's, whose one face is the empty
+      face (its vertex would share the empty face's label 1).
+    * An edge {i, j} is irredundant by the antichain, so it is a face
+      exactly when it is closed.  The edges are tested once and kept as
+      neighbour masks: bit j of `neighbours[i]` is set when {i, j} is a
+      face.
+    * The complex is closed under subsets.  Let G be a subset of a face F,
+      R = F - G, and say some H != G shares G's label.  Then H + R shares
+      F's label, so H + R = F; hence H is G plus a nonempty S inside R,
+      every member of S divides G's label, and F - S shares F's label,
+      which is impossible.  So every edge of a face is a face, and a face of
+      size k + 1 >= 3 is a face of size k, its first members, plus one
+      common neighbour of them above its last member.  Only those
+      candidates are tested.  The common neighbours are carried with each
+      face: a candidate's are its face's ANDed with the new member's.
+
+    A candidate's new member j has a variable the face's label lacks, as
+    the face is closed and j is outside it, so irredundancy is tested on
+    the face's members only.  It reads, per face, the variables that two or
+    more members share (`shared`); a candidate adds j's variables that the
+    face's label already has.  Each level extends the previous one's faces,
+    in order, by larger indices in ascending order, so the faces come out
+    sorted by size and then lexicographically, as the constructor asks.
     """
     gen_masks = ideal.generator_masks
     q = len(gen_masks)
-    faces: list[Face] = [()]
-    current: list[tuple[Face, int]] = []
+    if q == 1 and not gen_masks[0]:
+        return LabeledComplex(ideal, ((),))
+    everything = (1 << ideal.universe.size) - 1
+    all_generators = (1 << q) - 1
+    without = [all_generators] * ideal.universe.size
+    for g, mask in enumerate(gen_masks):
+        for x in _bits(mask):
+            without[x] ^= 1 << g
+    neighbours = [0] * q
     for i in range(q):
-        face = (i,)
-        if _face_is_scarf(face, gen_masks[i], gen_masks):
-            current.append((face, gen_masks[i]))
+        for j in range(i + 1, q):
+            label = gen_masks[i] | gen_masks[j]
+            if _closed(all_generators ^ (1 << i | 1 << j), everything & ~label, without):
+                neighbours[i] |= 1 << j
+                neighbours[j] |= 1 << i
+    faces: list[Face] = [()]
+    # (face, label, member mask, variables two members share, common neighbours)
+    current = [((i,), gen_masks[i], 1 << i, 0, neighbours[i]) for i in range(q)]
     while current:
-        faces.extend(face for face, _ in current)
-        grown: list[tuple[Face, int]] = []
-        for face, mask in current:
-            for nxt in range(face[-1] + 1, q):
-                candidate = face + (nxt,)
-                lcm_mask = mask | gen_masks[nxt]
-                if _face_is_scarf(candidate, lcm_mask, gen_masks):
-                    grown.append((candidate, lcm_mask))
+        faces.extend(entry[0] for entry in current)
+        grown = []
+        for face, label, members, shared, common in current:
+            step = common & (-2 << face[-1])
+            while step:
+                bit = step & -step
+                step ^= bit
+                j = bit.bit_length() - 1
+                generator = gen_masks[j]
+                more_shared = shared | label & generator
+                new_label = label | generator
+                if len(face) > 1 and not (
+                    all(gen_masks[i] & ~more_shared for i in face)
+                    and _closed(all_generators ^ members ^ bit, everything & ~new_label, without)
+                ):
+                    continue
+                grown.append((face + (j,), new_label, members | bit, more_shared,
+                              common & neighbours[j]))
         current = grown
     return LabeledComplex(ideal, tuple(faces))
 

@@ -3,10 +3,10 @@
 A graph is its adjacency rows: vertices are 0..n-1, bit u of row v is set
 when u and v are joined, and edges and degrees are read off the rows.  The
 module covers exactly what the ideal constructions and the classification
-sweeps need: connected vertex subsets, path vertex sets, canonical forms,
-the named graph families (paths, cycles, stars, triangles with pendant
-leaves, double brooms, spiders), subgraph containment, graph6 and
-adjacency-list input and output, and JSON input.
+sweeps need: connectivity of a vertex set, canonical forms, the named graph
+families (paths, cycles, stars, triangles with pendant leaves, double
+brooms, spiders), subgraph containment, graph6 and adjacency-list input and
+output, and JSON input.
 
 Canonical forms are exact: colour refinement first, then minimisation of the
 graph6 bit string over the colour-respecting orderings by a pruned depth-first
@@ -343,65 +343,22 @@ def recognize_family(graph: SimpleGraph) -> FamilyTag | None:
 
 
 def _connected_within(adjacency: Sequence[int], subset_mask: int) -> bool:
-    if subset_mask == 0:
-        return False
-    start = subset_mask & -subset_mask
-    visited = start
-    frontier = start
-    while frontier:
-        reach = 0
-        for v in _bits(frontier):
-            reach |= adjacency[v]
-        frontier = reach & subset_mask & ~visited
-        visited |= frontier
-    return visited == subset_mask
+    """Whether `subset_mask` is a nonempty vertex set whose induced subgraph
+    is connected: a search from its lowest vertex reaches all of it."""
+    visited = frontier = subset_mask & -subset_mask
+    while frontier:  # `_bits` inlined: `ideals.build_ideal` runs this per vertex set
+        low = frontier & -frontier
+        frontier ^= low
+        reached = adjacency[low.bit_length() - 1] & subset_mask & ~visited
+        visited |= reached
+        frontier |= reached
+    return bool(visited) and visited == subset_mask
 
 
 def is_connected(graph: SimpleGraph) -> bool:
     if graph.n == 0:
         return False
     return _connected_within(graph.adjacency, (1 << graph.n) - 1)
-
-
-def connected_induced_subsets(graph: SimpleGraph, k: int) -> tuple[tuple[int, ...], ...]:
-    """All k-element vertex sets whose induced subgraph is connected, sorted."""
-    if not 1 <= k <= graph.n:
-        raise GraphError(f"subset size {k} out of range 1..{graph.n}")
-    adjacency = graph.adjacency
-    found = []
-    for combo in itertools.combinations(range(graph.n), k):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if _connected_within(adjacency, mask):
-            found.append(combo)
-    return tuple(found)
-
-
-def path_vertex_sets(graph: SimpleGraph, t: int) -> tuple[tuple[int, ...], ...]:
-    """Distinct vertex sets realizable as a simple path on t vertices, sorted.
-
-    Two traversal directions (or any two paths through the same vertices) give
-    the same set exactly once.
-    """
-    if t < 2:
-        raise GraphError("paths of interest have at least two vertices")
-    if t > graph.n:
-        return ()
-    adjacency = graph.adjacency
-    found: set[tuple[int, ...]] = set()
-
-    def extend(last: int, used_mask: int, depth: int, first: int) -> None:
-        if depth == t:
-            if first < last:
-                found.add(tuple(_bits(used_mask)))
-            return
-        for nxt in _bits(adjacency[last] & ~used_mask):
-            extend(nxt, used_mask | (1 << nxt), depth + 1, first)
-
-    for start in range(graph.n):
-        extend(start, 1 << start, 1, start)
-    return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------

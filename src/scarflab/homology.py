@@ -9,16 +9,15 @@ sets (`LabeledComplex.face_columns`).  It answers True at once when the
 restriction is a full simplex, and otherwise deletes one dominated vertex (a
 strong collapse) and asks again.  The answer depends only on the
 restriction's vertex set, so it is kept per complex by vertex set
-(`LabeledComplex.collapse_answers`), looked up before the faces are
-computed, and a point stops at the first vertex set another point already
-decided.  When one vertex is left the restriction is contractible, so it is
-acyclic over every field at once and no rank is needed.  The Scarf scans in
-`analysis` run it at every lattice point that labels no Scarf face (those
-restrict to simplices) and build and rank a restriction only where it
-answers False.  On the path:4 ideals of the spiders S5(3,3,3), S5(4,3,3)
-and S5(4,4,4) it settles the 511, 1,023 and 4,095 points left of 766, 1,406
-and 5,118, with 567, 1,135 and 4,335 vertex domination tests over the whole
-scan.
+(`LabeledComplex.collapse_answers`), and a point stops at the first vertex
+set another point already decided.  When one vertex is left the
+restriction is contractible, so it is acyclic over every field at once and
+no rank is needed.  The Scarf scans in `analysis` run it at every lattice
+point that labels no Scarf face (those restrict to simplices) and build and
+rank a restriction only where it answers False.  On the path:4 ideals of
+the spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4) it settles the 511, 1,023
+and 4,095 points left of 766, 1,406 and 5,118, with 567, 1,135 and 4,335
+vertex domination tests over the whole scan.
 
 Boundary matrices carry the usual alternating signs over the sorted vertex
 order and include the augmentation map sending every vertex to the empty face,
@@ -191,14 +190,13 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
     AND of `delta.faces_without[x]` over those x.  Its faces form a
     complex, `members`, and its vertices A are the dividing generators that
     are vertices of delta: `delta.vertices` ANDed with
-    `delta.vertices_without[x]` over the same x.  A is computed first and
-    looked up in `delta.collapse_answers`, so a known answer needs no
-    faces.  A monomial that lacks no variable, such as x_V in a sweep,
-    restricts to delta itself, and neither table is built.  With k >= 1
-    vertices and 2^k faces counting the empty one, every subset of the
-    vertices is a face, so the restriction is the full (k-1)-simplex and
-    contractible.  That holds at every point that is the label of a Scarf
-    face, which `analysis.is_scarf` therefore skips.
+    `delta.vertices_without[x]` over the same x.  A monomial that lacks no
+    variable, such as x_V in a sweep, restricts to delta itself, and
+    neither table is built.  With k >= 1 vertices and 2^k faces counting
+    the empty one, every subset of the vertices is a face, so the
+    restriction is the full (k-1)-simplex and contractible.  That holds at
+    every point that is the label of a Scarf face, which
+    `analysis.is_scarf` therefore skips.
 
     Otherwise one dominated vertex is deleted (Barmak and Minian, Strong
     homotopy types, nerves and collapses, 2012).  A vertex v is dominated by
@@ -229,21 +227,25 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
     so callers fall back to ranks, and verdicts, witnesses and Betti
     profiles stay those of a scan that ranks every point.
 
-    The answer f(A) depends on A alone, so after each deletion it is looked
-    up in `delta.collapse_answers`, keyed by A's bit set, and every A a call
-    passes through is stored with the answer it ends at.  A face whose
-    generators all divide the monomial is a subset of A, as delta is closed
-    under subsets and so each member of a face is a vertex.  Hence the
-    restriction is the induced subcomplex delta[A], and deleting a
-    dominated v from it leaves exactly delta[A - v].  A
-    complex strong-collapses to a point exactly when its core (what is left
-    once no vertex is dominated) is a point, and Barmak and Minian show that
-    a complex has one core up to isomorphism, whatever dominated vertices
-    are deleted on the way.  So f(A) = f(A - v) for any dominated v, and the
-    answer does not depend on which one is deleted or on which point first
-    reached A.  When no vertex of A is dominated, delta[A] is its own core,
-    a point only when |A| = 1, which the simplex check answers first; so
-    the answer is False.
+    The answer f(A) depends on A alone.  A face whose generators all
+    divide the monomial is a subset of A, as delta is closed under subsets
+    and so each member of a face is a vertex.  Hence the restriction is the
+    induced subcomplex delta[A], and deleting a dominated v from it leaves
+    exactly delta[A - v].  A complex strong-collapses to a point exactly
+    when its core (what is left once no vertex is dominated) is a point,
+    and Barmak and Minian show that a complex has one core up to
+    isomorphism, whatever dominated vertices are deleted on the way.  So
+    f(A) = f(A - v) for any dominated v, and the answer does not depend on
+    which one is deleted or on which point first reached A.  When no vertex
+    of A is dominated, delta[A] is its own core, a point only when |A| = 1,
+    which the simplex check answers first; so the answer is False.
+
+    So before the first test and after each deletion, A is looked up in
+    `delta.collapse_answers`, keyed by its bit set, and every A a call
+    passes through is stored with the answer it ends at.  The lookup of
+    the first A answers repeated queries.  In a Scarf scan it never hits:
+    the lcm of a point's A is the point, while an earlier point stores only
+    subsets of its own A, whose lcms divide that earlier, smaller point.
     """
     answers = delta.collapse_answers
     absent = ~mask & ((1 << delta.ideal.universe.size) - 1)
@@ -257,8 +259,6 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
             rest ^= low
     if not vertices:
         return False
-    if vertices in answers:
-        return answers[vertices]
     faces, columns = delta.faces, delta.face_columns
     members = (1 << len(faces)) - 1
     if absent:

@@ -7,15 +7,20 @@ Two constructions, both square-free and generated in one degree t >= 2:
 * path ideal: one generator per vertex set realizable as a simple path on
   t vertices.
 
-Vertex i of the graph is variable i of the universe, displayed as x{i+1}.
-A graph with fewer than t vertices (or no qualifying subsets) gives the zero
-ideal, which is a valid result everywhere downstream.
+Vertex i of the graph is variable i of the universe, displayed as x{i+1},
+so a vertex set is the bit mask of its generator.  The masks come straight
+from searches over the graph's adjacency rows: the connected ideal scans the
+t-element masks in ascending order, the path ideal extends paths one
+neighbour at a time.  Both give distinct sets of exactly t vertices, which
+are already the minimal generators.  A graph with fewer than t vertices (or
+no qualifying subsets) gives the zero ideal, which is a valid result
+everywhere downstream.
 """
 
 from __future__ import annotations
 
-from .graphs import SimpleGraph, _Frozen, _set, connected_induced_subsets, path_vertex_sets
-from .monomials import MonomialIdeal, VariableUniverse, minimalize
+from .graphs import SimpleGraph, _connected_within, _Frozen, _set
+from .monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse
 
 IDEAL_KINDS = ("connected", "path")
 
@@ -56,13 +61,70 @@ class IdealSpec(_Frozen):
             raise IdealSpecError(f"bad ideal spec {text!r}: {exc}") from None
 
 
+def _connected_masks(adjacency: tuple[int, ...], t: int) -> list[int]:
+    """The t-element vertex sets whose induced subgraph is connected, in
+    ascending mask order.
+
+    The scan visits every mask with t bits below 2^n in ascending order:
+    from a mask, Gosper's step adds its lowest set bit (`ripple`), which
+    carries its lowest run of ones one place up as a single bit, and puts
+    the rest of that run back at the bottom; that is the next larger
+    integer with the same number of bits."""
+    found = []
+    mask = (1 << t) - 1
+    limit = 1 << len(adjacency)
+    while mask < limit:
+        if _connected_within(adjacency, mask):
+            found.append(mask)
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
+    return found
+
+
+def _path_masks(adjacency: tuple[int, ...], t: int) -> list[int]:
+    """The vertex sets of the simple paths on t >= 2 vertices, in ascending
+    mask order.
+
+    A depth-first search from each start s grows a path by one unused
+    neighbour of its last vertex at a time, keeping the bit set of the
+    vertices used.  A path and its reverse have the same set, so the last
+    step keeps only ends above s, and each path is found once, from its
+    lower end; the set of masks drops the paths that share a vertex set."""
+    found = set()
+
+    def extend(last: int, used: int, left: int, above: int) -> None:
+        step = adjacency[last] & ~used
+        if left:
+            while step:
+                low = step & -step
+                extend(low.bit_length() - 1, used | low, left - 1, above)
+                step ^= low
+        else:
+            step &= above
+            while step:
+                low = step & -step
+                found.add(used | low)
+                step ^= low
+
+    for start in range(len(adjacency)):
+        extend(start, 1 << start, t - 2, -2 << start)
+    return sorted(found)
+
+
 def build_ideal(graph: SimpleGraph, spec: IdealSpec) -> MonomialIdeal:
-    """Ideal of the requested kind; disconnected input graphs are fine."""
+    """Ideal of the requested kind; disconnected input graphs are fine.
+
+    The masks are the minimal generators as found, with no minimalisation:
+    each has exactly t bits and they are distinct, and a set of t elements
+    contains no other set of t elements, so no generator divides another.
+    Both searches return them in ascending order, as `MonomialIdeal`
+    asks, and its constructor still checks the antichain."""
     universe = VariableUniverse.of_size(graph.n)
     if spec.t > graph.n:
         return MonomialIdeal.zero(universe)
     if spec.kind == "connected":
-        subsets = connected_induced_subsets(graph, spec.t)
+        masks = _connected_masks(graph.adjacency, spec.t)
     else:
-        subsets = path_vertex_sets(graph, spec.t)
-    return minimalize([universe.monomial(s) for s in subsets], universe)
+        masks = _path_masks(graph.adjacency, spec.t)
+    return MonomialIdeal(universe, tuple([SquarefreeMonomial(universe, m) for m in masks]))

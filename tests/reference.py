@@ -139,6 +139,39 @@ def induced_subgraph(
     return SimpleGraph.from_edges(len(chosen), edges), tuple(chosen)
 
 
+def connected_induced_subsets(graph: SimpleGraph, k: int) -> tuple[tuple[int, ...], ...]:
+    """All k-element vertex sets whose induced subgraph is connected, sorted;
+    the generators of the connected ideal, found by testing every k-subset."""
+    if not 1 <= k <= graph.n:
+        raise GraphError(f"subset size {k} out of range 1..{graph.n}")
+    found = []
+    for combo in itertools.combinations(range(graph.n), k):
+        mask = 0
+        for v in combo:
+            mask |= 1 << v
+        if _connected_within(graph.adjacency, mask):
+            found.append(combo)
+    return tuple(found)
+
+
+def path_vertex_sets(graph: SimpleGraph, t: int) -> tuple[tuple[int, ...], ...]:
+    """Distinct vertex sets realizable as a simple path on t vertices, sorted;
+    the generators of the path ideal.  A state is a path's last vertex and
+    its sorted vertices, which is all that its extensions depend on; the
+    states of the one-vertex paths are extended t - 1 times."""
+    if t < 2:
+        raise GraphError("paths of interest have at least two vertices")
+    states = {(v, (v,)) for v in range(graph.n)}
+    for _ in range(t - 1):
+        states = {
+            (nxt, tuple(sorted(used + (nxt,))))
+            for last, used in states
+            for nxt in _bits(graph.adjacency[last])
+            if nxt not in used
+        }
+    return tuple(sorted({used for _, used in states}))
+
+
 def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
     if a.n != b.n or a.num_edges != b.num_edges:
         return False
@@ -465,7 +498,12 @@ def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> byte
 
 def scarf_complex_bruteforce(ideal: MonomialIdeal, max_generators: int = 16) -> LabeledComplex:
     """`complexes.scarf_complex` by enumerating all 2^q generator subsets and
-    keeping those whose label no other subset shares."""
+    keeping those whose label no other subset shares, and the empty face.
+
+    The empty face is kept also for the unit ideal, where the one
+    generator 1 shares its label: a complex here holds the empty face
+    unless it is void, and `scarf_complex` gives the unit ideal the complex
+    whose one face is the empty face."""
     q = ideal.num_generators
     if q > max_generators:
         raise ComplexError(f"brute-force Scarf capped at {max_generators} generators")
@@ -477,7 +515,7 @@ def scarf_complex_bruteforce(ideal: MonomialIdeal, max_generators: int = 16) -> 
                 mask |= ideal.generator_masks[i]
             by_label.setdefault(mask, []).append(combo)
     return complex_from_faces(
-        ideal, (group[0] for group in by_label.values() if len(group) == 1)
+        ideal, (group[0] for group in by_label.values() if len(group) == 1 or not group[0])
     )
 
 

@@ -26,7 +26,6 @@ from scarflab.cli import main as cli_main
 from scarflab.complexes import glue_leaf_ideal, scarf_complex
 from scarflab.graphs import (
     canonical_form,
-    connected_induced_subsets,
     contains_induced,
     contains_subgraph,
     cycle_graph,
@@ -44,6 +43,7 @@ from scarflab.ideals import IdealSpec, build_ideal
 
 from reference import (
     RATIONALS,
+    connected_induced_subsets,
     degree_t_ideals,
     fields_disagree,
     ideals_isomorphic,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from scarflab import complexes
 from scarflab.complexes import (
     ComplexError,
     LabeledComplex,
@@ -125,9 +126,46 @@ class TestScarfAgainstBruteforce:
 
     def test_matches_on_random_ideals(self):
         rng = random.Random(31)
-        for _ in range(60):
-            ideal = random_ideal(rng)
-            assert scarf_complex(ideal).faces == scarf_complex_bruteforce(ideal).faces
+        ideals = [random_ideal(rng) for _ in range(60)]
+        # 7 to 12 generators of mixed degrees over up to 10 variables, some
+        # of them unused, and the unit ideal in universes of each size
+        while len(ideals) < 100:
+            used = rng.randint(4, 10)
+            universe = VariableUniverse.of_size(rng.randint(used, 10))
+            gens = [
+                universe.monomial(rng.sample(range(used), rng.randint(2, min(5, used))))
+                for _ in range(rng.randint(7, 16))
+            ]
+            ideal = minimalize(gens, universe=universe)
+            if 7 <= ideal.num_generators <= 12:
+                ideals.append(ideal)
+        for size in range(1, 11):
+            universe = VariableUniverse.of_size(size)
+            ideals.append(minimalize([universe.one()], universe=universe))
+        for ideal in ideals:
+            assert scarf_complex(ideal).faces == scarf_complex_bruteforce(ideal).faces, (
+                ideal.render()
+            )
+
+    def test_closedness_tests_on_spiders(self, monkeypatch):
+        """The path:4 ideals of S5(3,3,3) and S5(4,3,3) have 14 and 15
+        generators; their Scarf complexes are found with 289 and 423
+        closedness tests: one per pair of generators (91 and 105), the rest
+        on faces grown over common Scarf-edge neighbours.  Testing every
+        candidate face against every generator took 883 and 1,621."""
+        calls = 0
+        original = complexes._closed
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(complexes, "_closed", counted)
+        for legs, faces, tests in (((3, 3, 3), 256, 289), ((4, 3, 3), 384, 423)):
+            calls = 0
+            delta = scarf_complex(build_ideal(spider5_graph(*legs), P4))
+            assert (len(delta.faces), calls) == (faces, tests)
 
     def test_singletons_always_present_and_labels_distinct(self, oracle_corpus):
         for ideal in oracle_corpus:

@@ -18,7 +18,6 @@ from scarflab.graphs import (
     broom3_graph,
     broom4_graph,
     canonical_form,
-    connected_induced_subsets,
     contains_induced,
     contains_subgraph,
     cycle_graph,
@@ -30,7 +29,6 @@ from scarflab.graphs import (
     parse_adjacency_text,
     parse_graph6,
     path_graph,
-    path_vertex_sets,
     recognize_family,
     spider5_graph,
     spider6_graph,
@@ -46,12 +44,14 @@ from reference import (
     automorphisms,
     canonical_form_bruteforce,
     complete_graph,
+    connected_induced_subsets,
     deletion_parents,
     diameter,
     extend_by_vertex_all_masks,
     induced_subgraph,
     order_bits_bytewise,
     pack_graph6_bytewise,
+    path_vertex_sets,
     recognize_family_linear,
     refine_colors_multiset,
     removable_vertices,

@@ -9,6 +9,8 @@ from scarflab.graphs import (
     SimpleGraph,
     cycle_graph,
     enumerate_connected_graphs,
+    enumerate_trees,
+    is_connected,
     path_graph,
     star_graph,
     triangle_with_leaves,
@@ -18,9 +20,14 @@ from scarflab.ideals import (
     IdealSpecError,
     build_ideal,
 )
-from scarflab.monomials import SquarefreeMonomial
+from scarflab.monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse, minimalize
 
-from reference import induced_subgraph, restrict_ideal
+from reference import (
+    connected_induced_subsets,
+    induced_subgraph,
+    path_vertex_sets,
+    restrict_ideal,
+)
 
 
 def mask_of(vertices) -> int:
@@ -90,6 +97,43 @@ class TestWorkedExamples:
         ideal = build_ideal(cycle_graph(5), IdealSpec("connected", 5))
         assert ideal.num_generators == 1
         assert ideal.mingens[0].mask == (1 << 5) - 1
+
+
+def oracle_ideal(graph: SimpleGraph, spec: IdealSpec) -> MonomialIdeal:
+    """The ideal from the oracle enumerators, minimalized."""
+    universe = VariableUniverse.of_size(graph.n)
+    if spec.t > graph.n:
+        return MonomialIdeal.zero(universe)
+    enumerate_sets = connected_induced_subsets if spec.kind == "connected" else path_vertex_sets
+    return minimalize([universe.monomial(s) for s in enumerate_sets(graph, spec.t)], universe)
+
+
+class TestAgainstOracle:
+    """`build_ideal` takes its generators straight from mask searches; the
+    oracle lists the vertex sets as tuples and minimalizes them."""
+
+    SPECS = [IdealSpec(kind, t) for kind in ("connected", "path") for t in range(2, 8)]
+
+    def assert_matches(self, graphs):
+        for graph in graphs:
+            for spec in self.SPECS:
+                assert build_ideal(graph, spec) == oracle_ideal(graph, spec), (
+                    graph.adjacency, spec.render()
+                )
+
+    def test_connected_graphs_to_seven_vertices(self):
+        self.assert_matches(g for n in range(1, 8) for g in enumerate_connected_graphs(n))
+
+    def test_trees_to_ten_vertices(self):
+        self.assert_matches(g for n in range(1, 11) for g in enumerate_trees(n))
+
+    def test_random_graphs(self):
+        rng = random.Random(29)
+        graphs = [
+            random_graph(rng, rng.randint(0, 9), rng.choice((0.2, 0.4, 0.6))) for _ in range(60)
+        ]
+        assert any(g.n > 1 and not is_connected(g) for g in graphs)
+        self.assert_matches(graphs)
 
 
 class TestEdgeIdeals:

@@ -148,11 +148,16 @@ U2 = VariableUniverse.of_size(2)
             ComplexError,
             "face (1, 0) is not sorted",
         ),
+        (
+            lambda: LabeledComplex(IDEAL, ((), (0,), (1,), (1, 1))),
+            ComplexError,
+            "face (1, 1) repeats a generator",
+        ),
         (lambda: FieldSpec("prime", 4), HomologyError, "4 is not prime"),
     ],
     ids=[
         "SimpleGraph", "VariableUniverse", "SquarefreeMonomial", "MonomialIdeal", "IdealSpec",
-        "LabeledComplex", "FieldSpec",
+        "LabeledComplex", "LabeledComplex-repeated-member", "FieldSpec",
     ],
 )
 def test_invalid_values_raise(build, error, message):
