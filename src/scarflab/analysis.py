@@ -123,17 +123,17 @@ def _normalize_fields(fields) -> tuple[FieldSpec, ...]:
 
 
 def _failing_fields(
-    delta: LabeledComplex, point: SquarefreeMonomial, fields: Iterable[FieldSpec]
+    delta: LabeledComplex, point: int, fields: Iterable[FieldSpec]
 ) -> list[tuple[FieldSpec, HomologyProfile]]:
-    """The fields over which the restriction of delta to point, which has a
-    vertex, is not acyclic, each with its reduced Betti profile, in the
-    order given.
+    """The fields over which the restriction of delta to the monomial with
+    mask point, which has a vertex, is not acyclic, each with its reduced
+    Betti profile, in the order given.
 
     A restriction that `collapses_to_point` is contractible, hence acyclic
     over every field, so it is ranked over no field and never built: delta
     is restricted only when ranks are needed.  The collapse answers are
     kept on delta by vertex set, so the points of one scan share them."""
-    if collapses_to_point(delta, point.mask):
+    if collapses_to_point(delta, point):
         return []
     restricted = delta.restrict(point)
     failures = []
@@ -151,15 +151,18 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
 
     The Scarf complex is restricted to each lcm-lattice point in ascending
     mask order, and each field's first point whose restriction is not
-    acyclic is its witness.  A point that is the label of a Scarf face is
-    skipped, and every other point goes through `_failing_fields` over the
-    fields still undecided.  A restriction that is a simplex or
-    strong-collapses to a vertex can be no field's witness, and it is
-    decided on the complex's per-variable tables without being built, from
-    a table of collapse answers by vertex set that all points of the scan
-    share.  So restrictions are built and ranked only at the points the
-    collapse test leaves standing, and verdicts, witnesses and their Betti
-    profiles are those of a scan that ranks every point.
+    acyclic is its witness.  Points are masks throughout the scan; a
+    `SquarefreeMonomial` is built only for a witness.  A point that is the
+    label mask of a Scarf face is skipped, and every other point goes
+    through `_failing_fields` over the fields still undecided.  A
+    restriction that is a simplex or strong-collapses to a vertex can be no
+    field's witness, and `homology.collapses_to_point` decides it on
+    per-variable bit sets (the ideal's `generators_without` and the
+    complex's `faces_without`) without building it, from a table of
+    collapse answers by vertex set that all points of the scan share.  So
+    restrictions are built and ranked only at the points the collapse test
+    leaves standing, and verdicts, witnesses and their Betti profiles are
+    those of a scan that ranks every point.
 
     The skip is sound: let m be the label of a nonempty Scarf face sigma.
     The Scarf test is closed, so no generator outside sigma divides m, and
@@ -196,11 +199,11 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
         for point in lattice:
             if not alive:
                 break
-            if point.mask in labels:
+            if point in labels:
                 continue
             for field, profile in _failing_fields(complex_, point, alive):
                 verdicts[field] = VERDICT_NOT_SCARF
-                witnesses.append((field, point, profile))
+                witnesses.append((field, SquarefreeMonomial(ideal.universe, point), profile))
                 alive.remove(field)
         verdicts.update(dict.fromkeys(alive, VERDICT_SCARF))
     return ScarfReport(
@@ -345,8 +348,8 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
     base_complex = scarf_complex(ideal)
     glued_complex = scarf_complex(glued)
     # glue_leaf_ideal keeps every old generator and adds each replacement, so no lookup misses
-    glued_index = {g.mask: k for k, g in enumerate(glued.mingens)}
-    to_glued = [glued_index[g.mask] for g in ideal.mingens]
+    glued_index = {g: k for k, g in enumerate(glued.generator_masks)}
+    to_glued = [glued_index[g] for g in ideal.generator_masks]
 
     stars = {j: base_complex.star((j,)) for j in leafed}
     overlapping = tuple(
@@ -359,7 +362,7 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
     x_bit = 1 << x
     x_prime_bit = 1 << x_prime
     apex = {
-        j: glued_index[(ideal.mingens[j].mask & ~x_bit) | x_prime_bit] for j in leafed
+        j: glued_index[(ideal.generator_masks[j] & ~x_bit) | x_prime_bit] for j in leafed
     }
 
     def map_face(face) -> tuple[int, ...]:
@@ -435,8 +438,9 @@ def _graph_verdicts(
             covered |= mask
         if covered == (1 << graph.n) - 1:
             alive = [field for field in fields if field not in failed]
-            top = SquarefreeMonomial(ideal.universe, covered)
-            failed.update(field for field, _ in _failing_fields(scarf_complex(ideal), top, alive))
+            failed.update(
+                field for field, _ in _failing_fields(scarf_complex(ideal), covered, alive)
+            )
     return tuple(VERDICT_NOT_SCARF if f in failed else VERDICT_SCARF for f in fields)
 
 

@@ -147,13 +147,13 @@ def parse_fields(text: str) -> tuple[FieldSpec, ...]:
 
 
 def _resolve_ideal(args: argparse.Namespace) -> MonomialIdeal:
-    if getattr(args, "ideal", None):
-        if getattr(args, "graph", None):
+    if args.ideal:
+        if args.graph:
             raise CliError("give either --graph or --ideal, not both")
         return _load_ideal_file(args.ideal)
-    if not getattr(args, "graph", None):
+    if not args.graph:
         raise CliError("one of --graph or --ideal is required")
-    if not getattr(args, "spec", None):
+    if not args.spec:
         raise CliError("--spec is required with --graph")
     return build_ideal(parse_graph_argument(args.graph), IdealSpec.parse(args.spec))
 
@@ -219,7 +219,7 @@ def _cmd_complex(args: argparse.Namespace) -> int:
     else:
         complex_ = scarf_complex(ideal)
     if args.restrict is not None:
-        complex_ = complex_.restrict(ideal.universe.parse(args.restrict))
+        complex_ = complex_.restrict(ideal.universe.parse(args.restrict).mask)
     if args.format == "json":
         _emit(_json_block(complex_.to_json_dict()), args.output)
     else:

@@ -7,19 +7,20 @@ power set.  The Scarf complex keeps the faces whose label is shared by no
 other subset of generators.  It is grown level by level on bit sets: the
 Scarf edges are found once, as neighbour masks, and a face grows only by a
 common neighbour of its members, which is then tested to be closed (no
-outside generator divides the label: one AND per variable the label lacks,
-over a per-variable index of the generators) and irredundant (dropping any
-member changes the label).  The exhaustive power-set variant is a test
-oracle in `tests/reference.py`.
+outside generator divides the label: `_meet` ANDs the ideal's
+`generators_without` table over the variables the label lacks) and
+irredundant (dropping any member changes the label).  The exhaustive
+power-set variant is a test oracle in `tests/reference.py`.
 
-The lcm lattice is the closure of the generators under pairwise lcm, as a
-sorted tuple of points, built by adding one generator at a time; the
-monomial 1 is excluded and treated as an implicit bottom (it is a point only
-of the unit ideal, whose one generator it is).  Per variable, a complex also
-indexes the vertices and faces the variable does not divide, so a
-restriction is a few ANDs over the variables outside the monomial.  Leaf
-gluing builds the ideal obtained by re-attaching, on a fresh variable, every
-generator divisible by a chosen variable.
+Below the reports, a monomial is its bit mask.  The lcm lattice is the
+closure of the generator masks under OR (the lcm), as a sorted tuple of
+masks, built by adding one generator at a time; the monomial 1 is excluded
+and treated as an implicit bottom (it is a point only of the unit ideal,
+whose one generator it is).  A complex restricts to a mask, and per variable
+it indexes the faces whose label the variable does not divide, so the
+restriction's faces are a few ANDs over the variables outside the mask.
+Leaf gluing builds the ideal obtained by re-attaching, on a fresh variable,
+every generator divisible by a chosen variable.
 """
 
 from __future__ import annotations
@@ -165,16 +166,6 @@ class LabeledComplex(_Frozen):
         return sum(1 << g for g, column in enumerate(self.face_columns) if column)
 
     @cached_property
-    def vertices_without(self) -> tuple[int, ...]:
-        """Per variable x, the bit set of the vertices whose generator x
-        does not divide."""
-        lacking = [self.vertices] * self.ideal.universe.size
-        for g, generator in enumerate(self.ideal.generator_masks):
-            for x in _bits(generator):
-                lacking[x] &= ~(1 << g)
-        return tuple(lacking)
-
-    @cached_property
     def faces_without(self) -> tuple[int, ...]:
         """Per variable x, the bit set of the faces whose label x does not
         divide.  A label is the lcm of its face's generators, so x divides
@@ -193,15 +184,15 @@ class LabeledComplex(_Frozen):
         fills in."""
         return {}
 
-    def restrict(self, m: SquarefreeMonomial) -> "LabeledComplex":
-        """Subcomplex of faces whose label divides m, in this complex's face
-        order; contains the empty face whenever this complex is nonempty.
-        When it keeps every face it is this complex, which is frozen, so
-        that is returned instead of a copy.
+    def restrict(self, mask: int) -> "LabeledComplex":
+        """Subcomplex of faces whose label divides the monomial with this
+        mask, in this complex's face order; contains the empty face whenever
+        this complex is nonempty.  When it keeps every face it is this
+        complex, which is frozen, so that is returned instead of a copy.
 
         The Scarf scans in `analysis` call it only at the points where
         `homology.collapses_to_point` leaves ranks to compute."""
-        outside = ~m.mask
+        outside = ~mask
         kept = tuple(
             face for face, label in zip(self.faces, self.label_masks) if not label & outside
         )
@@ -244,30 +235,30 @@ def taylor_complex(ideal: MonomialIdeal, max_generators: int = DEFAULT_TAYLOR_CA
     return LabeledComplex(ideal, tuple(faces))
 
 
-def _closed(outside: int, absent: int, without: Sequence[int]) -> bool:
-    """Whether no generator in the bit set `outside` divides the monomial
-    that lacks exactly the variables in the bit set `absent`.
+def _meet(value: int, absent: int, tables: Sequence[int]) -> int:
+    """`value` ANDed with `tables[x]` for every variable x in the bit set
+    `absent`, stopping as soon as the result is 0.
 
-    `without[x]` is the bit set of the generators that x does not divide.
-    A generator divides the monomial exactly when it lacks every absent
-    variable, so the dividing generators of `outside` are `outside` ANDed
-    with `without[x]` over the absent x, and the loop stops as soon as none
-    is left."""
-    while outside and absent:
+    With `tables` a per-variable `without` table (the generators, or the
+    faces, that x does not divide), a member of `value` survives exactly
+    when it lacks every absent variable, that is when it divides the
+    monomial whose mask is the complement of `absent`."""
+    while value and absent:
         low = absent & -absent
-        outside &= without[low.bit_length() - 1]
+        value &= tables[low.bit_length() - 1]
         absent ^= low
-    return not outside
+    return value
 
 
 def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     """Faces of the Taylor complex whose lcm label is globally unique.
 
     A face qualifies exactly when it is closed (no outside generator
-    divides its label, `_closed`) and irredundant (removing any member
-    changes the label, that is every member has a variable that no other
-    member has).  So the complex is grown level by level without touching
-    the full power set:
+    divides its label: `_meet` of the outside generators with
+    `ideal.generators_without` over the variables the label lacks is 0)
+    and irredundant (removing any member changes the label, that is every
+    member has a variable that no other member has).  So the complex is
+    grown level by level without touching the full power set:
 
     * Every generator is a vertex: the minimal generators form an
       antichain, so none divides another, and a generator is not 1 unless
@@ -301,15 +292,12 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
         return LabeledComplex(ideal, ((),))
     everything = (1 << ideal.universe.size) - 1
     all_generators = (1 << q) - 1
-    without = [all_generators] * ideal.universe.size
-    for g, mask in enumerate(gen_masks):
-        for x in _bits(mask):
-            without[x] ^= 1 << g
+    without = ideal.generators_without
     neighbours = [0] * q
     for i in range(q):
         for j in range(i + 1, q):
             label = gen_masks[i] | gen_masks[j]
-            if _closed(all_generators ^ (1 << i | 1 << j), everything & ~label, without):
+            if not _meet(all_generators ^ (1 << i | 1 << j), everything & ~label, without):
                 neighbours[i] |= 1 << j
                 neighbours[j] |= 1 << i
     faces: list[Face] = [()]
@@ -329,7 +317,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
                 new_label = label | generator
                 if len(face) > 1 and not (
                     all(gen_masks[i] & ~more_shared for i in face)
-                    and _closed(all_generators ^ members ^ bit, everything & ~new_label, without)
+                    and not _meet(all_generators ^ members ^ bit, everything & ~new_label, without)
                 ):
                     continue
                 grown.append((face + (j,), new_label, members | bit, more_shared,
@@ -353,10 +341,10 @@ def cone(apex: int, delta: LabeledComplex) -> LabeledComplex:
     return LabeledComplex(delta.ideal, tuple(sorted(grown, key=_face_key)))
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> tuple[SquarefreeMonomial, ...]:
-    """All lcms of nonempty generator subsets in ascending mask order; the
+def lcm_lattice(ideal: MonomialIdeal) -> tuple[int, ...]:
+    """The masks of all lcms of nonempty generator subsets, ascending; the
     last is the top.  The zero ideal's lattice is empty, and the unit
-    ideal's is the one point 1.
+    ideal's is the one point 1, mask 0.
 
     The set is closed one generator at a time: after g_1, ..., g_k it holds
     the lcms of the nonempty subsets of those generators.  That is so for
@@ -367,8 +355,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> tuple[SquarefreeMonomial, ...]:
     for generator in ideal.generator_masks:
         points |= {point | generator for point in points}
         points.add(generator)
-    universe = ideal.universe
-    return tuple(SquarefreeMonomial(universe, m) for m in sorted(points))
+    return tuple(sorted(points))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +367,7 @@ def leaf_split(ideal: MonomialIdeal, x: int) -> tuple[int, ...]:
     if not 0 <= x < ideal.universe.size:
         raise ComplexError(f"variable index {x} out of range")
     bit = 1 << x
-    leafed = tuple(i for i, g in enumerate(ideal.mingens) if g.mask & bit)
+    leafed = tuple(i for i, g in enumerate(ideal.generator_masks) if g & bit)
     if not leafed:
         raise ComplexError(f"variable {ideal.universe.names[x]} divides no generator")
     return leafed
@@ -401,7 +388,7 @@ def glue_leaf_ideal(ideal: MonomialIdeal, x: int) -> MonomialIdeal:
     extended = universe.extend(_fresh_variable_name(universe, universe.names[x]))
     x_prime_bit = 1 << universe.size
     x_bit = 1 << x
-    masks = [g.mask for g in ideal.mingens]
+    masks = list(ideal.generator_masks)
     for i in leafed:
         masks.append((masks[i] & ~x_bit) | x_prime_bit)
     try:

@@ -313,17 +313,11 @@ def family_catalog(n: int) -> tuple[tuple[FamilyTag, SimpleGraph], ...]:
 @lru_cache(maxsize=None)
 def _family_index(n: int) -> dict[bytes, tuple[FamilyTag, ...]]:
     """Canonical form -> every tag of `family_catalog(n)` with it, in catalog
-    order.  `_class_index` files isomorphic members in one class, and a form
-    is computed only for each new class."""
+    order."""
     index: dict[bytes, tuple[FamilyTag, ...]] = {}
-    classes: dict = {}
-    firsts: list[tuple[int, ...]] = []
-    forms: list[bytes] = []
     for tag, member in family_catalog(n):
-        k = _class_index(classes, firsts, member.adjacency)
-        if k == len(forms):
-            forms.append(canonical_form(member, n))
-        index[forms[k]] = index.get(forms[k], ()) + (tag,)
+        form = canonical_form(member, n)
+        index[form] = index.get(form, ()) + (tag,)
     return index
 
 

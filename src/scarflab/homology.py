@@ -1,13 +1,14 @@
 """Reduced simplicial homology: a collapse test, and exact ranks over GF(p) and Q.
 
-`collapses_to_point` decides the restriction of a complex to a monomial on
-bit sets of the complex's faces, without building it.  The restriction's
-vertices and faces are ANDs of per-variable tables
-(`LabeledComplex.vertices_without` and `faces_without`) over the variables
-the monomial lacks, and domination is tested on the per-generator face bit
-sets (`LabeledComplex.face_columns`).  It answers True at once when the
-restriction is a full simplex, and otherwise deletes one dominated vertex (a
-strong collapse) and asks again.  The answer depends only on the
+`collapses_to_point` decides the restriction of a complex to a monomial,
+given by its mask, on bit sets of the complex's faces, without building it.
+The restriction's vertices and faces are ANDs (`complexes._meet`) of
+per-variable tables over the variables the monomial lacks: the ideal's
+`MonomialIdeal.generators_without` and the complex's
+`LabeledComplex.faces_without`.  Domination is tested on the per-generator
+face bit sets (`LabeledComplex.face_columns`).  It answers True at once
+when the restriction is a full simplex, and otherwise deletes one dominated
+vertex (a strong collapse) and asks again.  The answer depends only on the
 restriction's vertex set, so it is kept per complex by vertex set
 (`LabeledComplex.collapse_answers`), and a point stops at the first vertex
 set another point already decided.  When one vertex is left the
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .complexes import LabeledComplex
+from .complexes import LabeledComplex, _meet
 from .graphs import _Frozen, _set
 
 # Primality is checked by trial division up to sqrt(p), about 46k divisions
@@ -190,11 +191,12 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
     AND of `delta.faces_without[x]` over those x.  Its faces form a
     complex, `members`, and its vertices A are the dividing generators that
     are vertices of delta: `delta.vertices` ANDed with
-    `delta.vertices_without[x]` over the same x.  A monomial that lacks no
-    variable, such as x_V in a sweep, restricts to delta itself, and
-    neither table is built.  With k >= 1 vertices and 2^k faces counting
-    the empty one, every subset of the vertices is a face, so the
-    restriction is the full (k-1)-simplex and contractible.  That holds at
+    `delta.ideal.generators_without[x]` over the same x.  Both ANDs are
+    `complexes._meet`.  A monomial that lacks no variable, such as x_V in a
+    sweep, restricts to delta itself, and `faces_without` is not built.
+    With k >= 1 vertices and 2^k faces counting the empty one, every subset
+    of the vertices is a face, so the restriction is the full
+    (k-1)-simplex and contractible.  That holds at
     every point that is the label of a Scarf face, which
     `analysis.is_scarf` therefore skips.
 
@@ -249,24 +251,13 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
     """
     answers = delta.collapse_answers
     absent = ~mask & ((1 << delta.ideal.universe.size) - 1)
-    vertices = delta.vertices
-    if absent:
-        vertices_without = delta.vertices_without
-        rest = absent
-        while rest:
-            low = rest & -rest
-            vertices &= vertices_without[low.bit_length() - 1]
-            rest ^= low
+    vertices = _meet(delta.vertices, absent, delta.ideal.generators_without)
     if not vertices:
         return False
     faces, columns = delta.faces, delta.face_columns
     members = (1 << len(faces)) - 1
     if absent:
-        faces_without = delta.faces_without
-        while absent:
-            low = absent & -absent
-            members &= faces_without[low.bit_length() - 1]
-            absent ^= low
+        members = _meet(members, absent, delta.faces_without)
     path = []
     while vertices not in answers:
         path.append(vertices)

@@ -117,10 +117,15 @@ class MonomialIdeal(_Frozen):
             raise MonomialError("mingens must be strictly sorted by support bit pattern")
         for g in mingens:
             _require_universe(g, universe)
-        for i, a in enumerate(masks):
-            for b in masks[i + 1:]:
-                if a & ~b == 0 or b & ~a == 0:
-                    raise MonomialError("mingens must form a divisibility antichain")
+        # A generator divides only generators of higher degree, as distinct
+        # masks of equal degree are not submasks of each other.
+        by_degree = sorted(masks, key=int.bit_count)
+        higher = 0
+        for a in by_degree:
+            while higher < len(by_degree) and by_degree[higher].bit_count() <= a.bit_count():
+                higher += 1
+            if any(a & ~b == 0 for b in by_degree[higher:]):
+                raise MonomialError("mingens must form a divisibility antichain")
         _set(self, "universe", universe)
         _set(self, "mingens", mingens)
 
@@ -139,6 +144,17 @@ class MonomialIdeal(_Frozen):
     @cached_property
     def generator_masks(self) -> tuple[int, ...]:
         return tuple(g.mask for g in self.mingens)
+
+    @cached_property
+    def generators_without(self) -> tuple[int, ...]:
+        """Per variable x, the bit set of the generators that x does not
+        divide: bit g of `generators_without[x]` is set when generator g
+        lacks x."""
+        without = [(1 << len(self.mingens)) - 1] * self.universe.size
+        for g, mask in enumerate(self.generator_masks):
+            for x in _bits(mask):
+                without[x] ^= 1 << g
+        return tuple(without)
 
     def to_json_dict(self) -> dict:
         return {

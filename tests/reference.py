@@ -535,7 +535,7 @@ def is_scarf_bruteforce(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfRep
             if not any(g & ~m == 0 for g in masks):
                 continue
             point = SquarefreeMonomial(ideal.universe, m)
-            restricted = delta.restrict(point)
+            restricted = delta.restrict(m)
             for field in fields:
                 if verdicts[field] == VERDICT_SCARF:
                     profile = reduced_betti(restricted, field)

@@ -33,7 +33,7 @@ from scarflab.graphs import (
 )
 from scarflab.homology import DEFAULT_FIELDS, GF2, GF32003, FieldSpec
 from scarflab.ideals import IdealSpec, build_ideal
-from scarflab.monomials import MonomialIdeal, VariableUniverse
+from scarflab.monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse
 
 from reference import (
     RATIONALS,
@@ -246,7 +246,8 @@ class TestRestrictionLemma:
             ideal = build_ideal(graph, spec)
             assert is_scarf(ideal).all_scarf
             for point in lcm_lattice(ideal):
-                assert is_scarf(restrict_ideal(ideal, point)).all_scarf, point.render()
+                monomial = SquarefreeMonomial(ideal.universe, point)
+                assert is_scarf(restrict_ideal(ideal, monomial)).all_scarf, monomial.render()
 
 
 class TestLeafPipeline:

@@ -524,19 +524,20 @@ class TestCanonicalisation:
             calls.clear()
             self.output(argv, capsys)
             assert len(calls) == forms, argv
-        # one form per record and one per class of the family index
+        # one form per record and one per member of the family catalog
         calls.clear()
         records = self.output(sweep_argv, capsys).splitlines()
         assert len(records) == 143
-        index_classes = sum(len(graphs._family_index(n)) for n in range(1, 7))
-        assert len(calls) == len(records) + index_classes == 163
+        members = sum(len(graphs.family_catalog(n)) for n in range(1, 7))
+        assert len(calls) == len(records) + members == 184
 
     def test_classify_computes_the_input_form_once(self, monkeypatch, capsys):
-        # 30 forms for the classes of the ten-vertex family index, one for the input
+        # 55 forms for the members of the ten-vertex family catalog, in 30
+        # classes, and one for the input
         calls = self.count_forms(monkeypatch)
         self.output(["classify", "--graph", "family:S5(2,1,2)", "--theorem", "B"], capsys)
-        assert len(calls) == 31 and calls.count(10) == 31
-        assert len(graphs._family_index(10)) == 30
+        assert len(calls) == 56 and calls.count(10) == 56
+        assert len(graphs.family_catalog(10)) == 55 and len(graphs._family_index(10)) == 30
 
 
 class TestPinnedReports:

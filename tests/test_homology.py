@@ -216,10 +216,7 @@ class TestReducedBetti:
                 continue
             delta = taylor_complex(ideal)
             if rng.random() < 0.7:
-                bound = SquarefreeMonomial(
-                    ideal.universe, rng.getrandbits(ideal.universe.size)
-                )
-                delta = delta.restrict(bound)
+                delta = delta.restrict(rng.getrandbits(ideal.universe.size))
             if not delta.has_vertices:
                 continue
             done += 1
@@ -271,12 +268,13 @@ class TestVerdicts:
         assert all(reduced_betti(delta, field).is_acyclic for field in DEFAULT_FIELDS)
 
 
-def assert_collapse_sound(delta: LabeledComplex, point: SquarefreeMonomial | None = None) -> bool:
-    """collapses_to_point proves the restriction of delta to point (by
-    default delta itself) acyclic, and it answers on delta's face columns as
-    it does on the restriction built as a complex of its own."""
-    collapsed = collapses_to_point(delta, point.mask if point else -1)
-    restricted = delta.restrict(point) if point else delta
+def assert_collapse_sound(delta: LabeledComplex, point: int | None = None) -> bool:
+    """collapses_to_point proves the restriction of delta to the monomial
+    with mask point (by default delta itself) acyclic, and it answers on
+    delta's face columns as it does on the restriction built as a complex of
+    its own."""
+    collapsed = collapses_to_point(delta, -1 if point is None else point)
+    restricted = delta if point is None else delta.restrict(point)
     assert collapses_to_point(restricted) == collapsed
     if collapsed:
         for field in ALL_FIELDS:
@@ -308,13 +306,12 @@ class TestCollapse:
             delta = LabeledComplex(ideal, faces)
             for mask in range(4):
                 assert not collapses_to_point(delta, mask)
-                restricted = delta.restrict(SquarefreeMonomial(ideal.universe, mask))
-                assert not collapses_to_point(restricted)
+                assert not collapses_to_point(delta.restrict(mask))
 
     def test_points_without_vertices_stay(self):
         delta = taylor_complex(singleton_ideal(3))
         assert not collapses_to_point(delta, 0)
-        assert not collapses_to_point(delta.restrict(delta.ideal.universe.one()))
+        assert not collapses_to_point(delta.restrict(0))
 
     def test_simplex_check_needs_no_collapse(self):
         # With faces that refuse indexing, the domination loop cannot pick a
@@ -334,12 +331,11 @@ class TestCollapse:
             for face, mask in zip(delta.faces, delta.label_masks):
                 if not face:
                     continue
-                point = SquarefreeMonomial(ideal.universe, mask)
                 expected = tuple(
                     sub for size in range(len(face) + 1)
                     for sub in itertools.combinations(face, size)
                 )
-                restricted = delta.restrict(point)
+                restricted = delta.restrict(mask)
                 assert restricted.faces == expected
                 assert collapses_to_point(restricted)
                 checked += 1
@@ -353,7 +349,7 @@ class TestCollapse:
             if not 0 < ideal.num_generators <= 7:
                 continue
             delta = taylor_complex(ideal) if rng.random() < 0.5 else scarf_complex(ideal)
-            bound = SquarefreeMonomial(ideal.universe, rng.getrandbits(ideal.universe.size))
+            bound = rng.getrandbits(ideal.universe.size)
             if delta.restrict(bound).has_vertices:
                 done += 1
                 assert_collapse_sound(delta, bound)
@@ -404,9 +400,9 @@ class TestCollapse:
         for ideal in oracle_corpus:
             delta = scarf_complex(ideal)
             for point in lcm_lattice(ideal):
-                collapsed = collapses_to_point(delta, point.mask)
+                collapsed = collapses_to_point(delta, point)
                 assert collapsed == collapses_greedy(delta.restrict(point)), (
-                    ideal.render(), point.render()
+                    ideal.render(), point
                 )
                 counts[collapsed] += 1
         assert counts == {True: 1986, False: 956}
@@ -415,7 +411,7 @@ class TestCollapse:
     def test_spider_lattices_collapse(self, legs):
         ideal = build_ideal(spider5_graph(*legs), IdealSpec("path", 4))
         delta = scarf_complex(ideal)
-        assert all(collapses_to_point(delta, point.mask) for point in lcm_lattice(ideal))
+        assert all(collapses_to_point(delta, point) for point in lcm_lattice(ideal))
 
 
 def dominates(delta: LabeledComplex, w: int, v: int) -> bool:
@@ -497,15 +493,13 @@ class TestCollapseTable:
         """Queries one complex at the masks in the order given, compares
         each answer with a copy whose table is empty and with greedy
         collapses of the restriction, and returns the answers seen."""
-        universe = delta.ideal.universe
         answers = set()
         for mask in masks:
             answer = collapses_to_point(delta, mask)
             answers.add(answer)
             fresh = LabeledComplex(delta.ideal, delta.faces)
             assert collapses_to_point(fresh, mask) is answer, (delta.faces, mask)
-            restricted = delta.restrict(SquarefreeMonomial(universe, mask))
-            assert collapses_greedy(restricted) == answer, (delta.faces, mask)
+            assert collapses_greedy(delta.restrict(mask)) == answer, (delta.faces, mask)
             if vertex_set(delta, mask):
                 assert delta.collapse_answers[vertex_set(delta, mask)] is answer
         assert_table_closed(delta)
@@ -515,7 +509,7 @@ class TestCollapseTable:
         rng = random.Random(71)
         seen = set()
         for ideal in oracle_corpus:
-            masks = [point.mask for point in lcm_lattice(ideal)]
+            masks = list(lcm_lattice(ideal))
             rng.shuffle(masks)
             seen |= self.assert_table_agrees(scarf_complex(ideal), masks)
         assert seen == {True, False}
@@ -544,7 +538,7 @@ class TestCollapseTable:
                 for _ in range(rng.randint(2, 8))
             ]
             ideal = minimalize(gens, universe=universe)
-            lattice = {point.mask for point in lcm_lattice(ideal)}
+            lattice = set(lcm_lattice(ideal))
             masks = [mask for mask in (rng.getrandbits(universe.size) for _ in range(30))
                      if mask not in lattice]
             seen |= self.assert_table_agrees(scarf_complex(ideal), masks)
@@ -552,23 +546,22 @@ class TestCollapseTable:
 
     def test_tables_only_for_absent_variables(self):
         """A query at a monomial that lacks no variable, as a sweep's x_V,
-        builds no per-variable table; one that lacks a variable builds both."""
+        builds no `faces_without` table; one that lacks a variable builds it."""
         ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
         top = (1 << ideal.universe.size) - 1
         for mask in (-1, top):
             delta = scarf_complex(ideal)
             assert not collapses_to_point(delta, mask)
-            assert "vertices_without" not in vars(delta)
             assert "faces_without" not in vars(delta)
         assert collapses_to_point(delta, top >> 1)
-        assert "vertices_without" in vars(delta) and "faces_without" in vars(delta)
+        assert "faces_without" in vars(delta)
 
     def test_spider_scan_reads_the_table(self):
         """After one scan of the lattice, a second one answers from the table
         alone: with faces that refuse indexing no vertex can be tested."""
         ideal = build_ideal(spider5_graph(3, 3, 3), IdealSpec("path", 4))
         delta = scarf_complex(ideal)
-        masks = [point.mask for point in lcm_lattice(ideal)]
+        masks = lcm_lattice(ideal)
         assert all(collapses_to_point(delta, mask) for mask in masks)
         object.__setattr__(delta, "faces", NoIndexFaces(delta.faces))
         assert all(collapses_to_point(delta, mask) for mask in masks)

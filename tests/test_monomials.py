@@ -142,6 +142,10 @@ class TestIdeal:
             MonomialIdeal(U6, (mono(U6, 1), mono(U6, 0)))
         with pytest.raises(MonomialError):
             MonomialIdeal(U6, (mono(U6, 0), mono(U6, 0, 1)))
+        # the divisor x2 is two degrees below x2*x3*x4, and x1*x3 between
+        # them divides neither
+        with pytest.raises(MonomialError):
+            MonomialIdeal(U6, (mono(U6, 1), mono(U6, 0, 2), mono(U6, 1, 2, 3)))
 
     def test_structural_equality(self):
         a = minimalize([mono(U6, 0, 1), mono(U6, 1, 2)])

@@ -115,8 +115,9 @@ def test_cached_properties_are_kept():
     complex_ = CASES[LabeledComplex][0]
     assert SPIDER.degrees is SPIDER.degrees
     assert IDEAL.generator_masks is IDEAL.generator_masks
+    assert IDEAL.generators_without is IDEAL.generators_without
     assert complex_.face_columns is complex_.face_columns
-    assert complex_.restrict(IDEAL.universe.monomial(range(IDEAL.universe.size))) is complex_
+    assert complex_.restrict((1 << IDEAL.universe.size) - 1) is complex_
 
 
 def test_field_modulus_defaults_to_none():
