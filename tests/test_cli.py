@@ -568,6 +568,40 @@ class TestPinnedReports:
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == digest
 
+    # The 4-cycle a-b-c'-d with a pendant d-e: not Scarf, with witness
+    # a*b*c'*d, so every report renders monomials over names other than x<i>.
+    NAMED_IDEAL = {
+        "variables": ["a", "b", "c'", "d", "e"],
+        "mingens": [[0, 1], [1, 2], [2, 3], [0, 3], [3, 4]],
+    }
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["ideal", "--format", "json"], 0,
+         "35218a501d0a3e8e0528fcc738ca41fae6b0ee41767961379469e669a5f10ab9"),
+        (["ideal", "--format", "table"], 0,
+         "6a38b2796eaffef6dc45bf111d1ceecc8a39ba6b2342825c0662276bb19a4fd0"),
+        (["scarf", "--format", "json"], 1,
+         "b41fba1ef1825c487d3b11a250fb218de7adc5d6ad7a757a5edaf48450e0d3ca"),
+        (["scarf", "--format", "table"], 1,
+         "f9bd9ee6e99f92d7ecf19e637357f6be030f6f03f6f1f08aa5fb9412fef8e04b"),
+        (["complex", "--restrict", "a*b*c'*d", "--format", "json"], 0,
+         "3c98457d7237c6e1551a5f413b712eff679628d83082351f0cbdc574bd9cec4e"),
+        (["complex", "--restrict", "a*b*c'*d", "--format", "table"], 0,
+         "b3aa4e269fc1e6993299e13f2b0544c1f8479d7dca323fddb9bcdcc2db88ebd6"),
+        (["leaf", "--var", "e", "--format", "json"], 0,
+         "15f6ed61127afd8a90c64696dfe912dc6be8c4185ef518d7f27d2bf4f9b70580"),
+        (["leaf", "--var", "e", "--format", "table"], 0,
+         "7278cd46c142a7f7160af697b63a256c264392d24397af2038c666971887a43f"),
+    ], ids=["ideal-json", "ideal-table", "scarf-json", "scarf-table", "restrict-json",
+            "restrict-table", "leaf-json", "leaf-table"])
+    def test_named_ideal_reports(self, argv, code, digest, tmp_path, capsys):
+        """Every path that renders a monomial, on an --ideal file."""
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(self.NAMED_IDEAL))
+        assert main(argv + ["--ideal", str(path)]) == code
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == digest
+
 
 class TestImports:
     def test_cli_import_leaves_multiprocessing_out(self):
