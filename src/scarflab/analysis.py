@@ -65,7 +65,7 @@ from .homology import (
     reduced_betti,
 )
 from .ideals import IdealSpec, build_ideal
-from .monomials import MonomialIdeal, SquarefreeMonomial
+from .monomials import MonomialIdeal
 
 VERDICT_SCARF = "scarf"
 VERDICT_NOT_SCARF = "not_scarf"
@@ -85,7 +85,7 @@ class ScarfReport(_Frozen):
 
     def __init__(
         self, ideal: MonomialIdeal, verdicts: tuple[tuple[FieldSpec, str], ...],
-        witnesses: tuple[tuple[FieldSpec, SquarefreeMonomial, HomologyProfile], ...],
+        witnesses: tuple[tuple[FieldSpec, int, HomologyProfile], ...],
         num_generators: int, num_scarf_faces: int, num_lattice_points: int,
     ) -> None:
         _set(self, "ideal", ideal)
@@ -100,12 +100,13 @@ class ScarfReport(_Frozen):
         return all(v != VERDICT_NOT_SCARF for _, v in self.verdicts)
 
     def to_json_dict(self) -> dict:
+        render = self.ideal.universe.render
         return {
             "ideal": self.ideal.to_json_dict(),
             "verdicts": {f.render(): v for f, v in self.verdicts},
             "witnesses": {
-                f.render(): {"monomial": m.render(), "profile": profile.to_json_dict()}
-                for f, m, profile in self.witnesses
+                f.render(): {"monomial": render(mask), "profile": profile.to_json_dict()}
+                for f, mask, profile in self.witnesses
             },
             "num_generators": self.num_generators,
             "num_scarf_faces": self.num_scarf_faces,
@@ -151,9 +152,9 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
 
     The Scarf complex is restricted to each lcm-lattice point in ascending
     mask order, and each field's first point whose restriction is not
-    acyclic is its witness.  Points are masks throughout the scan; a
-    `SquarefreeMonomial` is built only for a witness.  A point that is the
-    label mask of a Scarf face is skipped, and every other point goes
+    acyclic is its witness.  Points, witnesses included, are masks; the
+    report renders a witness through the ideal's universe.  A point that is
+    the label mask of a Scarf face is skipped, and every other point goes
     through `_failing_fields` over the fields still undecided.  A
     restriction that is a simplex or strong-collapses to a vertex can be no
     field's witness, and `homology.collapses_to_point` decides it on
@@ -203,7 +204,7 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
                 continue
             for field, profile in _failing_fields(complex_, point, alive):
                 verdicts[field] = VERDICT_NOT_SCARF
-                witnesses.append((field, SquarefreeMonomial(ideal.universe, point), profile))
+                witnesses.append((field, point, profile))
                 alive.remove(field)
         verdicts.update(dict.fromkeys(alive, VERDICT_SCARF))
     return ScarfReport(

@@ -198,9 +198,9 @@ def _cmd_scarf(args: argparse.Namespace) -> int:
         lines = [f"ideal: {ideal.render()}"]
         for field, verdict in report.verdicts:
             lines.append(f"{field.render()}: {verdict}")
-        for field, monomial, profile in report.witnesses:
+        for field, mask, profile in report.witnesses:
             lines.append(
-                f"witness[{field.render()}]: {monomial.render()} "
+                f"witness[{field.render()}]: {ideal.universe.render(mask)} "
                 f"betti={list(profile.betti)}"
             )
         lines.append(
@@ -219,7 +219,7 @@ def _cmd_complex(args: argparse.Namespace) -> int:
     else:
         complex_ = scarf_complex(ideal)
     if args.restrict is not None:
-        complex_ = complex_.restrict(ideal.universe.parse(args.restrict).mask)
+        complex_ = complex_.restrict(ideal.universe.parse(args.restrict))
     if args.format == "json":
         _emit(_json_block(complex_.to_json_dict()), args.output)
     else:

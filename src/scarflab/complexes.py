@@ -12,7 +12,7 @@ outside generator divides the label: `_meet` ANDs the ideal's
 irredundant (dropping any member changes the label).  The exhaustive
 power-set variant is a test oracle in `tests/reference.py`.
 
-Below the reports, a monomial is its bit mask.  The lcm lattice is the
+A monomial is its bit mask, as in `monomials`.  The lcm lattice is the
 closure of the generator masks under OR (the lcm), as a sorted tuple of
 masks, built by adding one generator at a time; the monomial 1 is excluded
 and treated as an implicit bottom (it is a point only of the unit ideal,
@@ -30,12 +30,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 from .graphs import _bits, _Frozen, _set
-from .monomials import (
-    MonomialError,
-    MonomialIdeal,
-    SquarefreeMonomial,
-    VariableUniverse,
-)
+from .monomials import MonomialError, MonomialIdeal, VariableUniverse
 
 DEFAULT_TAYLOR_CAP = 20
 
@@ -213,10 +208,10 @@ class LabeledComplex(_Frozen):
     def to_json_dict(self) -> dict:
         universe = self.ideal.universe
         return {
-            "vertices": [g.render() for g in self.ideal.mingens],
+            "vertices": [universe.render(g) for g in self.ideal.generator_masks],
             "faces": [list(face) for face in self.faces],
             "labels": {
-                ",".join(str(i) for i in face): SquarefreeMonomial(universe, mask).render()
+                ",".join(str(i) for i in face): universe.render(mask)
                 for face, mask in zip(self.faces, self.label_masks)
             },
         }
@@ -392,9 +387,6 @@ def glue_leaf_ideal(ideal: MonomialIdeal, x: int) -> MonomialIdeal:
     for i in leafed:
         masks.append((masks[i] & ~x_bit) | x_prime_bit)
     try:
-        return MonomialIdeal(
-            extended,
-            tuple(SquarefreeMonomial(extended, m) for m in sorted(masks)),
-        )
+        return MonomialIdeal(extended, tuple(sorted(masks)))
     except MonomialError as exc:
         raise ComplexError(f"gluing produced a non-minimal generating set: {exc}") from exc

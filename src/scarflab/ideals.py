@@ -20,7 +20,7 @@ everywhere downstream.
 from __future__ import annotations
 
 from .graphs import SimpleGraph, _connected_within, _Frozen, _set
-from .monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse
+from .monomials import MonomialIdeal, VariableUniverse
 
 IDEAL_KINDS = ("connected", "path")
 
@@ -127,4 +127,4 @@ def build_ideal(graph: SimpleGraph, spec: IdealSpec) -> MonomialIdeal:
         masks = _connected_masks(graph.adjacency, spec.t)
     else:
         masks = _path_masks(graph.adjacency, spec.t)
-    return MonomialIdeal(universe, tuple([SquarefreeMonomial(universe, m) for m in masks]))
+    return MonomialIdeal(universe, tuple(masks))

@@ -1,15 +1,17 @@
 """Square-free monomials and square-free monomial ideals.
 
 A square-free monomial over a fixed variable universe is identified with its
-support, stored as a bit set (variable i <-> bit i).  Divisibility is subset
-inclusion of supports and lcm is union, so everything here is integer bit
-arithmetic.  Ideals are kept as their unique minimal generating set, which for
-square-free monomials is just the divisibility antichain of the generators.
+support, stored as an int bit mask (variable i <-> bit i); the universe
+names the variables, parses a product such as 'x1*x3' into its mask and
+renders a mask back.  Divisibility is subset inclusion of supports and lcm
+is union, so everything here is integer bit arithmetic.  Ideals are kept as
+the masks of their unique minimal generating set, which for square-free
+monomials is just the divisibility antichain of the generators.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import cached_property
 
 from .graphs import _bits, _Frozen, _set
@@ -22,7 +24,11 @@ class MonomialError(ValueError):
 
 
 class VariableUniverse(_Frozen):
-    """An ordered tuple of distinct variable names shared by a family of monomials."""
+    """An ordered tuple of distinct variable names; a monomial over it is
+    the bit mask of its support.
+
+    Every name parses back from a rendering: it is nonempty, unpadded, not
+    '1' and free of '*', so `parse(render(mask)) == mask`."""
 
     _fields = ("names",)
 
@@ -33,6 +39,12 @@ class VariableUniverse(_Frozen):
             raise MonomialError(
                 f"universe has {len(names)} variables, cap is {DEFAULT_MAX_VARIABLES}"
             )
+        for name in names:
+            if not name or name != name.strip() or name == "1" or "*" in name:
+                raise MonomialError(
+                    f"variable name {name!r} does not parse back: a name is nonempty, "
+                    "unpadded, not '1' and has no '*'"
+                )
         _set(self, "names", names)
 
     @classmethod
@@ -53,7 +65,8 @@ class VariableUniverse(_Frozen):
         except ValueError:
             raise MonomialError(f"unknown variable {name!r}") from None
 
-    def monomial(self, indices: Iterable[int]) -> "SquarefreeMonomial":
+    def monomial(self, indices: Iterable[int]) -> int:
+        """The mask of the product of the variables with these indices."""
         mask = 0
         for i in indices:
             if not 0 <= i < self.size:
@@ -61,62 +74,39 @@ class VariableUniverse(_Frozen):
                     raise MonomialError(f"variable index {i}: the universe has no variables")
                 raise MonomialError(f"variable index {i} out of range 0..{self.size - 1}")
             mask |= 1 << i
-        return SquarefreeMonomial(self, mask)
+        return mask
 
-    def one(self) -> "SquarefreeMonomial":
-        return SquarefreeMonomial(self, 0)
-
-    def parse(self, text: str) -> "SquarefreeMonomial":
-        """Parse '1' or a *-separated variable product such as 'x1*x3*x4'."""
+    def parse(self, text: str) -> int:
+        """The mask of '1' or of a *-separated variable product such as 'x1*x3*x4'."""
         text = text.strip()
         if text == "1":
-            return self.one()
+            return 0
         return self.monomial(self.index_of(part.strip()) for part in text.split("*"))
 
-
-class SquarefreeMonomial(_Frozen):
-    _fields = ("universe", "mask")
-
-    def __init__(self, universe: VariableUniverse, mask: int) -> None:
-        if mask < 0 or mask >> universe.size:
-            raise MonomialError("support does not fit the universe")
-        _set(self, "universe", universe)
-        _set(self, "mask", mask)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
-
-    def render(self) -> str:
-        if self.mask == 0:
+    def render(self, mask: int) -> str:
+        """'1' for mask 0, else the names of its variables joined by '*'."""
+        if not mask:
             return "1"
-        return "*".join(self.universe.names[i] for i in self.support)
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def _require_universe(m: SquarefreeMonomial, universe: VariableUniverse) -> None:
-    if m.universe is not universe and m.universe != universe:
-        raise MonomialError("monomials live in different variable universes")
+        return "*".join(self.names[i] for i in _bits(mask))
 
 
 class MonomialIdeal(_Frozen):
-    """A square-free monomial ideal held as its minimal generators.
+    """A square-free monomial ideal held as the masks of its minimal
+    generators.
 
-    Generators are stored as an antichain sorted by ascending support bit
-    pattern, so structurally equal ideals compare and hash equal.  The empty
-    tuple is the zero ideal.
+    The masks form an antichain sorted ascending, so structurally equal
+    ideals compare and hash equal.  The empty tuple is the zero ideal.
     """
 
-    _fields = ("universe", "mingens")
+    _fields = ("universe", "generator_masks")
 
-    def __init__(self, universe: VariableUniverse, mingens: tuple[SquarefreeMonomial, ...]) -> None:
-        masks = [g.mask for g in mingens]
-        if sorted(masks) != masks or len(set(masks)) != len(masks):
+    def __init__(self, universe: VariableUniverse, generator_masks: tuple[int, ...]) -> None:
+        masks = generator_masks
+        if any(a >= b for a, b in zip(masks, masks[1:])):
             raise MonomialError("mingens must be strictly sorted by support bit pattern")
-        for g in mingens:
-            _require_universe(g, universe)
+        # sorted, so the first mask is the least and the last the greatest
+        if masks and (masks[0] < 0 or masks[-1] >> universe.size):
+            raise MonomialError("support does not fit the universe")
         # A generator divides only generators of higher degree, as distinct
         # masks of equal degree are not submasks of each other.
         by_degree = sorted(masks, key=int.bit_count)
@@ -127,7 +117,7 @@ class MonomialIdeal(_Frozen):
             if any(a & ~b == 0 for b in by_degree[higher:]):
                 raise MonomialError("mingens must form a divisibility antichain")
         _set(self, "universe", universe)
-        _set(self, "mingens", mingens)
+        _set(self, "generator_masks", generator_masks)
 
     @classmethod
     def zero(cls, universe: VariableUniverse) -> "MonomialIdeal":
@@ -135,22 +125,18 @@ class MonomialIdeal(_Frozen):
 
     @property
     def is_zero(self) -> bool:
-        return not self.mingens
+        return not self.generator_masks
 
     @property
     def num_generators(self) -> int:
-        return len(self.mingens)
-
-    @cached_property
-    def generator_masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.mingens)
+        return len(self.generator_masks)
 
     @cached_property
     def generators_without(self) -> tuple[int, ...]:
         """Per variable x, the bit set of the generators that x does not
         divide: bit g of `generators_without[x]` is set when generator g
         lacks x."""
-        without = [(1 << len(self.mingens)) - 1] * self.universe.size
+        without = [(1 << len(self.generator_masks)) - 1] * self.universe.size
         for g, mask in enumerate(self.generator_masks):
             for x in _bits(mask):
                 without[x] ^= 1 << g
@@ -159,7 +145,7 @@ class MonomialIdeal(_Frozen):
     def to_json_dict(self) -> dict:
         return {
             "variables": list(self.universe.names),
-            "mingens": [list(g.support) for g in self.mingens],
+            "mingens": [list(_bits(g)) for g in self.generator_masks],
         }
 
     @classmethod
@@ -178,40 +164,26 @@ class MonomialIdeal(_Frozen):
             if not (isinstance(gen, list) and all(type(i) is int for i in gen)):
                 raise MonomialError(f"generator {gen!r} is not a list of variable indices")
         universe = VariableUniverse(tuple(data["variables"]))
-        gens = [universe.monomial(ix) for ix in data["mingens"]]
-        return minimalize(gens, universe)
+        return minimalize((universe.monomial(ix) for ix in data["mingens"]), universe)
 
     def render(self) -> str:
         if self.is_zero:
             return "(0)"
-        return "(" + ", ".join(g.render() for g in self.mingens) + ")"
+        return "(" + ", ".join(self.universe.render(g) for g in self.generator_masks) + ")"
 
     def __str__(self) -> str:
         return self.render()
 
 
-def minimalize(
-    generators: Sequence[SquarefreeMonomial],
-    universe: VariableUniverse | None = None,
-) -> MonomialIdeal:
-    """Ideal generated by the given monomials, reduced to the minimal antichain.
+def minimalize(masks: Iterable[int], universe: VariableUniverse) -> MonomialIdeal:
+    """Ideal over universe generated by the monomials with these masks,
+    reduced to the minimal antichain.
 
     A generator survives unless a distinct generator (strictly smaller support,
     or equal support seen once already) divides it.
     """
-    gens = list(generators)
-    if not gens:
-        if universe is None:
-            raise MonomialError("minimalize of an empty list needs a universe")
-        return MonomialIdeal.zero(universe)
-    if universe is None:
-        universe = gens[0].universe
-    for g in gens:
-        _require_universe(g, universe)
-    masks = sorted({g.mask for g in gens}, key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
-    for m in masks:
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
         if not any(k & ~m == 0 for k in kept):
             kept.append(m)
-    kept.sort()
-    return MonomialIdeal(universe, tuple(SquarefreeMonomial(universe, m) for m in kept))
+    return MonomialIdeal(universe, tuple(sorted(kept)))

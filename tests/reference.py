@@ -34,13 +34,7 @@ from scarflab.graphs import (
     parse_graph6,
 )
 from scarflab.homology import DEFAULT_FIELDS, FieldSpec, reduced_betti
-from scarflab.monomials import (
-    MonomialError,
-    MonomialIdeal,
-    SquarefreeMonomial,
-    VariableUniverse,
-    _require_universe,
-)
+from scarflab.monomials import MonomialIdeal, VariableUniverse
 
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
 RATIONALS = FieldSpec("rationals")
@@ -63,30 +57,19 @@ def removable_vertices(graph: SimpleGraph) -> tuple[int, ...]:
     return tuple(v for v in range(graph.n) if _connected_within(graph.adjacency, full & ~(1 << v)))
 
 
-def lcm_of(
-    monomials: Iterable[SquarefreeMonomial],
-    universe: VariableUniverse | None = None,
-) -> SquarefreeMonomial:
-    """lcm of a collection; the empty collection needs an explicit universe and gives 1."""
-    mask = 0
-    seen: VariableUniverse | None = None
-    for m in monomials:
-        if seen is None:
-            seen = m.universe
-        else:
-            _require_universe(m, seen)
-        mask |= m.mask
-    if seen is None:
-        if universe is None:
-            raise MonomialError("lcm of an empty collection needs a universe")
-        seen = universe
-    return SquarefreeMonomial(seen, mask)
+def lcm_of(masks: Iterable[int]) -> int:
+    """Mask of the lcm of the monomials with these masks; the empty
+    collection gives 1, mask 0."""
+    lcm = 0
+    for m in masks:
+        lcm |= m
+    return lcm
 
 
-def restrict_ideal(ideal: MonomialIdeal, m: SquarefreeMonomial) -> MonomialIdeal:
-    """Subideal generated by the minimal generators dividing m."""
-    _require_universe(m, ideal.universe)
-    return MonomialIdeal(ideal.universe, tuple(g for g in ideal.mingens if g.mask & ~m.mask == 0))
+def restrict_ideal(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
+    """Subideal generated by the minimal generators dividing the monomial
+    with mask m."""
+    return MonomialIdeal(ideal.universe, tuple(g for g in ideal.generator_masks if g & ~m == 0))
 
 
 def complex_from_faces(ideal: MonomialIdeal, faces: Iterable[Iterable[int]]) -> LabeledComplex:
@@ -104,12 +87,14 @@ def generator_index_map(source: MonomialIdeal, target: MonomialIdeal) -> dict[in
     Works across universes that agree on the variables the source uses (the
     leaf-glued ideal extends the universe without renumbering).
     """
-    lookup = {g.mask: j for j, g in enumerate(target.mingens)}
+    lookup = {g: j for j, g in enumerate(target.generator_masks)}
     mapping = {}
-    for i, g in enumerate(source.mingens):
-        if g.mask not in lookup:
-            raise ComplexError(f"generator {g.render()} has no counterpart in the target")
-        mapping[i] = lookup[g.mask]
+    for i, g in enumerate(source.generator_masks):
+        if g not in lookup:
+            raise ComplexError(
+                f"generator {source.universe.render(g)} has no counterpart in the target"
+            )
+        mapping[i] = lookup[g]
     return mapping
 
 
@@ -365,12 +350,12 @@ def evaluate_bar(
     return the resulting face over the base ideal (duplicates collapse)."""
     x_bit = 1 << x
     x_prime_bit = 1 << x_prime
-    base_lookup = {g.mask: i for i, g in enumerate(base.mingens)}
+    base_lookup = {g: i for i, g in enumerate(base.generator_masks)}
     out = set()
     for index in face:
         if not 0 <= index < glued.num_generators:
             raise ComplexError(f"generator index {index} out of range")
-        mask = glued.mingens[index].mask
+        mask = glued.generator_masks[index]
         if mask & x_prime_bit:
             mask = (mask & ~x_prime_bit) | x_bit
         if mask not in base_lookup:
@@ -393,14 +378,14 @@ def ideals_isomorphic(a: MonomialIdeal, b: MonomialIdeal) -> bool:
         rows = []
         for v in range(size):
             bit = 1 << v
-            degrees = sorted(g.mask.bit_count() for g in ideal.mingens if g.mask & bit)
+            degrees = sorted(g.bit_count() for g in ideal.generator_masks if g & bit)
             rows.append(tuple(degrees))
         return rows
 
     prof_a, prof_b = profile(a), profile(b)
     if sorted(prof_a) != sorted(prof_b):
         return False
-    targets_b = {g.mask for g in b.mingens}
+    targets_b = set(b.generator_masks)
     order = sorted(range(size), key=lambda v: (prof_a[v], v))
     assignment = [-1] * size
 
@@ -409,11 +394,11 @@ def ideals_isomorphic(a: MonomialIdeal, b: MonomialIdeal) -> bool:
         decided_mask = 0
         for v in decided:
             decided_mask |= 1 << v
-        for g in a.mingens:
-            if g.mask & ~decided_mask:
+        for g in a.generator_masks:
+            if g & ~decided_mask:
                 continue
             image = 0
-            for v in (i for i in decided if g.mask & (1 << i)):
+            for v in (i for i in decided if g & (1 << i)):
                 image |= 1 << assignment[v]
             if image not in targets_b:
                 return False
@@ -534,14 +519,13 @@ def is_scarf_bruteforce(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfRep
         for m in range(1 << ideal.universe.size):
             if not any(g & ~m == 0 for g in masks):
                 continue
-            point = SquarefreeMonomial(ideal.universe, m)
             restricted = delta.restrict(m)
             for field in fields:
                 if verdicts[field] == VERDICT_SCARF:
                     profile = reduced_betti(restricted, field)
                     if not profile.is_acyclic:
                         verdicts[field] = VERDICT_NOT_SCARF
-                        witnesses.append((field, point, profile))
+                        witnesses.append((field, m, profile))
     return ScarfReport(
         ideal=ideal,
         verdicts=tuple((f, verdicts[f]) for f in fields),
@@ -557,9 +541,9 @@ def degree_t_ideals(t: int) -> list[MonomialIdeal]:
     degree t in t+1 variables, 2^(t+1) of them."""
     universe = VariableUniverse.of_size(t + 1)
     full = (1 << (t + 1)) - 1
-    gens = [SquarefreeMonomial(universe, full & ~(1 << i)) for i in range(t + 1)]
+    gens = [full & ~(1 << i) for i in range(t + 1)]
     return [
-        MonomialIdeal(universe, tuple(sorted(combo, key=lambda m: m.mask)))
+        MonomialIdeal(universe, tuple(sorted(combo)))
         for size in range(t + 2)
         for combo in itertools.combinations(gens, size)
     ]

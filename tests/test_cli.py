@@ -287,6 +287,24 @@ class TestSubcommands:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == message
 
+    @pytest.mark.parametrize("names, argv", [
+        (["1", "x"], ["ideal", "--format", "table"]),
+        (["a*b", "c"], ["complex", "--restrict", "a*b"]),
+        ([" a", "b"], ["complex", "--restrict", " a"]),
+    ], ids=["one", "star", "padded"])
+    def test_names_that_do_not_parse_back_rejected(self, names, argv, tmp_path, capsys):
+        """A variable name that a rendered monomial could not be parsed back
+        from gives one `error:` line naming it, whatever the subcommand."""
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"variables": names, "mingens": [[0], [1]]}))
+        assert main([*argv, "--ideal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: variable name {names[0]!r} does not parse back: a name is nonempty, "
+            "unpadded, not '1' and has no '*'\n"
+        )
+
 
 class TestLimits:
     def test_n_max_above_cap_rejected(self, capsys):

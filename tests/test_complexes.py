@@ -17,12 +17,7 @@ from scarflab.complexes import (
 )
 from scarflab.graphs import cycle_graph, path_graph, spider5_graph, spider6_graph
 from scarflab.ideals import IdealSpec, build_ideal
-from scarflab.monomials import (
-    MonomialIdeal,
-    SquarefreeMonomial,
-    VariableUniverse,
-    minimalize,
-)
+from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
 from reference import (
     complex_from_faces,
@@ -57,7 +52,7 @@ def random_ideal(rng: random.Random) -> MonomialIdeal:
             if rng.random() < 0.5:
                 mask |= 1 << v
         if mask:
-            gens.append(SquarefreeMonomial(universe, mask))
+            gens.append(mask)
     return minimalize(gens, universe=universe)
 
 
@@ -141,7 +136,7 @@ class TestScarfAgainstBruteforce:
                 ideals.append(ideal)
         for size in range(1, 11):
             universe = VariableUniverse.of_size(size)
-            ideals.append(minimalize([universe.one()], universe=universe))
+            ideals.append(minimalize([0], universe=universe))
         for ideal in ideals:
             assert scarf_complex(ideal).faces == scarf_complex_bruteforce(ideal).faces, (
                 ideal.render()
@@ -204,16 +199,16 @@ class TestRestrictComplex:
 
     def test_unit_keeps_only_empty_face(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
-        assert delta.restrict(delta.ideal.universe.one().mask).faces == ((),)
+        assert delta.restrict(delta.ideal.universe.parse("1")).faces == ((),)
 
     def test_prefix_window(self):
         ideal = build_ideal(path_graph(6), C3)
         delta = scarf_complex(ideal)
         bound = ideal.universe.parse("x1*x2*x3*x4")
-        got = delta.restrict(bound.mask)
+        got = delta.restrict(bound)
         expected = [
             f for f, mask in zip(delta.faces, delta.label_masks)
-            if mask & ~bound.mask == 0
+            if mask & ~bound == 0
         ]
         assert got.faces == tuple(expected)
         assert got.f_vector() == (2, 1)
@@ -285,7 +280,7 @@ class TestIncidenceIndex:
         yield LabeledComplex(ideal, ())
         if q > 1:
             # a cone over the Scarf complex of the first q-1 generators
-            base = scarf_complex(MonomialIdeal(ideal.universe, ideal.mingens[:-1]))
+            base = scarf_complex(MonomialIdeal(ideal.universe, ideal.generator_masks[:-1]))
             yield cone(q - 1, LabeledComplex(ideal, base.faces))
 
     def test_columns_and_restrict_match_label_filter(self):
@@ -391,7 +386,7 @@ class TestLcmLattice:
         lattice = lcm_lattice(ideal)
         assert lattice[-1] == (1 << 6) - 1
         expected = {
-            lcm_of([ideal.mingens[i] for i in subset]).mask
+            lcm_of(ideal.generator_masks[i] for i in subset)
             for r in range(1, ideal.num_generators + 1)
             for subset in itertools.combinations(range(ideal.num_generators), r)
         }
@@ -458,7 +453,7 @@ class TestStarAndCone:
         ideal = ideal_of("x1", "x2", "x3", size=3)
         edge = complex_from_faces(ideal, [(0, 1), (0,), (1,)])
         assert cone(2, edge).faces == taylor_complex(ideal).restrict(
-            ideal.universe.parse("x1*x2*x3").mask
+            ideal.universe.parse("x1*x2*x3")
         ).faces
 
     def test_cone_doubles_face_count(self):
@@ -552,7 +547,7 @@ class TestLeafGluing:
         glued = glue_leaf_ideal(base, middle_leaf(spider5_graph(1, 1, 1)))
         mapping = generator_index_map(base, glued)
         for i, j in mapping.items():
-            assert base.mingens[i].mask == glued.mingens[j].mask
+            assert base.generator_masks[i] == glued.generator_masks[j]
 
     def test_index_map_rejects_missing_generator(self):
         a = ideal_of("x1*x2", size=3)
@@ -570,15 +565,15 @@ class TestBarEvaluation:
         self.fwd = generator_index_map(self.base, self.glued)
         prime_bit = 1 << self.x_prime
         self.primed = {
-            i for i, g in enumerate(self.glued.mingens) if g.mask & prime_bit
+            i for i, g in enumerate(self.glued.generator_masks) if g & prime_bit
         }
 
     def glued_index(self, base_index: int, primed: bool) -> int:
-        mask = self.base.mingens[base_index].mask
+        mask = self.base.generator_masks[base_index]
         if primed:
             mask = (mask & ~(1 << self.x)) | (1 << self.x_prime)
-        for j, g in enumerate(self.glued.mingens):
-            if g.mask == mask:
+        for j, g in enumerate(self.glued.generator_masks):
+            if g == mask:
                 return j
         raise AssertionError("missing generator")
 
@@ -606,7 +601,7 @@ class TestBarEvaluation:
             xs = [
                 v
                 for v in range(base.universe.size)
-                if any(g.mask >> v & 1 for g in base.mingens)
+                if any(g >> v & 1 for g in base.generator_masks)
             ]
             for x in xs:
                 glued = glue_leaf_ideal(base, x)
@@ -617,11 +612,11 @@ class TestBarEvaluation:
                     face = tuple(i for i in range(q) if bits >> i & 1)
                     lcm_mask = 0
                     for i in face:
-                        lcm_mask |= glued.mingens[i].mask
+                        lcm_mask |= glued.generator_masks[i]
                     bar = evaluate_bar(face, glued, base, x, x_prime)
                     bar_mask = 0
                     for i in bar:
-                        bar_mask |= base.mingens[i].mask
+                        bar_mask |= base.generator_masks[i]
                     if not lcm_mask & prime_bit:
                         assert lcm_mask == bar_mask
                     elif not lcm_mask & x_bit:
@@ -663,7 +658,7 @@ class TestFaceTransfer:
             if ideal.is_zero:
                 continue
             x = rng.randrange(ideal.universe.size)
-            if not any(g.mask >> x & 1 for g in ideal.mingens):
+            if not any(g >> x & 1 for g in ideal.generator_masks):
                 continue
             self.check(ideal, x)
             done += 1
@@ -680,9 +675,9 @@ class TestLeafLemmaStructure:
         leafed = leaf_split(base, x)
         expected = {tuple(sorted(fwd[i] for i in face)) for face in gamma.faces}
         for j in leafed:
-            apex_mask = (base.mingens[j].mask & ~(1 << x)) | x_prime_bit
+            apex_mask = (base.generator_masks[j] & ~(1 << x)) | x_prime_bit
             (apex,) = [
-                k for k, g in enumerate(glued.mingens) if g.mask == apex_mask
+                k for k, g in enumerate(glued.generator_masks) if g == apex_mask
             ]
             star_faces = {
                 tuple(sorted(fwd[i] for i in face))
@@ -713,9 +708,9 @@ class TestLeafLemmaStructure:
         x_prime_bit = 1 << (glued.universe.size - 1)
         gamma_prime = scarf_complex(glued)
         plain_leafed = [
-            i for i, g in enumerate(glued.mingens) if g.mask & x_bit
+            i for i, g in enumerate(glued.generator_masks) if g & x_bit
         ]
-        primed = [i for i, g in enumerate(glued.mingens) if g.mask & x_prime_bit]
+        primed = [i for i, g in enumerate(glued.generator_masks) if g & x_prime_bit]
         assert len(plain_leafed) >= 2 and len(primed) >= 2
         for group_a, group_b in (
             (plain_leafed, plain_leafed),
@@ -725,8 +720,8 @@ class TestLeafLemmaStructure:
             for a, b in itertools.product(group_a, group_b):
                 if a == b:
                     continue
-                la = glued.mingens[a].mask
-                lb = glued.mingens[b].mask
+                la = glued.generator_masks[a]
+                lb = glued.generator_masks[b]
                 if (la & ~x_bit & ~x_prime_bit) == (lb & ~x_bit & ~x_prime_bit):
                     # the same root generator in both dressings is exempt
                     continue

@@ -22,7 +22,7 @@ from scarflab.homology import (
     reduced_betti,
 )
 from scarflab.ideals import IdealSpec, build_ideal
-from scarflab.monomials import MonomialIdeal, SquarefreeMonomial, VariableUniverse, minimalize
+from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
 from reference import RATIONALS, collapses_greedy
 
@@ -31,9 +31,7 @@ ALL_FIELDS = (GF2, GF32003, RATIONALS)
 
 def singleton_ideal(count: int) -> MonomialIdeal:
     universe = VariableUniverse.of_size(count)
-    return MonomialIdeal(
-        universe, tuple(SquarefreeMonomial(universe, 1 << i) for i in range(count))
-    )
+    return MonomialIdeal(universe, tuple(1 << i for i in range(count)))
 
 
 def complex_from_top_faces(count: int, tops) -> LabeledComplex:
@@ -68,7 +66,7 @@ def random_ideal(rng: random.Random) -> MonomialIdeal:
             if rng.random() < 0.5:
                 mask |= 1 << v
         if mask:
-            gens.append(SquarefreeMonomial(universe, mask))
+            gens.append(mask)
     return minimalize(gens, universe=universe)
 
 
@@ -533,10 +531,7 @@ class TestCollapseTable:
         for _ in range(50):
             used, unused = rng.randint(3, 6), rng.randint(0, 3)
             universe = VariableUniverse.of_size(used + unused)
-            gens = [
-                SquarefreeMonomial(universe, rng.randint(1, (1 << used) - 1))
-                for _ in range(rng.randint(2, 8))
-            ]
+            gens = [rng.randint(1, (1 << used) - 1) for _ in range(rng.randint(2, 8))]
             ideal = minimalize(gens, universe=universe)
             lattice = set(lcm_lattice(ideal))
             masks = [mask for mask in (rng.getrandbits(universe.size) for _ in range(30))

@@ -3,8 +3,12 @@ are frozen.  Each is built from a real object of the pipeline: a graph, its
 ideal and Scarf complex, an `is_scarf` report, a sweep, a derivation and a
 leaf pipeline."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import scarflab
 from scarflab.analysis import (
     LeafPipelineReport,
     ObstructionCatalog,
@@ -21,13 +25,14 @@ from scarflab.graphs import (
     FamilyTag,
     GraphError,
     SimpleGraph,
+    _Frozen,
     cycle_graph,
     recognize_family,
     spider5_graph,
 )
 from scarflab.homology import FieldSpec, HomologyError, HomologyProfile
 from scarflab.ideals import IdealSpec, IdealSpecError, build_ideal
-from scarflab.monomials import MonomialError, MonomialIdeal, SquarefreeMonomial, VariableUniverse
+from scarflab.monomials import MonomialError, MonomialIdeal, VariableUniverse
 
 P4 = IdealSpec("path", 4)
 SPIDER = spider5_graph(1, 1, 1)
@@ -42,8 +47,9 @@ CASES = {
     SimpleGraph: (SPIDER, ("adjacency",), "adjacency", cycle_graph(6).adjacency),
     FamilyTag: (recognize_family(SPIDER), ("kind", "params"), "params", (1, 1, 2)),
     VariableUniverse: (IDEAL.universe, ("names",), "names", ("a", "b")),
-    SquarefreeMonomial: (IDEAL.mingens[0], ("universe", "mask"), "mask", 1),
-    MonomialIdeal: (IDEAL, ("universe", "mingens"), "mingens", IDEAL.mingens[1:]),
+    MonomialIdeal: (
+        IDEAL, ("universe", "generator_masks"), "generator_masks", IDEAL.generator_masks[1:],
+    ),
     IdealSpec: (P4, ("kind", "t"), "t", 5),
     LabeledComplex: (scarf_complex(IDEAL), ("ideal", "faces"), "faces", ((),)),
     FieldSpec: (FIELD, ("kind", "p"), "p", 3),
@@ -78,7 +84,11 @@ CASES = {
 
 
 def test_every_case_is_its_class():
-    assert len(CASES) == 14
+    """Every value type of the package has a case, so one added or
+    deleted without its case fails here."""
+    for module in pkgutil.iter_modules(scarflab.__path__):
+        importlib.import_module(f"scarflab.{module.name}")
+    assert set(CASES) == set(_Frozen.__subclasses__())
     for cls, (value, *_) in CASES.items():
         assert type(value) is cls
 
@@ -114,7 +124,6 @@ def test_value_semantics(cls):
 def test_cached_properties_are_kept():
     complex_ = CASES[LabeledComplex][0]
     assert SPIDER.degrees is SPIDER.degrees
-    assert IDEAL.generator_masks is IDEAL.generator_masks
     assert IDEAL.generators_without is IDEAL.generators_without
     assert complex_.face_columns is complex_.face_columns
     assert complex_.restrict((1 << IDEAL.universe.size) - 1) is complex_
@@ -133,7 +142,14 @@ U2 = VariableUniverse.of_size(2)
     [
         (lambda: SimpleGraph((1,)), GraphError, "loop at vertex 0 not allowed"),
         (lambda: VariableUniverse(("a", "a")), MonomialError, "variable names must be distinct"),
-        (lambda: SquarefreeMonomial(U2, 4), MonomialError, "support does not fit the universe"),
+        (
+            lambda: VariableUniverse(("a*b", "c")),
+            MonomialError,
+            "variable name 'a*b' does not parse back: a name is nonempty, unpadded, "
+            "not '1' and has no '*'",
+        ),
+        (lambda: MonomialIdeal(U2, (4,)), MonomialError, "support does not fit the universe"),
+        (lambda: MonomialIdeal(U2, (-1,)), MonomialError, "support does not fit the universe"),
         (
             lambda: MonomialIdeal(U2, (U2.monomial([1]), U2.monomial([0]))),
             MonomialError,
@@ -157,7 +173,8 @@ U2 = VariableUniverse.of_size(2)
         (lambda: FieldSpec("prime", 4), HomologyError, "4 is not prime"),
     ],
     ids=[
-        "SimpleGraph", "VariableUniverse", "SquarefreeMonomial", "MonomialIdeal", "IdealSpec",
+        "SimpleGraph", "VariableUniverse", "VariableUniverse-unparseable-name",
+        "MonomialIdeal-mask-too-large", "MonomialIdeal-negative-mask", "MonomialIdeal", "IdealSpec",
         "LabeledComplex", "LabeledComplex-repeated-member", "FieldSpec",
     ],
 )
