@@ -606,14 +606,20 @@ class TestPinnedReports:
          "3c98457d7237c6e1551a5f413b712eff679628d83082351f0cbdc574bd9cec4e"),
         (["complex", "--restrict", "a*b*c'*d", "--format", "table"], 0,
          "b3aa4e269fc1e6993299e13f2b0544c1f8479d7dca323fddb9bcdcc2db88ebd6"),
+        (["complex", "--kind", "taylor", "--format", "json"], 0,
+         "70a30f46724874ebc7728ec2262cb963a47d1bf99e15ecaa1e442132a4deef5a"),
+        (["complex", "--kind", "taylor", "--format", "table"], 0,
+         "9869c35819d4fda1278bfa0dc3fff4979dee50b777d0e8f49a8fe9dceefe8b5e"),
         (["leaf", "--var", "e", "--format", "json"], 0,
          "15f6ed61127afd8a90c64696dfe912dc6be8c4185ef518d7f27d2bf4f9b70580"),
         (["leaf", "--var", "e", "--format", "table"], 0,
          "7278cd46c142a7f7160af697b63a256c264392d24397af2038c666971887a43f"),
     ], ids=["ideal-json", "ideal-table", "scarf-json", "scarf-table", "restrict-json",
-            "restrict-table", "leaf-json", "leaf-table"])
+            "restrict-table", "taylor-json", "taylor-table", "leaf-json", "leaf-table"])
     def test_named_ideal_reports(self, argv, code, digest, tmp_path, capsys):
-        """Every path that renders a monomial, on an --ideal file."""
+        """Every path that renders a monomial, on an --ideal file.  The
+        Taylor complex lists faces {0,3} before {1,2}, which ascending face
+        masks (6 before 9) would swap."""
         path = tmp_path / "ideal.json"
         path.write_text(json.dumps(self.NAMED_IDEAL))
         assert main(argv + ["--ideal", str(path)]) == code
