@@ -34,17 +34,10 @@ import itertools
 import json
 from collections.abc import Iterable, Iterator
 
-from .complexes import (
-    LabeledComplex,
-    _face_key,
-    cone,
-    glue_leaf_ideal,
-    lcm_lattice,
-    leaf_split,
-    scarf_complex,
-)
+from .complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice, leaf_split, scarf_complex
 from .graphs import (
     SimpleGraph,
+    _bits,
     _canonical_copy,
     _check_level_size,
     _family_index,
@@ -325,9 +318,10 @@ class LeafPipelineReport(_Frozen):
         }
 
 
-def _stars_share_nonempty_face(a: LabeledComplex, b: LabeledComplex) -> bool:
-    shared = (a.face_set & b.face_set) - {()}
-    return bool(shared)
+def _stars_share_nonempty_face(a: frozenset[int], b: frozenset[int]) -> bool:
+    """Whether two stars, as sets of face masks, share a face besides the
+    empty one, which every star holds."""
+    return len(a & b) > 1
 
 
 def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> LeafPipelineReport:
@@ -352,7 +346,7 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
     glued_index = {g: k for k, g in enumerate(glued.generator_masks)}
     to_glued = [glued_index[g] for g in ideal.generator_masks]
 
-    stars = {j: base_complex.star((j,)) for j in leafed}
+    stars = {j: base_complex.star(1 << j).face_set for j in leafed}
     overlapping = tuple(
         (i, j)
         for i, j in itertools.combinations(leafed, 2)
@@ -366,24 +360,26 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
         j: glued_index[(ideal.generator_masks[j] & ~x_bit) | x_prime_bit] for j in leafed
     }
 
-    def map_face(face) -> tuple[int, ...]:
-        return tuple(sorted(to_glued[i] for i in face))
+    def map_face(face: int) -> int:
+        return sum(1 << to_glued[i] for i in _bits(face))
 
     base_report = is_scarf(ideal, fields)
     glued_report = is_scarf(glued, fields)
 
-    def mapped_cone(j: int) -> frozenset[tuple[int, ...]]:
-        """The cone from apex[j] over the glued image of j's old star."""
-        star = sorted((map_face(face) for face in stars[j].faces), key=_face_key)
-        return cone(apex[j], LabeledComplex(glued, tuple(star))).face_set
+    def mapped_cone(j: int) -> frozenset[int]:
+        """The cone from apex[j] over the glued image of j's old star: the
+        image's faces, with and without the apex, which is a replacement
+        generator and so in no image."""
+        image = {map_face(face) for face in stars[j]}
+        return frozenset(image.union(face | 1 << apex[j] for face in image))
 
     replacement_ok = stars_ok = disjointness_persists = None
     if hypothesis:
         cones = {j: mapped_cone(j) for j in leafed}
         expected = {map_face(face) for face in base_complex.faces}.union(*cones.values())
-        replacement_ok = expected == set(glued_complex.faces)
-        glued_stars = {j: glued_complex.star((to_glued[j],)) for j in leafed}
-        stars_ok = all(glued_stars[j].face_set == cones[j] for j in leafed)
+        replacement_ok = expected == glued_complex.face_set
+        glued_stars = {j: glued_complex.star(1 << to_glued[j]).face_set for j in leafed}
+        stars_ok = all(glued_stars[j] == cones[j] for j in leafed)
         disjointness_persists = not any(
             _stars_share_nonempty_face(glued_stars[i], glued_stars[j])
             for i, j in itertools.combinations(leafed, 2)

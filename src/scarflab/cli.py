@@ -35,6 +35,7 @@ from .complexes import scarf_complex, taylor_complex
 from .graphs import (
     FamilyTag,
     SimpleGraph,
+    _bits,
     graph_from_json_dict,
     make_family,
     parse_adjacency_text,
@@ -227,7 +228,7 @@ def _cmd_complex(args: argparse.Namespace) -> int:
             f"ideal: {ideal.render()}",
             f"f_vector: {list(complex_.f_vector())}",
             "faces: " + " ".join(
-                "{" + ",".join(str(i) for i in face) + "}" for face in complex_.faces
+                "{" + ",".join(str(i) for i in _bits(face)) + "}" for face in complex_.faces
             ),
         ]
         _emit("\n".join(lines), args.output)
@@ -307,7 +308,7 @@ def _cmd_leaf(args: argparse.Namespace) -> int:
     if not ideal.universe.size:
         raise CliError("--var: the ideal has no variables")
     name = args.var.strip()
-    if name.isdigit():
+    if name.isdigit() and name not in ideal.universe.names:
         try:  # a digit int() rejects (such as '²'), or past its digit limit
             x = int(name)
         except ValueError:
@@ -399,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_leaf = sub.add_parser("leaf", help="run the leaf-gluing pipeline at a variable")
     p_leaf.add_argument("--spec", help="connected:<t> or path:<t>")
-    p_leaf.add_argument("--var", required=True, help="variable name (x3) or index")
+    p_leaf.add_argument(
+        "--var", required=True, help="variable name (x3), or an index when it names no variable"
+    )
     _add_common(p_leaf, graph_input=True, ideal_input=True)
     p_leaf.set_defaults(handler=_cmd_leaf)
 

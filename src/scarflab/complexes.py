@@ -1,15 +1,16 @@
 """Labelled simplicial complexes on the generators of a square-free ideal.
 
-Faces are sorted tuples of generator indices; the label of a face is the lcm
-of its members (the empty face is labelled 1).  The constructor checks the
-faces on their bit masks over the generators.  The Taylor complex is the full
-power set.  The Scarf complex keeps the faces whose label is shared by no
-other subset of generators.  It is grown level by level on bit sets: the
-Scarf edges are found once, as neighbour masks, and a face grows only by a
-common neighbour of its members, which is then tested to be closed (no
-outside generator divides the label: `_meet` ANDs the ideal's
-`generators_without` table over the variables the label lacks) and
-irredundant (dropping any member changes the label).  The exhaustive
+A face is the bit mask of its members, bit i set when generator i is one;
+the label of a face is the lcm of its members (the empty face, mask 0, is
+labelled 1).  Faces are listed by size and then lexicographically by
+members, and reports print each face's members in ascending order.  The
+Taylor complex is the full power set.  The Scarf complex keeps the faces
+whose label is shared by no other subset of generators.  It is grown level
+by level on bit sets: the Scarf edges are found once, as neighbour masks,
+and a face grows only by a common neighbour of its members, which is then
+tested to be closed (no outside generator divides the label: `_meet` ANDs
+the ideal's `generators_without` table over the variables the label lacks)
+and irredundant (dropping any member changes the label).  The exhaustive
 power-set variant is a test oracle in `tests/reference.py`.
 
 A monomial is its bit mask, as in `monomials`.  The lcm lattice is the
@@ -26,7 +27,7 @@ every generator divisible by a chosen variable.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 
 from .graphs import _bits, _Frozen, _set
@@ -39,109 +40,80 @@ class ComplexError(ValueError):
     pass
 
 
-Face = tuple[int, ...]
-
-
-def _face_key(face: Face) -> tuple[int, Face]:
-    return (len(face), face)
-
-
-def _reject_face(face: Face, q: int) -> None:
-    """Raise the error for a face whose members do not increase strictly
-    within 0..q-1."""
-    if tuple(sorted(face)) != face:
-        raise ComplexError(f"face {face} is not sorted")
-    if len(set(face)) != len(face):
-        raise ComplexError(f"face {face} repeats a generator")
-    raise ComplexError(f"face {face} references a missing generator")
-
-
 class LabeledComplex(_Frozen):
     """A downward-closed face family over the minimal generators of an ideal."""
 
     _fields = ("ideal", "faces")
 
-    def __init__(self, ideal: MonomialIdeal, faces: tuple[Face, ...]) -> None:
-        """Checks every face on its bit mask (bit i set when generator i is
-        a member).  A face's members must increase strictly and lie in
-        0..q-1, which is when each member's bit exceeds the mask of the
-        members before it; the first face that fails goes to
-        `_reject_face` for its message.  Such faces have distinct masks
-        exactly when they are distinct, only the empty face has mask 0, and
-        dropping member i from a face leaves the face with mask `mask ^ bit`."""
-        q = ideal.num_generators
-        masks = []
-        unordered = False
-        previous: tuple = (-1,)
+    def __init__(self, ideal: MonomialIdeal, faces: Sequence[int]) -> None:
+        """Each face is the bit mask of its members (bit i set when
+        generator i is one), so it lies in 0..2^q - 1 and cannot repeat or
+        misorder a member.  The faces must be sorted by size and then
+        lexicographically by members: of two faces of one size, a comes
+        first when the lowest member of exactly one of them, the lowest bit
+        of a ^ b, is in a.  Strict order rules out duplicates, and the empty
+        face, mask 0, comes first.  Dropping member i from a face leaves the
+        face with mask `face ^ 1 << i`."""
+        faces = tuple(faces)
+        limit = 1 << ideal.num_generators
+        present = set(faces)
+        if faces and faces[0]:
+            raise ComplexError("a nonempty complex must start with the empty face")
+        size, previous = -1, 0
         for face in faces:
-            mask = 0
-            for i in face:
-                if not 0 <= i < q or 1 << i <= mask:
-                    _reject_face(face, q)
-                mask |= 1 << i
-            masks.append(mask)
-            key = (len(face), face)
-            if key <= previous:
-                unordered = True
-            previous = key
-        present = set(masks)
-        if len(present) != len(faces):
-            raise ComplexError("duplicate faces")
-        if unordered:
-            raise ComplexError("faces must be sorted by size then lexicographically")
-        if faces and 0 not in present:
-            raise ComplexError("a nonempty complex must contain the empty face")
-        for face, mask in zip(faces, masks):
-            rest = mask
+            if not 0 <= face < limit:
+                raise ComplexError(f"face mask {face} references a missing generator")
+            count = face.bit_count()
+            differ = previous ^ face
+            if count < size or count == size and not previous & differ & -differ:
+                raise ComplexError("faces must be sorted by size then lexicographically")
+            size, previous = count, face
+            rest = face
             while rest:
                 bit = rest & -rest
-                if mask ^ bit not in present:
-                    raise ComplexError(f"faces are not downward closed at {face}")
+                if face ^ bit not in present:
+                    raise ComplexError(f"faces are not downward closed at {list(_bits(face))}")
                 rest ^= bit
         _set(self, "ideal", ideal)
         _set(self, "faces", faces)
 
     @cached_property
-    def face_set(self) -> frozenset[Face]:
+    def face_set(self) -> frozenset[int]:
         return frozenset(self.faces)
 
     @cached_property
     def label_masks(self) -> tuple[int, ...]:
+        """The label of each face, in face order.  A face's label is that of
+        the face without its lowest member, which comes earlier as it is
+        smaller, ORed with that member's generator."""
+        if not self.faces:
+            return ()
         gen_masks = self.ideal.generator_masks
-        out = []
+        labels = {0: 0}
         for face in self.faces:
-            mask = 0
-            for i in face:
-                mask |= gen_masks[i]
-            out.append(mask)
-        return tuple(out)
-
-    @property
-    def is_void(self) -> bool:
-        return not self.faces
-
-    @property
-    def has_vertices(self) -> bool:
-        return any(len(face) == 1 for face in self.faces)
+            if face:
+                low = face & -face
+                labels[face] = labels[face ^ low] | gen_masks[low.bit_length() - 1]
+        return tuple(labels.values())
 
     @property
     def dim(self) -> int:
         """Dimension of the largest face; -1 when only the empty face is present."""
         if not self.faces:
             raise ComplexError("the void complex has no dimension")
-        return len(self.faces[-1]) - 1
+        return self.faces[-1].bit_count() - 1
 
-    def faces_of_size(self, size: int) -> tuple[Face, ...]:
-        return tuple(face for face in self.faces if len(face) == size)
+    def faces_of_size(self, size: int) -> tuple[int, ...]:
+        return tuple(face for face in self.faces if face.bit_count() == size)
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension 0, 1, ...; the empty face is not counted."""
         if not self.faces:
             return ()
-        counts = [0] * (len(self.faces[-1]))
+        counts = [0] * self.faces[-1].bit_count()
         for face in self.faces:
             if face:
-                counts[len(face) - 1] += 1
+                counts[face.bit_count() - 1] += 1
         return tuple(counts)
 
     @cached_property
@@ -150,14 +122,16 @@ class LabeledComplex(_Frozen):
         `face_columns[g]` is set when g is in `faces[i]`."""
         columns = [0] * self.ideal.num_generators
         for i, face in enumerate(self.faces):
-            for g in face:
-                columns[g] |= 1 << i
+            while face:  # `_bits` inlined: every Scarf scan runs this per complex
+                low = face & -face
+                columns[low.bit_length() - 1] |= 1 << i
+                face ^= low
         return tuple(columns)
 
     @cached_property
     def vertices(self) -> int:
         """Bit set of the generators that are vertices: bit g is set when
-        some face contains g, so that (g,) is a face by downward closure."""
+        some face contains g, so that {g} is a face by downward closure."""
         return sum(1 << g for g, column in enumerate(self.face_columns) if column)
 
     @cached_property
@@ -193,25 +167,21 @@ class LabeledComplex(_Frozen):
         )
         return self if len(kept) == len(self.faces) else LabeledComplex(self.ideal, kept)
 
-    def star(self, face: Iterable[int]) -> "LabeledComplex":
-        """Faces tau with tau union face still a face; contains face itself and ()."""
-        key = tuple(sorted(set(face)))
-        if key not in self.face_set:
-            raise ComplexError(f"{key} is not a face, star undefined")
-        key_set = set(key)
-        keep = [
-            tau for tau in self.faces
-            if tuple(sorted(key_set | set(tau))) in self.face_set
-        ]
-        return LabeledComplex(self.ideal, tuple(keep))
+    def star(self, face: int) -> "LabeledComplex":
+        """Faces tau with tau | face still a face; contains face itself and
+        the empty face."""
+        face_set = self.face_set
+        if face not in face_set:
+            raise ComplexError(f"face mask {face} is not a face, star undefined")
+        return LabeledComplex(self.ideal, [tau for tau in self.faces if tau | face in face_set])
 
     def to_json_dict(self) -> dict:
         universe = self.ideal.universe
         return {
             "vertices": [universe.render(g) for g in self.ideal.generator_masks],
-            "faces": [list(face) for face in self.faces],
+            "faces": [list(_bits(face)) for face in self.faces],
             "labels": {
-                ",".join(str(i) for i in face): universe.render(mask)
+                ",".join(str(i) for i in _bits(face)): universe.render(mask)
                 for face, mask in zip(self.faces, self.label_masks)
             },
         }
@@ -223,11 +193,11 @@ def taylor_complex(ideal: MonomialIdeal, max_generators: int = DEFAULT_TAYLOR_CA
     if q > max_generators:
         raise ComplexError(f"Taylor complex capped at {max_generators} generators, got {q}")
     faces = [
-        combo
+        sum(1 << i for i in combo)
         for size in range(q + 1)
         for combo in itertools.combinations(range(q), size)
     ]
-    return LabeledComplex(ideal, tuple(faces))
+    return LabeledComplex(ideal, faces)
 
 
 def _meet(value: int, absent: int, tables: Sequence[int]) -> int:
@@ -284,7 +254,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     gen_masks = ideal.generator_masks
     q = len(gen_masks)
     if q == 1 and not gen_masks[0]:
-        return LabeledComplex(ideal, ((),))
+        return LabeledComplex(ideal, (0,))
     everything = (1 << ideal.universe.size) - 1
     all_generators = (1 << q) - 1
     without = ideal.generators_without
@@ -295,14 +265,14 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
             if not _meet(all_generators ^ (1 << i | 1 << j), everything & ~label, without):
                 neighbours[i] |= 1 << j
                 neighbours[j] |= 1 << i
-    faces: list[Face] = [()]
-    # (face, label, member mask, variables two members share, common neighbours)
-    current = [((i,), gen_masks[i], 1 << i, 0, neighbours[i]) for i in range(q)]
+    faces = [0]
+    # (face, label, variables two members share, common neighbours)
+    current = [(1 << i, gen_masks[i], 0, neighbours[i]) for i in range(q)]
     while current:
         faces.extend(entry[0] for entry in current)
         grown = []
-        for face, label, members, shared, common in current:
-            step = common & (-2 << face[-1])
+        for face, label, shared, common in current:
+            step = common & (-1 << face.bit_length())
             while step:
                 bit = step & -step
                 step ^= bit
@@ -310,30 +280,14 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
                 generator = gen_masks[j]
                 more_shared = shared | label & generator
                 new_label = label | generator
-                if len(face) > 1 and not (
-                    all(gen_masks[i] & ~more_shared for i in face)
-                    and not _meet(all_generators ^ members ^ bit, everything & ~new_label, without)
+                if face & (face - 1) and not (
+                    all(gen_masks[i] & ~more_shared for i in _bits(face))
+                    and not _meet(all_generators ^ face ^ bit, everything & ~new_label, without)
                 ):
                     continue
-                grown.append((face + (j,), new_label, members | bit, more_shared,
-                              common & neighbours[j]))
+                grown.append((face | bit, new_label, more_shared, common & neighbours[j]))
         current = grown
-    return LabeledComplex(ideal, tuple(faces))
-
-
-def cone(apex: int, delta: LabeledComplex) -> LabeledComplex:
-    """Cone with apex a generator index not yet used by the complex; doubles
-    the faces."""
-    if not 0 <= apex < delta.ideal.num_generators:
-        raise ComplexError(f"apex {apex} is not a generator index")
-    if delta.is_void:
-        raise ComplexError("cannot cone the void complex")
-    if any(apex in face for face in delta.faces):
-        raise ComplexError(f"apex {apex} already appears in the complex")
-    grown = list(delta.faces)
-    for face in delta.faces:
-        grown.append(tuple(sorted(face + (apex,))))
-    return LabeledComplex(delta.ideal, tuple(sorted(grown, key=_face_key)))
+    return LabeledComplex(ideal, faces)
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> tuple[int, ...]:

@@ -20,9 +20,11 @@ the spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4) it settles the 511, 1,023
 and 4,095 points left of 766, 1,406 and 5,118, with 567, 1,135 and 4,335
 vertex domination tests over the whole scan.
 
-Boundary matrices carry the usual alternating signs over the sorted vertex
-order and include the augmentation map sending every vertex to the empty face,
-so Betti numbers here are reduced.  All arithmetic is exact: one
+A face is the bit mask of its members, as in `complexes`.  Boundary
+matrices carry the usual alternating signs over ascending members: dropping
+the k-th lowest member, by clearing its bit, has sign (-1)^k.  They include
+the augmentation map sending every vertex to the empty face, so Betti
+numbers here are reduced.  All arithmetic is exact: one
 fraction-free elimination serves every field, reduced mod p for the primes
 p < 2^31 (p = 2 among them), and Bareiss over the integers for the rational
 ranks.
@@ -39,7 +41,7 @@ import math
 from collections.abc import Sequence
 
 from .complexes import LabeledComplex, _meet
-from .graphs import _Frozen, _set
+from .graphs import _bits, _Frozen, _set
 
 # Primality is checked by trial division up to sqrt(p), about 46k divisions
 # below this bound; larger moduli would stall validation for minutes.
@@ -132,9 +134,8 @@ def boundary_matrix(delta: LabeledComplex, i: int) -> list[list[int]]:
     matrix = [[0] * len(cols) for _ in rows]
     for c, face in enumerate(cols):
         sign = 1
-        for drop in range(len(face)):
-            sub = face[:drop] + face[drop + 1:]
-            matrix[row_index[sub]][c] = sign
+        for i in _bits(face):
+            matrix[row_index[face ^ 1 << i]][c] = sign
             sign = -sign
     return matrix
 
@@ -270,8 +271,13 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
             rest ^= 1 << v
             star = columns[v] & members
             size = star.bit_count()
-            top = faces[star.bit_length() - 1]
-            if any(w != v and 2 * (star & columns[w]).bit_count() == size for w in top):
+            others = faces[star.bit_length() - 1] & ~(1 << v)
+            while others:  # `_bits` inlined: every Scarf scan runs this per vertex test
+                low = others & -others
+                if 2 * (star & columns[low.bit_length() - 1]).bit_count() == size:
+                    break
+                others ^= low
+            if others:
                 members &= ~columns[v]
                 vertices ^= 1 << v
                 break
@@ -285,7 +291,7 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
 
 def reduced_betti(delta: LabeledComplex, field: FieldSpec) -> HomologyProfile:
     """Reduced Betti numbers up to the top dimension; needs at least one vertex."""
-    if not delta.has_vertices:
+    if not delta.vertices:
         raise HomologyError("reduced homology here needs a complex with a vertex")
     top = delta.dim
     face_counts = delta.f_vector()

@@ -11,7 +11,7 @@ monomials is just the divisibility antichain of the generators.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 from .graphs import _bits, _Frozen, _set
@@ -32,7 +32,8 @@ class VariableUniverse(_Frozen):
 
     _fields = ("names",)
 
-    def __init__(self, names: tuple[str, ...]) -> None:
+    def __init__(self, names: Sequence[str]) -> None:
+        names = tuple(names)
         if len(set(names)) != len(names):
             raise MonomialError("variable names must be distinct")
         if len(names) > DEFAULT_MAX_VARIABLES:
@@ -100,8 +101,8 @@ class MonomialIdeal(_Frozen):
 
     _fields = ("universe", "generator_masks")
 
-    def __init__(self, universe: VariableUniverse, generator_masks: tuple[int, ...]) -> None:
-        masks = generator_masks
+    def __init__(self, universe: VariableUniverse, generator_masks: Sequence[int]) -> None:
+        masks = tuple(generator_masks)
         if any(a >= b for a, b in zip(masks, masks[1:])):
             raise MonomialError("mingens must be strictly sorted by support bit pattern")
         # sorted, so the first mask is the least and the last the greatest
@@ -117,7 +118,7 @@ class MonomialIdeal(_Frozen):
             if any(a & ~b == 0 for b in by_degree[higher:]):
                 raise MonomialError("mingens must form a divisibility antichain")
         _set(self, "universe", universe)
-        _set(self, "generator_masks", generator_masks)
+        _set(self, "generator_masks", masks)
 
     @classmethod
     def zero(cls, universe: VariableUniverse) -> "MonomialIdeal":

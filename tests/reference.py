@@ -17,7 +17,7 @@ from scarflab.analysis import (
     VERDICT_TRIVIALLY_SCARF,
     ScarfReport,
 )
-from scarflab.complexes import ComplexError, Face, LabeledComplex, lcm_lattice, scarf_complex
+from scarflab.complexes import ComplexError, LabeledComplex, lcm_lattice, scarf_complex
 from scarflab.graphs import (
     GraphError,
     SimpleGraph,
@@ -72,13 +72,42 @@ def restrict_ideal(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     return MonomialIdeal(ideal.universe, tuple(g for g in ideal.generator_masks if g & ~m == 0))
 
 
+def _face_key(face: int) -> tuple[int, list[int]]:
+    """The order of `LabeledComplex.faces`: by size, then lexicographically
+    by members."""
+    return (face.bit_count(), list(_bits(face)))
+
+
+def face_mask(members: Iterable[int]) -> int:
+    """The mask of the face with these generator indices; repeats collapse."""
+    return sum(1 << i for i in set(members))
+
+
+def member_tuples(faces: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Each face mask as the tuple of its members, ascending."""
+    return tuple(tuple(_bits(face)) for face in faces)
+
+
 def complex_from_faces(ideal: MonomialIdeal, faces: Iterable[Iterable[int]]) -> LabeledComplex:
-    """The complex with these faces, each sorted and deduplicated, plus the
+    """The complex with these faces, each given by its members, plus the
     empty face when there is any; not closed under subsets."""
-    normalized = {tuple(sorted(set(face))) for face in faces}
-    if normalized:
-        normalized.add(())
-    return LabeledComplex(ideal, tuple(sorted(normalized, key=lambda face: (len(face), face))))
+    masks = {face_mask(face) for face in faces}
+    if masks:
+        masks.add(0)
+    return LabeledComplex(ideal, sorted(masks, key=_face_key))
+
+
+def cone(apex: int, delta: LabeledComplex) -> LabeledComplex:
+    """Cone with apex a generator index not yet used by the complex; doubles
+    the faces."""
+    if not 0 <= apex < delta.ideal.num_generators:
+        raise ComplexError(f"apex {apex} is not a generator index")
+    if not delta.faces:
+        raise ComplexError("cannot cone the void complex")
+    if delta.vertices >> apex & 1:
+        raise ComplexError(f"apex {apex} already appears in the complex")
+    grown = delta.faces + tuple(face | 1 << apex for face in delta.faces)
+    return LabeledComplex(delta.ideal, sorted(grown, key=_face_key))
 
 
 def generator_index_map(source: MonomialIdeal, target: MonomialIdeal) -> dict[int, int]:
@@ -340,28 +369,29 @@ def automorphisms(adjacency: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def evaluate_bar(
-    face: Iterable[int],
+    face: int,
     glued: MonomialIdeal,
     base: MonomialIdeal,
     x: int,
     x_prime: int,
-) -> Face:
-    """Replace every generator x'*n by x*n inside a face of the glued side and
-    return the resulting face over the base ideal (duplicates collapse)."""
+) -> int:
+    """Replace every generator x'*n by x*n inside a face (a mask) of the
+    glued side and return the resulting face mask over the base ideal
+    (duplicates collapse)."""
     x_bit = 1 << x
     x_prime_bit = 1 << x_prime
     base_lookup = {g: i for i, g in enumerate(base.generator_masks)}
-    out = set()
-    for index in face:
-        if not 0 <= index < glued.num_generators:
-            raise ComplexError(f"generator index {index} out of range")
+    if not 0 <= face < 1 << glued.num_generators:
+        raise ComplexError(f"face mask {face} references a missing generator")
+    out = 0
+    for index in _bits(face):
         mask = glued.generator_masks[index]
         if mask & x_prime_bit:
             mask = (mask & ~x_prime_bit) | x_bit
         if mask not in base_lookup:
             raise ComplexError("bar image is not a generator of the base ideal")
-        out.add(base_lookup[mask])
-    return tuple(sorted(out))
+        out |= 1 << base_lookup[mask]
+    return out
 
 
 def ideals_isomorphic(a: MonomialIdeal, b: MonomialIdeal) -> bool:
@@ -443,7 +473,7 @@ def collapses_greedy(delta: LabeledComplex) -> bool:
         return True
     position = {face: i for i, face in enumerate(faces)}
     facets = [
-        [position[face[:k] + face[k + 1:]] for k in range(len(face))] if len(face) > 1 else []
+        [position[face ^ 1 << k] for k in _bits(face)] if face.bit_count() > 1 else []
         for face in faces
     ]
     cofaces = [0] * len(faces)
@@ -492,7 +522,7 @@ def scarf_complex_bruteforce(ideal: MonomialIdeal, max_generators: int = 16) -> 
     q = ideal.num_generators
     if q > max_generators:
         raise ComplexError(f"brute-force Scarf capped at {max_generators} generators")
-    by_label: dict[int, list[Face]] = {}
+    by_label: dict[int, list[tuple[int, ...]]] = {}
     for size in range(q + 1):
         for combo in itertools.combinations(range(q), size):
             mask = 0
@@ -554,11 +584,11 @@ def is_polygon_boundary(delta: LabeledComplex, sides: int) -> bool:
     if delta.f_vector() != (sides, sides):
         return False
     edges = delta.faces_of_size(2)
-    degrees = Counter(v for edge in edges for v in edge)
+    degrees = Counter(v for edge in edges for v in _bits(edge))
     if len(degrees) != sides or any(d != 2 for d in degrees.values()):
         return False
     adjacency: dict[int, set[int]] = {v: set() for v in degrees}
-    for u, v in edges:
+    for u, v in map(_bits, edges):
         adjacency[u].add(v)
         adjacency[v].add(u)
     start = next(iter(adjacency))

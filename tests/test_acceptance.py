@@ -50,6 +50,7 @@ from reference import (
     is_polygon_boundary,
     is_scarf_bruteforce,
     matches_special_tree_family,
+    member_tuples,
     removable_vertices,
     scarf_complex_bruteforce,
 )
@@ -205,12 +206,12 @@ def test_criterion_06_base_cases_and_leaf_pipeline():
         frozen = json.loads((GOLDEN_DIR / "scarf_p4_s5_111.json").read_text())
         assert delta.to_json_dict() == frozen["complex"]
         assert delta.f_vector() == (6, 7, 2)
-        triangles = [set(face) for face in delta.faces_of_size(3)]
+        triangles = [set(face) for face in member_tuples(delta.faces_of_size(3))]
         assert len(triangles) == 2
         assert triangles[0].isdisjoint(triangles[1])
         bridges = [
             edge
-            for edge in delta.faces_of_size(2)
+            for edge in member_tuples(delta.faces_of_size(2))
             if not any(set(edge) <= tri for tri in triangles)
         ]
         assert len(bridges) == 1

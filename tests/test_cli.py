@@ -269,6 +269,19 @@ class TestSubcommands:
                      "--var", "x9"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_leaf_var_name_before_index(self, tmp_path, capsys):
+        """A --var that names a variable is that variable, even when it is
+        all digits; only one that names no variable is read as an index."""
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"variables": ["1a", "0", "b"], "mingens": [[0, 1], [1, 2]]}))
+        for var, name in (("0", "0"), ("2", "b")):
+            assert main(["leaf", "--var", var, "--format", "table", "--ideal", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"x: {name}"
+        assert main(["leaf", "--var", "3", "--ideal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --var index 3 out of range 0..2\n"
+
     def test_ideal_without_variables_rejected(self, tmp_path, capsys):
         """An ideal over no variables gives one `error:` line saying so, both
         for a --var of leaf and for a generator naming a variable index."""

@@ -3,28 +3,33 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scarflab import complexes
 from scarflab.complexes import (
     ComplexError,
     LabeledComplex,
-    cone,
     glue_leaf_ideal,
     lcm_lattice,
     leaf_split,
     scarf_complex,
     taylor_complex,
 )
-from scarflab.graphs import cycle_graph, path_graph, spider5_graph, spider6_graph
+from scarflab.graphs import _bits, cycle_graph, path_graph, spider5_graph, spider6_graph
 from scarflab.ideals import IdealSpec, build_ideal
 from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
 from reference import (
+    _face_key,
     complex_from_faces,
+    cone,
     evaluate_bar,
+    face_mask,
     generator_index_map,
     ideals_isomorphic,
     lcm_of,
+    member_tuples,
     scarf_complex_bruteforce,
 )
 
@@ -56,10 +61,15 @@ def random_ideal(rng: random.Random) -> MonomialIdeal:
     return minimalize(gens, universe=universe)
 
 
+def relabel(face: int, mapping: dict[int, int]) -> int:
+    """The face whose members are the images of this face's members."""
+    return sum(1 << mapping[i] for i in _bits(face))
+
+
 class TestTaylor:
     def test_two_generators(self):
         delta = taylor_complex(ideal_of("x1*x2", "x2*x3", size=3))
-        assert delta.faces == ((), (0,), (1,), (0, 1))
+        assert delta.faces == (0, 0b01, 0b10, 0b11)
         assert delta.label_masks == (0, 0b011, 0b110, 0b111)
 
     def test_c3_of_p6_has_sixteen_faces(self):
@@ -69,8 +79,8 @@ class TestTaylor:
 
     def test_zero_ideal(self):
         delta = taylor_complex(MonomialIdeal.zero(VariableUniverse.of_size(2)))
-        assert delta.faces == ((),)
-        assert not delta.has_vertices
+        assert delta.faces == (0,)
+        assert not delta.vertices
 
     def test_cap(self):
         with pytest.raises(ComplexError):
@@ -81,13 +91,13 @@ class TestScarfShapes:
     def test_c3_of_p6_is_a_path(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
         assert delta.f_vector() == (4, 3)
-        assert delta.faces_of_size(2) == ((0, 1), (1, 2), (2, 3))
+        assert member_tuples(delta.faces_of_size(2)) == ((0, 1), (1, 2), (2, 3))
 
     def test_c3_of_p7_is_a_pentagon_boundary(self):
         delta = scarf_complex(build_ideal(path_graph(7), C3))
         assert delta.f_vector() == (5, 5)
-        degree = {v: 0 for (v,) in delta.faces_of_size(1)}
-        for a, b in delta.faces_of_size(2):
+        degree = {v: 0 for (v,) in member_tuples(delta.faces_of_size(1))}
+        for a, b in member_tuples(delta.faces_of_size(2)):
             degree[a] += 1
             degree[b] += 1
         assert set(degree.values()) == {2}
@@ -95,11 +105,11 @@ class TestScarfShapes:
     def test_p4_of_smallest_spider(self):
         delta = scarf_complex(build_ideal(spider5_graph(1, 1, 1), P4))
         assert delta.f_vector() == (6, 7, 2)
-        first, second = (set(t) for t in delta.faces_of_size(3))
+        first, second = (set(t) for t in member_tuples(delta.faces_of_size(3)))
         assert first & second == set()
         bridges = [
             e
-            for e in delta.faces_of_size(2)
+            for e in member_tuples(delta.faces_of_size(2))
             if not set(e) <= first and not set(e) <= second
         ]
         assert len(bridges) == 1
@@ -107,9 +117,9 @@ class TestScarfShapes:
         assert len(set(bridge) & first) == 1 and len(set(bridge) & second) == 1
 
     def test_zero_and_single_generator(self):
-        assert scarf_complex(MonomialIdeal.zero(VariableUniverse.of_size(1))).faces == ((),)
+        assert scarf_complex(MonomialIdeal.zero(VariableUniverse.of_size(1))).faces == (0,)
         single = ideal_of("x1*x2", size=2)
-        assert scarf_complex(single).faces == ((), (0,))
+        assert scarf_complex(single).faces == (0, 0b1)
 
 
 class TestScarfAgainstBruteforce:
@@ -167,7 +177,7 @@ class TestScarfAgainstBruteforce:
         for ideal in oracle_corpus:
             delta = scarf_complex(ideal)
             for i in range(ideal.num_generators):
-                assert (i,) in delta.face_set
+                assert 1 << i in delta.face_set
             labels = delta.label_masks
             assert len(set(labels)) == len(labels)
 
@@ -186,9 +196,8 @@ class TestScarfAgainstBruteforce:
             delta = scarf_complex(random_ideal(rng))
             masks = dict(zip(delta.faces, delta.label_masks))
             for face in delta.faces:
-                for drop in range(len(face)):
-                    smaller = face[:drop] + face[drop + 1:]
-                    assert masks[smaller] & ~masks[face] == 0
+                for i in _bits(face):
+                    assert masks[face ^ 1 << i] & ~masks[face] == 0
 
 
 class TestRestrictComplex:
@@ -199,7 +208,7 @@ class TestRestrictComplex:
 
     def test_unit_keeps_only_empty_face(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
-        assert delta.restrict(delta.ideal.universe.parse("1")).faces == ((),)
+        assert delta.restrict(delta.ideal.universe.parse("1")).faces == (0,)
 
     def test_prefix_window(self):
         ideal = build_ideal(path_graph(6), C3)
@@ -262,7 +271,7 @@ def dividing_vertices(delta: LabeledComplex, mask: int) -> int:
     """The generators dividing the monomial whose singleton is a face."""
     return sum(
         1 << g for g, generator in enumerate(delta.ideal.generator_masks)
-        if not generator & ~mask and (g,) in delta.face_set
+        if not generator & ~mask and 1 << g in delta.face_set
     )
 
 
@@ -276,7 +285,7 @@ class TestIncidenceIndex:
         q = ideal.num_generators
         yield taylor_complex(ideal)
         yield scarf_complex(ideal)
-        yield LabeledComplex(ideal, ((),))
+        yield LabeledComplex(ideal, (0,))
         yield LabeledComplex(ideal, ())
         if q > 1:
             # a cone over the Scarf complex of the first q-1 generators
@@ -340,7 +349,7 @@ class TestIncidenceIndex:
         assert delta.vertices == 0b111
         assert delta.ideal.generators_without == (0b110, 0b101, 0b011)
         assert delta.faces_without == (0b01001101, 0b00101011, 0b00010111)
-        for faces in ((), ((),)):
+        for faces in ((), (0,)):
             empty = LabeledComplex(delta.ideal, faces)
             assert empty.face_columns == (0, 0, 0)
             assert empty.vertices == 0
@@ -352,7 +361,7 @@ class TestIncidenceIndex:
         assert len(delta.faces) < 1 << ideal.num_generators
         for g, column in enumerate(delta.face_columns):
             assert [i for i in range(len(delta.faces)) if column >> i & 1] == [
-                i for i, face in enumerate(delta.faces) if g in face
+                i for i, face in enumerate(delta.faces) if face >> g & 1
             ]
 
     def test_restrict_keeps_face_order(self):
@@ -429,25 +438,27 @@ class TestLcmLattice:
 class TestStarAndCone:
     def test_star_of_empty_face_is_whole(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
-        assert delta.star(()).faces == delta.faces
+        assert delta.star(0).faces == delta.faces
 
     def test_star_in_full_simplex(self):
         delta = taylor_complex(ideal_of("x1", "x2", "x3", size=3))
-        assert delta.star((1,)).faces == delta.faces
+        assert delta.star(0b10).faces == delta.faces
 
     def test_star_of_middle_vertex_in_path(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
-        assert delta.star((1,)).face_set == {(), (0,), (1,), (2,), (0, 1), (1, 2)}
+        assert delta.star(0b10).face_set == {
+            face_mask(face) for face in [(), (0,), (1,), (2,), (0, 1), (1, 2)]
+        }
 
     def test_star_requires_a_face(self):
         delta = scarf_complex(build_ideal(path_graph(6), C3))
         with pytest.raises(ComplexError):
-            delta.star((0, 2))
+            delta.star(0b101)
 
     def test_cone_over_empty_face_complex(self):
         ideal = ideal_of("x1", "x2", size=2)
         fragment = complex_from_faces(ideal, [()])
-        assert cone(0, fragment).faces == ((), (0,))
+        assert cone(0, fragment).faces == (0, 0b1)
 
     def test_cone_over_edge_is_triangle(self):
         ideal = ideal_of("x1", "x2", "x3", size=3)
@@ -477,35 +488,65 @@ class TestStarAndCone:
         fragment = LabeledComplex(ideal, scarf_complex(build_ideal(path_graph(6), C3)).faces)
         grown = cone(4, fragment)
         for face in grown.faces:
-            assert 4 in face or tuple(sorted(face + (4,))) in grown.face_set
+            assert face >> 4 & 1 or face | 1 << 4 in grown.face_set
 
 
 class TestComplexValidation:
     def test_not_downward_closed(self):
         ideal = ideal_of("x1", "x2", size=2)
         with pytest.raises(ComplexError):
-            LabeledComplex(ideal, ((), (0, 1)))
+            LabeledComplex(ideal, (0, 0b11))
 
     def test_missing_empty_face(self):
         ideal = ideal_of("x1", "x2", size=2)
         with pytest.raises(ComplexError):
-            LabeledComplex(ideal, ((0,),))
+            LabeledComplex(ideal, (0b1,))
 
     def test_out_of_range_index(self):
         ideal = ideal_of("x1", "x2", size=2)
         with pytest.raises(ComplexError):
-            LabeledComplex(ideal, ((), (5,)))
+            LabeledComplex(ideal, (0, 1 << 5))
 
     def test_from_faces_normalizes_but_does_not_close(self):
         ideal = ideal_of("x1", "x2", "x3", size=3)
         delta = complex_from_faces(ideal, [(1, 0), (0,), (1,), (0,)])
-        assert delta.faces == ((), (0,), (1,), (0, 1))
+        assert delta.faces == (0, 0b01, 0b10, 0b11)
         with pytest.raises(ComplexError):
             complex_from_faces(ideal, [(0, 1)])
 
+    @given(st.data())
+    def test_accepts_exactly_the_sorted_family(self, data):
+        """On a downward-closed family, the constructor accepts a sequence
+        exactly when it is the family sorted by size and then members, and
+        the JSON lists each face's members ascending."""
+        q = data.draw(st.integers(0, 5), label="q")
+        tops = data.draw(st.lists(st.integers(0, (1 << q) - 1), max_size=4), label="tops")
+        family = sorted(
+            {sub for top in tops for sub in range(top + 1) if not sub & ~top}, key=_face_key
+        )
+        sequence = list(family)
+        how = data.draw(st.sampled_from(["kept", "swapped", "shuffled"]), label="how")
+        if how == "swapped" and len(family) > 1:
+            i = data.draw(st.integers(0, len(family) - 2), label="i")
+            sequence[i:i + 2] = sequence[i + 1], sequence[i]
+        elif how == "shuffled":
+            sequence = data.draw(st.permutations(family), label="sequence")
+        universe = VariableUniverse.of_size(q)
+        ideal = MonomialIdeal(universe, tuple(1 << i for i in range(q)))
+        try:
+            delta = LabeledComplex(ideal, sequence)
+        except ComplexError:
+            assert sequence != family
+            return
+        assert sequence == family
+        listed = delta.to_json_dict()["faces"]
+        assert [face_mask(members) for members in listed] == family
+        assert all(members == sorted(set(members)) for members in listed)
+        assert listed == sorted(listed, key=lambda members: (len(members), members))
+
     def test_void_complex(self):
         delta = LabeledComplex(ideal_of("x1", size=1), ())
-        assert delta.is_void and not delta.has_vertices
+        assert delta.faces == () and not delta.vertices
 
 
 class TestLeafGluing:
@@ -578,19 +619,17 @@ class TestBarEvaluation:
         raise AssertionError("missing generator")
 
     def test_face_inside_old_generators_unchanged(self):
-        face = (self.fwd[0], self.fwd[1])
-        assert evaluate_bar(face, self.glued, self.base, self.x, self.x_prime) == (0, 1)
+        face = 1 << self.fwd[0] | 1 << self.fwd[1]
+        assert evaluate_bar(face, self.glued, self.base, self.x, self.x_prime) == 0b11
 
     def test_primed_generator_drops_back(self):
         # a plain generator plus a primed one: only the primed one moves
-        face = tuple(sorted((self.fwd[2], self.glued_index(1, primed=True))))
-        assert evaluate_bar(face, self.glued, self.base, self.x, self.x_prime) == (1, 2)
+        face = 1 << self.fwd[2] | 1 << self.glued_index(1, primed=True)
+        assert evaluate_bar(face, self.glued, self.base, self.x, self.x_prime) == 0b110
 
     def test_pair_collapses(self):
-        face = tuple(
-            sorted((self.glued_index(1, primed=False), self.glued_index(1, primed=True)))
-        )
-        assert evaluate_bar(face, self.glued, self.base, self.x, self.x_prime) == (1,)
+        face = 1 << self.glued_index(1, primed=False) | 1 << self.glued_index(1, primed=True)
+        assert evaluate_bar(face, self.glued, self.base, self.x, self.x_prime) == 0b10
 
     def test_lcm_transfer_three_cases_exhaustive(self):
         for base in (
@@ -608,14 +647,13 @@ class TestBarEvaluation:
                 x_prime = glued.universe.size - 1
                 x_bit, prime_bit = 1 << x, 1 << x_prime
                 q = glued.num_generators
-                for bits in range(1, 1 << q):
-                    face = tuple(i for i in range(q) if bits >> i & 1)
+                for face in range(1, 1 << q):
                     lcm_mask = 0
-                    for i in face:
+                    for i in _bits(face):
                         lcm_mask |= glued.generator_masks[i]
                     bar = evaluate_bar(face, glued, base, x, x_prime)
                     bar_mask = 0
-                    for i in bar:
+                    for i in _bits(bar):
                         bar_mask |= base.generator_masks[i]
                     if not lcm_mask & prime_bit:
                         assert lcm_mask == bar_mask
@@ -633,16 +671,13 @@ class TestFaceTransfer:
         gamma = scarf_complex(base).face_set
         gamma_prime = scarf_complex(glued).face_set
         fwd = generator_index_map(base, glued)
-        base_indices = set(fwd.values())
+        base_indices = sum(1 << i for i in fwd.values())
         back = {v: k for k, v in fwd.items()}
         candidates = set(gamma) | {
-            tuple(sorted(back[i] for i in f))
-            for f in gamma_prime
-            if set(f) <= base_indices
+            relabel(f, back) for f in gamma_prime if not f & ~base_indices
         }
         for face in candidates:
-            mapped = tuple(sorted(fwd[i] for i in face))
-            assert (face in gamma) == (mapped in gamma_prime)
+            assert (face in gamma) == (relabel(face, fwd) in gamma_prime)
         for face in gamma_prime:
             assert evaluate_bar(face, glued, base, x, x_prime) in gamma
 
@@ -673,21 +708,18 @@ class TestLeafLemmaStructure:
         gamma_prime = scarf_complex(glued)
         fwd = generator_index_map(base, glued)
         leafed = leaf_split(base, x)
-        expected = {tuple(sorted(fwd[i] for i in face)) for face in gamma.faces}
+        expected = {relabel(face, fwd) for face in gamma.faces}
         for j in leafed:
             apex_mask = (base.generator_masks[j] & ~(1 << x)) | x_prime_bit
             (apex,) = [
                 k for k, g in enumerate(glued.generator_masks) if g == apex_mask
             ]
-            star_faces = {
-                tuple(sorted(fwd[i] for i in face))
-                for face in gamma.star((j,)).faces
-            }
+            star_faces = {relabel(face, fwd) for face in gamma.star(1 << j).faces}
             expected |= star_faces
-            expected |= {tuple(sorted(f + (apex,))) for f in star_faces}
+            expected |= {f | 1 << apex for f in star_faces}
             # the star of the old generator in the new complex is the cone
-            assert gamma_prime.star((fwd[j],)).face_set == star_faces | {
-                tuple(sorted(f + (apex,))) for f in star_faces
+            assert gamma_prime.star(1 << fwd[j]).face_set == star_faces | {
+                f | 1 << apex for f in star_faces
             }
         assert gamma_prime.face_set == expected
 
@@ -725,7 +757,7 @@ class TestLeafLemmaStructure:
                 if (la & ~x_bit & ~x_prime_bit) == (lb & ~x_bit & ~x_prime_bit):
                     # the same root generator in both dressings is exempt
                     continue
-                assert tuple(sorted({a, b})) not in gamma_prime.face_set
+                assert 1 << a | 1 << b not in gamma_prime.face_set
 
 
 class TestIdealIsomorphism:

@@ -51,7 +51,7 @@ CASES = {
         IDEAL, ("universe", "generator_masks"), "generator_masks", IDEAL.generator_masks[1:],
     ),
     IdealSpec: (P4, ("kind", "t"), "t", 5),
-    LabeledComplex: (scarf_complex(IDEAL), ("ideal", "faces"), "faces", ((),)),
+    LabeledComplex: (scarf_complex(IDEAL), ("ideal", "faces"), "faces", (0,)),
     FieldSpec: (FIELD, ("kind", "p"), "p", 3),
     HomologyProfile: (PROFILE, ("field", "betti_minus_one", "betti"), "betti", (0, 7)),
     ScarfReport: (
@@ -161,24 +161,60 @@ U2 = VariableUniverse.of_size(2)
             "kind must be one of ('connected', 'path'), got 'cycle'",
         ),
         (
-            lambda: LabeledComplex(IDEAL, ((), (1, 0))),
+            lambda: LabeledComplex(IDEAL, (0, 0b10, 0b01)),
             ComplexError,
-            "face (1, 0) is not sorted",
+            "faces must be sorted by size then lexicographically",
         ),
         (
-            lambda: LabeledComplex(IDEAL, ((), (0,), (1,), (1, 1))),
+            lambda: LabeledComplex(IDEAL, (0, 0b01, 0b01)),
             ComplexError,
-            "face (1, 1) repeats a generator",
+            "faces must be sorted by size then lexicographically",
+        ),
+        (
+            lambda: LabeledComplex(IDEAL, (0, 1 << IDEAL.num_generators)),
+            ComplexError,
+            "face mask 64 references a missing generator",
+        ),
+        (
+            lambda: LabeledComplex(IDEAL, (0, -1)),
+            ComplexError,
+            "face mask -1 references a missing generator",
+        ),
+        (
+            lambda: LabeledComplex(IDEAL, (0b01,)),
+            ComplexError,
+            "a nonempty complex must start with the empty face",
+        ),
+        (
+            lambda: LabeledComplex(IDEAL, (0, 0b01, 0b11)),
+            ComplexError,
+            "faces are not downward closed at [0, 1]",
         ),
         (lambda: FieldSpec("prime", 4), HomologyError, "4 is not prime"),
     ],
     ids=[
         "SimpleGraph", "VariableUniverse", "VariableUniverse-unparseable-name",
         "MonomialIdeal-mask-too-large", "MonomialIdeal-negative-mask", "MonomialIdeal", "IdealSpec",
-        "LabeledComplex", "LabeledComplex-repeated-member", "FieldSpec",
+        "LabeledComplex", "LabeledComplex-duplicate-face", "LabeledComplex-mask-too-large",
+        "LabeledComplex-negative-mask", "LabeledComplex-no-empty-face",
+        "LabeledComplex-not-closed", "FieldSpec",
     ],
 )
 def test_invalid_values_raise(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("cls, args", [
+    (VariableUniverse, (IDEAL.universe.names,)),
+    (MonomialIdeal, (IDEAL.universe, IDEAL.generator_masks)),
+    (LabeledComplex, (IDEAL, CASES[LabeledComplex][0].faces)),
+], ids=["VariableUniverse", "MonomialIdeal", "LabeledComplex"])
+def test_sequence_field_given_as_list(cls, args):
+    """A value built from a list stores a tuple, so it equals and hashes
+    like the one built from the tuple."""
+    value = cls(*args)
+    listed = cls(*(list(arg) if isinstance(arg, tuple) else arg for arg in args))
+    assert listed == value and hash(listed) == hash(value)
+    assert repr(listed) == repr(value)
