@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice, leaf_split, scarf_complex
 from .graphs import (
@@ -77,13 +77,13 @@ class ScarfReport(_Frozen):
     )
 
     def __init__(
-        self, ideal: MonomialIdeal, verdicts: tuple[tuple[FieldSpec, str], ...],
-        witnesses: tuple[tuple[FieldSpec, int, HomologyProfile], ...],
+        self, ideal: MonomialIdeal, verdicts: Sequence[tuple[FieldSpec, str]],
+        witnesses: Sequence[tuple[FieldSpec, int, HomologyProfile]],
         num_generators: int, num_scarf_faces: int, num_lattice_points: int,
     ) -> None:
         _set(self, "ideal", ideal)
-        _set(self, "verdicts", verdicts)
-        _set(self, "witnesses", witnesses)
+        _set(self, "verdicts", tuple(verdicts))
+        _set(self, "witnesses", tuple(witnesses))
         _set(self, "num_generators", num_generators)
         _set(self, "num_scarf_faces", num_scarf_faces)
         _set(self, "num_lattice_points", num_lattice_points)
@@ -150,10 +150,10 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     the label mask of a Scarf face is skipped, and every other point goes
     through `_failing_fields` over the fields still undecided.  A
     restriction that is a simplex or strong-collapses to a vertex can be no
-    field's witness, and `homology.collapses_to_point` decides it on
-    per-variable bit sets (the ideal's `generators_without` and the
-    complex's `faces_without`) without building it, from a table of
-    collapse answers by vertex set that all points of the scan share.  So
+    field's witness, and `homology.collapses_to_point` decides it on the
+    complex's per-variable face bit sets (`faces_without`), whose singleton
+    faces give its vertices, without building it, from a table of collapse
+    answers by vertex set that all points of the scan share.  So
     restrictions are built and ranked only at the points the collapse test
     leaves standing, and verdicts, witnesses and their Betti profiles are
     those of a scan that ranks every point.
@@ -274,7 +274,7 @@ class LeafPipelineReport(_Frozen):
 
     def __init__(
         self, base: MonomialIdeal, glued: MonomialIdeal, x: int, x_prime: int,
-        hypothesis_holds: bool, overlapping_pairs: tuple[tuple[int, int], ...],
+        hypothesis_holds: bool, overlapping_pairs: Sequence[tuple[int, int]],
         replacement_ok: bool | None, stars_ok: bool | None, disjointness_persists: bool | None,
         scarf_transfer: str, base_scarf: bool, glued_scarf: bool,
     ) -> None:
@@ -283,7 +283,7 @@ class LeafPipelineReport(_Frozen):
         _set(self, "x", x)
         _set(self, "x_prime", x_prime)
         _set(self, "hypothesis_holds", hypothesis_holds)
-        _set(self, "overlapping_pairs", overlapping_pairs)
+        _set(self, "overlapping_pairs", tuple(overlapping_pairs))
         _set(self, "replacement_ok", replacement_ok)
         _set(self, "stars_ok", stars_ok)
         _set(self, "disjointness_persists", disjointness_persists)
@@ -511,7 +511,7 @@ class SweepRecord(_Frozen):
 
     def __init__(
         self, graph6: str, n: int, num_edges: int, edges: str, family: str | None, predicted: bool,
-        computed: bool, verdicts: tuple[tuple[str, str], ...],
+        computed: bool, verdicts: Sequence[tuple[str, str]],
     ) -> None:
         _set(self, "graph6", graph6)
         _set(self, "n", n)
@@ -520,7 +520,7 @@ class SweepRecord(_Frozen):
         _set(self, "family", family)
         _set(self, "predicted", predicted)
         _set(self, "computed", computed)
-        _set(self, "verdicts", verdicts)
+        _set(self, "verdicts", tuple(verdicts))
 
     @property
     def agree(self) -> bool:
@@ -548,14 +548,14 @@ class SweepResult(_Frozen):
     _fields = ("spec", "n_max", "records", "disagreements", "field_conflicts")
 
     def __init__(
-        self, spec: IdealSpec, n_max: int, records: tuple[SweepRecord, ...],
-        disagreements: tuple[SweepRecord, ...], field_conflicts: tuple[SweepRecord, ...],
+        self, spec: IdealSpec, n_max: int, records: Sequence[SweepRecord],
+        disagreements: Sequence[SweepRecord], field_conflicts: Sequence[SweepRecord],
     ) -> None:
         _set(self, "spec", spec)
         _set(self, "n_max", n_max)
-        _set(self, "records", records)
-        _set(self, "disagreements", disagreements)
-        _set(self, "field_conflicts", field_conflicts)
+        _set(self, "records", tuple(records))
+        _set(self, "disagreements", tuple(disagreements))
+        _set(self, "field_conflicts", tuple(field_conflicts))
 
     def to_json_lines(self) -> list[str]:
         return [json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records]
@@ -618,14 +618,14 @@ class ObstructionCatalog(_Frozen):
 
     def __init__(
         self, spec: IdealSpec, n_max: int, mode: str, trees_only: bool, num_non_scarf: int,
-        graphs: tuple[SimpleGraph, ...],
+        graphs: Sequence[SimpleGraph],
     ) -> None:
         _set(self, "spec", spec)
         _set(self, "n_max", n_max)
         _set(self, "mode", mode)
         _set(self, "trees_only", trees_only)
         _set(self, "num_non_scarf", num_non_scarf)
-        _set(self, "graphs", graphs)
+        _set(self, "graphs", tuple(graphs))
 
     def to_json_dict(self) -> dict:
         return {

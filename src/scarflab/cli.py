@@ -350,68 +350,103 @@ def _add_common(parser: argparse.ArgumentParser, *, graph_input: bool,
     parser.add_argument("--output", help="write the report to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scarflab",
-        description="Scarf complexes of t-connected and t-path ideals of small graphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _wire_ideal(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--spec", help="connected:<t> or path:<t>")
+    _add_common(parser, graph_input=True, ideal_input=True, fields=False)
 
-    p_ideal = sub.add_parser("ideal", help="construct the ideal of a graph")
-    p_ideal.add_argument("--spec", help="connected:<t> or path:<t>")
-    _add_common(p_ideal, graph_input=True, ideal_input=True, fields=False)
-    p_ideal.set_defaults(handler=_cmd_ideal)
 
-    p_scarf = sub.add_parser("scarf", help="decide the Scarf property")
-    p_scarf.add_argument("--spec", help="connected:<t> or path:<t>")
-    _add_common(p_scarf, graph_input=True, ideal_input=True)
-    p_scarf.set_defaults(handler=_cmd_scarf)
+def _wire_scarf(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--spec", help="connected:<t> or path:<t>")
+    _add_common(parser, graph_input=True, ideal_input=True)
 
-    p_complex = sub.add_parser("complex", help="emit the Taylor or Scarf complex")
-    p_complex.add_argument("--spec", help="connected:<t> or path:<t>")
-    p_complex.add_argument("--kind", choices=("taylor", "scarf"), default="scarf")
-    p_complex.add_argument("--restrict", help="restrict to faces whose label divides this monomial")
-    _add_common(p_complex, graph_input=True, ideal_input=True, fields=False)
-    p_complex.set_defaults(handler=_cmd_complex)
 
-    p_classify = sub.add_parser("classify", help="theorem predicate vs computed verdict")
-    p_classify.add_argument("--theorem", required=True, help="A:<t> or B")
-    _add_common(p_classify, graph_input=True)
-    p_classify.set_defaults(handler=_cmd_classify)
+def _wire_complex(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--spec", help="connected:<t> or path:<t>")
+    parser.add_argument("--kind", choices=("taylor", "scarf"), default="scarf")
+    parser.add_argument("--restrict", help="restrict to faces whose label divides this monomial")
+    _add_common(parser, graph_input=True, ideal_input=True, fields=False)
 
-    p_sweep = sub.add_parser("sweep", help="exhaustive classification cross-validation")
-    p_sweep.add_argument("--spec", required=True, help="connected:<t> or path:4")
-    p_sweep.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p_sweep.add_argument(
+
+def _wire_classify(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--theorem", required=True, help="A:<t> or B")
+    _add_common(parser, graph_input=True)
+
+
+def _wire_sweep(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--spec", required=True, help="connected:<t> or path:4")
+    parser.add_argument("--n-max", type=int, required=True, dest="n_max")
+    parser.add_argument(
         "--jobs", type=int, default=1,
         help="only 1 is accepted; the flag remains only for the pinned benchmark "
              "argv and goes away once a benchmark change drops --jobs 1 from it",
     )
-    _add_common(p_sweep, graph_input=False)
-    p_sweep.set_defaults(handler=_cmd_sweep)
+    _add_common(parser, graph_input=False)
 
-    p_derive = sub.add_parser("derive", help="derive minimal non-Scarf graphs")
-    p_derive.add_argument("--spec", required=True)
-    p_derive.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p_derive.add_argument("--mode", choices=("induced", "subgraph"), required=True)
-    p_derive.add_argument("--trees-only", action="store_true", dest="trees_only")
-    _add_common(p_derive, graph_input=False, formats=("graph6", "json"))
-    p_derive.set_defaults(handler=_cmd_derive)
 
-    p_leaf = sub.add_parser("leaf", help="run the leaf-gluing pipeline at a variable")
-    p_leaf.add_argument("--spec", help="connected:<t> or path:<t>")
-    p_leaf.add_argument(
+def _wire_derive(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--spec", required=True)
+    parser.add_argument("--n-max", type=int, required=True, dest="n_max")
+    parser.add_argument("--mode", choices=("induced", "subgraph"), required=True)
+    parser.add_argument("--trees-only", action="store_true", dest="trees_only")
+    _add_common(parser, graph_input=False, formats=("graph6", "json"))
+
+
+def _wire_leaf(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--spec", help="connected:<t> or path:<t>")
+    parser.add_argument(
         "--var", required=True, help="variable name (x3), or an index when it names no variable"
     )
-    _add_common(p_leaf, graph_input=True, ideal_input=True)
-    p_leaf.set_defaults(handler=_cmd_leaf)
+    _add_common(parser, graph_input=True, ideal_input=True)
 
+
+# name -> (help, handler, wiring that adds the subcommand's arguments), in
+# the order the top-level help lists them
+_SUBCOMMANDS = {
+    "ideal": ("construct the ideal of a graph", _cmd_ideal, _wire_ideal),
+    "scarf": ("decide the Scarf property", _cmd_scarf, _wire_scarf),
+    "complex": ("emit the Taylor or Scarf complex", _cmd_complex, _wire_complex),
+    "classify": ("theorem predicate vs computed verdict", _cmd_classify, _wire_classify),
+    "sweep": ("exhaustive classification cross-validation", _cmd_sweep, _wire_sweep),
+    "derive": ("derive minimal non-Scarf graphs", _cmd_derive, _wire_derive),
+    "leaf": ("run the leaf-gluing pipeline at a variable", _cmd_leaf, _wire_leaf),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with a subcommand's name, only that
+    subcommand is added.
+
+    Such a parser reads an argv that starts with the name as the full one
+    does: the top-level parser only checks the name against its choices
+    and hands the rest to the subparser, whose prog, `scarflab <name>`,
+    depends only on the top-level prog.  The top-level parser still
+    reports arguments the subparser leaves unrecognized, under its usage
+    line, so that line names all seven subcommands.  So help, usage
+    errors, exit codes and the Namespace are the same, and a call pays for
+    one subparser, not seven.  Without a name, as for no arguments, `-h` or an unknown
+    command, all seven are added, so the top-level help and the "invalid
+    choice" error list them all."""
+    parser = argparse.ArgumentParser(
+        prog="scarflab",
+        description="Scarf complexes of t-connected and t-path ideals of small graphs",
+    )
+    # One subcommand still shows all seven in the top-level usage line,
+    # which the top-level parser prints with "unrecognized arguments".
+    choices = "{" + ",".join(_SUBCOMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name in (command,) if command else _SUBCOMMANDS:
+        help_text, handler, wire = _SUBCOMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        wire(subparser)
+        subparser.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:  # every scarflab error class subclasses ValueError

@@ -149,8 +149,8 @@ class LabeledComplex(_Frozen):
     @cached_property
     def collapse_answers(self) -> dict[int, bool]:
         """Answers of `homology.collapses_to_point` on this complex, keyed
-        by the bit set of the restriction's vertices, which that function
-        fills in."""
+        by the restriction's vertex set as a bit set of face indices (bit i
+        for the singleton face `faces[i]`), which that function fills in."""
         return {}
 
     def restrict(self, mask: int) -> "LabeledComplex":

@@ -119,7 +119,8 @@ class SimpleGraph(_Frozen):
 
     _fields = ("adjacency",)
 
-    def __init__(self, adjacency: tuple[int, ...]) -> None:
+    def __init__(self, adjacency: Sequence[int]) -> None:
+        adjacency = tuple(adjacency)
         n = len(adjacency)
         _check_vertex_count(n)
         for v, row in enumerate(adjacency):
@@ -252,9 +253,9 @@ def spider6_graph(m: int, n: int, p: int) -> SimpleGraph:
 class FamilyTag(_Frozen):
     _fields = ("kind", "params")
 
-    def __init__(self, kind: str, params: tuple[int, ...]) -> None:
+    def __init__(self, kind: str, params: Sequence[int]) -> None:
         _set(self, "kind", kind)
-        _set(self, "params", params)
+        _set(self, "params", tuple(params))
 
     def render(self) -> str:
         if not self.params:

@@ -2,23 +2,23 @@
 
 `collapses_to_point` decides the restriction of a complex to a monomial,
 given by its mask, on bit sets of the complex's faces, without building it.
-The restriction's vertices and faces are ANDs (`complexes._meet`) of
-per-variable tables over the variables the monomial lacks: the ideal's
-`MonomialIdeal.generators_without` and the complex's
-`LabeledComplex.faces_without`.  Domination is tested on the per-generator
-face bit sets (`LabeledComplex.face_columns`).  It answers True at once
-when the restriction is a full simplex, and otherwise deletes one dominated
-vertex (a strong collapse) and asks again.  The answer depends only on the
-restriction's vertex set, so it is kept per complex by vertex set
-(`LabeledComplex.collapse_answers`), and a point stops at the first vertex
-set another point already decided.  When one vertex is left the
-restriction is contractible, so it is acyclic over every field at once and
-no rank is needed.  The Scarf scans in `analysis` run it at every lattice
-point that labels no Scarf face (those restrict to simplices) and build and
-rank a restriction only where it answers False.  On the path:4 ideals of
-the spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4) it settles the 511, 1,023
-and 4,095 points left of 766, 1,406 and 5,118, with 567, 1,135 and 4,335
-vertex domination tests over the whole scan.
+The restriction's faces are the AND (`complexes._meet`) of the complex's
+per-variable table `LabeledComplex.faces_without` over the variables the
+monomial lacks, and its vertices are the singleton faces among them.
+Domination is tested on the per-generator face bit sets
+(`LabeledComplex.face_columns`).  It answers True at once when the
+restriction is a full simplex, and otherwise deletes one dominated vertex
+(a strong collapse) and asks again.  The answer depends only on the
+restriction's vertex set, so it is kept per complex by the bit set of its
+singleton faces (`LabeledComplex.collapse_answers`), and a point stops at
+the first vertex set another point already decided.  When one vertex is
+left the restriction is contractible, so it is acyclic over every field at
+once and no rank is needed.  The Scarf scans in `analysis` run it at every
+lattice point that labels no Scarf face (those restrict to simplices) and
+build and rank a restriction only where it answers False.  On the path:4
+ideals of the spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4) it settles the
+511, 1,023 and 4,095 points left of 766, 1,406 and 5,118, with 567, 1,135
+and 4,335 vertex domination tests over the whole scan.
 
 A face is the bit mask of its members, as in `complexes`.  Boundary
 matrices carry the usual alternating signs over ascending members: dropping
@@ -104,10 +104,10 @@ DEFAULT_FIELDS = (GF2, GF32003)
 class HomologyProfile(_Frozen):
     _fields = ("field", "betti_minus_one", "betti")
 
-    def __init__(self, field: FieldSpec, betti_minus_one: int, betti: tuple[int, ...]) -> None:
+    def __init__(self, field: FieldSpec, betti_minus_one: int, betti: Sequence[int]) -> None:
         _set(self, "field", field)
         _set(self, "betti_minus_one", betti_minus_one)
-        _set(self, "betti", betti)
+        _set(self, "betti", tuple(betti))
 
     @property
     def is_acyclic(self) -> bool:
@@ -189,17 +189,18 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
 
     The restriction keeps the faces whose label divides the monomial, which
     are those whose label lacks every variable x the monomial lacks: the
-    AND of `delta.faces_without[x]` over those x.  Its faces form a
-    complex, `members`, and its vertices A are the dividing generators that
-    are vertices of delta: `delta.vertices` ANDed with
-    `delta.ideal.generators_without[x]` over the same x.  Both ANDs are
-    `complexes._meet`.  A monomial that lacks no variable, such as x_V in a
-    sweep, restricts to delta itself, and `faces_without` is not built.
-    With k >= 1 vertices and 2^k faces counting the empty one, every subset
-    of the vertices is a face, so the restriction is the full
-    (k-1)-simplex and contractible.  That holds at
-    every point that is the label of a Scarf face, which
-    `analysis.is_scarf` therefore skips.
+    AND of `delta.faces_without[x]` over those x (`complexes._meet`), a bit
+    set of face indices, `members`.  A monomial that lacks no variable, such
+    as x_V in a sweep, restricts to delta itself, and `faces_without` is not
+    built.  The faces are sorted by size and then lexicographically, so with
+    k vertices `faces[0]` is the empty face and `faces[1..k]` are the
+    singletons {g} of the vertices, in ascending g.  The label of {g} is g
+    itself, so {g} is in `members` exactly when g divides the monomial, and
+    the restriction's vertex set A is read off as `members & singles`, the
+    bits 1..k.  With A nonempty and 2^|A| faces counting the empty one,
+    every subset of A is a face, so the restriction is the full simplex on
+    A and contractible.  That holds at every point that is the label of a
+    Scarf face, which `analysis.is_scarf` therefore skips.
 
     Otherwise one dominated vertex is deleted (Barmak and Minian, Strong
     homotopy types, nerves and collapses, 2012).  A vertex v is dominated by
@@ -213,11 +214,14 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
     dominator of v lies in every maximal face containing v, since adding it
     gives a face.  Faces are sorted by size, so the last face of star_v has
     the most members and is maximal; only its vertices, all still in the
-    complex, are tried as w.  The vertices of A are tested in descending
-    index order, and the first dominated one is deleted: a Scarf scan
-    visits points in ascending mask order, and deleting from the top
-    reaches sets that earlier points decided sooner (on the path:4 scan of
-    S5(4,4,4), 4,335 domination tests against 12,832 in ascending order).
+    complex, are tried as w.  The bits of A are walked from the top, bit i
+    standing for the vertex v = `faces[i].bit_length() - 1`, so vertices
+    are tested in descending order, and the first dominated one is
+    deleted: `members &= ~columns[v]` drops every face containing v, {v}
+    at bit i among them.  A Scarf scan visits points in ascending mask
+    order, and deleting from the top reaches sets that earlier points
+    decided sooner (on the path:4 scan of S5(4,4,4), 4,335 domination tests
+    against 12,832 in ascending order).
 
     Deleting a dominated v, with every face containing it, is a chain of
     elementary collapses: pair each face sigma + v without w with
@@ -244,21 +248,23 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
     which the simplex check answers first; so the answer is False.
 
     So before the first test and after each deletion, A is looked up in
-    `delta.collapse_answers`, keyed by its bit set, and every A a call
-    passes through is stored with the answer it ends at.  The lookup of
-    the first A answers repeated queries.  In a Scarf scan it never hits:
-    the lcm of a point's A is the point, while an earlier point stores only
-    subsets of its own A, whose lcms divide that earlier, smaller point.
+    `delta.collapse_answers`, keyed by its singleton-face bit set, which
+    within one complex stands for A one-to-one, and every A a call passes
+    through is stored with the answer it ends at.  The lookup of the first
+    A answers repeated queries.  In a Scarf scan it never hits: the lcm of
+    a point's A is the point, while an earlier point stores only subsets of
+    its own A, whose lcms divide that earlier, smaller point.
     """
     answers = delta.collapse_answers
-    absent = ~mask & ((1 << delta.ideal.universe.size) - 1)
-    vertices = _meet(delta.vertices, absent, delta.ideal.generators_without)
-    if not vertices:
-        return False
     faces, columns = delta.faces, delta.face_columns
     members = (1 << len(faces)) - 1
+    absent = ~mask & ((1 << delta.ideal.universe.size) - 1)
     if absent:
         members = _meet(members, absent, delta.faces_without)
+    singles = (1 << (delta.vertices.bit_count() + 1)) - 2
+    vertices = members & singles
+    if not vertices:
+        return False
     path = []
     while vertices not in answers:
         path.append(vertices)
@@ -267,8 +273,9 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
             break
         rest = vertices
         while rest:
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
+            v = faces[i].bit_length() - 1
             star = columns[v] & members
             size = star.bit_count()
             others = faces[star.bit_length() - 1] & ~(1 << v)
@@ -279,7 +286,7 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
                 others ^= low
             if others:
                 members &= ~columns[v]
-                vertices ^= 1 << v
+                vertices ^= 1 << i
                 break
         else:
             answers[vertices] = False

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import multiprocessing.pool
+import os
 import random
 import shutil
 import subprocess
@@ -13,6 +15,7 @@ import scarflab
 from scarflab import analysis, graphs
 from scarflab.cli import (
     CliError,
+    build_parser,
     main,
     parse_family_token,
     parse_fields,
@@ -638,6 +641,118 @@ class TestPinnedReports:
         assert main(argv + ["--ideal", str(path)]) == code
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == digest
+
+
+SUBCOMMAND_NAMES = ("ideal", "scarf", "complex", "classify", "sweep", "derive", "leaf")
+CHOICES = "{" + ",".join(SUBCOMMAND_NAMES) + "}"
+
+# per subcommand, an argv that parses, with every argument it takes given
+VALID_ARGV = {
+    "ideal": ["ideal", "--graph", "path:5", "--spec", "path:4", "--format", "table",
+              "--output", "out.txt"],
+    "scarf": ["scarf", "--ideal", "ideal.json", "--fields", "q", "--format", "table"],
+    "complex": ["complex", "--graph", "cycle:5", "--spec", "connected:3", "--kind", "taylor",
+                "--restrict", "x1*x2", "--format", "json"],
+    "classify": ["classify", "--graph", "cycle:5", "--theorem", "B", "--fields", "gf2"],
+    "sweep": ["sweep", "--spec", "path:4", "--n-max", "5", "--jobs", "1", "--format", "table"],
+    "derive": ["derive", "--spec", "path:4", "--n-max", "6", "--mode", "subgraph",
+               "--trees-only", "--format", "json"],
+    "leaf": ["leaf", "--graph", "family:S5(1,1,1)", "--spec", "path:4", "--var", "x3",
+             "--fields", "gf2,q"],
+}
+
+
+def parse_outcome(parser: argparse.ArgumentParser, argv: list[str], capsys):
+    """The Namespace, or the exit code, stdout and stderr of a parse."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        return exc.code, out, err
+
+
+class TestParser:
+    def test_table_covers_every_subcommand(self):
+        assert set(VALID_ARGV) == set(SUBCOMMAND_NAMES)
+
+    @pytest.mark.parametrize("name", SUBCOMMAND_NAMES)
+    def test_one_subparser_parses_as_all_seven(self, name, capsys):
+        """A parser holding one subcommand gives the same Namespace, help
+        and usage errors as the full parser, on argv that start with it."""
+        for argv, code in (
+            (VALID_ARGV[name], None),
+            ([name, "--help"], 0),
+            ([name, "--no-such-flag"], 2),
+            ([*VALID_ARGV[name], "extra"], 2),
+            ([*VALID_ARGV[name], "--format", "xml"], 2),
+        ):
+            full = parse_outcome(build_parser(), argv, capsys)
+            single = parse_outcome(build_parser(name), argv, capsys)
+            assert single == full, argv
+            if code is None:
+                assert isinstance(full, argparse.Namespace) and full.command == name
+            else:
+                assert full[0] == code and (full[1] if code == 0 else full[2]), argv
+
+    @pytest.mark.parametrize("argv, code, stream", [
+        ([], 2, "err"), (["--help"], 0, "out"), (["-h"], 0, "out"), (["bogus"], 2, "err"),
+    ], ids=["no-arguments", "help", "h", "unknown-command"])
+    def test_top_level_lists_all_seven(self, argv, code, stream, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == code
+        text = getattr(capsys.readouterr(), stream)
+        assert f"usage: scarflab [-h] {CHOICES} ..." in text
+        if argv == ["bogus"]:
+            listed = ", ".join(repr(name) for name in SUBCOMMAND_NAMES)
+            assert f"invalid choice: 'bogus' (choose from {listed})" in text
+        if code == 0:
+            for name in SUBCOMMAND_NAMES:
+                assert f"\n    {name} " in text
+
+    def test_a_subcommand_call_adds_one_subparser(self, monkeypatch, capsys):
+        added = []
+        original = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            added.append(name)
+            return original(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert main(["scarf", "--graph", "path:4", "--spec", "path:4"]) == 0
+        assert added == ["scarf"]
+        added.clear()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert added == list(SUBCOMMAND_NAMES)
+
+
+class TestModuleEntryPoint:
+    """`python -m scarflab.cli` calls `main()` with no argv, which reads
+    `sys.argv`: the path no in-process test takes."""
+
+    @staticmethod
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        src = Path(scarflab.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run(
+            [sys.executable, "-m", "scarflab.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+
+    def test_help_lists_all_seven(self):
+        done = self.run("--help")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(f"usage: scarflab [-h] {CHOICES} ...")
+        for name in SUBCOMMAND_NAMES:
+            assert f"\n    {name} " in done.stdout
+
+    def test_scarf_matches_main(self, capsys):
+        argv = ["scarf", "--graph", "path:4", "--spec", "path:4"]
+        done = self.run(*argv)
+        assert done.returncode == 0, done.stderr
+        assert main(argv) == 0
+        assert done.stdout == capsys.readouterr().out
 
 
 class TestImports:

@@ -206,15 +206,29 @@ def test_invalid_values_raise(build, error, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("cls, args", [
-    (VariableUniverse, (IDEAL.universe.names,)),
-    (MonomialIdeal, (IDEAL.universe, IDEAL.generator_masks)),
-    (LabeledComplex, (IDEAL, CASES[LabeledComplex][0].faces)),
-], ids=["VariableUniverse", "MonomialIdeal", "LabeledComplex"])
-def test_sequence_field_given_as_list(cls, args):
-    """A value built from a list stores a tuple, so it equals and hashes
-    like the one built from the tuple."""
-    value = cls(*args)
+# the classes with a field that holds a tuple
+SEQUENCE_CASES = [
+    cls for cls, (value, names, *_) in CASES.items()
+    if any(isinstance(getattr(value, name), tuple) for name in names)
+]
+
+
+def test_sequence_cases():
+    assert {cls.__name__ for cls in SEQUENCE_CASES} == {
+        "SimpleGraph", "FamilyTag", "VariableUniverse", "MonomialIdeal", "LabeledComplex",
+        "HomologyProfile", "ScarfReport", "LeafPipelineReport", "SweepRecord", "SweepResult",
+        "ObstructionCatalog",
+    }
+
+
+@pytest.mark.parametrize("cls", SEQUENCE_CASES, ids=lambda cls: cls.__name__)
+def test_sequence_field_given_as_list(cls):
+    """A value built with its tuple fields given as lists stores tuples,
+    so it equals and hashes like the one built from the tuples."""
+    value, names, *_ = CASES[cls]
+    args = [getattr(value, name) for name in names]
     listed = cls(*(list(arg) if isinstance(arg, tuple) else arg for arg in args))
     assert listed == value and hash(listed) == hash(value)
     assert repr(listed) == repr(value)
+    for name in names:
+        assert type(getattr(listed, name)) is type(getattr(value, name)), name
