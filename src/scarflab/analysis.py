@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 from .complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice, leaf_split, scarf_complex
 from .graphs import (
@@ -44,7 +44,6 @@ from .graphs import (
     _family_tags,
     _Frozen,
     _level,
-    _set,
     contains_subgraph,
     is_connected,
     to_adjacency_text,
@@ -72,21 +71,11 @@ class AnalysisError(ValueError):
 
 
 class ScarfReport(_Frozen):
-    _fields = (
-        "ideal", "verdicts", "witnesses", "num_generators", "num_scarf_faces", "num_lattice_points"
-    )
+    _fields = ("ideal", "verdicts", "witnesses", "num_scarf_faces", "num_lattice_points")
 
-    def __init__(
-        self, ideal: MonomialIdeal, verdicts: Sequence[tuple[FieldSpec, str]],
-        witnesses: Sequence[tuple[FieldSpec, int, HomologyProfile]],
-        num_generators: int, num_scarf_faces: int, num_lattice_points: int,
-    ) -> None:
-        _set(self, "ideal", ideal)
-        _set(self, "verdicts", tuple(verdicts))
-        _set(self, "witnesses", tuple(witnesses))
-        _set(self, "num_generators", num_generators)
-        _set(self, "num_scarf_faces", num_scarf_faces)
-        _set(self, "num_lattice_points", num_lattice_points)
+    @property
+    def num_generators(self) -> int:
+        return self.ideal.num_generators
 
     @property
     def all_scarf(self) -> bool:
@@ -203,8 +192,7 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     return ScarfReport(
         ideal=ideal,
         verdicts=tuple((f, verdicts[f]) for f in fields),
-        witnesses=tuple(witnesses),
-        num_generators=ideal.num_generators,
+        witnesses=witnesses,
         num_scarf_faces=len(complex_.faces),
         num_lattice_points=len(lattice),
     )
@@ -268,28 +256,23 @@ def classify(graph: SimpleGraph, spec: IdealSpec) -> bool:
 
 class LeafPipelineReport(_Frozen):
     _fields = (
-        "base", "glued", "x", "x_prime", "hypothesis_holds", "overlapping_pairs", "replacement_ok",
-        "stars_ok", "disjointness_persists", "scarf_transfer", "base_scarf", "glued_scarf",
+        "base", "glued", "x", "overlapping_pairs", "replacement_ok", "stars_ok",
+        "disjointness_persists", "base_scarf", "glued_scarf",
     )
 
-    def __init__(
-        self, base: MonomialIdeal, glued: MonomialIdeal, x: int, x_prime: int,
-        hypothesis_holds: bool, overlapping_pairs: Sequence[tuple[int, int]],
-        replacement_ok: bool | None, stars_ok: bool | None, disjointness_persists: bool | None,
-        scarf_transfer: str, base_scarf: bool, glued_scarf: bool,
-    ) -> None:
-        _set(self, "base", base)
-        _set(self, "glued", glued)
-        _set(self, "x", x)
-        _set(self, "x_prime", x_prime)
-        _set(self, "hypothesis_holds", hypothesis_holds)
-        _set(self, "overlapping_pairs", tuple(overlapping_pairs))
-        _set(self, "replacement_ok", replacement_ok)
-        _set(self, "stars_ok", stars_ok)
-        _set(self, "disjointness_persists", disjointness_persists)
-        _set(self, "scarf_transfer", scarf_transfer)
-        _set(self, "base_scarf", base_scarf)
-        _set(self, "glued_scarf", glued_scarf)
+    @property
+    def x_prime(self) -> int:
+        return self.glued.universe.size - 1
+
+    @property
+    def hypothesis_holds(self) -> bool:
+        return not self.overlapping_pairs
+
+    @property
+    def scarf_transfer(self) -> str:
+        if not self.base_scarf:
+            return "vacuous"
+        return "verified" if self.glued_scarf else "violated"
 
     @property
     def ok(self) -> bool:
@@ -352,7 +335,6 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
         for i, j in itertools.combinations(leafed, 2)
         if _stars_share_nonempty_face(stars[i], stars[j])
     )
-    hypothesis = not overlapping
 
     x_bit = 1 << x
     x_prime_bit = 1 << x_prime
@@ -374,7 +356,7 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
         return frozenset(image.union(face | 1 << apex[j] for face in image))
 
     replacement_ok = stars_ok = disjointness_persists = None
-    if hypothesis:
+    if not overlapping:
         cones = {j: mapped_cone(j) for j in leafed}
         expected = {map_face(face) for face in base_complex.faces}.union(*cones.values())
         replacement_ok = expected == glued_complex.face_set
@@ -385,24 +367,14 @@ def leaf_lemma_pipeline(ideal: MonomialIdeal, x: int, fields=DEFAULT_FIELDS) -> 
             for i, j in itertools.combinations(leafed, 2)
         )
 
-    if not base_report.all_scarf:
-        transfer = "vacuous"
-    elif glued_report.all_scarf:
-        transfer = "verified"
-    else:
-        transfer = "violated"
-
     return LeafPipelineReport(
         base=ideal,
         glued=glued,
         x=x,
-        x_prime=x_prime,
-        hypothesis_holds=hypothesis,
         overlapping_pairs=overlapping,
         replacement_ok=replacement_ok,
         stars_ok=stars_ok,
         disjointness_persists=disjointness_persists,
-        scarf_transfer=transfer,
         base_scarf=base_report.all_scarf,
         glued_scarf=glued_report.all_scarf,
     )
@@ -507,20 +479,11 @@ def hereditary_verdicts(
 
 
 class SweepRecord(_Frozen):
-    _fields = ("graph6", "n", "num_edges", "edges", "family", "predicted", "computed", "verdicts")
+    _fields = ("graph6", "n", "num_edges", "edges", "family", "predicted", "verdicts")
 
-    def __init__(
-        self, graph6: str, n: int, num_edges: int, edges: str, family: str | None, predicted: bool,
-        computed: bool, verdicts: Sequence[tuple[str, str]],
-    ) -> None:
-        _set(self, "graph6", graph6)
-        _set(self, "n", n)
-        _set(self, "num_edges", num_edges)
-        _set(self, "edges", edges)
-        _set(self, "family", family)
-        _set(self, "predicted", predicted)
-        _set(self, "computed", computed)
-        _set(self, "verdicts", tuple(verdicts))
+    @property
+    def computed(self) -> bool:
+        return all(v != VERDICT_NOT_SCARF for _, v in self.verdicts)
 
     @property
     def agree(self) -> bool:
@@ -545,17 +508,15 @@ class SweepRecord(_Frozen):
 
 
 class SweepResult(_Frozen):
-    _fields = ("spec", "n_max", "records", "disagreements", "field_conflicts")
+    _fields = ("spec", "n_max", "records")
 
-    def __init__(
-        self, spec: IdealSpec, n_max: int, records: Sequence[SweepRecord],
-        disagreements: Sequence[SweepRecord], field_conflicts: Sequence[SweepRecord],
-    ) -> None:
-        _set(self, "spec", spec)
-        _set(self, "n_max", n_max)
-        _set(self, "records", tuple(records))
-        _set(self, "disagreements", tuple(disagreements))
-        _set(self, "field_conflicts", tuple(field_conflicts))
+    @property
+    def disagreements(self) -> tuple[SweepRecord, ...]:
+        return tuple(r for r in self.records if not r.agree)
+
+    @property
+    def field_conflicts(self) -> tuple[SweepRecord, ...]:
+        return tuple(r for r in self.records if r.fields_disagree)
 
     def to_json_lines(self) -> list[str]:
         return [json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records]
@@ -575,7 +536,6 @@ def _sweep_one(graph: SimpleGraph, predict, verdicts: tuple[tuple[str, str], ...
         edges=to_adjacency_text(canonical),
         family=tags[0].render() if tags else None,
         predicted=predict(graph.n, tags),
-        computed=all(v != VERDICT_NOT_SCARF for _, v in verdicts),
         verdicts=verdicts,
     )
 
@@ -597,13 +557,7 @@ def sweep(spec: IdealSpec, n_max: int, fields=DEFAULT_FIELDS) -> SweepResult:
         ),
         key=lambda record: (record.n, record.graph6),
     )
-    return SweepResult(
-        spec=spec,
-        n_max=n_max,
-        records=tuple(records),
-        disagreements=tuple(r for r in records if not r.agree),
-        field_conflicts=tuple(r for r in records if r.fields_disagree),
-    )
+    return SweepResult(spec=spec, n_max=n_max, records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -615,17 +569,6 @@ class ObstructionCatalog(_Frozen):
     each is its form, and sorted by n, then by form."""
 
     _fields = ("spec", "n_max", "mode", "trees_only", "num_non_scarf", "graphs")
-
-    def __init__(
-        self, spec: IdealSpec, n_max: int, mode: str, trees_only: bool, num_non_scarf: int,
-        graphs: Sequence[SimpleGraph],
-    ) -> None:
-        _set(self, "spec", spec)
-        _set(self, "n_max", n_max)
-        _set(self, "mode", mode)
-        _set(self, "trees_only", trees_only)
-        _set(self, "num_non_scarf", num_non_scarf)
-        _set(self, "graphs", tuple(graphs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -697,5 +640,5 @@ def derive_obstructions(
         mode=mode,
         trees_only=trees_only,
         num_non_scarf=num_non_scarf,
-        graphs=tuple(catalog),
+        graphs=catalog,
     )

@@ -43,7 +43,7 @@ from .graphs import (
     recognize_family,
     to_graph6,
 )
-from .homology import FieldSpec
+from .homology import DEFAULT_FIELDS, FieldSpec
 from .ideals import IdealSpec, build_ideal
 from .monomials import MonomialIdeal
 
@@ -344,7 +344,7 @@ def _add_common(parser: argparse.ArgumentParser, *, graph_input: bool,
     if ideal_input:
         parser.add_argument("--ideal", help="JSON file with variables + mingens")
     if fields:
-        parser.add_argument("--fields", default="gf2,gf32003",
+        parser.add_argument("--fields", default=",".join(f.render() for f in DEFAULT_FIELDS),
                             help="comma-separated coefficient fields (gf2, gf32003, q)")
     parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--output", help="write the report to this file instead of stdout")

@@ -78,18 +78,42 @@ _set = object.__setattr__
 
 class _Frozen:
     """Base of the value types: immutable, and equal, hashed and shown by
-    the per-class tuple `_fields` of field names.  Each subclass's
-    `__init__` validates its arguments and stores each field with `_set`.
+    the per-class tuple `_fields` of field names.
+
+    `__init__` binds its arguments to `_fields` as a call would (a missing,
+    unknown or repeated argument, or one too many, raises `TypeError`) and
+    stores each with `_set`, a `list` as a `tuple`.  The types that check
+    outside input (`SimpleGraph`, `VariableUniverse`, `MonomialIdeal`,
+    `LabeledComplex`, `FieldSpec`, `IdealSpec`) write their own, which
+    validate first, and some of which run thousands of times per command.
+    A value that follows from the fields is a property, not a field, so no
+    two fields can contradict each other.
 
     It does what `@dataclass(frozen=True)` did, without its import cost:
     `dataclasses` loads `inspect` (and with it `ast`, `dis` and
     `tokenize`), and each decorated class `exec`s its generated methods,
-    which made up most of the time to import `scarflab.cli`.  The
-    constructors are written out per class because some run thousands of
-    times per command.  Instances keep a `__dict__`, which
-    `functools.cached_property` writes to directly."""
+    which made up most of the time to import `scarflab.cli`.  Instances
+    keep a `__dict__`, which `functools.cached_property` writes to
+    directly."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        name, names = type(self).__qualname__, self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for key, value in kwargs.items():
+            if key not in names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        for key in names:
+            if key not in values:
+                raise TypeError(f"{name}() missing required argument {key!r}")
+            value = values[key]
+            _set(self, key, tuple(value) if type(value) is list else value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -252,10 +276,6 @@ def spider6_graph(m: int, n: int, p: int) -> SimpleGraph:
 
 class FamilyTag(_Frozen):
     _fields = ("kind", "params")
-
-    def __init__(self, kind: str, params: Sequence[int]) -> None:
-        _set(self, "kind", kind)
-        _set(self, "params", tuple(params))
 
     def render(self) -> str:
         if not self.params:
@@ -906,8 +926,8 @@ def parse_graph6(text: str) -> SimpleGraph:
     if any(v < 0 or v > 63 for v in values):
         raise GraphError(f"invalid graph6 characters in {text!r}")
     n = values[0]
-    if n > 62:
-        raise GraphError("graph6 support here stops at 62 vertices")
+    if n > MAX_VERTICES:
+        raise GraphError(f"graph6 support here stops at {MAX_VERTICES} vertices")
     need = (n * (n - 1) // 2 + 5) // 6
     body = values[1:]
     if len(body) != need:

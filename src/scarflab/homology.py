@@ -104,11 +104,6 @@ DEFAULT_FIELDS = (GF2, GF32003)
 class HomologyProfile(_Frozen):
     _fields = ("field", "betti_minus_one", "betti")
 
-    def __init__(self, field: FieldSpec, betti_minus_one: int, betti: Sequence[int]) -> None:
-        _set(self, "field", field)
-        _set(self, "betti_minus_one", betti_minus_one)
-        _set(self, "betti", tuple(betti))
-
     @property
     def is_acyclic(self) -> bool:
         return self.betti_minus_one == 0 and all(b == 0 for b in self.betti)

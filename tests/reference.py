@@ -560,7 +560,6 @@ def is_scarf_bruteforce(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfRep
         ideal=ideal,
         verdicts=tuple((f, verdicts[f]) for f in fields),
         witnesses=tuple(witnesses),
-        num_generators=ideal.num_generators,
         num_scarf_faces=len(delta.faces),
         num_lattice_points=len(lcm_lattice(ideal)),
     )

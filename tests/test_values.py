@@ -56,24 +56,22 @@ CASES = {
     HomologyProfile: (PROFILE, ("field", "betti_minus_one", "betti"), "betti", (0, 7)),
     ScarfReport: (
         REPORT,
-        ("ideal", "verdicts", "witnesses", "num_generators", "num_scarf_faces",
-         "num_lattice_points"),
+        ("ideal", "verdicts", "witnesses", "num_scarf_faces", "num_lattice_points"),
         "num_lattice_points", REPORT.num_lattice_points + 1,
     ),
     LeafPipelineReport: (
         leaf_lemma_pipeline(IDEAL, 5),
-        ("base", "glued", "x", "x_prime", "hypothesis_holds", "overlapping_pairs",
-         "replacement_ok", "stars_ok", "disjointness_persists", "scarf_transfer",
-         "base_scarf", "glued_scarf"),
-        "scarf_transfer", "violated",
+        ("base", "glued", "x", "overlapping_pairs", "replacement_ok", "stars_ok",
+         "disjointness_persists", "base_scarf", "glued_scarf"),
+        "glued_scarf", False,
     ),
     SweepRecord: (
         SWEEP.records[-1],
-        ("graph6", "n", "num_edges", "edges", "family", "predicted", "computed", "verdicts"),
-        "computed", not SWEEP.records[-1].computed,
+        ("graph6", "n", "num_edges", "edges", "family", "predicted", "verdicts"),
+        "predicted", not SWEEP.records[-1].predicted,
     ),
     SweepResult: (
-        SWEEP, ("spec", "n_max", "records", "disagreements", "field_conflicts"), "n_max", 5,
+        SWEEP, ("spec", "n_max", "records"), "n_max", 5,
     ),
     ObstructionCatalog: (
         derive_obstructions(P4, 5, "induced", trees_only=True),
@@ -119,6 +117,66 @@ def test_value_semantics(cls):
     with pytest.raises(AttributeError):
         delattr(value, names[0])
     assert getattr(value, names[0]) is fields[names[0]]
+
+
+# the types whose constructor checks outside input; the rest use _Frozen's
+VALIDATED = (SimpleGraph, VariableUniverse, MonomialIdeal, LabeledComplex, FieldSpec, IdealSpec)
+RECORDS = [cls for cls in CASES if cls not in VALIDATED]
+
+
+def test_only_validated_types_write_a_constructor():
+    assert len(RECORDS) == 7
+    assert {cls for cls in _Frozen.__subclasses__() if "__init__" in vars(cls)} == set(VALIDATED)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_constructor_binds_like_a_call(cls):
+    value, names, *_ = CASES[cls]
+    args = [getattr(value, name) for name in names]
+    fields = dict(zip(names, args))
+    del fields[names[-1]]
+    for bad_args, bad_kwargs in [
+        (args[:-1], {}),  # a missing field, by position and by keyword
+        ((), fields),
+        (args, {"unset": None}),  # an unknown keyword
+        (args, {names[0]: args[0]}),  # a field by position and by keyword
+        ([*args, None], {}),  # too many positional arguments
+    ]:
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+
+
+# (class, name) of each value a report derives from its fields
+DERIVED = [
+    (ScarfReport, "num_generators"),
+    (SweepRecord, "computed"),
+    (SweepResult, "disagreements"),
+    (SweepResult, "field_conflicts"),
+    (LeafPipelineReport, "x_prime"),
+    (LeafPipelineReport, "hypothesis_holds"),
+    (LeafPipelineReport, "scarf_transfer"),
+]
+
+
+@pytest.mark.parametrize("cls, name", DERIVED, ids=lambda x: getattr(x, "__name__", x))
+def test_derived_values_are_properties(cls, name):
+    assert name not in cls._fields and isinstance(vars(cls)[name], property)
+
+
+def test_sweep_filters_return_their_records():
+    """One record agrees, one disagrees with its prediction, and one has
+    fields that disagree with each other; each filter returns exactly its
+    record."""
+    base = SWEEP.records[-1]
+    fields = {name: getattr(base, name) for name in SweepRecord._fields}
+    scarf = tuple((field, "scarf") for field, _ in base.verdicts)
+    split = (scarf[0], (scarf[1][0], "not_scarf"))
+    agreeing = SweepRecord(**{**fields, "predicted": True, "verdicts": scarf})
+    disagreeing = SweepRecord(**{**fields, "predicted": False, "verdicts": scarf})
+    conflicting = SweepRecord(**{**fields, "predicted": False, "verdicts": split})
+    result = SweepResult(P4, 4, (agreeing, disagreeing, conflicting))
+    assert result.disagreements == (disagreeing,)
+    assert result.field_conflicts == (conflicting,)
 
 
 def test_cached_properties_are_kept():
