@@ -586,6 +586,18 @@ class TestPinnedReports:
             "abe54859519cd98fdc4fe49b1a780869e83100ffde3575cc50248439f4860cbb"
         )
 
+    def test_spider_with_large_twin_classes(self, capsys):
+        """S5(5,5,5) under path:4 (22 generators, 36,862 lattice points),
+        whose leaves make three twin classes of five variables; the digest
+        was taken from a scan that tests every lattice point."""
+        argv = ["scarf", "--graph", "family:S5(5,5,5)", "--spec", "path:4",
+                "--fields", "gf2,gf32003,q"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == (
+            "e3901f35a93de2718831eecf67e9beed9b76c6e992b694211353f753a3745836"
+        )
+
     @pytest.mark.parametrize("argv, digest", [
         (["sweep", "--spec", "connected:3", "--n-max", "7", "--format", "json"],
          "e0166f79c95c740f8a47b236be62a22300ed99397063f270b67d2e6163323a6a"),
