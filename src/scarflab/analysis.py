@@ -44,6 +44,7 @@ from .graphs import (
     _family_tags,
     _Frozen,
     _level,
+    _prefix_masks,
     contains_subgraph,
     is_connected,
     to_adjacency_text,
@@ -127,6 +128,33 @@ def _failing_fields(
     return failures
 
 
+def _variable_twin_classes(ideal: MonomialIdeal) -> list[list[int]]:
+    """The classes of the twin relation on the ideal's variables, each in
+    increasing order: x and y are twins when swapping them maps the
+    generator set onto itself.
+
+    Twinness is an equivalence relation, as the swaps (x z) = (x y)(y z)(x y)
+    compose, so each variable is tested against the first member of each
+    class only.  Twins divide equally many generators, which rules out most
+    classes before the swap is tried: a generator with exactly one of the
+    two variables must map to a generator."""
+    generators = set(ideal.generator_masks)
+    counts = [ideal.num_generators - without.bit_count() for without in ideal.generators_without]
+    classes: list[list[int]] = []
+    for x, count in enumerate(counts):
+        for members in classes:
+            first = members[0]
+            pair = 1 << first | 1 << x
+            if counts[first] == count and all(
+                g ^ pair in generators for g in generators if (g & pair).bit_count() == 1
+            ):
+                members.append(x)
+                break
+        else:
+            classes.append([x])
+    return classes
+
+
 def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     """Scarf verdict per field, with the smallest failing lattice point as
     witness.  Ideals with at most one generator are trivially Scarf and scan
@@ -135,9 +163,11 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     The Scarf complex is restricted to each lcm-lattice point in ascending
     mask order, and each field's first point whose restriction is not
     acyclic is its witness.  Points, witnesses included, are masks; the
-    report renders a witness through the ideal's universe.  A point that is
-    the label mask of a Scarf face is skipped, and every other point goes
-    through `_failing_fields` over the fields still undecided.  A
+    report renders a witness through the ideal's universe.  Only the prefix
+    masks of the variable twin classes are visited (`graphs._prefix_masks`,
+    `_variable_twin_classes`); of those, a point that is the label mask of
+    a Scarf face is skipped, and every other point goes through
+    `_failing_fields` over the fields still undecided.  A
     restriction that is a simplex or strong-collapses to a vertex can be no
     field's witness, and `homology.collapses_to_point` decides it on the
     complex's per-variable face bit sets (`faces_without`), whose singleton
@@ -145,13 +175,29 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     answers by vertex set that all points of the scan share.  So
     restrictions are built and ranked only at the points the collapse test
     leaves standing, and verdicts, witnesses and their Betti profiles are
-    those of a scan that ranks every point.
+    those of a scan that ranks every point.  `num_lattice_points` counts
+    the whole lattice.
 
-    The skip is sound: let m be the label of a nonempty Scarf face sigma.
-    The Scarf test is closed, so no generator outside sigma divides m, and
-    the generators dividing m are those of sigma.  The restriction at m is
-    the subcomplex induced on them, and every subset of sigma is a Scarf
-    face, as the complex is closed under subsets.  So the restriction is
+    The orbit skip is sound.  Let G be the group of the permutations of
+    the variables that map each twin class onto itself; it is generated by
+    swaps of twins, so each of its members maps the generator set onto
+    itself.  A sigma in G maps the lcm of a generator set to the lcm of its
+    image, so lattice points to lattice points, and a face's label is
+    unique exactly when its image's is, so Scarf faces to Scarf faces and
+    labels to labels.  The generators dividing sigma(m) are the images of
+    those dividing m, so sigma maps the restriction at m onto the one at
+    sigma(m): the two are isomorphic and have the same reduced Betti
+    numbers over every field.  So failure over a field is constant on an
+    orbit, and each orbit holds one prefix mask, its smallest mask
+    (`_prefix_masks`).  The first failing point in ascending order is
+    therefore a prefix mask, and every verdict, witness and Betti profile
+    is that of the scan of every point.
+
+    The label skip is sound: let m be the label of a nonempty Scarf face
+    sigma.  The Scarf test is closed, so no generator outside sigma divides
+    m, and the generators dividing m are those of sigma.  The restriction
+    at m is the subcomplex induced on them, and every subset of sigma is a
+    Scarf face, as the complex is closed under subsets.  So the restriction is
     the full simplex on sigma, which is contractible and acyclic over every
     field, and m is no field's witness.  (The empty face's label 1 is a
     lattice point only of the unit ideal, which has one generator and is
@@ -179,7 +225,7 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
         alive = list(fields)
         verdicts = {}
         labels = set(complex_.label_masks)
-        for point in lattice:
+        for point in _prefix_masks(_variable_twin_classes(ideal), lattice):
             if not alive:
                 break
             if point in labels:

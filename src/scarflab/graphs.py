@@ -622,24 +622,39 @@ def _canonical_copy(graph: SimpleGraph) -> SimpleGraph:
 # exhaustive enumeration
 
 
-def _twin_orbit_masks(adjacency: Sequence[int], masks: Iterable[int]) -> list[int]:
-    """One mask of `masks` per orbit under the permutations inside the twin
-    classes of the graph, for a set of masks those permutations map onto
-    itself: the masks that pick the lowest-numbered members of every class.
+def _prefix_masks(classes: Iterable[Sequence[int]], masks: Iterable[int]) -> list[int]:
+    """The masks of `masks`, in their order, that pick the lowest-numbered
+    members of every class: its *prefix masks*.  The classes are disjoint
+    and each is in increasing order.
 
-    Those permutations are automorphisms (`_twin_classes`).  Each keeps how
-    many vertices a mask picks in each class, and any two masks with the same
-    counts are mapped onto each other by one of them, so an orbit is fixed by
-    the counts and holds exactly one *prefix mask*, the one that picks each
-    class's lowest-numbered members.
+    Let a group permute the members of each class among themselves and fix
+    everything else, for a set of masks it maps onto itself.  Each of its
+    permutations keeps how many members a mask picks in each class, and any
+    two masks with the same counts are mapped onto each other by one of
+    them, so an orbit is fixed by the counts and holds exactly one prefix
+    mask.  It is the orbit's smallest mask.  Let a prefix mask p and another
+    mask m of its orbit differ first at bit b, from the top, a member of
+    class C.  Were b in p, p would pick every member of C below b, as it is
+    a prefix, so in C it would pick one member more than m could, since the
+    two agree above b; yet both pick as many.  So b is in m, and m > p.
     """
-    checks = []
-    for members in _twin_classes(adjacency):
+    kept = list(masks)
+    for members in classes:
         if len(members) > 1:
             # the masks of the c lowest-numbered members, c = 0..len(members)
             prefix = list(itertools.accumulate((1 << v for v in members), initial=0))
-            checks.append((prefix[-1], set(prefix)))
-    return [m for m in masks if all(m & whole in prefix for whole, prefix in checks)]
+            whole, allowed = prefix[-1], set(prefix)
+            kept = [m for m in kept if m & whole in allowed]
+    return kept
+
+
+def _twin_orbit_masks(adjacency: Sequence[int], masks: Iterable[int]) -> list[int]:
+    """One mask of `masks` per orbit under the permutations inside the twin
+    classes of the graph, for a set of masks those permutations map onto
+    itself: the masks that pick the lowest-numbered members of every class
+    (`_prefix_masks`).  Those permutations are automorphisms
+    (`_twin_classes`)."""
+    return _prefix_masks(_twin_classes(adjacency), masks)
 
 
 def _vertex_labels(rows: Sequence[int]) -> list[tuple[int, int]]:

@@ -16,6 +16,7 @@ from scarflab.analysis import (
     VERDICT_SCARF,
     VERDICT_TRIVIALLY_SCARF,
     ScarfReport,
+    _failing_fields,
 )
 from scarflab.complexes import ComplexError, LabeledComplex, lcm_lattice, scarf_complex
 from scarflab.graphs import (
@@ -563,6 +564,46 @@ def is_scarf_bruteforce(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfRep
         num_scarf_faces=len(delta.faces),
         num_lattice_points=len(lcm_lattice(ideal)),
     )
+
+
+def is_scarf_full_scan(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
+    """`analysis.is_scarf` without the orbit skip: the same lattice scan,
+    label skip and collapse test, at every lattice point."""
+    fields = tuple(fields)
+    delta = scarf_complex(ideal)
+    lattice = lcm_lattice(ideal)
+    witnesses = []
+    if ideal.num_generators <= 1:
+        verdicts = dict.fromkeys(fields, VERDICT_TRIVIALLY_SCARF)
+    else:
+        alive = list(fields)
+        verdicts = {}
+        labels = set(delta.label_masks)
+        for point in lattice:
+            if not alive:
+                break
+            if point in labels:
+                continue
+            for field, profile in _failing_fields(delta, point, alive):
+                verdicts[field] = VERDICT_NOT_SCARF
+                witnesses.append((field, point, profile))
+                alive.remove(field)
+        verdicts.update(dict.fromkeys(alive, VERDICT_SCARF))
+    return ScarfReport(
+        ideal=ideal,
+        verdicts=tuple((f, verdicts[f]) for f in fields),
+        witnesses=witnesses,
+        num_scarf_faces=len(delta.faces),
+        num_lattice_points=len(lattice),
+    )
+
+
+def swap_fixes_generators(ideal: MonomialIdeal, x: int, y: int) -> bool:
+    """Whether exchanging variables x and y maps the generator set onto itself."""
+    def swapped(g: int) -> int:
+        return g & ~(1 << x | 1 << y) | (g >> x & 1) << y | (g >> y & 1) << x
+
+    return {swapped(g) for g in ideal.generator_masks} == set(ideal.generator_masks)
 
 
 def degree_t_ideals(t: int) -> list[MonomialIdeal]:

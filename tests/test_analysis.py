@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from scarflab.graphs import (
     GraphError,
     SimpleGraph,
     broom3_graph,
+    broom4_graph,
     canonical_form,
     cycle_graph,
     enumerate_connected_graphs,
@@ -33,7 +35,7 @@ from scarflab.graphs import (
 )
 from scarflab.homology import DEFAULT_FIELDS, GF2, GF32003, FieldSpec
 from scarflab.ideals import IdealSpec, build_ideal
-from scarflab.monomials import MonomialIdeal, VariableUniverse
+from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
 from reference import (
     RATIONALS,
@@ -43,12 +45,14 @@ from reference import (
     induced_subgraph,
     is_polygon_boundary,
     is_scarf_bruteforce,
+    is_scarf_full_scan,
     matches_special_tree_family,
     member_tuples,
     minimal_induced,
     minimal_subgraphs,
     removable_vertices,
     restrict_ideal,
+    swap_fixes_generators,
 )
 
 P4 = IdealSpec("path", 4)
@@ -117,9 +121,11 @@ class TestIsScarf:
             assert is_scarf(ideal, fields) == report, ideal.render()
 
     def test_ranks_only_where_collapse_fails(self, monkeypatch):
-        """A spider scan skips the points that label Scarf faces, decides
-        every other point by the collapse test, and builds and ranks no
-        restriction; C3(P7) still gets its witness from ranks."""
+        """A spider scan visits one point per orbit of the leaf twin
+        classes, skips the points that label Scarf faces, decides every
+        other point by the collapse test, and builds and ranks no
+        restriction; C3(P7) still gets its witness from ranks.  A scan of
+        every point would test points - labels: 511 and 1,023."""
         calls = {"restrict": 0, "reduced_betti": 0, "collapses_to_point": 0}
 
         def counted(name, fn):
@@ -134,7 +140,9 @@ class TestIsScarf:
             (analysis, "collapses_to_point"),
         ):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-        for legs, points, labels in (((3, 3, 3), 766, 255), ((4, 3, 3), 1406, 383)):
+        for legs, points, labels, collapses in (
+            ((3, 3, 3), 766, 255, 63), ((4, 3, 3), 1406, 383, 79)
+        ):
             calls["collapses_to_point"] = 0
             spider = build_ideal(spider5_graph(*legs), P4)
             report = is_scarf(spider, fields=(GF2, GF32003, RATIONALS))
@@ -142,7 +150,7 @@ class TestIsScarf:
             # every face but the empty one labels a lattice point of its own
             assert report.num_scarf_faces - 1 == labels
             assert calls == {
-                "restrict": 0, "reduced_betti": 0, "collapses_to_point": points - labels
+                "restrict": 0, "reduced_betti": 0, "collapses_to_point": collapses
             }
 
         report = is_scarf(build_ideal(path_graph(7), C3))
@@ -157,6 +165,124 @@ class TestIsScarf:
         assert data["verdicts"] == {"gf2": "not_scarf", "gf32003": "not_scarf"}
         assert data["witnesses"]["gf2"]["monomial"] == "x1*x2*x3*x4*x5*x6*x7"
         assert data["num_generators"] == 5
+
+
+def family_ideals():
+    """Stars, triangles with leaves, brooms and spiders, whose leaves are
+    interchangeable, under five specs."""
+    families = [
+        star_graph(3), star_graph(5), triangle_with_leaves(2), triangle_with_leaves(3),
+        broom3_graph(2, 2), broom3_graph(3, 1), broom4_graph(2, 2), broom4_graph(1, 3),
+        spider5_graph(2, 2, 2), spider5_graph(3, 1, 2), spider5_graph(3, 3, 3),
+        spider6_graph(2, 1, 2), spider6_graph(2, 2, 2),
+    ]
+    specs = (P4, C3, C4, IdealSpec("path", 3), IdealSpec("connected", 2))
+    return [build_ideal(graph, spec) for graph in families for spec in specs]
+
+
+def named_ideals():
+    """Two edge ideals over names other than x<i>, neither Scarf: the
+    4-cycle u-w1-v-w2 with a pendant v-z, where w1 and w2 share a role, and
+    K(2,3) with parts u, v and w1, w2, z, where the members of each part
+    share one."""
+    universe = VariableUniverse(("u", "w1", "v", "w2", "z"))
+    edges = ("u*w1", "u*w2", "w1*v", "w2*v", "v*z")
+    return [
+        minimalize(map(universe.parse, edges), universe),
+        minimalize(map(universe.parse, (*edges, "u*z")), universe),
+    ]
+
+
+def planted_twin_ideals(count=60, seed=31):
+    """Random ideals in which a new variable copies an existing one's role,
+    once or twice: each generator with the copied variable gets a twin
+    generator with the copy in its place."""
+    rng = random.Random(seed)
+    ideals = []
+    for _ in range(count):
+        size = rng.randint(4, 6)
+        universe = VariableUniverse.of_size(size)
+        generators = {
+            sum(1 << v for v in rng.sample(range(size), rng.randint(2, 3)))
+            for _ in range(rng.randint(3, 7))
+        }
+        x = rng.randrange(size)
+        for _ in range(rng.randint(1, 2)):
+            copy = universe.size
+            universe = VariableUniverse.of_size(copy + 1)
+            generators |= {g & ~(1 << x) | 1 << copy for g in generators if g >> x & 1}
+        ideals.append(minimalize(generators, universe))
+    return ideals
+
+
+def twin_free_ideals(count=40, seed=32):
+    """Random ideals no variable swap maps onto themselves, and the path:4
+    ideal of the 7-vertex path, whose reversal is no swap."""
+    rng = random.Random(seed)
+    ideals = [build_ideal(path_graph(7), P4)]
+    while len(ideals) < count:
+        size = rng.randint(4, 7)
+        universe = VariableUniverse.of_size(size)
+        ideal = minimalize(
+            (sum(1 << v for v in rng.sample(range(size), rng.randint(2, 4)))
+             for _ in range(rng.randint(3, 8))),
+            universe,
+        )
+        if not any(
+            swap_fixes_generators(ideal, x, y) for x in range(size) for y in range(x)
+        ):
+            ideals.append(ideal)
+    return ideals
+
+
+class TestOrbitScan:
+    FIELDS = (GF2, GF32003, RATIONALS)
+
+    @pytest.mark.parametrize("make", [family_ideals, named_ideals, planted_twin_ideals,
+                                      twin_free_ideals])
+    def test_twin_classes_by_definition(self, make):
+        """Every swap inside a class fixes the generator set, and no swap
+        across two classes does; each class is in increasing order."""
+        for ideal in make():
+            classes = analysis._variable_twin_classes(ideal)
+            size = ideal.universe.size
+            assert sorted(v for members in classes for v in members) == list(range(size))
+            assert all(members == sorted(members) for members in classes)
+            owner = {v: k for k, members in enumerate(classes) for v in members}
+            for x in range(size):
+                for y in range(x):
+                    assert swap_fixes_generators(ideal, x, y) == (owner[x] == owner[y]), (
+                        ideal.render(), x, y
+                    )
+
+    @pytest.mark.parametrize("make", [family_ideals, named_ideals, planted_twin_ideals,
+                                      twin_free_ideals])
+    def test_matches_full_scan(self, make):
+        """The orbit scan against the same scan at every lattice point, and
+        against the brute-force scan of every monomial where it fits."""
+        ideals = make()
+        reports = []
+        for ideal in ideals:
+            report = is_scarf(ideal, self.FIELDS)
+            assert report == is_scarf_full_scan(ideal, self.FIELDS), ideal.render()
+            if ideal.universe.size <= 9 and ideal.num_generators <= 16:
+                assert report == is_scarf_bruteforce(ideal, self.FIELDS), ideal.render()
+            reports.append(report)
+        if make is not named_ideals:
+            assert any(report.all_scarf for report in reports)
+        assert any(not report.all_scarf for report in reports)
+        twins = [any(len(c) > 1 for c in analysis._variable_twin_classes(i)) for i in ideals]
+        assert all(twins) if make is not twin_free_ideals else not any(twins)
+
+    def test_named_ideal_witnesses(self):
+        """Both named ideals fail over every field at the 4-cycle u-w1-v-w2,
+        a prefix mask of their twin classes."""
+        for ideal, classes in zip(named_ideals(), ([[0], [1, 3], [2], [4]], [[0, 2], [1, 3, 4]])):
+            assert analysis._variable_twin_classes(ideal) == classes
+            report = is_scarf(ideal, self.FIELDS)
+            assert [ideal.universe.render(mask) for _, mask, _ in report.witnesses] == [
+                "u*w1*v*w2"
+            ] * 3
 
 
 class TestClassifiers:

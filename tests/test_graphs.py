@@ -638,6 +638,29 @@ class TestEnumeration:
                 assert len({orbit(m, inside) for m in kept}) == len(kept), graph.edges
                 assert kept == [m for m in masks if picks_lowest(m)], graph.edges
 
+    def test_prefix_mask_is_the_least_of_its_orbit(self):
+        # for random splits of 0..5 into classes, by brute force over the
+        # permutations inside the classes: each orbit of masks holds one
+        # prefix mask, and it is the orbit's smallest
+        rng = random.Random(5)
+        for _ in range(30):
+            order = rng.sample(range(6), 6)
+            cuts = sorted(rng.sample(range(1, 6), rng.randint(0, 3)))
+            classes = [sorted(order[a:b]) for a, b in zip([0, *cuts], [*cuts, 6])]
+            group = []
+            for images in itertools.product(*map(itertools.permutations, classes)):
+                image = list(range(6))
+                for members, moved in zip(classes, images):
+                    for v, w in zip(members, moved):
+                        image[v] = w
+                group.append(image)
+            orbits = {
+                frozenset(sum(1 << a[v] for v in graphs._bits(m)) for a in group)
+                for m in range(1 << 6)
+            }
+            kept = graphs._prefix_masks(classes, range(1 << 6))
+            assert sorted(min(orbit) for orbit in orbits) == kept, classes
+
     def test_candidate_counts(self, cold_caches, monkeypatch):
         # one candidate per twin orbit of neighbour masks, level by level;
         # the walk computes no canonical form, and an enumeration tries no
