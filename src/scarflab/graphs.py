@@ -703,10 +703,10 @@ def _find_map(
     allowed: dict,
     induced: bool,
 ) -> bool:
-    """True when the graph the plan was made from (`_match_plan`) maps
-    injectively into the graph with these rows, each plan vertex to a vertex
-    in `allowed[its key]` (a mask), keeping edges (and non-edges if
-    `induced`).
+    """True when the graph the plan was made from (`_match_plan`, or the
+    vertex-order plan of `_class_index`) maps injectively into the graph
+    with these rows, each plan vertex to a vertex in `allowed[its key]` (a
+    mask), keeping edges (and non-edges if `induced`).
 
     Step k maps the plan's k-th vertex to an unused allowed vertex g whose
     row, cut to the images of steps 0..k-1, equals (induced) or contains the
@@ -757,6 +757,16 @@ def _class_index(classes: dict, firsts: list[tuple[int, ...]], rows: tuple[int, 
     isomorphism keeps labels, so `_find_map` with each vertex allowed only
     the vertices of its own label decides isomorphism exactly.  No canonical
     form is computed.
+
+    *Plan.*  A new class's plan is read off its own rows: step k places
+    vertex k, with its label and its neighbours below k.  Any order gives a
+    correct plan; `_find_map` prunes well when every step after the first
+    has an earlier neighbour, as its candidates are then drawn from one
+    image's row.  Every `_level` graph is *prefix-connected*: each vertex
+    k >= 1 has a neighbour below k.  By induction: the one-vertex level is,
+    and each class is stored as its first candidate, a prefix-connected
+    parent's rows plus a last vertex with a nonempty mask (trees: one bit).
+    So the walk needs no degree-first `_match_plan`.
     """
     labels = _vertex_labels(rows)
     found = classes.setdefault(tuple(sorted(labels)), [])
@@ -767,7 +777,8 @@ def _class_index(classes: dict, firsts: list[tuple[int, ...]], rows: tuple[int, 
         for plan, index in found:
             if _find_map(plan, rows, by_label, True):
                 return index
-    found.append((_match_plan(rows, labels), len(firsts)))
+    plan = tuple((labels[k], tuple(_bits(row & ((1 << k) - 1)))) for k, row in enumerate(rows))
+    found.append((plan, len(firsts)))
     firsts.append(rows)
     return len(firsts) - 1
 
@@ -897,6 +908,9 @@ def _embeds(
         d: sum(1 << g for g, degree in enumerate(host.degrees) if degree >= d)
         for d in set(pattern.degrees)
     }
+    # Degree-first, not the pattern's vertex order: a pattern comes labelled
+    # as its caller gives it, say as a canonical copy, which need not be
+    # prefix-connected (`_class_index`).
     plan = _match_plan(pattern.adjacency, pattern.degrees)
     return _find_map(plan, host.adjacency, allowed, induced)
 

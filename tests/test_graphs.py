@@ -715,6 +715,58 @@ class TestEnumeration:
         canonical_form(cycle_graph(10))  # ten individualised branches
         assert calls == [10]
 
+    @pytest.mark.parametrize("trees_only, top", [(False, 7), (True, 10)])
+    def test_levels_are_prefix_connected(self, trees_only, top):
+        # each vertex k >= 1 of every level graph has a neighbour below k,
+        # which `_class_index`'s vertex-order plan relies on to prune
+        for n in range(1, top + 1):
+            for graph in graphs._level(n, trees_only)[0]:
+                rows = graph.adjacency
+                assert all(rows[k] & ((1 << k) - 1) for k in range(1, n)), graph.edges
+
+    @pytest.mark.parametrize("trees_only, top, digest", [
+        (False, 7, "b327264c79314f4a8574a3e6658c4f8d96ccc0ca8504b39336b20ed792a85b49"),
+        (True, 10, "a3dd66b88050aaba4e469c48304e386956787ac87ac06dc1d8b301458642bee3"),
+    ])
+    def test_level_rows_and_parents_pinned(self, trees_only, top, digest):
+        # the rows, vertex order and class order of every level, and its
+        # parents, as the walk produced them with degree-first class plans
+        h = hashlib.sha256()
+        for n in range(1, top + 1):
+            reps, parents = graphs._level(n, trees_only)
+            h.update(repr(([g.adjacency for g in reps], parents)).encode())
+        assert h.hexdigest() == digest
+
+    def test_match_work_counts(self, cold_caches, monkeypatch):
+        # a cold walk files classes by their vertex-order plans: no
+        # `_match_plan` call, and as many isomorphism tests as with
+        # degree-first plans; containment makes one plan per query
+        plans, maps = [], []
+        match_plan, find_map = graphs._match_plan, graphs._find_map
+
+        def counting_plan(*args):
+            plans.append(1)
+            return match_plan(*args)
+
+        def counting_map(*args):
+            maps.append(1)
+            return find_map(*args)
+
+        monkeypatch.setattr(graphs, "_match_plan", counting_plan)
+        monkeypatch.setattr(graphs, "_find_map", counting_map)
+        for trees_only, top, searches in ((False, 7, 4928), (True, 10, 390)):
+            plans.clear()
+            maps.clear()
+            graphs._level(top, trees_only)
+            assert (len(plans), len(maps)) == (0, searches)
+        plans.clear()
+        queries = [(complete_graph(4), cycle_graph(4)), (path_graph(9), path_graph(9)),
+                   (spider5_graph(1, 1, 1), broom3_graph(1, 1))]
+        for host, pattern in queries:
+            contains_subgraph(host, pattern)
+            contains_induced(host, pattern)
+        assert len(plans) == 2 * len(queries)
+
     @pytest.mark.parametrize("trees_only, cap", [(False, 7), (True, 10)])
     def test_deletion_parents_capped_before_any_level(self, monkeypatch, trees_only, cap):
         def no_level(*args):
