@@ -165,14 +165,14 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     acyclic is its witness.  Points, witnesses included, are masks; the
     report renders a witness through the ideal's universe.  Only the prefix
     masks of the variable twin classes are visited (`graphs._prefix_masks`,
-    `_variable_twin_classes`); of those, a point that is the label mask of
-    a Scarf face is skipped, and every other point goes through
-    `_failing_fields` over the fields still undecided.  A
-    restriction that is a simplex or strong-collapses to a vertex can be no
-    field's witness, and `homology.collapses_to_point` decides it on the
-    complex's per-variable face bit sets (`faces_without`), whose singleton
-    faces give its vertices, without building it, from a table of collapse
-    answers by vertex set that all points of the scan share.  So
+    `_variable_twin_classes`), each through `_failing_fields` over the
+    fields still undecided.  A restriction that is a simplex or
+    strong-collapses to a vertex can be no field's witness, and
+    `homology.collapses_to_point` decides it on the complex's per-variable
+    face bit sets (`faces_without`), whose singleton faces give its
+    vertices, without building it, from a table of collapse answers by
+    vertex set that all points of the scan share.  At the label of a Scarf
+    face the restriction is a full simplex, which its first test answers.  So
     restrictions are built and ranked only at the points the collapse test
     leaves standing, and verdicts, witnesses and their Betti profiles are
     those of a scan that ranks every point.  `num_lattice_points` counts
@@ -192,16 +192,6 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     (`_prefix_masks`).  The first failing point in ascending order is
     therefore a prefix mask, and every verdict, witness and Betti profile
     is that of the scan of every point.
-
-    The label skip is sound: let m be the label of a nonempty Scarf face
-    sigma.  The Scarf test is closed, so no generator outside sigma divides
-    m, and the generators dividing m are those of sigma.  The restriction
-    at m is the subcomplex induced on them, and every subset of sigma is a
-    Scarf face, as the complex is closed under subsets.  So the restriction is
-    the full simplex on sigma, which is contractible and acyclic over every
-    field, and m is no field's witness.  (The empty face's label 1 is a
-    lattice point only of the unit ideal, which has one generator and is
-    not scanned.)
 
     The lattice scan finds the witness a scan of every monomial some
     generator divides would find.  If m is the first failing monomial in
@@ -224,12 +214,9 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     else:
         alive = list(fields)
         verdicts = {}
-        labels = set(complex_.label_masks)
         for point in _prefix_masks(_variable_twin_classes(ideal), lattice):
             if not alive:
                 break
-            if point in labels:
-                continue
             for field, profile in _failing_fields(complex_, point, alive):
                 verdicts[field] = VERDICT_NOT_SCARF
                 witnesses.append((field, point, profile))

@@ -673,70 +673,69 @@ def _vertex_labels(rows: Sequence[int]) -> list[tuple[int, int]]:
     return labels
 
 
-def _match_plan(rows: Sequence[int], keys: Sequence) -> tuple[tuple[object, tuple[int, ...]], ...]:
-    """The plan `_find_map` maps a graph by: per step, the key of the vertex
-    placed there and the earlier steps that hold its neighbours.  The next
-    vertex is the one with the most placed neighbours, then the highest
-    degree, so in a connected graph every vertex after the first joins an
-    earlier one."""
-    n = len(rows)
-    step = [0] * n
+def _match_plan(
+    rows: Sequence[int], keys: Sequence
+) -> tuple[tuple[int, object, tuple[int, ...]], ...]:
+    """The plan `_find_map` maps a graph by: per step, the vertex placed
+    there, its key, and its neighbours placed before it.  Step k places the
+    lowest-numbered unplaced vertex joined to a placed one, or, when there
+    is none, the lowest unplaced vertex.  So in a connected graph every step
+    after the first has an earlier neighbour, whatever the labelling (a
+    pattern comes labelled as its caller gives it), and on a
+    prefix-connected graph, where each vertex k >= 1 has a neighbour below
+    k, step k places vertex k: the placed vertices are then 0..k-1, and the
+    vertices they reach that are unplaced are k and higher, k among them."""
     plan = []
-    placed = 0
-    for k in range(n):
-        best_v, best_key = -1, (-1, -1)
-        for v in range(n):
-            if placed >> v & 1:
-                continue
-            key = ((rows[v] & placed).bit_count(), rows[v].bit_count())
-            if key > best_key:
-                best_v, best_key = v, key
-        plan.append((keys[best_v], tuple([step[u] for u in _bits(rows[best_v] & placed)])))
-        step[best_v] = k
-        placed |= 1 << best_v
+    reached, unplaced = 0, (1 << len(rows)) - 1
+    while unplaced:
+        bit = reached & -reached or unplaced & -unplaced
+        v = bit.bit_length() - 1
+        plan.append((v, keys[v], tuple(_bits(rows[v] & ~unplaced))))
+        unplaced ^= bit
+        reached = (reached | rows[v]) & unplaced
     return tuple(plan)
 
 
 def _find_map(
-    plan: Sequence[tuple[object, tuple[int, ...]]],
+    plan: Sequence[tuple[int, object, tuple[int, ...]]],
     rows: Sequence[int],
     allowed: dict,
     induced: bool,
 ) -> bool:
-    """True when the graph the plan was made from (`_match_plan`, or the
-    vertex-order plan of `_class_index`) maps injectively into the graph
-    with these rows, each plan vertex to a vertex in `allowed[its key]` (a
-    mask), keeping edges (and non-edges if `induced`).
+    """True when the graph the plan was made from (`_match_plan`) maps
+    injectively into the graph with these rows, each plan vertex to a
+    vertex in `allowed[its key]` (a mask), keeping edges (and non-edges if
+    `induced`).
 
-    Step k maps the plan's k-th vertex to an unused allowed vertex g whose
-    row, cut to the images of steps 0..k-1, equals (induced) or contains the
-    images of the plan vertex's earlier neighbours; the search backtracks
-    over every such g.  A full map checks every pair of plan vertices once,
-    at the later of its two steps, so it is such a map.  Conversely such a
-    map with allowed images meets every step's test, so the search, which
-    tries every vertex passing the tests, finds it or another one.
-    Requiring g to be a neighbour of the first earlier neighbour's image
-    only drops vertices the row test would reject.
+    Step k maps its vertex to an unused allowed vertex g whose row, cut to
+    the images of the vertices placed at steps 0..k-1, equals (induced) or
+    contains the images of the vertex's earlier neighbours; the search
+    backtracks over every such g.  A full map checks every pair of plan
+    vertices once, at the later of its two steps, so it is such a map.
+    Conversely such a map with allowed images meets every step's test, so
+    the search, which tries every vertex passing the tests, finds it or
+    another one.  Requiring g to be a neighbour of the first earlier
+    neighbour's image only drops vertices the row test would reject.
     """
     n = len(plan)
-    image = [0] * n  # image[k]: the bit of step k's image
+    image = [0] * n  # image[v]: the bit of plan vertex v's image
 
     def extend(k: int, used: int) -> bool:
         if k == n:
             return True
-        key, earlier = plan[k]
+        v, key, earlier = plan[k]
         options = allowed.get(key, 0) & ~used
         want = 0
         if earlier:
             options &= rows[image[earlier[0]].bit_length() - 1]
-            for j in earlier:
-                want |= image[j]
+            for u in earlier:
+                want |= image[u]
         while options:
             bit = options & -options
             options ^= bit
             row = rows[bit.bit_length() - 1] & used
             if row == want if induced else row & want == want:
-                image[k] = bit
+                image[v] = bit
                 if extend(k + 1, used | bit):
                     return True
         return False
@@ -758,15 +757,15 @@ def _class_index(classes: dict, firsts: list[tuple[int, ...]], rows: tuple[int, 
     the vertices of its own label decides isomorphism exactly.  No canonical
     form is computed.
 
-    *Plan.*  A new class's plan is read off its own rows: step k places
-    vertex k, with its label and its neighbours below k.  Any order gives a
-    correct plan; `_find_map` prunes well when every step after the first
-    has an earlier neighbour, as its candidates are then drawn from one
-    image's row.  Every `_level` graph is *prefix-connected*: each vertex
-    k >= 1 has a neighbour below k.  By induction: the one-vertex level is,
-    and each class is stored as its first candidate, a prefix-connected
-    parent's rows plus a last vertex with a nonempty mask (trees: one bit).
-    So the walk needs no degree-first `_match_plan`.
+    *Plan.*  A new class stores `_match_plan` of its rows, keyed by label.
+    Any order gives a correct plan; `_find_map` prunes well when every step
+    after the first has an earlier neighbour, as its candidates are then
+    drawn from one image's row.  Every `_level` graph is *prefix-connected*:
+    each vertex k >= 1 has a neighbour below k.  By induction: the
+    one-vertex level is, and each class is stored as its first candidate, a
+    prefix-connected parent's rows plus a last vertex with a nonempty mask
+    (trees: one bit).  So its plan places vertex k at step k, with its
+    neighbours below k, and nothing is chosen.
     """
     labels = _vertex_labels(rows)
     found = classes.setdefault(tuple(sorted(labels)), [])
@@ -777,8 +776,7 @@ def _class_index(classes: dict, firsts: list[tuple[int, ...]], rows: tuple[int, 
         for plan, index in found:
             if _find_map(plan, rows, by_label, True):
                 return index
-    plan = tuple((labels[k], tuple(_bits(row & ((1 << k) - 1)))) for k, row in enumerate(rows))
-    found.append((plan, len(firsts)))
+    found.append((_match_plan(rows, labels), len(firsts)))
     firsts.append(rows)
     return len(firsts) - 1
 
@@ -908,9 +906,6 @@ def _embeds(
         d: sum(1 << g for g, degree in enumerate(host.degrees) if degree >= d)
         for d in set(pattern.degrees)
     }
-    # Degree-first, not the pattern's vertex order: a pattern comes labelled
-    # as its caller gives it, say as a canonical copy, which need not be
-    # prefix-connected (`_class_index`).
     plan = _match_plan(pattern.adjacency, pattern.degrees)
     return _find_map(plan, host.adjacency, allowed, induced)
 

@@ -13,14 +13,13 @@ restriction's vertex set, so it is kept per complex by the bit set of its
 singleton faces (`LabeledComplex.collapse_answers`), and a point stops at
 the first vertex set another point already decided.  When one vertex is
 left the restriction is contractible, so it is acyclic over every field at
-once and no rank is needed.  A Scarf scan runs it at the lattice points
-that label no Scarf face (those restrict to simplices) and builds and ranks
-a restriction only where it answers False.  On the path:4 ideals of the
-spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4), a scan of the whole lattice
-settles the 511, 1,023 and 4,095 points left of 766, 1,406 and 5,118, with
-567, 1,135 and 4,335 vertex domination tests.  `analysis.is_scarf` visits
-only one point per orbit of the variable twin classes, and calls it at 63,
-79 and 124 points there.
+once and no rank is needed.  A Scarf scan runs it at its lattice points
+and builds and ranks a restriction only where it answers False.  On the
+path:4 ideals of the spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4), the 511,
+1,023 and 4,095 points of 766, 1,406 and 5,118 that label no Scarf face
+take 567, 1,135 and 4,335 vertex domination tests.  `analysis.is_scarf`
+visits only one point per orbit of the variable twin classes, and calls it
+at 126, 150 and 223 points there.
 
 A face is the bit mask of its members, as in `complexes`.  Boundary
 matrices carry the usual alternating signs over ascending members: dropping
@@ -196,8 +195,9 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
     the restriction's vertex set A is read off as `members & singles`, the
     bits 1..k.  With A nonempty and 2^|A| faces counting the empty one,
     every subset of A is a face, so the restriction is the full simplex on
-    A and contractible.  That holds at every point that is the label of a
-    Scarf face, which `analysis.is_scarf` therefore skips.
+    A and contractible.  That holds at the label m of every nonempty Scarf
+    face sigma: the Scarf test is closed, so no generator outside sigma
+    divides m, and every subset of sigma is a Scarf face.
 
     Otherwise one dominated vertex is deleted (Barmak and Minian, Strong
     homotopy types, nerves and collapses, 2012).  A vertex v is dominated by

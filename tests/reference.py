@@ -567,8 +567,8 @@ def is_scarf_bruteforce(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfRep
 
 
 def is_scarf_full_scan(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
-    """`analysis.is_scarf` without the orbit skip: the same lattice scan,
-    label skip and collapse test, at every lattice point."""
+    """`analysis.is_scarf` without the orbit skip: the same lattice scan
+    and collapse test, at every lattice point."""
     fields = tuple(fields)
     delta = scarf_complex(ideal)
     lattice = lcm_lattice(ideal)
@@ -578,12 +578,9 @@ def is_scarf_full_scan(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfRepo
     else:
         alive = list(fields)
         verdicts = {}
-        labels = set(delta.label_masks)
         for point in lattice:
             if not alive:
                 break
-            if point in labels:
-                continue
             for field, profile in _failing_fields(delta, point, alive):
                 verdicts[field] = VERDICT_NOT_SCARF
                 witnesses.append((field, point, profile))

@@ -122,10 +122,10 @@ class TestIsScarf:
 
     def test_ranks_only_where_collapse_fails(self, monkeypatch):
         """A spider scan visits one point per orbit of the leaf twin
-        classes, skips the points that label Scarf faces, decides every
-        other point by the collapse test, and builds and ranks no
-        restriction; C3(P7) still gets its witness from ranks.  A scan of
-        every point would test points - labels: 511 and 1,023."""
+        classes, decides every one of them by the collapse test (at a point
+        that labels a Scarf face, by its full-simplex test), and builds and
+        ranks no restriction; C3(P7) still gets its witness from ranks.  A
+        scan of every point would test all 766 and 1,406."""
         calls = {"restrict": 0, "reduced_betti": 0, "collapses_to_point": 0}
 
         def counted(name, fn):
@@ -141,7 +141,7 @@ class TestIsScarf:
         ):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         for legs, points, labels, collapses in (
-            ((3, 3, 3), 766, 255, 63), ((4, 3, 3), 1406, 383, 79)
+            ((3, 3, 3), 766, 255, 126), ((4, 3, 3), 1406, 383, 150)
         ):
             calls["collapses_to_point"] = 0
             spider = build_ideal(spider5_graph(*legs), P4)

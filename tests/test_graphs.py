@@ -718,11 +718,42 @@ class TestEnumeration:
     @pytest.mark.parametrize("trees_only, top", [(False, 7), (True, 10)])
     def test_levels_are_prefix_connected(self, trees_only, top):
         # each vertex k >= 1 of every level graph has a neighbour below k,
-        # which `_class_index`'s vertex-order plan relies on to prune
+        # so `_match_plan` files each class by its own vertex order
         for n in range(1, top + 1):
             for graph in graphs._level(n, trees_only)[0]:
                 rows = graph.adjacency
                 assert all(rows[k] & ((1 << k) - 1) for k in range(1, n)), graph.edges
+
+    @pytest.mark.parametrize("trees_only, top", [(False, 7), (True, 10)])
+    def test_match_plan_of_level_graphs_is_vertex_order(self, trees_only, top):
+        # step k places vertex k, with its label and its neighbours below k
+        for n in range(1, top + 1):
+            for graph in graphs._level(n, trees_only)[0]:
+                rows = graph.adjacency
+                labels = graphs._vertex_labels(rows)
+                assert graphs._match_plan(rows, labels) == tuple(
+                    (k, labels[k], tuple(graphs._bits(row & ((1 << k) - 1))))
+                    for k, row in enumerate(rows)
+                ), graph.edges
+
+    def test_match_plan_of_relabelled_graphs(self):
+        # in any labelling of a connected graph, step k places the lowest
+        # unplaced vertex joined to a placed one, so every step after the
+        # first has an earlier neighbour; each step lists exactly those
+        rng = random.Random(33)
+        for n in range(1, 8):
+            for graph in enumerate_connected_graphs(n)[::3]:
+                graph = relabeled(graph, rng)
+                rows = graph.adjacency
+                plan = graphs._match_plan(rows, graph.degrees)
+                assert sorted(v for v, _, _ in plan) == list(range(n))
+                placed = 0
+                for k, (v, key, earlier) in enumerate(plan):
+                    reached = [u for u in range(n) if not placed >> u & 1 and rows[u] & placed]
+                    assert v == reached[0] if k else v == 0, graph.edges
+                    assert key == graph.degrees[v]
+                    assert earlier == tuple(graphs._bits(rows[v] & placed))
+                    placed |= 1 << v
 
     @pytest.mark.parametrize("trees_only, top, digest", [
         (False, 7, "b327264c79314f4a8574a3e6658c4f8d96ccc0ca8504b39336b20ed792a85b49"),
@@ -738,9 +769,9 @@ class TestEnumeration:
         assert h.hexdigest() == digest
 
     def test_match_work_counts(self, cold_caches, monkeypatch):
-        # a cold walk files classes by their vertex-order plans: no
-        # `_match_plan` call, and as many isomorphism tests as with
-        # degree-first plans; containment makes one plan per query
+        # a cold walk makes one `_match_plan` per new class, 995 and 200,
+        # and as many isomorphism tests as with degree-first plans;
+        # containment makes one plan per query
         plans, maps = [], []
         match_plan, find_map = graphs._match_plan, graphs._find_map
 
@@ -754,11 +785,13 @@ class TestEnumeration:
 
         monkeypatch.setattr(graphs, "_match_plan", counting_plan)
         monkeypatch.setattr(graphs, "_find_map", counting_map)
-        for trees_only, top, searches in ((False, 7, 4928), (True, 10, 390)):
+        for trees_only, top, new_classes, searches in (
+            (False, 7, 995, 4928), (True, 10, 200, 390)
+        ):
             plans.clear()
             maps.clear()
             graphs._level(top, trees_only)
-            assert (len(plans), len(maps)) == (0, searches)
+            assert (len(plans), len(maps)) == (new_classes, searches)
         plans.clear()
         queries = [(complete_graph(4), cycle_graph(4)), (path_graph(9), path_graph(9)),
                    (spider5_graph(1, 1, 1), broom3_graph(1, 1))]
@@ -933,6 +966,37 @@ class TestContainment:
         assert contains_induced(host, pattern) == gm.subgraph_is_isomorphic()
         gm2 = GraphMatcher(to_nx(host), to_nx(pattern))
         assert contains_subgraph(host, pattern) == gm2.subgraph_is_monomorphic()
+
+    def test_matches_networkx_on_catalogs_and_disconnected_patterns(self):
+        # the canonical copies that `derive --trees-only --n-max 9` prints
+        # for path:4 and path:5, which need not be prefix-connected, in
+        # every tree on up to 9 vertices; and disconnected patterns, whose
+        # plans restart where no unplaced vertex is joined to a placed one
+        catalogs = [
+            "E?NG", "F@Q?w", "H?Q??ki", "HCOOGCh", "HKC_GOB",  # path:4
+            "F??}O", "F@Q?w",  # path:5
+        ]
+        trees = [tree for n in range(1, 10) for tree in enumerate_trees(n)]
+        disconnected = [
+            SimpleGraph.from_edges(3, []),
+            SimpleGraph.from_edges(4, [(0, 1), (2, 3)]),
+            SimpleGraph.from_edges(5, [(1, 3), (3, 4), (0, 2)]),
+            SimpleGraph.from_edges(6, [(0, 5), (5, 1), (1, 0), (3, 4)]),
+        ]
+        hosts_for = [(map(parse_graph6, catalogs), trees),
+                     (disconnected, trees[:20] + list(enumerate_connected_graphs(5)))]
+        outcomes = set()
+        for patterns, hosts in hosts_for:
+            for pattern in patterns:
+                for host in hosts:
+                    expected = (
+                        GraphMatcher(to_nx(host), to_nx(pattern)).subgraph_is_monomorphic(),
+                        GraphMatcher(to_nx(host), to_nx(pattern)).subgraph_is_isomorphic(),
+                    )
+                    got = (contains_subgraph(host, pattern), contains_induced(host, pattern))
+                    assert got == expected, (to_graph6(host), pattern.edges)
+                    outcomes.add(got)
+        assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 class TestBitStrings:
