@@ -34,20 +34,22 @@ import itertools
 import json
 from collections.abc import Iterable, Iterator
 
+from . import graphs
 from .complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice, leaf_split, scarf_complex
 from .graphs import (
     SimpleGraph,
     _bits,
     _canonical_copy,
     _check_level_size,
+    _edge_text,
     _family_index,
     _family_tags,
     _Frozen,
+    _graph6_rows,
     _level,
     _prefix_masks,
     contains_subgraph,
     is_connected,
-    to_adjacency_text,
     to_graph6,
 )
 from .homology import (
@@ -558,15 +560,14 @@ class SweepResult(_Frozen):
 def _sweep_one(graph: SimpleGraph, predict, verdicts: tuple[tuple[str, str], ...]) -> SweepRecord:
     """The record of a graph of the walk, reported by its canonical form:
     the graph6 is that form, and the edges are those of the labelling it
-    gives."""
-    canonical = _canonical_copy(graph)
-    form = to_graph6(canonical)
-    tags = _family_index(graph.n).get(form.encode("ascii"), ())
+    gives, decoded straight from the form's bytes."""
+    form = graphs.canonical_form(graph, graph.n)
+    tags = _family_index(graph.n).get(form, ())
     return SweepRecord(
-        graph6=form,
+        graph6=form.decode("ascii"),
         n=graph.n,
         num_edges=graph.num_edges,
-        edges=to_adjacency_text(canonical),
+        edges=_edge_text(_graph6_rows(form)),
         family=tags[0].render() if tags else None,
         predicted=predict(graph.n, tags),
         verdicts=verdicts,

@@ -40,7 +40,8 @@ candidate.  The public enumerators are a view of one level each: its
 representatives relabelled by their canonical forms, so `to_graph6` of each
 is its form, and sorted by form; the view keeps no parents and
 canonicalises no other level.  Sweeps and derivations walk the levels
-themselves and canonicalise only the graphs they print.
+themselves and canonicalise only the graphs they print; a sweep reads each
+record off its form's bytes with `_graph6_rows` and `_edge_text`.
 """
 
 from __future__ import annotations
@@ -613,9 +614,10 @@ def canonical_form(graph: SimpleGraph, max_vertices: int = DEFAULT_CANONICAL_CAP
 
 def _canonical_copy(graph: SimpleGraph) -> SimpleGraph:
     """The graph relabelled by its canonical form, so `to_graph6` of the copy
-    is `canonical_form(graph)`.  The form's cap is the graph's own size: the
-    callers have checked theirs."""
-    return parse_graph6(canonical_form(graph, graph.n).decode("ascii"))
+    is `canonical_form(graph)`: the rows are decoded straight from the
+    form's bytes, which `_pack_graph6` made well formed.  The form's cap is
+    the graph's own size: the callers have checked theirs."""
+    return SimpleGraph(_graph6_rows(canonical_form(graph, graph.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -941,6 +943,9 @@ def to_graph6(graph: SimpleGraph) -> str:
 
 
 def parse_graph6(text: str) -> SimpleGraph:
+    """Graph of a graph6 string, with or without the `>>graph6<<` header.
+    The characters, the size and the body length are checked here, so the
+    string is well formed when `_graph6_rows` decodes it."""
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<"):]
@@ -953,16 +958,22 @@ def parse_graph6(text: str) -> SimpleGraph:
     if n > MAX_VERTICES:
         raise GraphError(f"graph6 support here stops at {MAX_VERTICES} vertices")
     need = (n * (n - 1) // 2 + 5) // 6
-    body = values[1:]
-    if len(body) != need:
+    if len(values) - 1 != need:
         raise GraphError(
-            f"graph6 body length {len(body)} does not match {need} groups for n={n}"
+            f"graph6 body length {len(values) - 1} does not match {need} groups for n={n}"
         )
+    return SimpleGraph(_graph6_rows(data.encode("ascii")))
+
+
+def _graph6_rows(data: bytes) -> list[int]:
+    """Adjacency rows of well-formed graph6 bytes with no header: the size
+    byte, then the bit string in groups of six, a byte per group.  The
+    string is read from its first (highest) bit; the padding is ignored."""
+    n = data[0] - 63
     padded = 0
-    for value in body:
-        padded = (padded << 6) | value
-    # Read the string from its first (highest) bit; the padding is ignored.
-    position = 6 * need
+    for byte in data[1:]:
+        padded = (padded << 6) | (byte - 63)
+    position = 6 * (len(data) - 1)
     rows = [0] * n
     for j in range(1, n):
         for i in range(j):
@@ -970,12 +981,14 @@ def parse_graph6(text: str) -> SimpleGraph:
             if padded >> position & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return SimpleGraph(tuple(rows))
+    return rows
 
 
-def to_adjacency_text(graph: SimpleGraph) -> str:
-    parts = ", ".join(f"{u}-{v}" for u, v in graph.edges)
-    return f"n={graph.n}; edges: {parts}" if parts else f"n={graph.n}; edges:"
+def _edge_text(rows: Sequence[int]) -> str:
+    """The one-line 'n=5; edges: 0-1, 1-2' text of the graph with these
+    adjacency rows, its edges (u, v) with u < v in sorted order."""
+    parts = ", ".join(f"{u}-{v}" for u, row in enumerate(rows) for v in _bits(row >> u << u))
+    return f"n={len(rows)}; edges: {parts}" if parts else f"n={len(rows)}; edges:"
 
 
 def parse_adjacency_text(text: str) -> SimpleGraph:

@@ -25,7 +25,8 @@ A face is the bit mask of its members, as in `complexes`.  Boundary
 matrices carry the usual alternating signs over ascending members: dropping
 the k-th lowest member, by clearing its bit, has sign (-1)^k.  They include
 the augmentation map sending every vertex to the empty face, so Betti
-numbers here are reduced.  All arithmetic is exact: one
+numbers here are reduced; `reduced_betti` takes that map's rank as 1
+without building it.  All arithmetic is exact: one
 fraction-free elimination serves every field, reduced mod p for the primes
 p < 2^31 (p = 2 among them), and Bareiss over the integers for the rational
 ranks.
@@ -295,12 +296,17 @@ def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
 
 
 def reduced_betti(delta: LabeledComplex, field: FieldSpec) -> HomologyProfile:
-    """Reduced Betti numbers up to the top dimension; needs at least one vertex."""
+    """Reduced Betti numbers up to the top dimension; needs at least one vertex.
+
+    The augmentation map ∂_0 is not built or ranked: the complex has a
+    vertex (checked first), so ∂_0 is a nonzero row of ones, whose rank is
+    1 over every field.  A 0-dimensional complex therefore needs no matrix
+    at all, and the ranks of ∂_1..∂_top are those `boundary_matrix` gives."""
     if not delta.vertices:
         raise HomologyError("reduced homology here needs a complex with a vertex")
     top = delta.dim
     face_counts = delta.f_vector()
-    ranks = [matrix_rank(boundary_matrix(delta, i), field) for i in range(top + 1)]
+    ranks = [1] + [matrix_rank(boundary_matrix(delta, i), field) for i in range(1, top + 1)]
     ranks.append(0)
     betti = tuple(
         face_counts[i] - ranks[i] - ranks[i + 1] for i in range(top + 1)

@@ -34,7 +34,14 @@ from scarflab.graphs import (
     is_connected,
     parse_graph6,
 )
-from scarflab.homology import DEFAULT_FIELDS, FieldSpec, reduced_betti
+from scarflab.homology import (
+    DEFAULT_FIELDS,
+    FieldSpec,
+    HomologyProfile,
+    boundary_matrix,
+    matrix_rank,
+    reduced_betti,
+)
 from scarflab.monomials import MonomialIdeal, VariableUniverse
 
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
@@ -273,6 +280,23 @@ def order_bits_bytewise(adjacency: Sequence[int], order: Sequence[int]) -> bytes
     return bytes(bits)
 
 
+def graph6_edges_bytewise(data: bytes) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, sorted, of well-formed graph6 bytes with no
+    header, read one bit at a time: bit k of the string is the k-th pair of
+    (0, 1), (0, 2), (1, 2), (0, 3), ...; the padding bits are ignored."""
+    n = data[0] - 63
+    bits = [(byte - 63) >> shift & 1 for byte in data[1:] for shift in range(5, -1, -1)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return sorted(pair for pair, bit in zip(pairs, bits) if bit)
+
+
+def to_adjacency_text(graph: SimpleGraph) -> str:
+    """`graphs._edge_text` of the graph's rows, rendered from its sorted
+    `edges` tuple."""
+    parts = ", ".join(f"{u}-{v}" for u, v in graph.edges)
+    return f"n={graph.n}; edges: {parts}" if parts else f"n={graph.n}; edges:"
+
+
 def pack_graph6_bytewise(n: int, bits: bytes) -> bytes:
     """`graphs._pack_graph6` for a string of one byte per bit."""
     out = bytearray([n + 63])
@@ -285,6 +309,15 @@ def pack_graph6_bytewise(n: int, bits: bytes) -> bytes:
                 value |= 1
         out.append(value + 63)
     return bytes(out)
+
+
+def reduced_betti_all_ranks(delta: LabeledComplex, field: FieldSpec) -> HomologyProfile:
+    """`homology.reduced_betti` with every boundary map built and ranked,
+    the augmentation row ∂_0 included; the complex needs a vertex."""
+    ranks = [matrix_rank(boundary_matrix(delta, i), field) for i in range(delta.dim + 1)] + [0]
+    counts = delta.f_vector()
+    betti = tuple(counts[i] - ranks[i] - ranks[i + 1] for i in range(delta.dim + 1))
+    return HomologyProfile(field=field, betti_minus_one=1 - ranks[0], betti=betti)
 
 
 def refine_colors_multiset(adjacency: Sequence[int], colors: list[int]) -> list[int]:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from scarflab import analysis
+from scarflab import analysis, homology
 from scarflab.analysis import (
     AnalysisError,
     THEOREM_B_FAMILY_KINDS,
@@ -467,6 +467,27 @@ class TestSweep:
         """`classify` and `sweep` read one predictor."""
         for record in sweep(spec, 6).records:
             assert record.predicted == classify(parse_graph6(record.graph6), spec), record.graph6
+
+    @pytest.mark.parametrize("spec, profiles, ranks", [
+        (C3, 14, 4), (C4, 42, 2), (IdealSpec("connected", 5), 222, 0), (P4, 38, 4),
+    ], ids=str)
+    def test_rank_calls_pinned(self, spec, profiles, ranks, monkeypatch):
+        """The Betti profiles a sweep to n = 6 computes over its two default
+        fields, and the matrices it ranks for them.  ∂_0 is never ranked, so
+        the 111 restrictions connected:5 ranks, none with an edge, need no
+        matrix."""
+        calls = {"reduced_betti": 0, "matrix_rank": 0}
+        for name in calls:
+            production = getattr(homology, name)
+
+            def counting(*args, _name=name, _production=production):
+                calls[_name] += 1
+                return _production(*args)
+
+            monkeypatch.setattr(homology, name, counting)
+        monkeypatch.setattr(analysis, "reduced_betti", homology.reduced_betti)
+        sweep(spec, 6)
+        assert calls == {"reduced_betti": profiles, "matrix_rank": ranks}
 
     @pytest.mark.parametrize("n_max, trees_only, cap", [
         pytest.param(0, None, 7, id="0"),

@@ -565,6 +565,24 @@ class TestCanonicalisation:
         members = sum(len(graphs.family_catalog(n)) for n in range(1, 7))
         assert len(calls) == len(records) + members == 184
 
+    def test_sweep_records_are_read_off_the_form_bytes(self, monkeypatch, capsys):
+        # each record's graph6 and edges come from its form's bytes, so a
+        # sweep report encodes and parses no graph6 string
+        calls = []
+        for module in (graphs, analysis, sys.modules["scarflab.cli"]):
+            for name in ("parse_graph6", "to_graph6"):
+                if name in vars(module):
+                    production = getattr(module, name)
+
+                    def counting(*args, _name=name, _production=production):
+                        calls.append(_name)
+                        return _production(*args)
+
+                    monkeypatch.setattr(module, name, counting)
+        for argv in self.REPORTS[:2]:
+            assert len(self.output(argv, capsys).splitlines()) == 143
+        assert calls == []
+
     def test_classify_computes_the_input_form_once(self, monkeypatch, capsys):
         # 55 forms for the members of the ten-vertex family catalog, in 30
         # classes, and one for the input

@@ -33,7 +33,6 @@ from scarflab.graphs import (
     spider5_graph,
     spider6_graph,
     star_graph,
-    to_adjacency_text,
     to_graph6,
     graph_from_json_dict,
     triangle_with_leaves,
@@ -48,6 +47,7 @@ from reference import (
     deletion_parents,
     diameter,
     extend_by_vertex_all_masks,
+    graph6_edges_bytewise,
     induced_subgraph,
     order_bits_bytewise,
     pack_graph6_bytewise,
@@ -55,6 +55,7 @@ from reference import (
     recognize_family_linear,
     refine_colors_multiset,
     removable_vertices,
+    to_adjacency_text,
 )
 
 
@@ -1081,6 +1082,47 @@ class TestFormats:
         graph = triangle_with_leaves(2)
         data = {"n": graph.n, "edges": [list(edge) for edge in graph.edges]}
         assert graph_from_json_dict(data).edges == graph.edges
+
+
+class TestGraph6Decoder:
+    """`graphs._graph6_rows` is the one graph6 decoder and `graphs._edge_text`
+    the one edge-text renderer; sweep records are read off a form's bytes
+    with them."""
+
+    def test_level_forms_decode_to_their_graphs(self):
+        checked = 0
+        for trees_only, n_max in ((False, 7), (True, 10)):
+            for n in range(1, n_max + 1):
+                for graph in graphs._level(n, trees_only)[0]:
+                    form = canonical_form(graph, n)
+                    rows = graphs._graph6_rows(form)
+                    copy = SimpleGraph(rows)
+                    edges = graph6_edges_bytewise(form)
+                    bits = order_bits_bytewise(rows, range(n))
+                    assert pack_graph6_bytewise(n, bits) == form
+                    assert to_graph6(copy) == form.decode("ascii")
+                    assert copy == SimpleGraph.from_edges(n, edges)
+                    assert graphs._edge_text(rows) == to_adjacency_text(
+                        SimpleGraph.from_edges(n, sorted(edges))
+                    )
+                    assert parse_adjacency_text(graphs._edge_text(rows)) == copy
+                    checked += 1
+        assert checked == 996 + 201
+
+    def test_padding_bits_and_header_ignored(self):
+        rng = random.Random(35)
+        padded = 0
+        for _ in range(300):
+            n = rng.randint(0, 20)
+            length = n * (n - 1) // 2
+            groups = (length + 5) // 6
+            data = bytes([n + 63, *(rng.randint(63, 126) for _ in range(groups))])
+            edges = graph6_edges_bytewise(data)
+            padded += bool((data[-1] - 63) & ((1 << (6 * groups - length)) - 1))
+            text = data.decode("ascii")
+            for line in (text, ">>graph6<<" + text, f"  >>graph6<<{text}\n"):
+                assert parse_graph6(line) == SimpleGraph.from_edges(n, edges), line
+        assert padded > 50
 
 
 class TestPinnedForms:

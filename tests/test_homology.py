@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
+from scarflab import analysis, homology
 from scarflab.complexes import LabeledComplex, lcm_lattice, scarf_complex, taylor_complex
 from scarflab.graphs import _bits, path_graph, spider5_graph
 from scarflab.homology import (
@@ -31,6 +32,7 @@ from reference import (
     cone,
     face_mask,
     member_tuples,
+    reduced_betti_all_ranks,
 )
 
 ALL_FIELDS = (GF2, GF32003, RATIONALS)
@@ -254,6 +256,76 @@ class TestReducedBetti:
         profile = reduced_betti(projective_plane(), GF2)
         data = profile.to_json_dict()
         assert data == {"field": "gf2", "betti_minus_one": 0, "betti": [0, 1, 1]}
+
+
+def edgeless(count: int, members) -> LabeledComplex:
+    return complex_from_top_faces(count, [(v,) for v in members])
+
+
+class TestAugmentationRank:
+    """`reduced_betti` takes the rank of ∂_0 as 1 without building it;
+    `reference.reduced_betti_all_ranks` builds and ranks every map."""
+
+    def test_zero_dimensional_complexes_rank_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a 0-dimensional complex needs no matrix")
+
+        monkeypatch.setattr(homology, "boundary_matrix", refuse)
+        monkeypatch.setattr(homology, "matrix_rank", refuse)
+        for k in range(1, 9):
+            for field in ALL_FIELDS:
+                profile = reduced_betti(edgeless(8, range(k)), field)
+                assert (profile.betti_minus_one, profile.betti) == (0, (k - 1,))
+
+    def test_zero_dimensional_complexes_match_all_ranks(self):
+        for count in range(1, 9):
+            for members in range(1, 1 << count):
+                delta = edgeless(count, _bits(members))
+                for field in ALL_FIELDS:
+                    assert reduced_betti(delta, field) == reduced_betti_all_ranks(delta, field)
+
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda count: st.tuples(
+                st.just(count),
+                st.lists(
+                    st.sets(st.integers(0, count - 1), min_size=1, max_size=4),
+                    min_size=1,
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=60)
+    def test_random_complexes_match_all_ranks(self, drawn):
+        count, tops = drawn
+        delta = complex_from_top_faces(count, [tuple(sorted(top)) for top in tops])
+        for field in ALL_FIELDS:
+            assert reduced_betti(delta, field) == reduced_betti_all_ranks(delta, field)
+
+    def test_named_complexes_match_all_ranks(self):
+        pentagon = scarf_complex(build_ideal(path_graph(7), IdealSpec("connected", 3)))
+        for delta in (projective_plane(), pentagon, taylor_complex(singleton_ideal(4))):
+            for field in ALL_FIELDS:
+                assert reduced_betti(delta, field) == reduced_betti_all_ranks(delta, field)
+
+    def test_connected5_sweep_restrictions_match_all_ranks(self, monkeypatch):
+        # the restrictions a connected:5 sweep to n = 6 ranks: 111, each
+        # a few points with no edge
+        ranked = {}
+        production = analysis.reduced_betti
+
+        def recording(delta, field):
+            ranked[id(delta)] = delta
+            return production(delta, field)
+
+        monkeypatch.setattr(analysis, "reduced_betti", recording)
+        analysis.sweep(IdealSpec("connected", 5), 6)
+        assert len(ranked) == 111
+        for delta in ranked.values():
+            assert delta.dim == 0
+            for field in ALL_FIELDS:
+                assert reduced_betti(delta, field) == reduced_betti_all_ranks(delta, field)
 
 
 class TestFieldDependence:
