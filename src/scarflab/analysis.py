@@ -39,10 +39,9 @@ from .complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice, leaf_split,
 from .graphs import (
     SimpleGraph,
     _bits,
-    _canonical_copy,
+    _canonical_copies,
     _check_level_size,
     _edge_text,
-    _family_index,
     _family_tags,
     _Frozen,
     _graph6_rows,
@@ -562,7 +561,7 @@ def _sweep_one(graph: SimpleGraph, predict, verdicts: tuple[tuple[str, str], ...
     the graph6 is that form, and the edges are those of the labelling it
     gives, decoded straight from the form's bytes."""
     form = graphs.canonical_form(graph, graph.n)
-    tags = _family_index(graph.n).get(form, ())
+    tags = _family_tags(graph)
     return SweepRecord(
         graph6=form.decode("ascii"),
         n=graph.n,
@@ -667,7 +666,7 @@ def derive_obstructions(
                 for other in minimal
             )
         ]
-    catalog = sorted(map(_canonical_copy, minimal), key=lambda graph: (graph.n, to_graph6(graph)))
+    catalog = _canonical_copies(minimal)
     return ObstructionCatalog(
         spec=spec,
         n_max=n_max,

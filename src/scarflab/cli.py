@@ -23,6 +23,7 @@ import json
 import re
 import sys
 
+from . import graphs
 from .analysis import (
     classify,
     derive_obstructions,
@@ -239,11 +240,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     graph = parse_graph_argument(args.graph)
     fields = parse_fields(args.fields)
     spec = theorem_spec(args.theorem)
+    # the one form the report prints, first: its 10-vertex cap refuses a
+    # larger input before any family catalog or ideal is built
+    form = graphs.canonical_form(graph)
     predicted = classify(graph, spec)
     computed = is_scarf(build_ideal(graph, spec), fields).all_scarf
     tag = recognize_family(graph)
     data = {
-        "graph6": graph._form.decode("ascii"),
+        "graph6": form.decode("ascii"),
         "family": tag.render() if tag else None,
         "theorem": args.theorem.strip(),
         "spec": spec.render(),

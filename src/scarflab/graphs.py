@@ -34,14 +34,18 @@ each class, the classes of its one-vertex deletions that stay connected.
 Classes are told apart without canonical forms: every candidate is filed by
 a cheap isomorphism invariant (its sorted vertex labels, degree and
 neighbour-degree sum), and it joins the class it matches by an exact
-isomorphism test against a plan stored once per class, or opens a new one.
+isomorphism test against a plan stored once per class (`_find_class`, the
+one lookup), or opens a new one (`_class_index`).  Family recognition files
+the members of the family catalog the same way and looks a graph up with
+`_find_class`, so it computes no canonical form and has no size cap.
 A level holds its classes in the order found, each labelled as its first
 candidate.  The public enumerators are a view of one level each: its
 representatives relabelled by their canonical forms, so `to_graph6` of each
 is its form, and sorted by form; the view keeps no parents and
 canonicalises no other level.  Sweeps and derivations walk the levels
-themselves and canonicalise only the graphs they print; a sweep reads each
-record off its form's bytes with `_graph6_rows` and `_edge_text`.
+themselves and canonicalise only the graphs they print, each once; a sweep
+reads each record off its form's bytes with `_graph6_rows` and `_edge_text`.
+No lookup is keyed by a canonical form.
 """
 
 from __future__ import annotations
@@ -192,13 +196,6 @@ class SimpleGraph(_Frozen):
     def num_edges(self) -> int:
         return sum(self.degrees) // 2
 
-    @cached_property
-    def _form(self) -> bytes:
-        """`canonical_form` of the graph under its default cap, computed at
-        most once: `classify` reads an input's form for its family tags, and
-        the CLI reports the same form."""
-        return canonical_form(self)
-
 
 def _check_vertex_count(n: int) -> None:
     if not 0 <= n <= MAX_VERTICES:
@@ -333,23 +330,29 @@ def family_catalog(n: int) -> tuple[tuple[FamilyTag, SimpleGraph], ...]:
 
 
 @lru_cache(maxsize=None)
-def _family_index(n: int) -> dict[bytes, tuple[FamilyTag, ...]]:
-    """Canonical form -> every tag of `family_catalog(n)` with it, in catalog
-    order."""
-    index: dict[bytes, tuple[FamilyTag, ...]] = {}
+def _family_index(n: int) -> tuple[dict, tuple[tuple[FamilyTag, ...], ...]]:
+    """The members of `family_catalog(n)` filed by `_class_index`: its
+    classes, keyed as `_find_class` reads them, and per class index every
+    tag of the class, in catalog order.  No canonical form is computed."""
+    classes: dict = {}
+    firsts: list[tuple[int, ...]] = []
+    tags: list[tuple[FamilyTag, ...]] = []
     for tag, member in family_catalog(n):
-        form = canonical_form(member, n)
-        index[form] = index.get(form, ()) + (tag,)
-    return index
+        index = _class_index(classes, firsts, member.adjacency)
+        if index == len(tags):
+            tags.append((tag,))
+        else:
+            tags[index] += (tag,)
+    return classes, tuple(tags)
 
 
 def _family_tags(graph: SimpleGraph) -> tuple[FamilyTag, ...]:
     """Every tag of `family_catalog(graph.n)` whose member is isomorphic to
-    the graph, most specific first; one lookup in a per-size index of the
-    catalog's canonical forms.  The graph's own form comes first, so a graph
-    past the canonical-form cap fails on it before any catalog is built."""
-    form = graph._form
-    return _family_index(graph.n).get(form, ())
+    the graph, most specific first: one `_find_class` against the catalog's
+    classes, at any size."""
+    classes, tags = _family_index(graph.n)
+    index = _find_class(classes, graph.adjacency, _vertex_labels(graph.adjacency))
+    return () if index is None else tags[index]
 
 
 def recognize_family(graph: SimpleGraph) -> FamilyTag | None:
@@ -612,12 +615,15 @@ def canonical_form(graph: SimpleGraph, max_vertices: int = DEFAULT_CANONICAL_CAP
     return _pack_graph6(graph.n, _canonical_bits(graph.adjacency, list(graph.degrees), twin))
 
 
-def _canonical_copy(graph: SimpleGraph) -> SimpleGraph:
-    """The graph relabelled by its canonical form, so `to_graph6` of the copy
-    is `canonical_form(graph)`: the rows are decoded straight from the
-    form's bytes, which `_pack_graph6` made well formed.  The form's cap is
-    the graph's own size: the callers have checked theirs."""
-    return SimpleGraph(_graph6_rows(canonical_form(graph, graph.n)))
+def _canonical_copies(graphs: Iterable[SimpleGraph]) -> tuple[SimpleGraph, ...]:
+    """The graphs relabelled by their canonical forms, so `to_graph6` of each
+    copy is its form, and sorted by form, which is by n, then by form: a
+    form's first byte is n + 63.  Each form is computed once, sorted as
+    bytes, which compare as their ASCII text does, and decoded straight to
+    rows, as `_pack_graph6` made it well formed.  The form's cap is the
+    graph's own size: the callers have checked theirs."""
+    forms = sorted(canonical_form(graph, graph.n) for graph in graphs)
+    return tuple(SimpleGraph(_graph6_rows(form)) for form in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +751,11 @@ def _find_map(
     return extend(0, 0)
 
 
-def _class_index(classes: dict, firsts: list[tuple[int, ...]], rows: tuple[int, ...]) -> int:
-    """The index in `firsts` of the class of the graph with these rows.
-    `firsts` holds the rows of each class's first graph, in the order the
-    classes were met, and `classes` maps the sorted `_vertex_labels` of each
-    class to its (plan, index) pairs; a graph that matches no class opens a
-    new one at the end of `firsts`.
+def _find_class(classes: dict, rows: Sequence[int], labels: list[tuple[int, int]]) -> int | None:
+    """The index of the class of the graph with these rows and
+    `_vertex_labels`, or None when it is in none; `classes` maps the sorted
+    labels of each class to its (plan, index) pairs, as `_class_index`
+    files them, and is left as it is.
 
     The sorted labels are an isomorphism invariant, so an isomorphic graph
     was filed under the same key, with as many vertices.  An induced map
@@ -758,6 +763,23 @@ def _class_index(classes: dict, firsts: list[tuple[int, ...]], rows: tuple[int, 
     isomorphism keeps labels, so `_find_map` with each vertex allowed only
     the vertices of its own label decides isomorphism exactly.  No canonical
     form is computed.
+    """
+    found = classes.get(tuple(sorted(labels)))
+    if found:
+        by_label: dict[tuple[int, int], int] = {}
+        for v, label in enumerate(labels):
+            by_label[label] = by_label.get(label, 0) | 1 << v
+        for plan, index in found:
+            if _find_map(plan, rows, by_label, True):
+                return index
+    return None
+
+
+def _class_index(classes: dict, firsts: list[tuple[int, ...]], rows: tuple[int, ...]) -> int:
+    """The index in `firsts` of the class of the graph with these rows, by
+    `_find_class`.  `firsts` holds the rows of each class's first graph, in
+    the order the classes were met; a graph that matches no class opens a
+    new one at the end of `firsts`, filed under its sorted labels.
 
     *Plan.*  A new class stores `_match_plan` of its rows, keyed by label.
     Any order gives a correct plan; `_find_map` prunes well when every step
@@ -767,20 +789,17 @@ def _class_index(classes: dict, firsts: list[tuple[int, ...]], rows: tuple[int, 
     one-vertex level is, and each class is stored as its first candidate, a
     prefix-connected parent's rows plus a last vertex with a nonempty mask
     (trees: one bit).  So its plan places vertex k at step k, with its
-    neighbours below k, and nothing is chosen.
+    neighbours below k, and nothing is chosen.  The family members are
+    connected, so every step of their plans after the first has an earlier
+    neighbour too.
     """
     labels = _vertex_labels(rows)
-    found = classes.setdefault(tuple(sorted(labels)), [])
-    if found:
-        by_label: dict[tuple[int, int], int] = {}
-        for v, label in enumerate(labels):
-            by_label[label] = by_label.get(label, 0) | 1 << v
-        for plan, index in found:
-            if _find_map(plan, rows, by_label, True):
-                return index
-    found.append((_match_plan(rows, labels), len(firsts)))
-    firsts.append(rows)
-    return len(firsts) - 1
+    index = _find_class(classes, rows, labels)
+    if index is None:
+        index = len(firsts)
+        classes.setdefault(tuple(sorted(labels)), []).append((_match_plan(rows, labels), index))
+        firsts.append(rows)
+    return index
 
 
 def _extend_by_vertex(
@@ -866,7 +885,7 @@ def _canonical_level(n: int, trees_only: bool) -> tuple[SimpleGraph, ...]:
     """`_level(n, trees_only)`'s representatives as the public enumerators
     return them: each relabelled by its canonical form, so `to_graph6` of it
     is that form, and sorted by form.  Only this level is canonicalised."""
-    return tuple(sorted(map(_canonical_copy, _level(n, trees_only)[0]), key=to_graph6))
+    return _canonical_copies(_level(n, trees_only)[0])
 
 
 def enumerate_connected_graphs(

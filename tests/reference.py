@@ -221,13 +221,14 @@ def diameter(graph: SimpleGraph) -> int:
 
 @lru_cache(maxsize=None)
 def catalog_forms(n: int) -> tuple:
-    """(tag, canonical form) of each member of `family_catalog(n)`, in order."""
-    return tuple((tag, canonical_form(member)) for tag, member in family_catalog(n))
+    """(tag, canonical form) of each member of `family_catalog(n)`, in order;
+    the forms are computed at n itself, past the default cap."""
+    return tuple((tag, canonical_form(member, n)) for tag, member in family_catalog(n))
 
 
 def matches_special_tree_family(graph: SimpleGraph) -> bool:
     """Tree families of the degree-4 path classification (no triangle member)."""
-    form = canonical_form(graph)
+    form = canonical_form(graph, graph.n)
     return any(
         tag.kind in SPECIAL_TREE_FAMILY_KINDS and member_form == form
         for tag, member_form in catalog_forms(graph.n)
@@ -236,7 +237,7 @@ def matches_special_tree_family(graph: SimpleGraph) -> bool:
 
 def recognize_family_linear(graph: SimpleGraph):
     """`recognize_family` by scanning `family_catalog` in order."""
-    form = canonical_form(graph)
+    form = canonical_form(graph, graph.n)
     for tag, member_form in catalog_forms(graph.n):
         if member_form == form:
             return tag

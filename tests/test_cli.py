@@ -441,6 +441,26 @@ class TestInputErrors:
             assert cap in err, err
         assert main(["ideal", "--graph", "path:32", "--spec", "connected:2"]) == 0
 
+    def test_classify_refuses_graphs_past_the_form_cap(self, monkeypatch, capsys):
+        """classify prints the input's canonical form, capped at 10 vertices;
+        a larger graph is refused before any family catalog or ideal is
+        built.  Family recognition itself has no cap."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("a family catalog or an ideal was built")
+
+        graphs._family_index.cache_clear()  # a cached index would skip the catalog
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("scarflab"):
+                for name in ("family_catalog", "build_ideal"):
+                    if name in vars(module):
+                        monkeypatch.setattr(module, name, never)
+        for graph in ("path:11", "family:S5(2,2,2)"):
+            assert main(["classify", "--graph", graph, "--theorem", "B"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: canonical form capped at 10 vertices\n", graph
+
     @pytest.mark.parametrize(
         "name, content, argv",
         [
@@ -558,12 +578,10 @@ class TestCanonicalisation:
             calls.clear()
             self.output(argv, capsys)
             assert len(calls) == forms, argv
-        # one form per record and one per member of the family catalog
+        # one form per record: the family catalog is filed with no form
         calls.clear()
         records = self.output(sweep_argv, capsys).splitlines()
-        assert len(records) == 143
-        members = sum(len(graphs.family_catalog(n)) for n in range(1, 7))
-        assert len(calls) == len(records) + members == 184
+        assert len(calls) == len(records) == 143
 
     def test_sweep_records_are_read_off_the_form_bytes(self, monkeypatch, capsys):
         # each record's graph6 and edges come from its form's bytes, so a
@@ -584,12 +602,32 @@ class TestCanonicalisation:
         assert calls == []
 
     def test_classify_computes_the_input_form_once(self, monkeypatch, capsys):
-        # 55 forms for the members of the ten-vertex family catalog, in 30
-        # classes, and one for the input
+        # one form, the input's; the 55 members of the ten-vertex family
+        # catalog are filed in 30 classes with none
         calls = self.count_forms(monkeypatch)
         self.output(["classify", "--graph", "family:S5(2,1,2)", "--theorem", "B"], capsys)
-        assert len(calls) == 56 and calls.count(10) == 56
-        assert len(graphs.family_catalog(10)) == 55 and len(graphs._family_index(10)) == 30
+        assert calls == [10]
+        assert len(graphs.family_catalog(10)) == 55 and len(graphs._family_index(10)[1]) == 30
+
+    def test_derive_encodes_each_printed_graph_once(self, monkeypatch, capsys):
+        # the catalog is sorted by the form bytes, so a derive report encodes
+        # each printed graph once, to print it, and parses none
+        calls = []
+        for module in (graphs, analysis, sys.modules["scarflab.cli"]):
+            for name in ("parse_graph6", "to_graph6"):
+                if name in vars(module):
+                    production = getattr(module, name)
+
+                    def counting(*args, _name=name, _production=production):
+                        calls.append(_name)
+                        return _production(*args)
+
+                    monkeypatch.setattr(module, name, counting)
+        for argv, printed in zip(self.REPORTS[2:], (2, 5)):
+            calls.clear()
+            lines = self.output(argv, capsys).splitlines()
+            assert len(lines) == 3 + printed, argv
+            assert calls == ["to_graph6"] * printed, argv
 
 
 class TestPinnedReports:

@@ -505,8 +505,9 @@ class TestTwinTrivialShortcut:
 
 class TestRecognition:
     def test_matches_linear_scan(self):
-        graphs_to_check = [member for n in range(1, 11) for _, member in family_catalog(n)]
+        graphs_to_check = [member for n in range(1, 13) for _, member in family_catalog(n)]
         graphs_to_check += [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+        graphs_to_check += [g for n in range(1, 11) for g in enumerate_trees(n)]
         for graph in graphs_to_check:
             assert recognize_family(graph) == recognize_family_linear(graph), graph.edges
 
@@ -531,13 +532,10 @@ class TestRecognition:
         # a path of 3 is also a star and a degenerate broom; path wins
         assert recognize_family(path_graph(3)).kind == "path"
 
-    def test_oversized_graph_fails_before_any_catalog(self, monkeypatch):
-        def no_index(n):
-            raise AssertionError("a family catalog was built")
-
-        monkeypatch.setattr(graphs, "_family_index", no_index)
-        with pytest.raises(GraphError, match="canonical form capped at 10 vertices"):
-            recognize_family(path_graph(11))
+    def test_no_canonical_form_cap(self):
+        # recognition files no canonical form, so it has no 10-vertex cap
+        assert recognize_family(path_graph(14)) == FamilyTag("path", (14,))
+        assert recognize_family(spider5_graph(3, 3, 3)) == FamilyTag("spider5", (3, 3, 3))
 
     def test_renders(self):
         assert FamilyTag("spider5", (1, 2, 1)).render() == "spider5(1, 2, 1)"
@@ -896,6 +894,25 @@ class TestClassMatch:
         firsts: list = []
         assert graphs._class_index(classes, firsts, a.adjacency) == 0
         return graphs._class_index(classes, firsts, b.adjacency) == 0
+
+    def test_find_class_files_nothing(self):
+        # two triangles share the six-cycle's key, so their miss runs the match
+        two_triangles = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        classes: dict = {}
+        firsts: list = []
+        for graph in (path_graph(6), cycle_graph(6)):
+            graphs._class_index(classes, firsts, graph.adjacency)
+        stored = {key: list(found) for key, found in classes.items()}
+        rng = random.Random(5)
+        for graph, expected in ((relabeled(cycle_graph(6), rng), 1), (two_triangles, None),
+                                (star_graph(5), None)):
+            labels = graphs._vertex_labels(graph.adjacency)
+            assert graphs._find_class(classes, graph.adjacency, labels) == expected
+            assert classes == stored and len(firsts) == 2
+        # a miss, filed, opens exactly one class
+        assert graphs._class_index(classes, firsts, two_triangles.adjacency) == 2
+        assert len(firsts) == 3 and sum(map(len, classes.values())) == 3
+        assert len(classes[TestClassMatch.key(two_triangles)]) == 2
 
     def test_regular_pairs_told_apart(self):
         # 2-regular on six vertices, one disconnected, and cubic on six,
