@@ -35,12 +35,22 @@ import json
 from collections.abc import Iterable, Iterator
 
 from . import graphs
-from .complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice, leaf_split, scarf_complex
+from .complexes import (
+    LabeledComplex,
+    glue_leaf_ideal,
+    lcm_lattice,
+    leaf_split,
+    scarf_complex,
+    scarf_facets,
+    scarf_neighbours,
+)
 from .graphs import (
+    FamilyTag,
     SimpleGraph,
     _bits,
     _canonical_copies,
     _check_level_size,
+    _connected_within,
     _edge_text,
     _family_tags,
     _Frozen,
@@ -56,6 +66,7 @@ from .homology import (
     FieldSpec,
     HomologyProfile,
     collapses_to_point,
+    facets_collapse_to_point,
     reduced_betti,
 )
 from .ideals import IdealSpec, build_ideal
@@ -120,10 +131,17 @@ def _failing_fields(
     kept on delta by vertex set, so the points of one scan share them."""
     if collapses_to_point(delta, point):
         return []
-    restricted = delta.restrict(point)
+    return _ranked_failures(delta.restrict(point), fields)
+
+
+def _ranked_failures(
+    delta: LabeledComplex, fields: Iterable[FieldSpec]
+) -> list[tuple[FieldSpec, HomologyProfile]]:
+    """The fields over which delta, which has a vertex, is not acyclic, each
+    with its reduced Betti profile, in the order given."""
     failures = []
     for field in fields:
-        profile = reduced_betti(restricted, field)
+        profile = reduced_betti(delta, field)
         if not profile.is_acyclic:
             failures.append((field, profile))
     return failures
@@ -274,14 +292,19 @@ def _predictor(spec: IdealSpec):
     raise AnalysisError(f"no classification is wired up for spec {spec}")
 
 
-def classify(graph: SimpleGraph, spec: IdealSpec) -> bool:
+def classify(
+    graph: SimpleGraph, spec: IdealSpec, tags: tuple[FamilyTag, ...] | None = None
+) -> bool:
     """Predicted Scarf property of spec's ideal of a connected graph, by the
     classification `_predictor` wires up for spec; `sweep` reads the same
-    predictor."""
+    predictor.  tags, when a caller has them, are `_family_tags(graph)`,
+    which is then not looked up again."""
     predict = _predictor(spec)
     if not is_connected(graph):
         raise AnalysisError("classification predicates expect a connected graph")
-    return predict(graph.n, _family_tags(graph) if graph.n > spec.t else ())
+    if tags is None:
+        tags = _family_tags(graph) if graph.n > spec.t else ()
+    return predict(graph.n, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +463,40 @@ def _graph_verdicts(
         for mask in ideal.generator_masks:
             covered |= mask
         if covered == (1 << graph.n) - 1:
-            alive = [field for field in fields if field not in failed]
-            failed.update(
-                field for field, _ in _failing_fields(scarf_complex(ideal), covered, alive)
-            )
+            failed.update(_whole_complex_failures(ideal, [f for f in fields if f not in failed]))
     return tuple(VERDICT_NOT_SCARF if f in failed else VERDICT_SCARF for f in fields)
+
+
+def _whole_complex_failures(ideal: MonomialIdeal, fields: list[FieldSpec]) -> list[FieldSpec]:
+    """The fields over which the whole Scarf complex of an ideal with two or
+    more generators is not acyclic, in the order given.  The complex's
+    faces are listed only when neither of the first two steps decides:
+
+    1. Disconnected 1-skeleton: every field fails.  The vertices are all
+       the generators, and two vertices lie in one component of a complex
+       exactly when a path of edges joins them, so the components are those
+       of the 1-skeleton (`complexes.scarf_neighbours`).  Over any field,
+       the reduced H_0 has dimension one less than the number of
+       components, so with two or more it is not 0.
+    2. Flag complex whose facets strong-collapse to a point
+       (`complexes.scarf_facets`, `homology.facets_collapse_to_point`):
+       no field fails, as the complex is contractible.
+    3. Otherwise `scarf_complex` lists the faces, and the fields are
+       ranked.  When step 2 had the facets and the collapse stuck, the
+       face-based `collapses_to_point` would stick too (both decide whether
+       the one core is a point), so it runs only when the complex is not
+       flag.  The whole complex is its restriction to x_V, so no
+       restriction is built."""
+    neighbours = scarf_neighbours(ideal)
+    if not _connected_within(neighbours, (1 << len(neighbours)) - 1):
+        return fields
+    facets = scarf_facets(ideal, neighbours)
+    if facets is not None and facets_collapse_to_point(facets):
+        return []
+    delta = scarf_complex(ideal)
+    if facets is None and collapses_to_point(delta):
+        return []
+    return [field for field, _ in _ranked_failures(delta, fields)]
 
 
 def hereditary_verdicts(
@@ -492,8 +544,11 @@ def hereditary_verdicts(
 
     A graph whose parents fail every field needs no ideal.  Otherwise
     `trivially_scarf` is read off at most one generator, which leaves every
-    parent with at most one, and (b) is checked by `_failing_fields` on the
-    whole complex over the fields its parents pass.
+    parent with at most one, and (b) is checked by `_whole_complex_failures`
+    over the fields its parents pass.  It decides most graphs on the Scarf
+    1-skeleton (disconnected: every field fails) or on the facets of a flag
+    complex (collapsible: none does), and lists and ranks the faces only
+    for the rest.
     """
     _check_level_size(n_max, trees_only)
     fields = _normalize_fields(fields)

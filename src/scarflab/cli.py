@@ -41,7 +41,6 @@ from .graphs import (
     make_family,
     parse_adjacency_text,
     parse_graph6,
-    recognize_family,
     to_graph6,
 )
 from .homology import DEFAULT_FIELDS, FieldSpec
@@ -243,12 +242,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     # the one form the report prints, first: its 10-vertex cap refuses a
     # larger input before any family catalog or ideal is built
     form = graphs.canonical_form(graph)
-    predicted = classify(graph, spec)
+    tags = graphs._family_tags(graph)  # one lookup, for the prediction and the report
+    predicted = classify(graph, spec, tags)
     computed = is_scarf(build_ideal(graph, spec), fields).all_scarf
-    tag = recognize_family(graph)
     data = {
         "graph6": form.decode("ascii"),
-        "family": tag.render() if tag else None,
+        "family": tags[0].render() if tags else None,
         "theorem": args.theorem.strip(),
         "spec": spec.render(),
         "predicted": predicted,

@@ -13,10 +13,18 @@ the ideal's `generators_without` table over the variables the label lacks)
 and irredundant (dropping any member changes the label).  The exhaustive
 power-set variant is a test oracle in `tests/reference.py`.
 
+The Scarf edges alone (`scarf_neighbours`) and, when the complex is flag,
+its facets (`scarf_facets`: the maximal cliques of those edges, each
+passing the face test) describe the complex without listing its faces:
+the path:4 complex of the spider S5(8,8,8) has 262,144 faces and three
+facets.  `analysis` decides the walk's check of the whole complex on
+them, and lists the faces only where they do not decide it.
+
 A monomial is its bit mask, as in `monomials`.  The lcm lattice is the
 closure of the generator masks under OR (the lcm), as a sorted tuple of
-masks, built by adding one generator at a time; the monomial 1 is excluded
-and treated as an implicit bottom (it is a point only of the unit ideal,
+masks, built by adding one generator at a time and capped at
+`DEFAULT_LATTICE_CAP` points; the monomial 1 is excluded and treated as an
+implicit bottom (it is a point only of the unit ideal,
 whose one generator it is).  A complex restricts to a mask, and per variable
 it indexes the faces whose label the variable does not divide, so the
 restriction's faces are a few ANDs over the variables outside the mask.
@@ -34,6 +42,8 @@ from .graphs import _bits, _Frozen, _set
 from .monomials import MonomialError, MonomialIdeal, VariableUniverse
 
 DEFAULT_TAYLOR_CAP = 20
+# Above the 2,162,686 points of S5(7,7,7) under path:4.
+DEFAULT_LATTICE_CAP = 1 << 22
 
 
 class ComplexError(ValueError):
@@ -215,6 +225,26 @@ def _meet(value: int, absent: int, tables: Sequence[int]) -> int:
     return value
 
 
+def scarf_neighbours(ideal: MonomialIdeal) -> list[int]:
+    """The Scarf edges as neighbour masks: bit j of `neighbours[i]` is set
+    when {i, j} is a face of `scarf_complex(ideal)`, that is when no third
+    generator divides the lcm of generators i and j (the pair is
+    irredundant, as the minimal generators form an antichain)."""
+    gen_masks = ideal.generator_masks
+    q = len(gen_masks)
+    everything = (1 << ideal.universe.size) - 1
+    all_generators = (1 << q) - 1
+    without = ideal.generators_without
+    neighbours = [0] * q
+    for i in range(q):
+        for j in range(i + 1, q):
+            label = gen_masks[i] | gen_masks[j]
+            if not _meet(all_generators ^ (1 << i | 1 << j), everything & ~label, without):
+                neighbours[i] |= 1 << j
+                neighbours[j] |= 1 << i
+    return neighbours
+
+
 def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     """Faces of the Taylor complex whose lcm label is globally unique.
 
@@ -258,13 +288,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     everything = (1 << ideal.universe.size) - 1
     all_generators = (1 << q) - 1
     without = ideal.generators_without
-    neighbours = [0] * q
-    for i in range(q):
-        for j in range(i + 1, q):
-            label = gen_masks[i] | gen_masks[j]
-            if not _meet(all_generators ^ (1 << i | 1 << j), everything & ~label, without):
-                neighbours[i] |= 1 << j
-                neighbours[j] |= 1 << i
+    neighbours = scarf_neighbours(ideal)
     faces = [0]
     # (face, label, variables two members share, common neighbours)
     current = [(1 << i, gen_masks[i], 0, neighbours[i]) for i in range(q)]
@@ -290,20 +314,114 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     return LabeledComplex(ideal, faces)
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> tuple[int, ...]:
+def _is_scarf_face(ideal: MonomialIdeal, face: int) -> bool:
+    """Whether the generator set `face` passes the Scarf face test of
+    `scarf_complex`: it is irredundant (every member has a variable that no
+    other member has, read off the variables two or more members share) and
+    closed (no outside generator divides its label)."""
+    gen_masks = ideal.generator_masks
+    label = shared = 0
+    for i in _bits(face):
+        shared |= label & gen_masks[i]
+        label |= gen_masks[i]
+    outside = ((1 << len(gen_masks)) - 1) ^ face
+    absent = ((1 << ideal.universe.size) - 1) & ~label
+    return all(gen_masks[i] & ~shared for i in _bits(face)) and not _meet(
+        outside, absent, ideal.generators_without
+    )
+
+
+def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
+    """The maximal cliques, as vertex masks, of the graph on 0..len - 1
+    with these neighbour masks: Bron and Kerbosch's search with Tomita's
+    pivot (Tomita, Tanaka and Takahashi, The worst-case time complexity for
+    generating all maximal cliques, TCS 2006).
+
+    `expand` reports every maximal clique K that contains `clique` and
+    meets no vertex of `excluded`; `candidates` and `excluded` together are
+    the common neighbours of `clique` outside it, and a recursion on
+    `clique + v` keeps the members of both that are neighbours of v.  With
+    no common neighbour left, `clique` is maximal.  Otherwise each K holds a
+    candidate outside the neighbours of the pivot u: if K - clique lay
+    inside them, u, a common neighbour of `clique`, would be adjacent to
+    all of K and so in K by maximality, hence a candidate (K meets no
+    excluded vertex) outside its own neighbours.  Each K is reported in the
+    branch of its first such candidate v: earlier ones are not in K, and
+    moving v to `excluded` afterwards keeps K from being reported again.
+    The pivot keeps the most candidates inside its neighbourhood, which
+    bounds the search by 3^(n/3), the most maximal cliques a graph on n
+    vertices has."""
+    cliques = []
+
+    def expand(clique: int, candidates: int, excluded: int) -> None:
+        if not candidates | excluded:
+            cliques.append(clique)
+            return
+        pivot = max(
+            _bits(candidates | excluded),
+            key=lambda u: (candidates & neighbours[u]).bit_count(),
+        )
+        for v in _bits(candidates & ~neighbours[pivot]):
+            expand(clique | 1 << v, candidates & neighbours[v], excluded & neighbours[v])
+            candidates ^= 1 << v
+            excluded |= 1 << v
+
+    expand(0, (1 << len(neighbours)) - 1, 0)
+    return cliques
+
+
+def scarf_facets(ideal: MonomialIdeal, neighbours: Sequence[int]) -> list[int] | None:
+    """The facets of `scarf_complex(ideal)` when it is a flag complex, read
+    off its 1-skeleton (`neighbours`, as `scarf_neighbours` gives it)
+    without listing a face; None when some maximal clique of the 1-skeleton
+    fails the Scarf face test, so that the complex is not flag.
+
+    The complex is closed under subsets (see `scarf_complex`), so every
+    edge of a face is a Scarf edge: a face is a clique of the 1-skeleton,
+    and lies in a maximal clique.  When every maximal clique is a face,
+    every clique is a subset of a face and so a face: the complex is the
+    clique complex of its 1-skeleton, and its facets are exactly the
+    maximal cliques.  A maximal clique that is not a face is a clique
+    outside the complex, so the complex is not flag.  Cliques of at most
+    two generators are vertices and Scarf edges, so only the larger ones
+    are tested.  Whether the complex is flag is decided per ideal: nothing
+    here assumes that an ideal of a graph gives a flag complex."""
+    cliques = _maximal_cliques(neighbours)
+    if all(clique.bit_count() <= 2 or _is_scarf_face(ideal, clique) for clique in cliques):
+        return cliques
+    return None
+
+
+def lcm_lattice(ideal: MonomialIdeal, max_points: int = DEFAULT_LATTICE_CAP) -> tuple[int, ...]:
     """The masks of all lcms of nonempty generator subsets, ascending; the
     last is the top.  The zero ideal's lattice is empty, and the unit
-    ideal's is the one point 1, mask 0.
+    ideal's is the one point 1, mask 0.  ComplexError when the lattice has
+    more than max_points points, raised while the set grows, so that it
+    never holds many more.
 
     The set is closed one generator at a time: after g_1, ..., g_k it holds
     the lcms of the nonempty subsets of those generators.  That is so for
     k = 0, with no subsets, and a nonempty subset of g_1, ..., g_k+1 either
     misses g_k+1, or is {g_k+1}, or is a nonempty subset S of the earlier
-    ones plus g_k+1, whose lcm is lcm(S) | g_k+1."""
+    ones plus g_k+1, whose lcm is lcm(S) | g_k+1.  A step at most doubles
+    the set, plus one point; a step that could pass the cap adds its new
+    points one at a time and counts them as it goes."""
     points: set[int] = set()
     for generator in ideal.generator_masks:
-        points |= {point | generator for point in points}
+        if 2 * len(points) < max_points:
+            points |= {point | generator for point in points}
+        else:
+            grown = set()
+            for point in points:
+                joined = point | generator
+                if joined not in points:
+                    grown.add(joined)
+                    if len(points) + len(grown) > max_points:
+                        break
+            points |= grown
         points.add(generator)
+        if len(points) > max_points:
+            raise ComplexError(f"lcm lattice capped at {max_points} points")
     return tuple(sorted(points))
 
 

@@ -355,12 +355,6 @@ def _family_tags(graph: SimpleGraph) -> tuple[FamilyTag, ...]:
     return () if index is None else tags[index]
 
 
-def recognize_family(graph: SimpleGraph) -> FamilyTag | None:
-    """Most specific family tag whose member is isomorphic to the graph, or None."""
-    tags = _family_tags(graph)
-    return tags[0] if tags else None
-
-
 def _connected_within(adjacency: Sequence[int], subset_mask: int) -> bool:
     """Whether `subset_mask` is a nonempty vertex set whose induced subgraph
     is connected: a search from its lowest vertex reaches all of it."""

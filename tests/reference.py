@@ -6,6 +6,7 @@ from here (`from reference import ...`).
 """
 
 import itertools
+import random
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -42,7 +43,7 @@ from scarflab.homology import (
     matrix_rank,
     reduced_betti,
 )
-from scarflab.monomials import MonomialIdeal, VariableUniverse
+from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
 RATIONALS = FieldSpec("rationals")
@@ -233,6 +234,13 @@ def matches_special_tree_family(graph: SimpleGraph) -> bool:
         tag.kind in SPECIAL_TREE_FAMILY_KINDS and member_form == form
         for tag, member_form in catalog_forms(graph.n)
     )
+
+
+def recognize_family(graph: SimpleGraph):
+    """The most specific family tag whose member is isomorphic to the graph,
+    or None: the first of `graphs._family_tags`, as reports print it."""
+    tags = graphs._family_tags(graph)
+    return tags[0] if tags else None
 
 
 def recognize_family_linear(graph: SimpleGraph):
@@ -532,6 +540,51 @@ def collapses_greedy(delta: LabeledComplex) -> bool:
                 if cofaces[f] == 1:
                     stack.append(f)
     return remaining == 1
+
+
+def random_ideal(
+    rng: random.Random, variables: tuple[int, int] = (3, 6), masks: tuple[int, int] = (2, 6)
+) -> MonomialIdeal:
+    """A minimalized ideal of random nonzero masks, their number and the
+    number of variables each drawn from an inclusive range."""
+    d = rng.randint(*variables)
+    universe = VariableUniverse.of_size(d)
+    gens = []
+    for _ in range(rng.randint(*masks)):
+        mask = 0
+        for v in range(d):
+            if rng.random() < 0.5:
+                mask |= 1 << v
+        if mask:
+            gens.append(mask)
+    return minimalize(gens, universe=universe)
+
+
+def maximal_sets(masks: Iterable[int]) -> set[int]:
+    """The masks that lie in no other mask: for the faces of a complex, its
+    facets."""
+    masks = set(masks)
+    return {m for m in masks if not any(m != other and m & other == m for other in masks)}
+
+
+def cliques_bruteforce(neighbours: Sequence[int]) -> set[int]:
+    """Every clique, the empty one included, of the graph with these
+    neighbour masks, by testing every vertex subset."""
+    n = len(neighbours)
+    return {
+        mask for mask in range(1 << n)
+        if all(neighbours[u] >> v & 1 for u, v in itertools.combinations(_bits(mask), 2))
+    }
+
+
+def is_flag(delta: LabeledComplex) -> bool:
+    """Whether delta is the clique complex of its 1-skeleton."""
+    neighbours = [0] * delta.ideal.num_generators
+    for face in delta.faces_of_size(2):
+        u, v = _bits(face)
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    return delta.face_set == cliques_bruteforce(neighbours)
 
 
 def canonical_form_bruteforce(graph: SimpleGraph, max_vertices: int = 8) -> bytes:

@@ -32,7 +32,6 @@ from scarflab.graphs import (
     enumerate_connected_graphs,
     enumerate_trees,
     path_graph,
-    recognize_family,
     spider5_graph,
     spider6_graph,
     star_graph,
@@ -51,6 +50,7 @@ from reference import (
     is_scarf_bruteforce,
     matches_special_tree_family,
     member_tuples,
+    recognize_family,
     removable_vertices,
     scarf_complex_bruteforce,
 )

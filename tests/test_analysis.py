@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -15,10 +16,18 @@ from scarflab.analysis import (
     leaf_lemma_pipeline,
     sweep,
 )
-from scarflab.complexes import LabeledComplex, glue_leaf_ideal, lcm_lattice, scarf_complex
+from scarflab.complexes import (
+    LabeledComplex,
+    glue_leaf_ideal,
+    lcm_lattice,
+    scarf_complex,
+    scarf_facets,
+    scarf_neighbours,
+)
 from scarflab.graphs import (
     GraphError,
     SimpleGraph,
+    _connected_within,
     broom3_graph,
     broom4_graph,
     canonical_form,
@@ -33,7 +42,7 @@ from scarflab.graphs import (
     to_graph6,
     triangle_with_leaves,
 )
-from scarflab.homology import DEFAULT_FIELDS, GF2, GF32003, FieldSpec
+from scarflab.homology import DEFAULT_FIELDS, GF2, GF32003, FieldSpec, reduced_betti
 from scarflab.ideals import IdealSpec, build_ideal
 from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
@@ -43,6 +52,7 @@ from reference import (
     degree_t_ideals,
     fields_disagree,
     induced_subgraph,
+    is_flag,
     is_polygon_boundary,
     is_scarf_bruteforce,
     is_scarf_full_scan,
@@ -50,6 +60,7 @@ from reference import (
     member_tuples,
     minimal_induced,
     minimal_subgraphs,
+    random_ideal,
     removable_vertices,
     restrict_ideal,
     swap_fixes_generators,
@@ -469,13 +480,15 @@ class TestSweep:
             assert record.predicted == classify(parse_graph6(record.graph6), spec), record.graph6
 
     @pytest.mark.parametrize("spec, profiles, ranks", [
-        (C3, 14, 4), (C4, 42, 2), (IdealSpec("connected", 5), 222, 0), (P4, 38, 4),
+        (C3, 4, 4), (C4, 2, 2), (IdealSpec("connected", 5), 0, 0), (P4, 4, 4),
     ], ids=str)
     def test_rank_calls_pinned(self, spec, profiles, ranks, monkeypatch):
         """The Betti profiles a sweep to n = 6 computes over its two default
-        fields, and the matrices it ranks for them.  ∂_0 is never ranked, so
-        the 111 restrictions connected:5 ranks, none with an edge, need no
-        matrix."""
+        fields, and the matrices it ranks for them: only the x_V checks that
+        neither the 1-skeleton nor the facets decide are ranked, five in
+        all.  A disconnected 1-skeleton fails with no rank (111 of
+        connected:5's 112 checks, the last collapses on its facets), and ∂_0
+        is never ranked, so each profile here ranks one matrix."""
         calls = {"reduced_betti": 0, "matrix_rank": 0}
         for name in calls:
             production = getattr(homology, name)
@@ -658,3 +671,116 @@ class TestHereditaryVerdicts:
         ]
         assert catalog.graphs == tuple(minimal_induced(bad))
         assert len(catalog.graphs) == 9
+
+
+def skeleton_connected(ideal: MonomialIdeal) -> bool:
+    return _connected_within(scarf_neighbours(ideal), (1 << ideal.num_generators) - 1)
+
+
+class TestWholeComplexCheck:
+    """The walk's x_V check decides on the 1-skeleton and the facets, and
+    lists faces only when neither does."""
+
+    FIELDS = (GF2, GF32003, RATIONALS)
+
+    @staticmethod
+    def graph_ideals():
+        specs = [IdealSpec(kind, t) for kind in ("connected", "path") for t in (2, 3, 4, 5)]
+        for n in range(2, 7):
+            for graph in enumerate_connected_graphs(n):
+                for spec in specs:
+                    ideal = build_ideal(graph, spec)
+                    if ideal.num_generators >= 2:
+                        yield ideal
+
+    def test_disconnected_skeleton_is_the_reduced_h0(self):
+        """A complex fails H~_0 over a field exactly when its 1-skeleton is
+        disconnected, over gf2, gf32003 and q alike."""
+        rng = random.Random(101)
+        ideals = list(self.graph_ideals())
+        ideals += [random_ideal(rng, (5, 8), (6, 10)) for _ in range(150)]
+        kinds = Counter()
+        for ideal in ideals:
+            if ideal.num_generators < 2:
+                continue
+            connected = skeleton_connected(ideal)
+            delta = scarf_complex(ideal)
+            for field in self.FIELDS:
+                assert (reduced_betti(delta, field).betti[0] == 0) == connected, ideal.render()
+            kinds[connected] += 1
+        assert kinds[True] > 200 and kinds[False] > 200
+
+    def test_failures_match_ranks_and_fall_back_off_flag(self, monkeypatch):
+        """The fields that fail are those the ranks of the whole complex
+        give.  The face list is built exactly when the 1-skeleton is
+        connected and the complex is not flag or its facets do not collapse,
+        and the face-based collapse test runs only when it is not flag;
+        random ideals reach the non-flag fallback."""
+        built = []
+        for name in ("scarf_complex", "collapses_to_point"):
+            production = getattr(analysis, name)
+
+            def recording(*args, _name=name, _production=production):
+                built.append(_name)
+                return _production(*args)
+
+            monkeypatch.setattr(analysis, name, recording)
+        rng = random.Random(103)
+        ideals = list(self.graph_ideals())
+        ideals += [random_ideal(rng, (5, 8), (6, 10)) for _ in range(300)]
+        paths = Counter()
+        for ideal in ideals:
+            if ideal.num_generators < 2:
+                continue
+            delta = scarf_complex(ideal)
+            expected = [
+                field for field in self.FIELDS if not reduced_betti(delta, field).is_acyclic
+            ]
+            built.clear()
+            assert analysis._whole_complex_failures(ideal, list(self.FIELDS)) == expected
+            if not skeleton_connected(ideal):
+                path = "disconnected"
+            elif not is_flag(delta):
+                path = "not flag"
+                assert scarf_facets(ideal, scarf_neighbours(ideal)) is None
+            elif homology.facets_collapse_to_point(scarf_facets(ideal, scarf_neighbours(ideal))):
+                path = "collapsed"
+            else:
+                path = "stuck"
+            assert built == {
+                "disconnected": [],
+                "collapsed": [],
+                "stuck": ["scarf_complex"],
+                "not flag": ["scarf_complex", "collapses_to_point"],
+            }[path], path
+            paths[path] += 1
+        assert min(paths.values()) >= 10 and len(paths) == 4, paths
+
+    def test_facet_collapse_changes_no_verdict(self, monkeypatch):
+        """With the facet test answering "sticks" every time, every complex
+        that reaches it is listed and ranked, and the walk's verdicts stay."""
+        cases = [(spec, 6, False) for spec in (C3, C4, P4, IdealSpec("path", 5))]
+        cases += [(spec, 9, True) for spec in (P4, IdealSpec("path", 5))]
+        fields = (GF2, GF32003, RATIONALS)
+        expected = [
+            [verdicts for _, verdicts, _ in hereditary_verdicts(spec, n_max, fields, trees_only)]
+            for spec, n_max, trees_only in cases
+        ]
+        monkeypatch.setattr(analysis, "facets_collapse_to_point", lambda facets: False)
+        for case, verdicts in zip(cases, expected):
+            spec, n_max, trees_only = case
+            walk = hereditary_verdicts(spec, n_max, fields, trees_only)
+            assert [v for _, v, _ in walk] == verdicts, case
+
+    def test_large_spider_lists_no_face(self, monkeypatch):
+        """x_V on S5(8,8,8) under path:4, whose Scarf complex has 262,144
+        faces and three facets, is decided on them and lists no face."""
+
+        def refuse(ideal):
+            raise AssertionError("the face list was built")
+
+        monkeypatch.setattr(analysis, "scarf_complex", refuse)
+        start = time.perf_counter()
+        verdicts = analysis._graph_verdicts(spider5_graph(8, 8, 8), P4, DEFAULT_FIELDS, ())
+        assert time.perf_counter() - start < 1.0
+        assert verdicts == ("scarf", "scarf")

@@ -21,6 +21,7 @@ from scarflab.cli import (
     parse_fields,
     parse_graph_argument,
 )
+from scarflab.complexes import DEFAULT_LATTICE_CAP
 from scarflab.graphs import (
     FamilyTag,
     GraphError,
@@ -441,6 +442,16 @@ class TestInputErrors:
             assert cap in err, err
         assert main(["ideal", "--graph", "path:32", "--spec", "connected:2"]) == 0
 
+    def test_scarf_refuses_lattices_past_the_cap(self, capsys):
+        """S5(9,9,9) under path:4 has about 10^8 lattice points; the lattice
+        stops growing at `DEFAULT_LATTICE_CAP` and the command exits 2 with
+        one error line, not 1, which means "not Scarf"."""
+        argv = ["scarf", "--graph", "family:S5(9,9,9)", "--spec", "path:4"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: lcm lattice capped at {DEFAULT_LATTICE_CAP} points\n"
+
     def test_classify_refuses_graphs_past_the_form_cap(self, monkeypatch, capsys):
         """classify prints the input's canonical form, capped at 10 vertices;
         a larger graph is refused before any family catalog or ideal is
@@ -608,6 +619,23 @@ class TestCanonicalisation:
         self.output(["classify", "--graph", "family:S5(2,1,2)", "--theorem", "B"], capsys)
         assert calls == [10]
         assert len(graphs.family_catalog(10)) == 55 and len(graphs._family_index(10)[1]) == 30
+
+    def test_classify_looks_the_family_up_once(self, monkeypatch, capsys):
+        # the prediction (n = 10 > t = 4 reads the tags) and the report's
+        # family field share one lookup of the input against the catalog
+        classes = graphs._family_index(10)[0]  # filed before counting
+        calls = []
+        production = graphs._find_class
+
+        def counting(*args):
+            calls.append(args[0])
+            return production(*args)
+
+        monkeypatch.setattr(graphs, "_find_class", counting)
+        out = self.output(["classify", "--graph", "family:S5(2,1,2)", "--theorem", "B"], capsys)
+        report = json.loads(out)
+        assert report["family"] == "spider5(2, 1, 2)" and report["predicted"]
+        assert len(calls) == 1 and calls[0] is classes
 
     def test_derive_encodes_each_printed_graph_once(self, monkeypatch, capsys):
         # the catalog is sorted by the form bytes, so a derive report encodes

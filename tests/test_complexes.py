@@ -14,6 +14,8 @@ from scarflab.complexes import (
     lcm_lattice,
     leaf_split,
     scarf_complex,
+    scarf_facets,
+    scarf_neighbours,
     taylor_complex,
 )
 from scarflab.graphs import _bits, cycle_graph, path_graph, spider5_graph, spider6_graph
@@ -21,6 +23,10 @@ from scarflab.ideals import IdealSpec, build_ideal
 from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
 from reference import (
+    cliques_bruteforce,
+    is_flag,
+    maximal_sets,
+    random_ideal,
     _face_key,
     complex_from_faces,
     cone,
@@ -45,20 +51,6 @@ def ideal_of(*texts: str, size: int) -> MonomialIdeal:
 def middle_leaf(graph) -> int:
     (leaf,) = [v for v in range(graph.n) if graph.adjacency[2] >> v & 1 and graph.degrees[v] == 1]
     return leaf
-
-
-def random_ideal(rng: random.Random) -> MonomialIdeal:
-    d = rng.randint(3, 6)
-    universe = VariableUniverse.of_size(d)
-    gens = []
-    for _ in range(rng.randint(2, 6)):
-        mask = 0
-        for v in range(d):
-            if rng.random() < 0.5:
-                mask |= 1 << v
-        if mask:
-            gens.append(mask)
-    return minimalize(gens, universe=universe)
 
 
 def relabel(face: int, mapping: dict[int, int]) -> int:
@@ -198,6 +190,56 @@ class TestScarfAgainstBruteforce:
             for face in delta.faces:
                 for i in _bits(face):
                     assert masks[face ^ 1 << i] & ~masks[face] == 0
+
+
+class TestScarfFacets:
+    """The 1-skeleton, the maximal cliques and the flag facets that the
+    walk's x_V check reads instead of the face list."""
+
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    )))
+    def test_maximal_cliques_match_bruteforce(self, drawn):
+        n, pairs = drawn
+        neighbours = [0] * n
+        for u, v in pairs:
+            if u != v:
+                neighbours[u] |= 1 << v
+                neighbours[v] |= 1 << u
+        found = complexes._maximal_cliques(neighbours)
+        assert len(found) == len(set(found))
+        assert set(found) == maximal_sets(cliques_bruteforce(neighbours))
+
+    def test_neighbours_are_the_scarf_edges(self, oracle_corpus):
+        for ideal in oracle_corpus:
+            edges = {
+                1 << i | 1 << j
+                for i, row in enumerate(scarf_neighbours(ideal)) for j in _bits(row)
+            }
+            assert edges == set(scarf_complex(ideal).faces_of_size(2)), ideal.render()
+
+    def test_flag_facets_on_random_ideals(self):
+        """None exactly when the complex is not flag; otherwise its maximal
+        faces.  Random ideals give both kinds."""
+        rng = random.Random(83)
+        kinds = {True: 0, False: 0}
+        for _ in range(300):
+            ideal = random_ideal(rng, (5, 8), (6, 10))
+            delta = scarf_complex(ideal)
+            facets = scarf_facets(ideal, scarf_neighbours(ideal))
+            flag = is_flag(delta)
+            kinds[flag] += 1
+            assert (facets is not None) == flag, ideal.render()
+            if flag:
+                assert len(facets) == len(set(facets))
+                assert set(facets) == maximal_sets(delta.faces), ideal.render()
+        assert kinds[True] and kinds[False] >= 10
+
+    def test_scarf_face_test_matches_the_face_list(self, oracle_corpus):
+        for ideal in oracle_corpus[:150]:
+            faces = scarf_complex(ideal).face_set
+            for face in range(1, 1 << ideal.num_generators):
+                assert complexes._is_scarf_face(ideal, face) == (face in faces)
 
 
 class TestRestrictComplex:
@@ -433,6 +475,25 @@ class TestLcmLattice:
     def test_zero_ideal_has_no_top(self):
         assert lcm_lattice(MonomialIdeal.zero(VariableUniverse.of_size(2))) == ()
         assert lcm_lattice(MonomialIdeal.zero(VariableUniverse(()))) == ()
+
+
+    def test_cap_refuses_only_larger_lattices(self):
+        """The cap is checked while the set grows: a lattice of exactly
+        max_points points is built, one more point is refused, on both the
+        doubling and the point-by-point steps."""
+        rng = random.Random(89)
+        for _ in range(60):
+            ideal = random_ideal(rng)
+            lattice = lcm_lattice(ideal)
+            for cap in range(max(1, len(lattice) - 3), len(lattice) + 3):
+                if cap >= len(lattice):
+                    assert lcm_lattice(ideal, cap) == lattice
+                else:
+                    with pytest.raises(ComplexError, match=f"capped at {cap} points"):
+                        lcm_lattice(ideal, cap)
+
+    def test_default_cap_holds_the_largest_spider_run(self):
+        assert complexes.DEFAULT_LATTICE_CAP > 2_162_686  # S5(7,7,7) under path:4
 
 
 class TestStarAndCone:

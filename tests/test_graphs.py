@@ -29,7 +29,6 @@ from scarflab.graphs import (
     parse_adjacency_text,
     parse_graph6,
     path_graph,
-    recognize_family,
     spider5_graph,
     spider6_graph,
     star_graph,
@@ -52,6 +51,7 @@ from reference import (
     order_bits_bytewise,
     pack_graph6_bytewise,
     path_vertex_sets,
+    recognize_family,
     recognize_family_linear,
     refine_colors_multiset,
     removable_vertices,

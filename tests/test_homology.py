@@ -8,9 +8,22 @@ from hypothesis import strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from scarflab import analysis, homology
-from scarflab.complexes import LabeledComplex, lcm_lattice, scarf_complex, taylor_complex
-from scarflab.graphs import _bits, path_graph, spider5_graph
+from scarflab import homology
+from scarflab.complexes import (
+    LabeledComplex,
+    lcm_lattice,
+    scarf_complex,
+    scarf_facets,
+    scarf_neighbours,
+    taylor_complex,
+)
+from scarflab.graphs import (
+    _bits,
+    enumerate_connected_graphs,
+    enumerate_trees,
+    path_graph,
+    spider5_graph,
+)
 from scarflab.homology import (
     DEFAULT_FIELDS,
     GF2,
@@ -19,6 +32,7 @@ from scarflab.homology import (
     HomologyError,
     boundary_matrix,
     collapses_to_point,
+    facets_collapse_to_point,
     matrix_rank,
     reduced_betti,
 )
@@ -26,6 +40,8 @@ from scarflab.ideals import IdealSpec, build_ideal
 from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
 from reference import (
+    maximal_sets,
+    random_ideal,
     RATIONALS,
     collapses_greedy,
     complex_from_faces,
@@ -61,20 +77,6 @@ PROJECTIVE_PLANE_TRIANGLES = (
 
 def projective_plane() -> LabeledComplex:
     return complex_from_top_faces(6, PROJECTIVE_PLANE_TRIANGLES)
-
-
-def random_ideal(rng: random.Random) -> MonomialIdeal:
-    d = rng.randint(3, 6)
-    universe = VariableUniverse.of_size(d)
-    gens = []
-    for _ in range(rng.randint(2, 6)):
-        mask = 0
-        for v in range(d):
-            if rng.random() < 0.5:
-                mask |= 1 << v
-        if mask:
-            gens.append(mask)
-    return minimalize(gens, universe=universe)
 
 
 class TestFieldSpec:
@@ -309,23 +311,22 @@ class TestAugmentationRank:
             for field in ALL_FIELDS:
                 assert reduced_betti(delta, field) == reduced_betti_all_ranks(delta, field)
 
-    def test_connected5_sweep_restrictions_match_all_ranks(self, monkeypatch):
-        # the restrictions a connected:5 sweep to n = 6 ranks: 111, each
-        # a few points with no edge
-        ranked = {}
-        production = analysis.reduced_betti
-
-        def recording(delta, field):
-            ranked[id(delta)] = delta
-            return production(delta, field)
-
-        monkeypatch.setattr(analysis, "reduced_betti", recording)
-        analysis.sweep(IdealSpec("connected", 5), 6)
-        assert len(ranked) == 111
-        for delta in ranked.values():
-            assert delta.dim == 0
+    def test_connected5_sweep_restrictions_match_all_ranks(self):
+        # the whole complexes of a connected:5 sweep to n = 6 at x_V: 111 of
+        # its 112 are a few points with no edge, which the walk fails on
+        # their 1-skeleton without a rank
+        pointwise = []
+        for graph in enumerate_connected_graphs(6):
+            ideal = build_ideal(graph, IdealSpec("connected", 5))
+            delta = scarf_complex(ideal)
+            if ideal.num_generators >= 2 and delta.dim == 0:
+                pointwise.append(delta)
+        assert len(pointwise) == 111
+        for delta in pointwise:
             for field in ALL_FIELDS:
-                assert reduced_betti(delta, field) == reduced_betti_all_ranks(delta, field)
+                profile = reduced_betti(delta, field)
+                assert profile == reduced_betti_all_ranks(delta, field)
+                assert profile.betti == (len(delta.faces) - 2,)
 
 
 class TestFieldDependence:
@@ -487,6 +488,68 @@ class TestCollapse:
         ideal = build_ideal(spider5_graph(*legs), IdealSpec("path", 4))
         delta = scarf_complex(ideal)
         assert all(collapses_to_point(delta, point) for point in lcm_lattice(ideal))
+
+
+def facet_masks(tops) -> list[int]:
+    """The maximal sets among the given vertex tuples, as masks."""
+    return list(maximal_sets(face_mask(top) for top in tops))
+
+
+class TestFacetCollapse:
+    """`facets_collapse_to_point` answers `collapses_to_point` of the complex
+    its facets span."""
+
+    def test_known_complexes(self):
+        assert facets_collapse_to_point([0b1111])
+        assert facets_collapse_to_point([0b0001])
+        assert facets_collapse_to_point(facet_masks([(0, 1), (1, 2), (1, 3)]))
+        assert facets_collapse_to_point(facet_masks([(0, 1, 2), (1, 2, 3), (3, 4)]))
+        assert not facets_collapse_to_point(facet_masks(PROJECTIVE_PLANE_TRIANGLES))
+        assert not facets_collapse_to_point(facet_masks([(0, 1), (1, 2), (0, 2)]))
+        assert not facets_collapse_to_point(facet_masks([(0,), (1,), (2,)]))
+        # a cone over the projective plane collapses to its apex
+        assert facets_collapse_to_point(
+            facet_masks([top + (6,) for top in PROJECTIVE_PLANE_TRIANGLES])
+        )
+
+    def test_matches_face_collapse_on_random_top_faces(self):
+        rng = random.Random(97)
+        answers = {True: 0, False: 0}
+        for _ in range(300):
+            count = rng.randint(2, 8)
+            tops = [
+                tuple(sorted(rng.sample(range(count), rng.randint(1, min(5, count)))))
+                for _ in range(rng.randint(1, 7))
+            ]
+            expected = collapses_to_point(complex_from_top_faces(count, tops))
+            assert facets_collapse_to_point(facet_masks(tops)) == expected, tops
+            answers[expected] += 1
+        assert answers[True] >= 30 and answers[False] >= 30
+
+    def test_matches_face_collapse_on_graph_ideals(self):
+        """Every connected graph on at most 7 vertices and every tree on at
+        most 10, under connected:2..5 and path:2..5: each Scarf complex is
+        flag, its facets are its maximal faces, and the facet answer is the
+        face-list answer."""
+        graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+        graphs += [g for n in range(8, 11) for g in enumerate_trees(n)]
+        specs = [IdealSpec(kind, t) for kind in ("connected", "path") for t in (2, 3, 4, 5)]
+        answers = {True: 0, False: 0}
+        for graph in graphs:
+            for spec in specs:
+                ideal = build_ideal(graph, spec)
+                if ideal.num_generators < 2:
+                    continue
+                delta = scarf_complex(ideal)
+                facets = scarf_facets(ideal, scarf_neighbours(ideal))
+                assert facets is not None, (spec, graph.edges)
+                assert set(facets) == maximal_sets(delta.faces), (spec, graph.edges)
+                answer = facets_collapse_to_point(facets)
+                assert answer == collapses_to_point(delta), (spec, graph.edges)
+                answers[answer] += 1
+        # all 9,246 of these complexes are flag, and most are disconnected;
+        # `test_flag_facets_on_random_ideals` meets complexes that are not flag
+        assert answers == {True: 428, False: 8818}
 
 
 def dominates(delta: LabeledComplex, w: int, v: int) -> bool:

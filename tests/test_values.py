@@ -27,7 +27,6 @@ from scarflab.graphs import (
     SimpleGraph,
     _Frozen,
     cycle_graph,
-    recognize_family,
     spider5_graph,
 )
 from scarflab.homology import FieldSpec, HomologyError, HomologyProfile
@@ -45,7 +44,7 @@ SWEEP = sweep(P4, 4)
 # valid value for it)
 CASES = {
     SimpleGraph: (SPIDER, ("adjacency",), "adjacency", cycle_graph(6).adjacency),
-    FamilyTag: (recognize_family(SPIDER), ("kind", "params"), "params", (1, 1, 2)),
+    FamilyTag: (FamilyTag("spider5", (1, 1, 1)), ("kind", "params"), "params", (1, 1, 2)),
     VariableUniverse: (IDEAL.universe, ("names",), "names", ("a", "b")),
     MonomialIdeal: (
         IDEAL, ("universe", "generator_masks"), "generator_masks", IDEAL.generator_masks[1:],
