@@ -8,6 +8,12 @@ generators dividing m, and that set determines a lattice point with the same
 restriction.  The test oracle in `tests/reference.py` scans every monomial
 some generator divides and ranks every restriction.
 
+The scan and the level walk below both ask one strong-collapse test first,
+`homology.facets_collapse_to_point`, and rank only where it sticks.  The
+scan asks it of each restriction, on the maximal traces of the Scarf
+complex's facets on the generators dividing the point; the walk asks it of
+the whole complex, on facets read off its 1-skeleton when it is flag.
+
 Witness policy: the scan walks lattice points in ascending support-bit-pattern
 order, so a reported failure is the smallest failing point in that order.
 Fields are never merged: a graph counts as Scarf only when every field in the
@@ -37,6 +43,7 @@ from collections.abc import Iterable, Iterator
 from . import graphs
 from .complexes import (
     LabeledComplex,
+    _meet,
     glue_leaf_ideal,
     lcm_lattice,
     leaf_split,
@@ -65,7 +72,6 @@ from .homology import (
     DEFAULT_FIELDS,
     FieldSpec,
     HomologyProfile,
-    collapses_to_point,
     facets_collapse_to_point,
     reduced_betti,
 )
@@ -119,17 +125,27 @@ def _normalize_fields(fields) -> tuple[FieldSpec, ...]:
 
 
 def _failing_fields(
-    delta: LabeledComplex, point: int, fields: Iterable[FieldSpec]
+    delta: LabeledComplex, point: int, fields: Iterable[FieldSpec], answers: dict[int, bool]
 ) -> list[tuple[FieldSpec, HomologyProfile]]:
     """The fields over which the restriction of delta to the monomial with
     mask point, which has a vertex, is not acyclic, each with its reduced
     Betti profile, in the order given.
 
-    A restriction that `collapses_to_point` is contractible, hence acyclic
-    over every field, so it is ranked over no field and never built: delta
-    is restricted only when ranks are needed.  The collapse answers are
-    kept on delta by vertex set, so the points of one scan share them."""
-    if collapses_to_point(delta, point):
+    The restriction is the induced subcomplex delta[A] on the set A of
+    generators dividing the monomial, those that lack every variable it
+    lacks (`_meet` over `generators_without`), and its facets are the
+    maximal traces F & A of delta's facets (`LabeledComplex.restrict`,
+    `induced_facets`).  When they strong-collapse to a point
+    (`facets_collapse_to_point`), the restriction is contractible, hence
+    acyclic over every field, so it is ranked over no field and never
+    built: delta is restricted only when ranks are needed.  `answers` is
+    the collapse table by vertex set that the points of one scan of delta
+    share; every complex it is asked about is an induced subcomplex of
+    delta, as that function requires."""
+    ideal = delta.ideal
+    absent = ~point & ((1 << ideal.universe.size) - 1)
+    dividing = _meet((1 << ideal.num_generators) - 1, absent, ideal.generators_without)
+    if facets_collapse_to_point(delta.induced_facets(dividing), answers):
         return []
     return _ranked_failures(delta.restrict(point), fields)
 
@@ -187,15 +203,16 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     `_variable_twin_classes`), each through `_failing_fields` over the
     fields still undecided.  A restriction that is a simplex or
     strong-collapses to a vertex can be no field's witness, and
-    `homology.collapses_to_point` decides it on the complex's per-variable
-    face bit sets (`faces_without`), whose singleton faces give its
-    vertices, without building it, from a table of collapse answers by
-    vertex set that all points of the scan share.  At the label of a Scarf
-    face the restriction is a full simplex, which its first test answers.  So
-    restrictions are built and ranked only at the points the collapse test
-    leaves standing, and verdicts, witnesses and their Betti profiles are
-    those of a scan that ranks every point.  `num_lattice_points` counts
-    the whole lattice.
+    `homology.facets_collapse_to_point` decides it without building it, on
+    the maximal traces of the complex's facets on the generators dividing
+    the point, with a table of answers by vertex set that all points of the
+    scan share and that is dropped with the scan.  At the label of a Scarf
+    face the restriction is a full simplex, one facet, which the test
+    answers at once.  So restrictions are built and ranked only at the
+    points the collapse test leaves standing, and verdicts, witnesses and
+    their Betti profiles are those of a scan that ranks every point.
+    `num_lattice_points` counts the whole lattice, and `num_scarf_faces`
+    the faces of the complex, whose list also gives the facets.
 
     The orbit skip is sound.  Let G be the group of the permutations of
     the variables that map each twin class onto itself; it is generated by
@@ -233,10 +250,11 @@ def is_scarf(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfReport:
     else:
         alive = list(fields)
         verdicts = {}
+        answers: dict[int, bool] = {}
         for point in _prefix_masks(_variable_twin_classes(ideal), lattice):
             if not alive:
                 break
-            for field, profile in _failing_fields(complex_, point, alive):
+            for field, profile in _failing_fields(complex_, point, alive, answers):
                 verdicts[field] = VERDICT_NOT_SCARF
                 witnesses.append((field, point, profile))
                 alive.remove(field)
@@ -481,12 +499,12 @@ def _whole_complex_failures(ideal: MonomialIdeal, fields: list[FieldSpec]) -> li
     2. Flag complex whose facets strong-collapse to a point
        (`complexes.scarf_facets`, `homology.facets_collapse_to_point`):
        no field fails, as the complex is contractible.
-    3. Otherwise `scarf_complex` lists the faces, and the fields are
-       ranked.  When step 2 had the facets and the collapse stuck, the
-       face-based `collapses_to_point` would stick too (both decide whether
-       the one core is a point), so it runs only when the complex is not
-       flag.  The whole complex is its restriction to x_V, so no
-       restriction is built."""
+    3. Otherwise `scarf_complex` lists the faces.  When the complex is not
+       flag, the facets are read off the face list
+       (`LabeledComplex.facets`) and collapsed as in step 2; when step 2
+       had them and the collapse stuck, it is not run again.  Where it
+       sticks, the fields are ranked.  The whole complex is its
+       restriction to x_V, so no restriction is built."""
     neighbours = scarf_neighbours(ideal)
     if not _connected_within(neighbours, (1 << len(neighbours)) - 1):
         return fields
@@ -494,7 +512,7 @@ def _whole_complex_failures(ideal: MonomialIdeal, fields: list[FieldSpec]) -> li
     if facets is not None and facets_collapse_to_point(facets):
         return []
     delta = scarf_complex(ideal)
-    if facets is None and collapses_to_point(delta):
+    if facets is None and facets_collapse_to_point(delta.facets):
         return []
     return [field for field, _ in _ranked_failures(delta, fields)]
 

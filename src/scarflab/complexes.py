@@ -18,18 +18,22 @@ its facets (`scarf_facets`: the maximal cliques of those edges, each
 passing the face test) describe the complex without listing its faces:
 the path:4 complex of the spider S5(8,8,8) has 262,144 faces and three
 facets.  `analysis` decides the walk's check of the whole complex on
-them, and lists the faces only where they do not decide it.
+them, and lists the faces only where they do not decide it.  A listed
+complex reads its facets off its faces (`LabeledComplex.facets`), and the
+facets of a subcomplex induced on a vertex set are the maximal traces of
+those facets on it (`induced_facets`): the Scarf scan decides strong
+collapse on them.
 
 A monomial is its bit mask, as in `monomials`.  The lcm lattice is the
 closure of the generator masks under OR (the lcm), as a sorted tuple of
 masks, built by adding one generator at a time and capped at
 `DEFAULT_LATTICE_CAP` points; the monomial 1 is excluded and treated as an
 implicit bottom (it is a point only of the unit ideal,
-whose one generator it is).  A complex restricts to a mask, and per variable
-it indexes the faces whose label the variable does not divide, so the
-restriction's faces are a few ANDs over the variables outside the mask.
-Leaf gluing builds the ideal obtained by re-attaching, on a fresh variable,
-every generator divisible by a chosen variable.
+whose one generator it is).  A complex restricts to a mask by filtering
+its face labels; the restriction is the subcomplex induced on the
+generators dividing the mask.  Leaf gluing builds the ideal obtained by
+re-attaching, on a fresh variable, every generator divisible by a chosen
+variable.
 """
 
 from __future__ import annotations
@@ -127,41 +131,48 @@ class LabeledComplex(_Frozen):
         return tuple(counts)
 
     @cached_property
-    def face_columns(self) -> tuple[int, ...]:
-        """Per generator, the bit set of the faces that contain it: bit i of
-        `face_columns[g]` is set when g is in `faces[i]`."""
-        columns = [0] * self.ideal.num_generators
-        for i, face in enumerate(self.faces):
-            while face:  # `_bits` inlined: every Scarf scan runs this per complex
-                low = face & -face
-                columns[low.bit_length() - 1] |= 1 << i
-                face ^= low
-        return tuple(columns)
-
-    @cached_property
     def vertices(self) -> int:
-        """Bit set of the generators that are vertices: bit g is set when
-        some face contains g, so that {g} is a face by downward closure."""
-        return sum(1 << g for g, column in enumerate(self.face_columns) if column)
+        """Bit set of the generators that are vertices, the OR of the faces:
+        g is in some face exactly when {g} is a face, by downward closure."""
+        vertices = 0
+        for face in self.faces:
+            vertices |= face
+        return vertices
 
     @cached_property
-    def faces_without(self) -> tuple[int, ...]:
-        """Per variable x, the bit set of the faces whose label x does not
-        divide.  A label is the lcm of its face's generators, so x divides
-        it exactly when x divides a member: these are all faces minus the
-        `face_columns` of the generators x divides."""
-        lacking = [(1 << len(self.faces)) - 1] * self.ideal.universe.size
-        for column, generator in zip(self.face_columns, self.ideal.generator_masks):
-            for x in _bits(generator):
-                lacking[x] &= ~column
-        return tuple(lacking)
+    def facets(self) -> tuple[int, ...]:
+        """The maximal faces, in face order: () for the void complex and
+        (0,) for the complex {∅}.  Faces are sorted by size, so a face that
+        lies in another lies in a larger one, which lies in a facet met
+        earlier on a walk from the last face back: a face is kept when it
+        lies in no facet kept before it."""
+        facets = []
+        for face in reversed(self.faces):
+            for facet in facets:
+                if not face & ~facet:
+                    break
+            else:
+                facets.append(face)
+        return tuple(reversed(facets))
 
-    @cached_property
-    def collapse_answers(self) -> dict[int, bool]:
-        """Answers of `homology.collapses_to_point` on this complex, keyed
-        by the restriction's vertex set as a bit set of face indices (bit i
-        for the singleton face `faces[i]`), which that function fills in."""
-        return {}
+    def induced_facets(self, vertices: int) -> list[int]:
+        """The facets of the induced subcomplex delta[A] on the vertex bit
+        set A = `vertices`, the faces of delta that lie in A: the maximal
+        traces F & A over the facets F of delta.  A face in A lies in some
+        facet F, so in F & A, and every trace is a face by downward closure.
+        A complex with no vertex in A gives [0], the complex {∅}, or [] for
+        the void complex.  It is written with plain loops rather than
+        `all`, which measured slower, as the `analysis.is_scarf` scan calls
+        it at every point it visits."""
+        traces = {facet & vertices for facet in self.facets}
+        maximal = []
+        for trace in traces:
+            for other in traces:
+                if not trace & ~other and trace != other:
+                    break
+            else:
+                maximal.append(trace)
+        return maximal
 
     def restrict(self, mask: int) -> "LabeledComplex":
         """Subcomplex of faces whose label divides the monomial with this
@@ -169,8 +180,13 @@ class LabeledComplex(_Frozen):
         this complex is nonempty.  When it keeps every face it is this
         complex, which is frozen, so that is returned instead of a copy.
 
-        The Scarf scans in `analysis` call it only at the points where
-        `homology.collapses_to_point` leaves ranks to compute."""
+        A face's label is the lcm of its members, so it divides the
+        monomial exactly when each member does: the restriction is the
+        induced subcomplex delta[A] on the set A of generators dividing the
+        monomial, and its facets are `induced_facets(A)`.  The Scarf scans
+        in `analysis` decide a restriction on those facets
+        (`homology.facets_collapse_to_point`) and call this only where the
+        collapse leaves ranks to compute."""
         outside = ~mask
         kept = tuple(
             face for face, label in zip(self.faces, self.label_masks) if not label & outside

@@ -1,27 +1,21 @@
 """Reduced simplicial homology: a collapse test, and exact ranks over GF(p) and Q.
 
-`collapses_to_point` decides the restriction of a complex to a monomial,
-given by its mask, on bit sets of the complex's faces, without building it.
-The restriction's faces are the AND (`complexes._meet`) of the complex's
-per-variable table `LabeledComplex.faces_without` over the variables the
-monomial lacks, and its vertices are the singleton faces among them.
-Domination is tested on the per-generator face bit sets
-(`LabeledComplex.face_columns`).  It answers True at once when the
-restriction is a full simplex, and otherwise deletes one dominated vertex
-(a strong collapse) and asks again.  The answer depends only on the
-restriction's vertex set, so it is kept per complex by the bit set of its
-singleton faces (`LabeledComplex.collapse_answers`), and a point stops at
-the first vertex set another point already decided.  When one vertex is
-left the restriction is contractible, so it is acyclic over every field at
-once and no rank is needed.  A Scarf scan runs it at its lattice points
-and builds and ranks a restriction only where it answers False.  On the
-path:4 ideals of the spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4), the 511,
-1,023 and 4,095 points of 766, 1,406 and 5,118 that label no Scarf face
-take 567, 1,135 and 4,335 vertex domination tests.  `analysis.is_scarf`
-visits only one point per orbit of the variable twin classes, and calls it
-at 126, 150 and 223 points there.  `facets_collapse_to_point` runs the same
-strong collapse on a complex's facets instead, for the one question the
-level walk asks of each graph's whole complex.
+`facets_collapse_to_point` is the one strong-collapse test (Barmak and
+Minian, 2012).  It reads a complex off its facets and deletes dominated
+vertices, in descending order, until one facet is left (True) or no vertex
+is dominated (False).  When it ends at one vertex the complex is
+contractible, so it is acyclic over every field at once and no rank is
+needed.  The level walk asks it once per graph about the whole Scarf
+complex.  The `analysis.is_scarf` scan asks it at each lattice point it
+visits, about the restriction there, whose facets are the maximal traces
+of the complex's facets (`LabeledComplex.induced_facets`); it ranks a
+restriction only where the answer is False.  The points of one scan share
+a table of answers by vertex set, sound because each restriction is an
+induced subcomplex and the answer depends on its vertex set alone.  On the
+path:4 ideals of the spiders S5(3,3,3), S5(4,3,3) and S5(4,4,4), whose
+scans visit 126, 150 and 223 points, the table holds 75, 94 and 144 vertex
+sets, and the scans make as many deletions and domination tests; without
+the table they make 384, 520 and 1,000.
 
 A face is the bit mask of its members, as in `complexes`.  Boundary
 matrices carry the usual alternating signs over ascending members: dropping
@@ -44,7 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .complexes import LabeledComplex, _meet
+from .complexes import LabeledComplex
 from .graphs import _bits, _Frozen, _set
 
 # Primality is checked by trial division up to sqrt(p), about 46k divisions
@@ -182,128 +176,19 @@ def matrix_rank(matrix: Sequence[Sequence[int]], field: FieldSpec) -> int:
     return rank
 
 
-def collapses_to_point(delta: LabeledComplex, mask: int = -1) -> bool:
-    """True when the restriction of delta to the monomial with this mask (by
-    default delta itself) is a simplex or strong-collapses to one vertex.
-
-    The restriction keeps the faces whose label divides the monomial, which
-    are those whose label lacks every variable x the monomial lacks: the
-    AND of `delta.faces_without[x]` over those x (`complexes._meet`), a bit
-    set of face indices, `members`.  A monomial that lacks no variable, such
-    as x_V in a sweep, restricts to delta itself, and `faces_without` is not
-    built.  The faces are sorted by size and then lexicographically, so with
-    k vertices `faces[0]` is the empty face and `faces[1..k]` are the
-    singletons {g} of the vertices, in ascending g.  The label of {g} is g
-    itself, so {g} is in `members` exactly when g divides the monomial, and
-    the restriction's vertex set A is read off as `members & singles`, the
-    bits 1..k.  With A nonempty and 2^|A| faces counting the empty one,
-    every subset of A is a face, so the restriction is the full simplex on
-    A and contractible.  That holds at the label m of every nonempty Scarf
-    face sigma: the Scarf test is closed, so no generator outside sigma
-    divides m, and every subset of sigma is a Scarf face.
-
-    Otherwise one dominated vertex is deleted (Barmak and Minian, Strong
-    homotopy types, nerves and collapses, 2012).  A vertex v is dominated by
-    a vertex w != v when every face containing v is a face after adding w.
-    Let star_v be the faces containing v.  Removing w maps the faces of
-    star_v that contain w one-to-one into those that do not, and the image
-    lies in the complex as it is closed under subsets.  The map is onto
-    exactly when every face containing v but not w extends by w, that is
-    when w dominates v.  So domination is the count test
-    `2 * (star_v & column_w).bit_count() == star_v.bit_count()`.  A
-    dominator of v lies in every maximal face containing v, since adding it
-    gives a face.  Faces are sorted by size, so the last face of star_v has
-    the most members and is maximal; only its vertices, all still in the
-    complex, are tried as w.  The bits of A are walked from the top, bit i
-    standing for the vertex v = `faces[i].bit_length() - 1`, so vertices
-    are tested in descending order, and the first dominated one is
-    deleted: `members &= ~columns[v]` drops every face containing v, {v}
-    at bit i among them.  A Scarf scan visits points in ascending mask
-    order, and deleting from the top reaches sets that earlier points
-    decided sooner (on the path:4 scan of the whole lattice of S5(4,4,4),
-    4,335 domination tests against 12,832 in ascending order; `is_scarf`
-    visits only the prefix points of its twin classes).
-
-    Deleting a dominated v, with every face containing it, is a chain of
-    elementary collapses: pair each face sigma + v without w with
-    sigma + v + w, and take the pairs in decreasing size.  When a pair is
-    taken, every larger face over sigma + v is gone, so sigma + v + w is its
-    only coface, and the collapse is a deformation retraction.  So a
-    deletion chain ending at one vertex proves the restriction contractible,
-    and its reduced homology vanishes over every field.  False proves
-    nothing: the restriction may be contractible and not strong collapsible,
-    so callers fall back to ranks, and verdicts, witnesses and Betti
-    profiles stay those of a scan that ranks every point.
-
-    The answer f(A) depends on A alone.  A face whose generators all
-    divide the monomial is a subset of A, as delta is closed under subsets
-    and so each member of a face is a vertex.  Hence the restriction is the
-    induced subcomplex delta[A], and deleting a dominated v from it leaves
-    exactly delta[A - v].  A complex strong-collapses to a point exactly
-    when its core (what is left once no vertex is dominated) is a point,
-    and Barmak and Minian show that a complex has one core up to
-    isomorphism, whatever dominated vertices are deleted on the way.  So
-    f(A) = f(A - v) for any dominated v, and the answer does not depend on
-    which one is deleted or on which point first reached A.  When no vertex
-    of A is dominated, delta[A] is its own core, a point only when |A| = 1,
-    which the simplex check answers first; so the answer is False.
-
-    So before the first test and after each deletion, A is looked up in
-    `delta.collapse_answers`, keyed by its singleton-face bit set, which
-    within one complex stands for A one-to-one, and every A a call passes
-    through is stored with the answer it ends at.  The lookup of the first
-    A answers repeated queries.  In a Scarf scan it never hits: the lcm of
-    a point's A is the point, while an earlier point stores only subsets of
-    its own A, whose lcms divide that earlier, smaller point.
-    """
-    answers = delta.collapse_answers
-    faces, columns = delta.faces, delta.face_columns
-    members = (1 << len(faces)) - 1
-    absent = ~mask & ((1 << delta.ideal.universe.size) - 1)
-    if absent:
-        members = _meet(members, absent, delta.faces_without)
-    singles = (1 << (delta.vertices.bit_count() + 1)) - 2
-    vertices = members & singles
-    if not vertices:
-        return False
-    path = []
-    while vertices not in answers:
-        path.append(vertices)
-        if members.bit_count() == 1 << vertices.bit_count():
-            answers[vertices] = True
-            break
-        rest = vertices
-        while rest:
-            i = rest.bit_length() - 1
-            rest ^= 1 << i
-            v = faces[i].bit_length() - 1
-            star = columns[v] & members
-            size = star.bit_count()
-            others = faces[star.bit_length() - 1] & ~(1 << v)
-            while others:  # `_bits` inlined: every Scarf scan runs this per vertex test
-                low = others & -others
-                if 2 * (star & columns[low.bit_length() - 1]).bit_count() == size:
-                    break
-                others ^= low
-            if others:
-                members &= ~columns[v]
-                vertices ^= 1 << i
-                break
-        else:
-            answers[vertices] = False
-    answer = answers[vertices]
-    for key in path:
-        answers[key] = answer
-    return answer
-
-
-def facets_collapse_to_point(facets: Sequence[int]) -> bool:
+def facets_collapse_to_point(
+    facets: Sequence[int], answers: dict[int, bool] | None = None
+) -> bool:
     """True when the complex whose facets (maximal faces, as vertex masks)
     these are strong-collapses to one vertex; it is then contractible and
-    acyclic over every field.  The facets need not be in any order, and
-    there must be at least one.
+    acyclic over every field.  The facets need not be in any order.  A
+    complex with no vertex, the void complex (no facet) or the complex {∅}
+    (the one facet 0), is False: {∅} has reduced H_{-1} != 0 over every
+    field.
 
-    A vertex v is dominated by w != v exactly when every facet containing v
+    Domination (Barmak and Minian, Strong homotopy types, nerves and
+    collapses, 2012): w != v dominates v when every face containing v is a
+    face after adding w.  It holds exactly when every facet containing v
     contains w.  If so, a face containing v lies in a facet containing v,
     which holds w, so the face plus w is a face.  Conversely, if w
     dominates v, a facet containing v plus w is a face, so by maximality it
@@ -312,33 +197,58 @@ def facets_collapse_to_point(facets: Sequence[int]) -> bool:
     without v, the subsets of the sets F - v over the facets F; the facets
     without v stay maximal, and F - v for a facet F that holds v is
     maximal unless it lies in a facet without v (it cannot lie in another
-    facet G that holds v, for then F would lie in G).  One facet is a
-    simplex, which collapses to any one of its vertices; with two or more
-    facets and no dominated vertex, the complex is its own core and not a
-    point, so the answer is False.
+    facet G that holds v, for then F would lie in G).  The vertices are
+    tried in descending order, and the first dominated one is deleted.
 
-    Barmak and Minian (Strong homotopy types, nerves and collapses, 2012)
-    show that a complex has one core up to isomorphism, whatever dominated
-    vertices are deleted on the way, and a complex strong-collapses to a
-    point exactly when its core is a point.  So on the facets of a complex
-    delta this answers `collapses_to_point(delta)`, which deletes vertices
-    in another order on delta's face list.  Each test serves the caller
-    that is faster with it.  `analysis.hereditary_verdicts` asks once per
-    graph about the whole complex, which can have exponentially many faces
-    and only a few facets, and finds the facets from the 1-skeleton when
-    the complex is flag (`complexes.scarf_facets`).  The `is_scarf` scan
-    asks at many lattice points of one complex, whose face list it needs
-    anyway for `num_scarf_faces`, and shares answers across points by
-    vertex set; a facet scan, with each point's facets the maximal traces
-    of the complex's facets, measured two to three times slower on the
-    prefix points of the path:4 spiders S5(3,3,3) to S5(4,4,4)."""
-    facets = list(facets)
+    Deleting a dominated v, with every face containing it, is a chain of
+    elementary collapses: pair each face sigma + v without w with
+    sigma + v + w, and take the pairs in decreasing size.  When a pair is
+    taken, every larger face over sigma + v is gone, so sigma + v + w is its
+    only coface, and the collapse is a deformation retraction.  One facet
+    with a vertex is a simplex, which collapses to any one of its vertices,
+    so True proves the complex contractible.  False proves nothing: a
+    complex may be contractible and not strong collapsible, so callers fall
+    back to ranks.
+
+    The answer depends only on the complex, not on the order of deletion: a
+    complex strong-collapses to a point exactly when its core (what is left
+    once no vertex is dominated) is a point, and a complex has one core up
+    to isomorphism, whatever dominated vertices are deleted on the way
+    (Barmak and Minian).  With two or more facets and no dominated vertex,
+    the complex is its own core and not a point, so the answer is False.
+
+    `answers`, when given, is a table of answers that every call sharing it
+    reads and fills in, keyed by vertex set: the union of the current
+    facets, as every vertex lies in a facet.  A call looks its vertex set
+    up before each domination search, stops at the first one in the table,
+    and stores the answer it ends at for every set it passed through.  This
+    is sound when every complex asked about with one table is an induced
+    subcomplex delta[A] of one complex delta, A being its vertex set, as in
+    a Scarf scan (`analysis.is_scarf`, whose restrictions are induced
+    subcomplexes: `LabeledComplex.restrict`).  Then a key A stands for
+    delta[A] alone.  Deleting a dominated v from delta[A] leaves the faces
+    of delta[A] without v, which are those of delta[A - v], so every set a
+    call passes through is again such a key, and its answer is that of A,
+    as the core is unique.  On the path:4 scan of S5(3,3,3) the table ends
+    with 75 sets, one per deletion; without it the scan makes 384
+    deletions.  Deleting from the bottom vertex up instead, the table ends
+    with 144 sets."""
+    vertices = 0
+    for facet in facets:
+        vertices |= facet
+    if not vertices:
+        return False
+    path = []
+    answer = True
     while len(facets) > 1:
-        rest = 0
-        for facet in facets:
-            rest |= facet
+        if answers is not None:
+            if vertices in answers:
+                answer = answers[vertices]
+                break
+            path.append(vertices)
+        rest = vertices
         while rest:
-            bit = rest & -rest
+            bit = 1 << rest.bit_length() - 1
             rest ^= bit
             common = -1
             for facet in facets:
@@ -347,14 +257,23 @@ def facets_collapse_to_point(facets: Sequence[int]) -> bool:
             if common != bit:
                 break
         else:
-            return False
+            answer = False
+            break
+        vertices ^= bit
         kept = [facet for facet in facets if not facet & bit]
-        facets = kept + [
-            facet ^ bit
-            for facet in facets
-            if facet & bit and all(facet & ~bit & ~other for other in kept)
-        ]
-    return True
+        shrunk = []
+        for facet in facets:
+            if facet & bit:
+                facet ^= bit
+                for other in kept:
+                    if not facet & ~other:
+                        break
+                else:
+                    shrunk.append(facet)
+        facets = kept + shrunk
+    for key in path:
+        answers[key] = answer
+    return answer
 
 
 def reduced_betti(delta: LabeledComplex, field: FieldSpec) -> HomologyProfile:

@@ -19,7 +19,14 @@ from scarflab.analysis import (
     ScarfReport,
     _failing_fields,
 )
-from scarflab.complexes import ComplexError, LabeledComplex, lcm_lattice, scarf_complex
+from scarflab.complexes import (
+    DEFAULT_TAYLOR_CAP,
+    ComplexError,
+    LabeledComplex,
+    lcm_lattice,
+    scarf_complex,
+    taylor_complex,
+)
 from scarflab.graphs import (
     GraphError,
     SimpleGraph,
@@ -47,6 +54,12 @@ from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
 SPECIAL_TREE_FAMILY_KINDS = ("star", "broom3", "broom4", "spider5", "spider6")
 RATIONALS = FieldSpec("rationals")
+# the 6-vertex triangulation of the projective plane, read off the antipodal
+# quotient of the icosahedron; every one of the 15 edges lies in two triangles
+PROJECTIVE_PLANE_TRIANGLES = (
+    (0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 2, 5), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 4, 5), (2, 3, 4), (3, 4, 5),
+)
 
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -542,6 +555,65 @@ def collapses_greedy(delta: LabeledComplex) -> bool:
     return remaining == 1
 
 
+def strong_collapses_bruteforce(delta: LabeledComplex) -> bool:
+    """`homology.facets_collapse_to_point` from the definition, on the face
+    list: while two or more vertices are left, delete a vertex v, with every
+    face containing it, when some other vertex w dominates it (every face
+    containing v is still a face with w added); True when one vertex is
+    left, False when none is dominated or the complex has no vertex.  As
+    {v} contains v, a dominating w makes {v, w} a face, so only such w are
+    tried."""
+    faces = set(delta.faces)
+    vertices = list(_bits(delta.vertices))
+    while len(vertices) > 1:
+        for v in vertices:
+            star = [face for face in faces if face >> v & 1]
+            if any(
+                all(face | 1 << w in faces for face in star)
+                for w in vertices if w != v and 1 << v | 1 << w in faces
+            ):
+                faces.difference_update(star)
+                vertices.remove(v)
+                break
+        else:
+            return False
+    return len(vertices) == 1
+
+
+def betti_numbers_bruteforce(
+    ideal: MonomialIdeal, field: FieldSpec, max_generators: int = DEFAULT_TAYLOR_CAP
+) -> tuple[int, ...]:
+    """The total Betti numbers beta_1, beta_2, ... of S/I over the field,
+    up to the last nonzero one, from the Taylor complex T of the ideal.
+
+    T is a free resolution of S/I, so beta_{i,m} is the dimension of the
+    homology, at its faces of size i, of T tensored with the field in
+    multidegree m, which keeps the faces labelled exactly m.  That is the
+    relative homology H_{i-1}(T_{<=m}, T_{<m}), with T_{<=m} the faces whose
+    label divides m and T_{<m} those whose label also is not m.  T_{<=m} is
+    a full simplex, so this is reduced H_{i-2}(T_{<m}) (Gasharov, Peeva and
+    Welker, 1999; Miller and Sturmfels, Combinatorial commutative algebra,
+    2005).  Only lattice points label faces.  At a generator m, T_{<m} is
+    {∅} and beta_{1,m} = 1; elsewhere T_{<m} holds every generator dividing
+    m, so it has a vertex.  ComplexError above max_generators generators."""
+    taylor = taylor_complex(ideal, max_generators)
+    generators = set(ideal.generator_masks)
+    betti = [0] * (ideal.num_generators + 1)
+    for m in lcm_lattice(ideal):
+        if m in generators:
+            betti[1] += 1
+            continue
+        below = LabeledComplex(ideal, [
+            face for face, label in zip(taylor.faces, taylor.label_masks)
+            if not label & ~m and label != m
+        ])
+        for i, count in enumerate(reduced_betti(below, field).betti, start=2):
+            betti[i] += count
+    while betti and not betti[-1]:
+        betti.pop()
+    return tuple(betti[1:])
+
+
 def random_ideal(
     rng: random.Random, variables: tuple[int, int] = (3, 6), masks: tuple[int, int] = (2, 6)
 ) -> MonomialIdeal:
@@ -665,10 +737,11 @@ def is_scarf_full_scan(ideal: MonomialIdeal, fields=DEFAULT_FIELDS) -> ScarfRepo
     else:
         alive = list(fields)
         verdicts = {}
+        answers: dict[int, bool] = {}
         for point in lattice:
             if not alive:
                 break
-            for field, profile in _failing_fields(delta, point, alive):
+            for field, profile in _failing_fields(delta, point, alive, answers):
                 verdicts[field] = VERDICT_NOT_SCARF
                 witnesses.append((field, point, profile))
                 alive.remove(field)

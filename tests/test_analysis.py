@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from collections import Counter
@@ -47,7 +48,9 @@ from scarflab.ideals import IdealSpec, build_ideal
 from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 
 from reference import (
+    PROJECTIVE_PLANE_TRIANGLES,
     RATIONALS,
+    betti_numbers_bruteforce,
     complete_graph,
     degree_t_ideals,
     fields_disagree,
@@ -123,11 +126,61 @@ class TestIsScarf:
         assert any(report.all_scarf for report in reports)
         assert any(not report.all_scarf for report in reports)
 
+    def test_scarf_iff_betti_numbers_are_the_f_vector(self, oracle_corpus):
+        """An ideal is Scarf over a field exactly when its Betti numbers
+        there, read off the Taylor complex, are the face counts of its
+        Scarf complex, which every minimal resolution contains (Bayer,
+        Peeva and Sturmfels, Monomial resolutions, 1998).  Over gf2, gf32003
+        and q, on the oracle corpus up to 10 generators, random ideals, and
+        two ideals of the 6-vertex projective plane P: its Stanley-Reisner
+        ideal, whose Betti numbers depend on the field, and the ideal whose
+        generator v is the product of one variable per triangle of P that
+        misses v.  The label of a vertex set then lacks the variables of
+        the triangles that hold it, so the Scarf complex is P, and the ideal
+        is Scarf over gf32003 and q but not over gf2."""
+        fields = (GF2, GF32003, RATIONALS)
+        triangles = [sum(1 << v for v in top) for top in PROJECTIVE_PLANE_TRIANGLES]
+        stanley_reisner = minimalize(
+            [sum(1 << v for v in c) for c in itertools.combinations(range(6), 3)
+             if sum(1 << v for v in c) not in triangles],
+            universe=VariableUniverse.of_size(6),
+        )
+        projective = minimalize(
+            [sum(1 << k for k, top in enumerate(triangles) if not top >> v & 1) for v in range(6)],
+            universe=VariableUniverse.of_size(len(triangles)),
+        )
+        plane = scarf_complex(projective)
+        assert plane.f_vector() == (6, 15, 10)
+        assert reduced_betti(plane, GF2).betti == (0, 1, 1)
+        assert [is_scarf(projective, (field,)).all_scarf for field in fields] == [
+            False, True, True
+        ]
+        assert betti_numbers_bruteforce(stanley_reisner, GF2) == (10, 15, 7, 1)
+        assert betti_numbers_bruteforce(stanley_reisner, RATIONALS) == (10, 15, 6)
+        rng = random.Random(109)
+        ideals = [ideal for ideal in oracle_corpus if ideal.num_generators <= 10]
+        ideals += [random_ideal(rng) for _ in range(100)]
+        ideals += [stanley_reisner, projective]
+        seen = Counter()
+        for ideal in ideals:
+            if ideal.num_generators < 2:
+                continue
+            faces = scarf_complex(ideal).f_vector()
+            for field in fields:
+                scarf = is_scarf(ideal, (field,)).all_scarf
+                assert (betti_numbers_bruteforce(ideal, field) == faces) == scarf, (
+                    ideal.render(), field
+                )
+                seen[scarf] += 1
+        assert seen[True] > 100 and seen[False] > 300, seen
+
     def test_collapse_shortcut_changes_no_report(self, oracle_corpus, monkeypatch):
         fields = (GF2, GF32003, RATIONALS)
         ideals = oracle_corpus + [build_ideal(spider5_graph(2, 1, 1), P4)]
         with_collapse = [is_scarf(ideal, fields) for ideal in ideals]
-        monkeypatch.setattr(analysis, "collapses_to_point", lambda delta, mask=-1: False)
+        monkeypatch.setattr(
+            analysis, "facets_collapse_to_point", lambda facets, answers=None: False
+        )
         for ideal, report in zip(ideals, with_collapse):
             assert is_scarf(ideal, fields) == report, ideal.render()
 
@@ -137,7 +190,7 @@ class TestIsScarf:
         that labels a Scarf face, by its full-simplex test), and builds and
         ranks no restriction; C3(P7) still gets its witness from ranks.  A
         scan of every point would test all 766 and 1,406."""
-        calls = {"restrict": 0, "reduced_betti": 0, "collapses_to_point": 0}
+        calls = {"restrict": 0, "reduced_betti": 0, "facets_collapse_to_point": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -148,20 +201,20 @@ class TestIsScarf:
         for owner, name in (
             (LabeledComplex, "restrict"),
             (analysis, "reduced_betti"),
-            (analysis, "collapses_to_point"),
+            (analysis, "facets_collapse_to_point"),
         ):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         for legs, points, labels, collapses in (
             ((3, 3, 3), 766, 255, 126), ((4, 3, 3), 1406, 383, 150)
         ):
-            calls["collapses_to_point"] = 0
+            calls["facets_collapse_to_point"] = 0
             spider = build_ideal(spider5_graph(*legs), P4)
             report = is_scarf(spider, fields=(GF2, GF32003, RATIONALS))
             assert report.all_scarf and report.num_lattice_points == points
             # every face but the empty one labels a lattice point of its own
             assert report.num_scarf_faces - 1 == labels
             assert calls == {
-                "restrict": 0, "reduced_betti": 0, "collapses_to_point": collapses
+                "restrict": 0, "reduced_betti": 0, "facets_collapse_to_point": collapses
             }
 
         report = is_scarf(build_ideal(path_graph(7), C3))
@@ -714,10 +767,11 @@ class TestWholeComplexCheck:
         """The fields that fail are those the ranks of the whole complex
         give.  The face list is built exactly when the 1-skeleton is
         connected and the complex is not flag or its facets do not collapse,
-        and the face-based collapse test runs only when it is not flag;
-        random ideals reach the non-flag fallback."""
+        and the facet collapse test runs once on a connected complex: on
+        the maximal cliques when it is flag, and on the facets of the face
+        list when it is not; random ideals reach the non-flag fallback."""
         built = []
-        for name in ("scarf_complex", "collapses_to_point"):
+        for name in ("scarf_complex", "facets_collapse_to_point"):
             production = getattr(analysis, name)
 
             def recording(*args, _name=name, _production=production):
@@ -749,9 +803,9 @@ class TestWholeComplexCheck:
                 path = "stuck"
             assert built == {
                 "disconnected": [],
-                "collapsed": [],
-                "stuck": ["scarf_complex"],
-                "not flag": ["scarf_complex", "collapses_to_point"],
+                "collapsed": ["facets_collapse_to_point"],
+                "stuck": ["facets_collapse_to_point", "scarf_complex"],
+                "not flag": ["scarf_complex", "facets_collapse_to_point"],
             }[path], path
             paths[path] += 1
         assert min(paths.values()) >= 10 and len(paths) == 4, paths

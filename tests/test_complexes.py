@@ -286,29 +286,6 @@ def label_filter(delta: LabeledComplex, mask: int) -> list[int]:
     return [i for i, label in enumerate(delta.label_masks) if label & ~mask == 0]
 
 
-def column_members(delta: LabeledComplex, mask: int) -> int:
-    """The faces whose label divides the monomial, read off the face
-    columns: all faces minus the columns of the generators that do not
-    divide it."""
-    members = (1 << len(delta.faces)) - 1
-    for column, generator in zip(delta.face_columns, delta.ideal.generator_masks):
-        if generator & ~mask:
-            members &= ~column
-    return members
-
-
-def indexed_restriction(delta: LabeledComplex, mask: int) -> tuple[int, int]:
-    """The vertices and the faces of the restriction to the monomial, as
-    `collapses_to_point` reads them off the per-variable tables: ANDs over
-    the variables the monomial lacks."""
-    vertices, members = delta.vertices, (1 << len(delta.faces)) - 1
-    for x in range(delta.ideal.universe.size):
-        if not mask >> x & 1:
-            vertices &= delta.ideal.generators_without[x]
-            members &= delta.faces_without[x]
-    return vertices, members
-
-
 def dividing_vertices(delta: LabeledComplex, mask: int) -> int:
     """The generators dividing the monomial whose singleton is a face."""
     return sum(
@@ -318,10 +295,10 @@ def dividing_vertices(delta: LabeledComplex, mask: int) -> int:
 
 
 class TestIncidenceIndex:
-    """The face-generator incidence index `LabeledComplex.face_columns`, the
-    per-variable tables `MonomialIdeal.generators_without` and
-    `LabeledComplex.faces_without`, from which
-    `homology.collapses_to_point` reads restrictions, and `restrict`."""
+    """The per-variable table `MonomialIdeal.generators_without`, from which
+    the Scarf scan reads the generators dividing a point (`complexes._meet`),
+    the facets of a complex and their traces on those generators, and
+    `restrict`."""
 
     def complexes(self, ideal):
         q = ideal.num_generators
@@ -334,7 +311,11 @@ class TestIncidenceIndex:
             base = scarf_complex(MonomialIdeal(ideal.universe, ideal.generator_masks[:-1]))
             yield cone(q - 1, LabeledComplex(ideal, base.faces))
 
-    def test_columns_and_restrict_match_label_filter(self):
+    def test_restrict_matches_label_filter(self):
+        """`restrict` keeps the faces whose label divides the monomial, in
+        order; they are the faces inside the dividing generators, its
+        vertices are the dividing vertices, and its facets are the maximal
+        traces of the complex's facets on the dividing generators."""
         rng = random.Random(53)
         checked = 0
         for _ in range(40):
@@ -344,14 +325,23 @@ class TestIncidenceIndex:
             size = ideal.universe.size
             masks = [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(8)]
             for delta in self.complexes(ideal):
+                assert set(delta.facets) == maximal_sets(delta.faces)
                 for mask in masks:
                     kept = label_filter(delta, mask)
-                    assert column_members(delta, mask) == sum(1 << i for i in kept)
-                    assert indexed_restriction(delta, mask) == (
-                        dividing_vertices(delta, mask), sum(1 << i for i in kept)
+                    absent = ~mask & ((1 << size) - 1)
+                    dividing = complexes._meet(
+                        (1 << ideal.num_generators) - 1, absent, ideal.generators_without
+                    )
+                    assert dividing == sum(
+                        1 << g for g, generator in enumerate(ideal.generator_masks)
+                        if not generator & ~mask
                     )
                     got = delta.restrict(mask)
                     assert got.faces == tuple(delta.faces[i] for i in kept), (delta.faces, mask)
+                    assert got.faces == tuple(f for f in delta.faces if not f & ~dividing)
+                    assert got.vertices == dividing_vertices(delta, mask)
+                    assert got.vertices == dividing & delta.vertices
+                    assert set(delta.induced_facets(dividing)) == set(got.facets)
                     checked += 1
         assert checked > 1000
 
@@ -374,37 +364,22 @@ class TestIncidenceIndex:
                     checked += 1
         assert checked > 300
 
-    def test_columns_match_label_filter_on_corpus_lattices(self, oracle_corpus):
-        for ideal in oracle_corpus:
-            delta = scarf_complex(ideal)
-            for point in lcm_lattice(ideal):
-                kept = label_filter(delta, point)
-                assert column_members(delta, point) == sum(1 << i for i in kept)
-                assert indexed_restriction(delta, point) == (
-                    dividing_vertices(delta, point), sum(1 << i for i in kept)
-                )
-
     def test_incidences(self):
         delta = taylor_complex(ideal_of("x1", "x2", "x3", size=3))
         # faces: (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
-        assert delta.face_columns == (0b10110010, 0b11010100, 0b11101000)
         assert delta.vertices == 0b111
+        assert delta.facets == (0b111,)
         assert delta.ideal.generators_without == (0b110, 0b101, 0b011)
-        assert delta.faces_without == (0b01001101, 0b00101011, 0b00010111)
+        assert delta.induced_facets(0b101) == [0b101]
+        assert delta.induced_facets(0) == [0]
+        hollow = LabeledComplex(delta.ideal, delta.faces[:-1])
+        assert hollow.facets == (0b011, 0b101, 0b110)
+        assert sorted(hollow.induced_facets(0b011)) == [0b011]
         for faces in ((), (0,)):
             empty = LabeledComplex(delta.ideal, faces)
-            assert empty.face_columns == (0, 0, 0)
             assert empty.vertices == 0
-            assert empty.faces_without == (len(faces),) * 3
-
-    def test_columns_of_a_scarf_complex(self):
-        ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
-        delta = scarf_complex(ideal)
-        assert len(delta.faces) < 1 << ideal.num_generators
-        for g, column in enumerate(delta.face_columns):
-            assert [i for i in range(len(delta.faces)) if column >> i & 1] == [
-                i for i, face in enumerate(delta.faces) if face >> g & 1
-            ]
+            assert empty.facets == faces
+            assert empty.induced_facets(0b111) == list(faces)
 
     def test_restrict_keeps_face_order(self):
         rng = random.Random(61)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from scarflab import homology
+from scarflab import analysis, homology
+from scarflab.analysis import _variable_twin_classes
 from scarflab.complexes import (
     LabeledComplex,
     lcm_lattice,
@@ -19,6 +20,7 @@ from scarflab.complexes import (
 )
 from scarflab.graphs import (
     _bits,
+    _prefix_masks,
     enumerate_connected_graphs,
     enumerate_trees,
     path_graph,
@@ -31,7 +33,6 @@ from scarflab.homology import (
     FieldSpec,
     HomologyError,
     boundary_matrix,
-    collapses_to_point,
     facets_collapse_to_point,
     matrix_rank,
     reduced_betti,
@@ -42,13 +43,15 @@ from scarflab.monomials import MonomialIdeal, VariableUniverse, minimalize
 from reference import (
     maximal_sets,
     random_ideal,
+    PROJECTIVE_PLANE_TRIANGLES,
     RATIONALS,
     collapses_greedy,
     complex_from_faces,
     cone,
     face_mask,
-    member_tuples,
+    is_flag,
     reduced_betti_all_ranks,
+    strong_collapses_bruteforce,
 )
 
 ALL_FIELDS = (GF2, GF32003, RATIONALS)
@@ -65,14 +68,6 @@ def complex_from_top_faces(count: int, tops) -> LabeledComplex:
         for r in range(len(top) + 1):
             faces.update(itertools.combinations(top, r))
     return complex_from_faces(singleton_ideal(count), faces)
-
-
-# the 6-vertex triangulation of the projective plane, read off the antipodal
-# quotient of the icosahedron; every one of the 15 edges lies in two triangles
-PROJECTIVE_PLANE_TRIANGLES = (
-    (0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 2, 5), (0, 3, 5),
-    (1, 2, 3), (1, 2, 5), (1, 4, 5), (2, 3, 4), (3, 4, 5),
-)
 
 
 def projective_plane() -> LabeledComplex:
@@ -344,61 +339,83 @@ class TestVerdicts:
         assert all(reduced_betti(delta, field).is_acyclic for field in DEFAULT_FIELDS)
 
 
+def dividing(delta: LabeledComplex, mask: int) -> int:
+    """The generators of delta's ideal that divide the monomial with this
+    mask, read off the generators one by one."""
+    return sum(
+        1 << g for g, generator in enumerate(delta.ideal.generator_masks) if not generator & ~mask
+    )
+
+
+def collapses_at(delta: LabeledComplex, mask: int = -1, answers=None) -> bool:
+    """The scan's collapse answer for the restriction of delta to the
+    monomial with this mask (by default delta itself): the facet test on
+    the maximal traces of delta's facets on the dividing generators."""
+    return facets_collapse_to_point(delta.induced_facets(dividing(delta, mask)), answers)
+
+
 def assert_collapse_sound(delta: LabeledComplex, point: int | None = None) -> bool:
-    """collapses_to_point proves the restriction of delta to the monomial
-    with mask point (by default delta itself) acyclic, and it answers on
-    delta's face columns as it does on the restriction built as a complex of
-    its own."""
-    collapsed = collapses_to_point(delta, -1 if point is None else point)
+    """The facet test proves the restriction of delta to the monomial with
+    mask point (by default delta itself) acyclic, and it answers on the
+    traces of delta's facets as it does on the facets of the restriction
+    built as a complex of its own, and as the definition does."""
+    mask = -1 if point is None else point
+    collapsed = collapses_at(delta, mask)
     restricted = delta if point is None else delta.restrict(point)
-    assert collapses_to_point(restricted) == collapsed
+    assert set(delta.induced_facets(dividing(delta, mask))) == set(restricted.facets)
+    assert facets_collapse_to_point(restricted.facets) == collapsed
+    assert strong_collapses_bruteforce(restricted) == collapsed, restricted.faces
     if collapsed:
         for field in ALL_FIELDS:
             assert reduced_betti(restricted, field).is_acyclic, restricted.faces
     return collapsed
 
 
-class NoIndexFaces(tuple):
-    def __getitem__(self, index):
-        raise AssertionError("the domination loop ran")
-
-
 class TestCollapse:
+    """The per-point path of the Scarf scan: `facets_collapse_to_point` on
+    `LabeledComplex.induced_facets`, the maximal traces of the facets."""
+
     def test_simplex_and_single_vertex_collapse(self):
-        assert collapses_to_point(taylor_complex(singleton_ideal(4)))
-        assert collapses_to_point(complex_from_top_faces(3, [(1,)]))
-        assert collapses_to_point(complex_from_top_faces(4, [(0, 1), (1, 2), (1, 3)]))
+        assert collapses_at(taylor_complex(singleton_ideal(4)))
+        assert collapses_at(complex_from_top_faces(3, [(1,)]))
+        assert collapses_at(complex_from_top_faces(4, [(0, 1), (1, 2), (1, 3)]))
 
     def test_non_acyclic_complexes_stay(self):
-        assert not collapses_to_point(projective_plane())
-        assert not collapses_to_point(complex_from_top_faces(3, [(0, 1), (1, 2), (0, 2)]))
-        assert not collapses_to_point(complex_from_top_faces(3, [(0,), (1,), (2,)]))
+        assert not collapses_at(projective_plane())
+        assert not collapses_at(complex_from_top_faces(3, [(0, 1), (1, 2), (0, 2)]))
+        assert not collapses_at(complex_from_top_faces(3, [(0,), (1,), (2,)]))
 
     def test_faceless_complexes_stay(self):
         ideal = singleton_ideal(2)
-        assert not collapses_to_point(LabeledComplex(ideal, (0,)))
-        assert not collapses_to_point(LabeledComplex(ideal, ()))
+        assert LabeledComplex(ideal, (0,)).facets == (0,)
+        assert LabeledComplex(ideal, ()).facets == ()
         for faces in ((0,), ()):
             delta = LabeledComplex(ideal, faces)
+            assert not collapses_at(delta)
+            assert not strong_collapses_bruteforce(delta)
             for mask in range(4):
-                assert not collapses_to_point(delta, mask)
-                assert not collapses_to_point(delta.restrict(mask))
+                assert not collapses_at(delta, mask)
+                assert not collapses_at(delta.restrict(mask))
 
     def test_points_without_vertices_stay(self):
         delta = taylor_complex(singleton_ideal(3))
-        assert not collapses_to_point(delta, 0)
-        assert not collapses_to_point(delta.restrict(0))
+        assert delta.induced_facets(0) == [0]
+        assert not collapses_at(delta, 0)
+        assert not collapses_at(delta.restrict(0))
 
     def test_simplex_check_needs_no_collapse(self):
-        # With faces that refuse indexing, the domination loop cannot pick a
-        # candidate dominator, so only the simplex check can answer.
+        # At a Scarf face's label the traces leave that face as the one
+        # facet, which answers before any table lookup or deletion, so a
+        # shared table stays empty; the whole complex needs deletions.
         ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
         delta = scarf_complex(ideal)
-        object.__setattr__(delta, "faces", NoIndexFaces(delta.faces))
-        for mask in delta.label_masks[1:]:
-            assert collapses_to_point(delta, mask)
-        with pytest.raises(AssertionError, match="domination loop"):
-            collapses_to_point(delta)
+        answers = {}
+        for face, mask in zip(delta.faces[1:], delta.label_masks[1:]):
+            assert delta.induced_facets(dividing(delta, mask)) == [face]
+            assert collapses_at(delta, mask, answers)
+        assert answers == {}
+        assert not collapses_at(delta, -1, answers)
+        assert answers
 
     def test_scarf_face_labels_restrict_to_simplices(self, oracle_corpus):
         checked = 0
@@ -413,7 +430,8 @@ class TestCollapse:
                 )
                 restricted = delta.restrict(mask)
                 assert restricted.faces == expected
-                assert collapses_to_point(restricted)
+                assert restricted.facets == (face,)
+                assert collapses_at(delta, mask)
                 checked += 1
         assert checked > 1000
 
@@ -476,18 +494,41 @@ class TestCollapse:
         for ideal in oracle_corpus:
             delta = scarf_complex(ideal)
             for point in lcm_lattice(ideal):
-                collapsed = collapses_to_point(delta, point)
+                collapsed = collapses_at(delta, point)
                 assert collapsed == collapses_greedy(delta.restrict(point)), (
                     ideal.render(), point
                 )
                 counts[collapsed] += 1
         assert counts == {True: 1986, False: 956}
 
+    def test_agrees_with_definition_on_corpora(self, oracle_corpus):
+        """At every lattice point of the oracle corpus and of random ideals,
+        the facet-trace answer, from a table shared by the points of one
+        complex and from a fresh one, is the definitional strong collapse of
+        the restriction.  Some random Scarf complexes are not flag, so their
+        facets come off the face list only."""
+        rng = random.Random(107)
+        ideals = oracle_corpus + [random_ideal(rng, (5, 8), (6, 10)) for _ in range(60)]
+        counts = {True: 0, False: 0}
+        not_flag = 0
+        for ideal in ideals:
+            delta = scarf_complex(ideal)
+            not_flag += not is_flag(delta)
+            answers = {}
+            for point in lcm_lattice(ideal):
+                expected = strong_collapses_bruteforce(delta.restrict(point))
+                assert collapses_at(delta, point, answers) == expected, (ideal.render(), point)
+                assert collapses_at(delta, point, {}) == expected
+                counts[expected] += 1
+        assert not_flag >= 5
+        assert min(counts.values()) > 1000, counts
+
     @pytest.mark.parametrize("legs", [(3, 3, 3), (4, 3, 3)])
     def test_spider_lattices_collapse(self, legs):
         ideal = build_ideal(spider5_graph(*legs), IdealSpec("path", 4))
         delta = scarf_complex(ideal)
-        assert all(collapses_to_point(delta, point) for point in lcm_lattice(ideal))
+        answers = {}
+        assert all(collapses_at(delta, point, answers) for point in lcm_lattice(ideal))
 
 
 def facet_masks(tops) -> list[int]:
@@ -496,8 +537,8 @@ def facet_masks(tops) -> list[int]:
 
 
 class TestFacetCollapse:
-    """`facets_collapse_to_point` answers `collapses_to_point` of the complex
-    its facets span."""
+    """`facets_collapse_to_point` answers the definitional strong collapse
+    of the complex its facets span."""
 
     def test_known_complexes(self):
         assert facets_collapse_to_point([0b1111])
@@ -512,6 +553,15 @@ class TestFacetCollapse:
             facet_masks([top + (6,) for top in PROJECTIVE_PLANE_TRIANGLES])
         )
 
+    def test_no_vertex_is_false(self):
+        """The void complex and {∅} are not contractible ({∅} has reduced
+        H_{-1} != 0), with a table or without, and nothing is stored."""
+        for facets in ([], [0], (), [0, 0]):
+            answers = {}
+            assert facets_collapse_to_point(facets) is False
+            assert facets_collapse_to_point(facets, answers) is False
+            assert answers == {}
+
     def test_matches_face_collapse_on_random_top_faces(self):
         rng = random.Random(97)
         answers = {True: 0, False: 0}
@@ -521,7 +571,9 @@ class TestFacetCollapse:
                 tuple(sorted(rng.sample(range(count), rng.randint(1, min(5, count)))))
                 for _ in range(rng.randint(1, 7))
             ]
-            expected = collapses_to_point(complex_from_top_faces(count, tops))
+            delta = complex_from_top_faces(count, tops)
+            assert set(delta.facets) == set(facet_masks(tops)), tops
+            expected = strong_collapses_bruteforce(delta)
             assert facets_collapse_to_point(facet_masks(tops)) == expected, tops
             answers[expected] += 1
         assert answers[True] >= 30 and answers[False] >= 30
@@ -530,7 +582,7 @@ class TestFacetCollapse:
         """Every connected graph on at most 7 vertices and every tree on at
         most 10, under connected:2..5 and path:2..5: each Scarf complex is
         flag, its facets are its maximal faces, and the facet answer is the
-        face-list answer."""
+        definitional answer on the face list."""
         graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
         graphs += [g for n in range(8, 11) for g in enumerate_trees(n)]
         specs = [IdealSpec(kind, t) for kind in ("connected", "path") for t in (2, 3, 4, 5)]
@@ -543,9 +595,9 @@ class TestFacetCollapse:
                 delta = scarf_complex(ideal)
                 facets = scarf_facets(ideal, scarf_neighbours(ideal))
                 assert facets is not None, (spec, graph.edges)
-                assert set(facets) == maximal_sets(delta.faces), (spec, graph.edges)
+                assert set(facets) == set(delta.facets) == maximal_sets(delta.faces)
                 answer = facets_collapse_to_point(facets)
-                assert answer == collapses_to_point(delta), (spec, graph.edges)
+                assert answer == strong_collapses_bruteforce(delta), (spec, graph.edges)
                 answers[answer] += 1
         # all 9,246 of these complexes are flag, and most are disconnected;
         # `test_flag_facets_on_random_ideals` meets complexes that are not flag
@@ -558,10 +610,9 @@ def dominates(delta: LabeledComplex, w: int, v: int) -> bool:
 
 
 class TestDomination:
-    def test_count_criterion_matches_definition(self):
-        """The count test `collapses_to_point` reads off the face columns is
-        domination, and every dominator of v lies in the last face of its
-        star, the only candidates the test tries."""
+    def test_facet_criterion_matches_definition(self):
+        """The criterion `facets_collapse_to_point` reads off the facets,
+        w in the AND of the facets containing v, is domination."""
         rng = random.Random(67)
         dominated = free = 0
         for _ in range(200):
@@ -571,81 +622,95 @@ class TestDomination:
                 for _ in range(rng.randint(1, 6))
             ]
             delta = complex_from_top_faces(count, tops)
-            columns = delta.face_columns
-            for (v,) in member_tuples(delta.faces_of_size(1)):
-                star = columns[v]
-                top = delta.faces[star.bit_length() - 1]
-                for (w,) in member_tuples(delta.faces_of_size(1)):
+            for v in _bits(delta.vertices):
+                common = -1
+                for facet in delta.facets:
+                    if facet >> v & 1:
+                        common &= facet
+                for w in _bits(delta.vertices):
                     if w == v:
                         continue
-                    by_count = 2 * (star & columns[w]).bit_count() == star.bit_count()
-                    assert by_count == dominates(delta, w, v), (tops, v, w)
-                    if by_count:
-                        assert top >> w & 1
+                    by_facets = bool(common >> w & 1)
+                    assert by_facets == dominates(delta, w, v), (tops, v, w)
+                    if by_facets:
                         dominated += 1
                     else:
                         free += 1
         assert dominated > 100 and free > 100
 
 
-def vertex_set(delta: LabeledComplex, mask: int) -> int:
-    """The vertices of delta whose generators divide the monomial, as the
-    key of the restriction in `delta.collapse_answers`: bit i for the
-    singleton face `delta.faces[i]`."""
-    columns = delta.face_columns
-    return sum(
-        1 << delta.faces.index(1 << g) for g, generator in enumerate(delta.ideal.generator_masks)
-        if not generator & ~mask and columns[g]
-    )
+def is_simplex(delta: LabeledComplex, vertices: int) -> bool:
+    """Whether the subcomplex of delta induced on these vertices is a full
+    simplex with a vertex."""
+    return bool(vertices) and vertices in delta.face_set
 
 
-def key_generators(delta: LabeledComplex, key: int) -> int:
-    """The generator bit set of a `delta.collapse_answers` key, whose bits
-    index singleton faces."""
-    assert all(delta.faces[i].bit_count() == 1 for i in _bits(key)), (delta.faces, key)
-    return sum(delta.faces[i] for i in _bits(key))
-
-
-def assert_table_closed(delta: LabeledComplex) -> None:
-    """Every entry of delta's collapse table is the answer for the induced
-    subcomplex on its vertex set, read from the definitions: True on a
-    simplex, False on a core with two or more vertices, and otherwise the
-    answer stored for the set less some dominated vertex."""
-    table = delta.collapse_answers
+def assert_table_closed(delta: LabeledComplex, table: dict[int, bool]) -> None:
+    """Every entry of a collapse table shared by the induced subcomplexes of
+    delta is the answer for the subcomplex induced on its key, read from the
+    definitions: the key is a vertex set of delta, not a simplex (those are
+    answered before the table is read); False on a core; and otherwise the
+    answer of the key less some dominated vertex, stored or a simplex."""
     for key, answer in table.items():
-        generators = key_generators(delta, key)
-        members = {g for g in range(delta.ideal.num_generators) if generators >> g & 1}
-        sub = LabeledComplex(delta.ideal, [face for face in delta.faces if not face & ~generators])
-        vertices = [v for (v,) in member_tuples(sub.faces_of_size(1))]
-        if len(sub.faces) == 1 << len(members):
-            assert answer and sorted(members) == vertices, (delta.faces, key)
-            continue
-        dominated = [
-            v for v in vertices if any(dominates(sub, w, v) for w in vertices if w != v)
-        ]
+        assert not key & ~delta.vertices and not is_simplex(delta, key), (delta.faces, key)
+        sub = LabeledComplex(delta.ideal, [face for face in delta.faces if not face & ~key])
+        members = list(_bits(key))
+        dominated = [v for v in members if any(dominates(sub, w, v) for w in members if w != v)]
         if not dominated:
             assert answer is False, (delta.faces, key)
         else:
             assert any(
-                table.get(key & ~(1 << delta.faces.index(1 << v))) is answer for v in dominated
+                (True if is_simplex(delta, key & ~(1 << v)) else table.get(key & ~(1 << v)))
+                is answer
+                for v in dominated
             ), (delta.faces, key)
+
+
+class CountedTable(dict):
+    """A collapse table that counts its lookups."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+class ForgetfulTable(dict):
+    """A collapse table that finds nothing and keeps nothing, and counts the
+    vertex sets stored in it: one per deletion, and one for a core."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = 0
+
+    def __contains__(self, key):
+        return False
+
+    def __setitem__(self, key, value):
+        self.stores += 1
 
 
 class TestCollapseTable:
     def assert_table_agrees(self, delta: LabeledComplex, masks) -> set[bool]:
-        """Queries one complex at the masks in the order given, compares
-        each answer with a copy whose table is empty and with greedy
-        collapses of the restriction, and returns the answers seen."""
+        """Queries one complex at the masks in the order given with one
+        shared table, compares each answer with a fresh table, with no
+        table and with greedy collapses of the restriction, and returns the
+        answers seen."""
+        table = {}
         answers = set()
         for mask in masks:
-            answer = collapses_to_point(delta, mask)
+            answer = collapses_at(delta, mask, table)
             answers.add(answer)
-            fresh = LabeledComplex(delta.ideal, delta.faces)
-            assert collapses_to_point(fresh, mask) is answer, (delta.faces, mask)
+            assert collapses_at(delta, mask, {}) is answer, (delta.faces, mask)
+            assert collapses_at(delta, mask) is answer, (delta.faces, mask)
             assert collapses_greedy(delta.restrict(mask)) == answer, (delta.faces, mask)
-            if vertex_set(delta, mask):
-                assert delta.collapse_answers[vertex_set(delta, mask)] is answer
-        assert_table_closed(delta)
+            facets = delta.induced_facets(dividing(delta, mask))
+            if len(facets) > 1:
+                assert table[dividing(delta, mask) & delta.vertices] is answer
+        assert_table_closed(delta, table)
         return answers
 
     def test_shuffled_lattice_scans_on_corpus(self, oracle_corpus):
@@ -685,10 +750,10 @@ class TestCollapseTable:
         assert seen == {True, False}
 
     def test_restrictions_with_non_vertex_generators(self, oracle_corpus):
-        """A restriction keeps the generators of its ideal, so one below a
-        vertex may be no vertex, and the singleton face of generator g then
-        sits at an index other than g + 1.  Queries on such restrictions
-        agree with greedy collapses."""
+        """A restriction keeps the generators of its ideal, so a generator
+        that divides a monomial may be no vertex of it, and its traces leave
+        that generator out.  Queries on such restrictions agree with greedy
+        collapses, with a table shared by them."""
         rng = random.Random(79)
         shifted = 0
         seen = set()
@@ -697,60 +762,51 @@ class TestCollapseTable:
             lattice = lcm_lattice(ideal)
             for point in rng.sample(lattice, min(4, len(lattice))):
                 restricted = delta.restrict(point)
-                singles = restricted.faces_of_size(1)
-                shifted += any(face != 1 << i for i, face in enumerate(singles))
+                shifted += restricted.vertices != (1 << ideal.num_generators) - 1
                 masks = [rng.getrandbits(ideal.universe.size) for _ in range(8)]
                 seen |= self.assert_table_agrees(restricted, [point, *masks])
         assert shifted > 10
         assert seen == {True, False}
 
-    def test_spider_scan_counts(self):
-        """The counts the README gives for the path:4 scans of S5(3,3,3),
-        S5(4,3,3) and S5(4,4,4): vertex domination tests and table entries.
-        Each domination test indexes the faces twice, for its vertex and for
-        the last face of that vertex's star, and nothing else in
-        `collapses_to_point` indexes them."""
+    def test_spider_scan_counts(self, monkeypatch):
+        """The counts the docstrings give for the path:4 scans of
+        S5(3,3,3), S5(4,3,3) and S5(4,4,4): `is_scarf` calls the test at
+        each prefix point with one table, which ends with one vertex set
+        per deletion; a table that keeps nothing would see 384, 520 and
+        1,000 deletions."""
+        tables = []
 
-        class CountedFaces(tuple):
-            reads = 0
+        def recording(facets, answers=None):
+            tables.append(answers)
+            return facets_collapse_to_point(facets, answers)
 
-            def __getitem__(self, index):
-                CountedFaces.reads += 1
-                return tuple.__getitem__(self, index)
-
-        for legs, tests, entries in (
-            ((3, 3, 3), 567, 568), ((4, 3, 3), 1135, 1136), ((4, 4, 4), 4335, 4336),
+        monkeypatch.setattr(analysis, "facets_collapse_to_point", recording)
+        for legs, points, entries, unshared in (
+            ((3, 3, 3), 126, 75, 384), ((4, 3, 3), 150, 94, 520), ((4, 4, 4), 223, 144, 1000),
         ):
+            tables.clear()
             ideal = build_ideal(spider5_graph(*legs), IdealSpec("path", 4))
+            assert analysis.is_scarf(ideal).all_scarf
+            assert len(tables) == points and all(table is tables[0] for table in tables)
+            assert len(tables[0]) == entries, legs
             delta = scarf_complex(ideal)
-            labels = set(delta.label_masks)
-            object.__setattr__(delta, "faces", CountedFaces(delta.faces))
-            CountedFaces.reads = 0
-            assert all(
-                collapses_to_point(delta, point)
-                for point in lcm_lattice(ideal) if point not in labels
-            )
-            assert CountedFaces.reads == 2 * tests, legs
-            assert len(delta.collapse_answers) == entries, legs
-
-    def test_tables_only_for_absent_variables(self):
-        """A query at a monomial that lacks no variable, as a sweep's x_V,
-        builds no `faces_without` table; one that lacks a variable builds it."""
-        ideal = build_ideal(path_graph(7), IdealSpec("connected", 3))
-        top = (1 << ideal.universe.size) - 1
-        for mask in (-1, top):
-            delta = scarf_complex(ideal)
-            assert not collapses_to_point(delta, mask)
-            assert "faces_without" not in vars(delta)
-        assert collapses_to_point(delta, top >> 1)
-        assert "faces_without" in vars(delta)
+            forgetful = ForgetfulTable()
+            for point in _prefix_masks(_variable_twin_classes(ideal), lcm_lattice(ideal)):
+                assert collapses_at(delta, point, forgetful)
+            assert forgetful.stores == unshared, legs
 
     def test_spider_scan_reads_the_table(self):
         """After one scan of the lattice, a second one answers from the table
-        alone: with faces that refuse indexing no vertex can be tested."""
+        alone: each point with two or more facets looks its vertex set up
+        once, finds it, and stores nothing."""
         ideal = build_ideal(spider5_graph(3, 3, 3), IdealSpec("path", 4))
         delta = scarf_complex(ideal)
         masks = lcm_lattice(ideal)
-        assert all(collapses_to_point(delta, mask) for mask in masks)
-        object.__setattr__(delta, "faces", NoIndexFaces(delta.faces))
-        assert all(collapses_to_point(delta, mask) for mask in masks)
+        table = {}
+        assert all(collapses_at(delta, mask, table) for mask in masks)
+        again = CountedTable(table)
+        assert all(collapses_at(delta, mask, again) for mask in masks)
+        assert again == table
+        assert again.lookups == sum(
+            len(delta.induced_facets(dividing(delta, mask))) > 1 for mask in masks
+        ) > 500

@@ -5,10 +5,12 @@ leaf pipeline."""
 
 import importlib
 import pkgutil
+from functools import cached_property
 
 import pytest
 
 import scarflab
+from scarflab import analysis
 from scarflab.analysis import (
     LeafPipelineReport,
     ObstructionCatalog,
@@ -182,8 +184,31 @@ def test_cached_properties_are_kept():
     complex_ = CASES[LabeledComplex][0]
     assert SPIDER.degrees is SPIDER.degrees
     assert IDEAL.generators_without is IDEAL.generators_without
-    assert complex_.face_columns is complex_.face_columns
+    assert complex_.facets is complex_.facets
     assert complex_.restrict((1 << IDEAL.universe.size) - 1) is complex_
+
+
+def test_scan_leaves_no_mutable_state_on_its_complex(monkeypatch):
+    """After `is_scarf`, every cached property of the Scarf complex it
+    scanned holds a tuple, an int or a frozenset: no scan state outlives
+    the scan on a frozen value."""
+    scanned = []
+
+    def recording(ideal):
+        scanned.append(scarf_complex(ideal))
+        return scanned[-1]
+
+    monkeypatch.setattr(analysis, "scarf_complex", recording)
+    ideal = build_ideal(spider5_graph(2, 1, 1), P4)
+    assert is_scarf(ideal).all_scarf
+    (complex_,) = scanned
+    cached = [
+        name for name, attribute in vars(LabeledComplex).items()
+        if isinstance(attribute, cached_property)
+    ]
+    assert "facets" in cached and "facets" in vars(complex_)
+    for name in cached:
+        assert type(getattr(complex_, name)) in (tuple, int, frozenset), name
 
 
 def test_field_modulus_defaults_to_none():
